@@ -328,6 +328,13 @@ def _interior_operator(model: DegenerateModel, grid: Grid):
     g_nodes = sample_field(model.g, grid)
     half = 0.5 * (nodes[:-1] + nodes[1:])
     psi_half = np.asarray(model.psi(grid.reference(half)), dtype=float)
+    peclet = float(np.max(np.abs(psi_half))) * h / 2
+    if peclet > 1.0:
+        warnings.warn(
+            f"cell Peclet number max|psi|*h/2 = {peclet:.3g} exceeds 1; the "
+            "interior stencil may lose positivity (refine n)",
+            stacklevel=3,
+        )
     # flux through face i+1/2 written as alpha_i r_i + beta_i r_{i+1}
     alpha = -g_nodes[:-1] / h - psi_half * g_nodes[:-1] / 2
     beta = g_nodes[1:] / h - psi_half * g_nodes[1:] / 2

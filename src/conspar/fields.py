@@ -31,7 +31,7 @@ from .errors import (
     InternalError,
     ParameterError,
 )
-from .expressions import Expression, parse_expression
+from .expressions import parse_expression
 
 DEFAULT_SAMPLES = 401
 _QUAD_RTOL = 1e-12
@@ -214,12 +214,6 @@ def constant_field(c: float, n: int = DEFAULT_SAMPLES) -> CoefficientField:
         n=n,
         derivative=lambda x: np.zeros(np.shape(x)),
     )
-
-
-def expression_of(f: CoefficientField) -> Optional[Expression]:
-    if isinstance(f.exact_fn, Expression):
-        return f.exact_fn
-    return None
 
 
 # ----------------------------------------------------------------------

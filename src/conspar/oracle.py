@@ -7,10 +7,14 @@ Reading the PDEs this way is a modeling assumption of the oracle, recorded
 in run manifests as ``assumption: sde_matching``.
 
 Paths are advanced by Euler-Maruyama with absorption at 0 (and at 1, or
-reflection there for the epidemic model). Randomness is counter-based
-per fixed-size path block, keyed by (seed, block index), so results are
-bit-reproducible and independent of execution order; blocks may be
-simulated in parallel and aggregation is a deterministic reduction.
+reflection there for the epidemic model). Paths are split into blocks of
+``BLOCK_SIZE``, and block b draws its normals only from its own
+counter-based ``Philox(seed, b)`` stream: at every step, one normal per
+live path of the block, in path order. All blocks step together in one
+array of live paths, grouped by block; an absorbed path leaves the array.
+Because each block's draws depend only on its own paths, the counts are
+bit-identical however the blocks are laid out or scheduled, and so is
+``oracle.csv``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from .fields import CoefficientField, field_from_callable
 from .sturm import Grid
 
 BLOCK_SIZE = 4096
+_NORMAL_CHUNK = 2**14  # most normals one block draws at once
+# chunks shrink as blocks are added, so that all blocks together buffer
+# about this many normals beyond one step's need
+_NORMAL_BUDGET = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +62,15 @@ class SdeSpec:
             raise ParameterError("x0 must lie in the open interval (0, 1)")
 
 
+def _plain_evaluator(f: CoefficientField):
+    """The field's exact formula, or the field itself when it has none.
+
+    Only for points known to lie in [0, 1] (live paths stay in (0, 1]),
+    where the field's domain check and clip never act.
+    """
+    return f.exact_fn if f.exact_fn is not None else f
+
+
 def kimura_sde(
     psi: CoefficientField,
     x0,
@@ -65,7 +82,8 @@ def kimura_sde(
     """Diffusion whose forward equation is the gene-frequency model:
     drift g psi, squared volatility 2 g, both endpoints absorbing."""
     g = lambda x: np.asarray(x) * (1.0 - np.asarray(x))  # noqa: E731
-    drift = field_from_callable(lambda x: g(x) * np.asarray(psi(x)), "kimura_drift")
+    psi_fn = _plain_evaluator(psi)
+    drift = field_from_callable(lambda x: g(x) * np.asarray(psi_fn(x)), "kimura_drift")
     vol2 = field_from_callable(lambda x: 2.0 * g(x), "kimura_vol2")
     return SdeSpec(
         drift=drift,
@@ -170,6 +188,36 @@ def _sample_initial(x0, n: int, rng) -> np.ndarray:
     return np.clip(np.interp(u, cdf, grid), 1e-12, 1 - 1e-12)
 
 
+class _BlockNormals:
+    """Standard normals for the live paths of all blocks, in array order.
+
+    Block b draws from its own stream only, ``live[b]`` normals per step,
+    in chunks that are sliced step by step. A chunked draw yields the same
+    numbers as one draw per step.
+    """
+
+    def __init__(self, rngs: list):
+        self.rngs = rngs
+        self.chunk = max(1, min(_NORMAL_CHUNK, _NORMAL_BUDGET // len(rngs)))
+        self.buffers = [np.empty(0)] * len(rngs)
+        self.used = [0] * len(rngs)
+
+    def take(self, live: list) -> np.ndarray:
+        parts = []
+        for b, n in enumerate(live):
+            if not n:
+                continue
+            buf, used = self.buffers[b], self.used[b]
+            if used + n > buf.size:
+                parts.append(buf[used:])
+                n -= buf.size - used
+                buf = self.buffers[b] = self.rngs[b].standard_normal(max(self.chunk, n))
+                used = 0
+            parts.append(buf[used : used + n])
+            self.used[b] = used + n
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def simulate(
     spec: SdeSpec,
     snapshot_times: Sequence[float],
@@ -209,43 +257,54 @@ def simulate(
     absorbed1 = np.zeros(n_snap, dtype=np.int64)
 
     n_blocks = (spec.replicates + block_size - 1) // block_size
-    for block in range(n_blocks):
-        m = min(block_size, spec.replicates - block * block_size)
-        key = np.array([np.uint64(spec.seed), np.uint64(block)], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        x = _sample_initial(spec.x0, m, rng)
-        dead0 = np.zeros(m, dtype=bool)
-        dead1 = np.zeros(m, dtype=bool)
-        alive_idx = np.arange(m)
-        step = 0
-        for si in range(n_snap):
-            target = int(snap_steps[si])
-            while step < target and alive_idx.size:
-                xa = x[alive_idx]
-                mu = np.asarray(spec.drift(xa), dtype=float)
-                s2 = np.clip(
-                    np.asarray(spec.squared_volatility(xa), dtype=float), 0.0, None
-                )
-                xa = xa + mu * dt + np.sqrt(s2 * dt) * rng.standard_normal(xa.size)
-                hit0 = xa <= 0.0
-                hit1 = xa >= 1.0
-                if spec.boundary_at_1 == "reflecting":
-                    xa = np.where(hit1, 2.0 - xa, xa)
-                    hit0 = xa <= 0.0
-                    hit1 = np.zeros_like(hit0)
-                x[alive_idx] = xa
-                if hit0.any() or hit1.any():
-                    dead0[alive_idx[hit0]] = True
-                    dead1[alive_idx[hit1]] = True
-                    alive_idx = alive_idx[~(hit0 | hit1)]
-                step += 1
-            if step < target:  # every path absorbed; nothing left to advance
-                step = target
-            absorbed0[si] += int(dead0.sum())
-            absorbed1[si] += int(dead1.sum())
-            if alive_idx.size:
-                c, _ = np.histogram(x[alive_idx], bins=bin_edges)
-                counts[si] += c
+    sizes = [min(block_size, spec.replicates - b * block_size) for b in range(n_blocks)]
+    rngs = [
+        np.random.Generator(
+            np.random.Philox(
+                key=np.array([np.uint64(spec.seed), np.uint64(b)], dtype=np.uint64)
+            )
+        )
+        for b in range(n_blocks)
+    ]
+    # live paths of every block, block 0's first, each block in path order
+    x = np.concatenate([_sample_initial(spec.x0, m, rng) for m, rng in zip(sizes, rngs)])
+    block_of = np.repeat(np.arange(n_blocks), sizes)
+    live = sizes
+    normals = _BlockNormals(rngs)
+    drift = _plain_evaluator(spec.drift)
+    vol2 = _plain_evaluator(spec.squared_volatility)
+    reflecting = spec.boundary_at_1 == "reflecting"
+    dead0 = dead1 = 0
+    step = 0
+    for si in range(n_snap):
+        target = int(snap_steps[si])
+        while step < target and x.size:
+            mu = np.asarray(drift(x), dtype=float)
+            s2 = np.maximum(np.asarray(vol2(x), dtype=float), 0.0)
+            x = x + mu * dt + np.sqrt(s2 * dt) * normals.take(live)
+            hit0 = x <= 0.0
+            hit1 = x >= 1.0
+            if reflecting:
+                if hit1.any():
+                    x = np.where(hit1, 2.0 - x, x)
+                    hit0 = x <= 0.0
+                hit = hit0
+            else:
+                hit = hit0 | hit1
+            if hit.any():
+                dead0 += np.count_nonzero(hit0)
+                if not reflecting:
+                    dead1 += np.count_nonzero(hit1)
+                gone = np.bincount(block_of[hit], minlength=n_blocks).tolist()
+                live = [n - k for n, k in zip(live, gone)]
+                keep = ~hit
+                x = x[keep]
+                block_of = block_of[keep]
+            step += 1
+        absorbed0[si] = dead0
+        absorbed1[si] = dead1
+        if x.size:
+            counts[si], _ = np.histogram(x, bins=bin_edges)
 
     return [
         EmpiricalMeasure(

@@ -125,6 +125,21 @@ class TestKimuraCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_cell_peclet_warning(self, tmp_path, capsys):
+        # psi = 400 on n = 101 nodes: max |psi| h / 2 = 2
+        steep = tmp_path / "steep"
+        main(["kimura", "--out", str(steep), "--psi", "400", "--n", "101",
+              "--T", "1", "--times", "0,1"])
+        assert "Peclet" in capsys.readouterr().err
+        assert any(
+            ln.startswith("warning: cell Peclet number") for ln in _manifest_lines(steep)
+        )
+        # psi = 100: max |psi| h / 2 = 0.5, no warning
+        mild = tmp_path / "mild"
+        main(["kimura", "--out", str(mild), "--psi", "100", "--n", "101",
+              "--T", "1", "--times", "0,1"])
+        assert not any("Peclet" in ln for ln in _manifest_lines(mild))
+
 
 class TestSisCommand:
     def test_run_checks(self, tmp_path):

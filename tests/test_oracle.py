@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from conspar.degenerate import BoundaryMeasure
-from conspar.errors import ArgumentError, ParameterError
-from conspar.fields import constant_field, field_from_callable
+from conspar.errors import ArgumentError, EvaluationError, ParameterError
+from conspar.fields import (
+    constant_field,
+    field_from_callable,
+    field_from_expression,
+    field_from_table,
+)
 from conspar.oracle import (
     EmpiricalMeasure,
     SdeSpec,
     compare_measures,
     kimura_sde,
+    _sample_initial,
     simulate,
     sis_sde,
 )
@@ -131,6 +137,140 @@ class TestSimulate:
         spec = kimura_sde(constant_field(0.0), 0.3, replicates=10)
         with pytest.raises(ArgumentError):
             simulate(spec, [2.0, 1.0])
+
+
+def _kimura_vol2():
+    return field_from_callable(lambda x: 2 * np.asarray(x) * (1 - np.asarray(x)), "v")
+
+
+def _identity_cases():
+    """(spec, snapshot times, bins, block size) per edge case."""
+    xs = np.linspace(0, 1, 21)
+    hat = np.interp(np.linspace(0, 1, 101), [0, 0.2, 0.5, 0.8, 1], [0, 0, 1, 0, 0])
+    table_drift = SdeSpec(
+        drift=field_from_table([0, 0.25, 0.5, 0.75, 1], [0, 0.3, 0, -0.3, 0]),
+        squared_volatility=_kimura_vol2(),
+        boundary_at_1="absorbing",
+        x0=0.3,
+        dt=1e-3,
+        horizon=0.5,
+        replicates=500,
+        seed=7,
+    )
+    return {
+        # 256 + 256 + 188 paths, a t = 0 snapshot, 10 bins
+        "t0_partial_block": (
+            kimura_sde(field_from_expression("1-2*x"), 0.3, dt=1e-3, horizon=0.5,
+                       replicates=700, seed=4),
+            [0.0, 0.1, 0.5], 10, 256,
+        ),
+        "density_x0": (
+            kimura_sde(constant_field(0.0), hat, dt=1e-3, horizon=0.3, replicates=600, seed=5),
+            [0.0, 0.3], 20, 256,
+        ),
+        "all_absorbed": (
+            kimura_sde(field_from_expression("20"), 0.5, dt=1e-3, horizon=10.0,
+                       replicates=300, seed=6),
+            [0.2, 10.0], 10, 128,
+        ),
+        "tabulated_drift": (table_drift, [0.25, 0.5], 10, 128),
+        "tabulated_psi": (
+            kimura_sde(field_from_table(xs, 1 - 2 * xs + 0.1 * np.sin(7 * xs)), 0.4,
+                       dt=1e-3, horizon=0.5, replicates=500, seed=8),
+            [0.5], 10, 128,
+        ),
+    }
+
+
+# (counts, count_at_0, count_at_1) per snapshot, recorded with the
+# block-by-block kernel that stepped one block at a time
+RECORDED = {
+    "t0_partial_block": [
+        ([0, 0, 700, 0, 0, 0, 0, 0, 0, 0], 0, 0),
+        ([92, 116, 151, 110, 96, 71, 32, 15, 5, 1], 11, 0),
+        ([31, 54, 40, 23, 36, 32, 36, 31, 34, 25], 282, 76),
+    ],
+    "density_x0": [
+        ([0, 0, 0, 0, 9, 25, 48, 70, 82, 80, 92, 64, 61, 43, 22, 4, 0, 0, 0, 0], 0, 0),
+        ([15, 22, 25, 21, 29, 25, 22, 25, 24, 20, 22, 19, 22, 30, 22, 27, 18, 18, 23, 26],
+         70, 75),
+    ],
+    "all_absorbed": [
+        ([0, 0, 0, 0, 0, 0, 1, 9, 20, 83], 0, 187),
+        ([0] * 10, 0, 300),
+    ],
+    "tabulated_drift": [
+        ([44, 54, 64, 52, 38, 42, 32, 24, 12, 20], 110, 8),
+        ([20, 30, 30, 24, 29, 33, 27, 21, 28, 8], 205, 45),
+    ],
+    "tabulated_psi": [
+        ([19, 28, 24, 29, 31, 28, 39, 31, 26, 21], 154, 70),
+    ],
+}
+
+
+def _reference_simulate(spec, times, bins, block_size):
+    """One block at a time, one draw per step, through the field calls:
+    the loop that ``simulate`` must reproduce count for count."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    snaps = np.rint(np.asarray(times) / spec.dt).astype(np.int64)
+    counts = np.zeros((len(times), bins), dtype=np.int64)
+    at0 = [0] * len(times)
+    at1 = [0] * len(times)
+    for block in range(-(-spec.replicates // block_size)):
+        m = min(block_size, spec.replicates - block * block_size)
+        key = np.array([np.uint64(spec.seed), np.uint64(block)], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        x = _sample_initial(spec.x0, m, rng)
+        dead0 = dead1 = 0
+        step = 0
+        for si, target in enumerate(snaps):
+            while step < target and x.size:
+                s2 = np.clip(spec.squared_volatility(x), 0.0, None)
+                x = x + spec.drift(x) * spec.dt + np.sqrt(s2 * spec.dt) * rng.standard_normal(x.size)
+                hit1 = x >= 1.0
+                if spec.boundary_at_1 == "reflecting":
+                    x = np.where(hit1, 2.0 - x, x)
+                    hit1 = np.zeros_like(hit1)
+                hit0 = x <= 0.0
+                dead0 += int(hit0.sum())
+                dead1 += int(hit1.sum())
+                x = x[~(hit0 | hit1)]
+                step += 1
+            at0[si] += dead0
+            at1[si] += dead1
+            counts[si] += np.histogram(x, bins=edges)[0]
+    return [(c.tolist(), a, b) for c, a, b in zip(counts, at0, at1)]
+
+
+class TestKernelIdentity:
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_recorded_counts(self, name):
+        spec, times, bins, block_size = _identity_cases()[name]
+        measures = simulate(spec, times, bins=bins, block_size=block_size)
+        got = [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in measures]
+        assert got == RECORDED[name]
+
+    @pytest.mark.parametrize("block_size", [3, 7, 4096])
+    def test_matches_block_by_block_reference(self, block_size):
+        psi = field_from_expression("1-2*x")
+        for spec in (
+            kimura_sde(psi, 0.3, dt=1e-3, horizon=0.2, replicates=61, seed=4),
+            sis_sde(2.0, 0.99, dt=1e-3, horizon=0.2, replicates=61, seed=3),
+        ):
+            times = [0.0, 0.05, 0.2]
+            got = simulate(spec, times, bins=10, block_size=block_size)
+            want = _reference_simulate(spec, times, 10, block_size)
+            assert [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in got] == want
+
+    def test_non_finite_psi_on_a_live_path_raises(self):
+        # finite on every sample of the field, NaN on (0.3002, 0.3022),
+        # which paths started at 0.3 step into
+        psi = field_from_expression("sqrt(abs(x-0.3012)-0.001)")
+        spec = kimura_sde(psi, 0.3, dt=1e-3, horizon=0.5, replicates=200, seed=9)
+        with pytest.raises(EvaluationError, match="non-finite") as info:
+            simulate(spec, [0.5], bins=10, block_size=64)
+        assert 0.3002 < info.value.x < 0.3022
 
 
 class TestCompare:
