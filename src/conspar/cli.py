@@ -139,10 +139,21 @@ class RunManifest:
     warnings: list = field(default_factory=list)
     assumptions: list = field(default_factory=list)
     files: list = field(default_factory=list)  # (name, sha256)
+    diagnostics: dict = field(default_factory=dict)  # solver facts, not checked
     wallclock_s: float = 0.0
 
     def check(self, name: str, value, passed: bool):
         self.checks.append((name, value, bool(passed)))
+
+    def record_interior(self, sol):
+        """How an interior solve ran: method, time step, step count and
+        the spread of its symmetrizing log-scale."""
+        self.diagnostics.update(
+            interior_method=sol.method,
+            interior_dt=sol.dt,
+            interior_steps=sol.steps,
+            interior_log_scale_spread=sol.log_scale_spread,
+        )
 
     def all_passed(self) -> bool:
         return all(p for _, _, p in self.checks)
@@ -156,6 +167,8 @@ class RunManifest:
             lines.append(
                 f"check: {name} = {_fmt(value)} [{'pass' if passed else 'fail'}]"
             )
+        for name, value in self.diagnostics.items():
+            lines.append(f"diag.{name} = {_fmt(value)}")
         for w in self.warnings:
             lines.append(f"warning: {w}")
         for a in self.assumptions:
@@ -379,6 +392,7 @@ def _run_kimura(cfg: RunConfig, manifest: RunManifest) -> dict:
 
     if mode == "interior":
         sol = solve_interior(model, u0, cfg["T"], times, grid)
+        manifest.record_interior(sol)
         traj = sol.trajectory
         a, b = masses_from_conservation(traj, u0, 0.0, 0.0, phi)
         dens = traj.values
@@ -455,6 +469,7 @@ def _run_sis(cfg: RunConfig, manifest: RunManifest) -> dict:
 
     if cfg["mode"] == "interior":
         sol = solve_interior(model, p0, cfg["T"], times, grid)
+        manifest.record_interior(sol)
         traj = sol.trajectory
         ta, a_curve = sis_atom_mass(sol.traces, 0.0, cfg["R0"])
         a = np.interp(traj.times, ta, a_curve)

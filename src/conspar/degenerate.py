@@ -17,6 +17,12 @@ atoms at the degenerate endpoints plus a regular interior density. Atomic
 masses are computed from the conservation identities (primary) or by time
 integration of the interior boundary traces (requires continuous psi);
 half-cell excess extraction is available as a secondary diagnostic.
+
+The strong interior solution uses a Rannacher-started trapezoidal time
+discretization of the method-of-lines system. Its iterates are read off
+one eigendecomposition of the symmetrized tridiagonal generator; a time
+stepper with one banded solve per step computes the same iterates when
+the generator cannot be symmetrized accurately (see ``solve_interior``).
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .errors import (
 from .fields import (
     CoefficientField,
     SisCoefficients,
+    cumulative_trapezoid,
     exponential_weight,
     field_from_callable,
     fixation_probability,
@@ -312,11 +319,17 @@ class BoundaryTraces:
 
 @dataclass(frozen=True, eq=False)
 class InteriorSolution:
-    """Strong interior solution: snapshots plus per-step boundary traces."""
+    """Strong interior solution: snapshots plus per-step boundary traces,
+    with how they were computed ("modal" or "stepper"), the time step, the
+    step count and the spread of the symmetrizing log-scale."""
 
     trajectory: Trajectory
     traces: BoundaryTraces
     model: DegenerateModel
+    method: str
+    dt: float
+    steps: int
+    log_scale_spread: float
 
 
 def _interior_operator(model: DegenerateModel, grid: Grid):
@@ -380,47 +393,114 @@ def _banded(diag, lower, upper, scale, shift, factor):
     return ab
 
 
-def _extrapolate_left(r):
-    return 3 * r[0] - 3 * r[1] + r[2]
+# Boundary-trace functionals on the unknowns (node axis last): the
+# quadratic extrapolations to the endpoints, or the last unknown itself
+# when it sits on x = 1.
+def _left_trace(r):
+    return 3 * r[..., 0] - 3 * r[..., 1] + r[..., 2]
 
 
-def _extrapolate_right(r):
-    return 3 * r[-1] - 3 * r[-2] + r[-3]
+def _right_trace(r, kind):
+    if kind == KIMURA:
+        return 3 * r[..., -1] - 3 * r[..., -2] + r[..., -3]
+    return r[..., -1]
 
 
-def solve_interior(
-    model: DegenerateModel,
-    r_initial: np.ndarray,
-    horizon: float,
-    times: Sequence[float],
-    grid: Grid = DEFAULT_GRID,
-    dt: Optional[float] = None,
-) -> InteriorSolution:
-    """Method-of-lines solve of the untransformed equation on the interior.
+# The modal path reconstructs r = D^-1 Q (...) from D r, so the eigensolver's
+# backward error is amplified by up to exp(spread of log d). Largest error
+# relative to the stepper measured at n = 401 (Kimura, uniform and delta
+# data): 2.4e-11 at spread 10.95 (psi = 20), 1.9e-10 at 11.4, 7.6e-10 at
+# 13.8, 3.9e-8 at 20.6 and 8.8e-6 at 25.5 (psi = 50). Inside this gate the
+# largest measured over n = 101..2049 was 1.2e-10.
+_MODAL_MAX_LOG_SPREAD = 11.0
+_MODAL_MAX_BASIS_BYTES = 2**25  # the dense m x m eigenbasis (m <= 2048)
+_TRACE_CHUNK = 128  # steps per trace product; (chunk x m) powers are held
 
-    Implicit trapezoidal stepping with fixed dt = min(h, horizon/2000);
-    the first two steps are split into backward-Euler substeps so rough
-    initial data does not ring. Degenerate endpoints need no boundary
-    rows; the flux-boundary model gets a zero-flux closure at x = 1 that
-    realizes its Robin condition. Snapshots carry quadratically
-    extrapolated boundary traces in the endpoint slots.
+
+def _modal_basis(diag, lower, upper, cell):
+    """Diagonalize A through its symmetric similar form, if that is safe.
+
+    A (rows scaled by 1/cell) is similar to a symmetric tridiagonal when
+    its off-diagonals have the same sign on every face; D then has
+    d_{j+1}/d_j = sqrt(A[j, j+1] / A[j+1, j]), built in log space.
+    Returns ((lam, Q, d), spread of log d) with A = D^-1 Q diag(lam) Q^T D;
+    the first item is None when the signs differ (spread NaN), the spread
+    is too wide for an accurate reconstruction, or the dense basis would
+    exceed its memory budget.
     """
-    r_initial = np.asarray(r_initial, dtype=float)
-    if r_initial.shape != (grid.n,):
-        raise ArgumentError("initial data must be sampled on the grid")
-    if np.any(r_initial < -1e-12):
-        raise ArgumentError("initial density must be nonnegative")
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times < 0) or np.any(times > horizon + 1e-12):
-        raise ArgumentError("snapshot times must lie in [0, horizon]")
-
-    dt = dt if dt is not None else min(grid.h, horizon / 2000.0)
-    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
-    dt = horizon / n_steps
-
-    (diag, lower, upper, cell), lo, hi = _interior_operator(model, grid)
+    a_up = upper / cell[:-1]
+    a_lo = lower / cell[1:]
+    if not np.all(a_up * a_lo > 0):
+        return None, float("nan")
+    log_d = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (np.log(np.abs(a_up)) - np.log(np.abs(a_lo))))]
+    )
+    top, bottom = float(log_d.max()), float(log_d.min())
+    spread = top - bottom
     m = diag.size
-    r = r_initial[lo : hi + 1].copy()
+    if spread > _MODAL_MAX_LOG_SPREAD or 8 * m * m > _MODAL_MAX_BASIS_BYTES:
+        return None, spread
+    off = np.sign(a_up) * np.sqrt(a_up * a_lo)
+    # MRRR needs O(m) workspace; divide and conquer would hold another m x m
+    lam, Q = scipy.linalg.eigh_tridiagonal(diag / cell, off, lapack_driver="stemr")
+    return (lam, Q, np.exp(log_d - 0.5 * (top + bottom))), spread
+
+
+def _evolve_modes(modes, kind, r0, dt, n_steps, snap_idx):
+    """The stepper's iterates read off the modes: r_k = D^-1 Q rho_k Q^T D r0
+    with rho_k = R_be^(2 min(k, 2)) R_tr^max(k - 2, 0), where R_be is one
+    backward-Euler half step and R_tr one trapezoid step.
+
+    Returns the snapshots at ``snap_idx`` and both traces at every step.
+    Traces are produced in chunks of steps, each one product of a fixed
+    (chunk x m) matrix of R_tr powers with the rescaled trace weights, so
+    no (steps x m) array is formed.
+    """
+    lam, Q, d = modes
+    x = 0.5 * dt * lam
+    r_be = 1.0 / (1.0 - x)
+    r_tr = (1.0 + x) * r_be
+    c = Q.T @ (d * r0)
+
+    def rho(k):
+        k = np.asarray(k)[..., None]
+        return r_be ** (2 * np.minimum(k, 2)) * r_tr ** np.maximum(k - 2, 0)
+
+    snaps = (rho(snap_idx) * c) @ Q.T / d
+    snaps[snap_idx == 0] = r0  # the stepper's own t = 0 data
+
+    # weights[i] = (trace functional of mode i) * c_i, for both traces;
+    # only the rows of D^-1 Q that the functionals read are formed
+    weights = np.stack(
+        [_left_trace(Q[:3].T / d[:3]), _right_trace(Q[-3:].T / d[-3:], kind)],
+        axis=1,
+    ) * c[:, None]
+    head = np.arange(min(n_steps, 2) + 1)  # the Rannacher start
+    traces = np.empty((2, n_steps + 1))
+    traces[:, head] = (rho(head) @ weights).T
+    traces[:, 0] = _left_trace(r0), _right_trace(r0, kind)
+    # later steps: trace[k + j] = sum_i R_tr^j_i w_i with w the weights at
+    # step k, for j = 1..chunk, then w moves on by R_tr^chunk
+    chunk = min(_TRACE_CHUNK, n_steps)
+    powers = np.cumprod(np.broadcast_to(r_tr, (chunk, r_tr.size)), axis=0)
+    w = rho(2)[:, None] * weights
+    for k in range(2, n_steps, chunk):
+        count = min(chunk, n_steps - k)
+        traces[:, k + 1 : k + 1 + count] = (powers[:count] @ w).T
+        w = powers[count - 1][:, None] * w
+    return snaps, traces[0], traces[1]
+
+
+def _step_interior(A, kind, r0, dt, n_steps, snap_idx):
+    """Reference time stepper: one banded solve per step.
+
+    Implicit trapezoidal steps; the first two steps are each split into
+    two backward-Euler half steps so rough initial data does not ring
+    (Rannacher start). Returns the snapshots at ``snap_idx`` and both
+    traces at every step.
+    """
+    diag, lower, upper, cell = A
+    r = r0.copy()
 
     def matvec(vec, factor):
         out = vec + factor * (diag / cell) * vec
@@ -432,13 +512,10 @@ def solve_interior(
     # matrix of one backward-Euler half step
     implicit = _banded(diag, lower, upper, cell, 1.0, -dt / 2)
 
-    step_times = [0.0]
-    trace0 = [float(_extrapolate_left(r))]
-    trace1 = [
-        float(_extrapolate_right(r)) if model.kind == KIMURA else float(r[-1])
-    ]
+    trace0 = np.empty(n_steps + 1)
+    trace1 = np.empty(n_steps + 1)
+    trace0[0], trace1[0] = _left_trace(r), _right_trace(r, kind)
 
-    snap_idx = np.rint(times / dt).astype(int)
     snap_set = {int(s) for s in snap_idx}
     snapshots = {}
     if 0 in snap_set:
@@ -457,32 +534,93 @@ def solve_interior(
         if step % 200 == 0 or step == n_steps:
             if not np.all(np.isfinite(r)) or float(np.max(np.abs(r))) > 1e6 * norm0:
                 raise TimeStepError(f"interior stepper blew up at step {step}")
-        step_times.append(step * dt)
-        trace0.append(float(_extrapolate_left(r)))
-        trace1.append(
-            float(_extrapolate_right(r)) if model.kind == KIMURA else float(r[-1])
-        )
+        trace0[step], trace1[step] = _left_trace(r), _right_trace(r, kind)
         if step in snap_set:
             snapshots[step] = r.copy()
 
+    snaps = np.array([snapshots[int(s)] for s in snap_idx])
+    return snaps, trace0, trace1
+
+
+def solve_interior(
+    model: DegenerateModel,
+    r_initial: np.ndarray,
+    horizon: float,
+    times: Sequence[float],
+    grid: Grid = DEFAULT_GRID,
+    dt: Optional[float] = None,
+) -> InteriorSolution:
+    """Method-of-lines solve of the untransformed equation on the interior.
+
+    The time discretization is implicit trapezoidal stepping with fixed
+    dt = min(h, horizon/2000), whose first two steps are each split into
+    two backward-Euler half steps so rough initial data does not ring.
+    The generator A is a constant tridiagonal, so these same iterates are
+    computed modally: A is diagonalized once through its symmetric similar
+    form, and every snapshot and every per-step boundary trace is the
+    rational function of the eigenvalues that the steps apply. A time
+    stepper with one banded solve per step computes them instead when the
+    modal form is unsafe: when the off-diagonals of A differ in sign on
+    some face (as can happen above cell Peclet number 1), when the
+    symmetrizing scale spans more than a factor exp(11), which would
+    amplify rounding past about 1e-10, or when the dense eigenbasis would
+    exceed 32 MiB. ``method`` on the result says which ran.
+
+    Degenerate endpoints need no boundary rows; the flux-boundary model
+    gets a zero-flux closure at x = 1 that realizes its Robin condition.
+    Snapshots carry quadratically extrapolated boundary traces in the
+    endpoint slots.
+    """
+    r_initial = np.asarray(r_initial, dtype=float)
+    if r_initial.shape != (grid.n,):
+        raise ArgumentError("initial data must be sampled on the grid")
+    if np.any(r_initial < -1e-12):
+        raise ArgumentError("initial density must be nonnegative")
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or np.any(times < 0) or np.any(times > horizon + 1e-12):
+        raise ArgumentError("snapshot times must lie in [0, horizon]")
+
+    dt = dt if dt is not None else min(grid.h, horizon / 2000.0)
+    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
+    dt = horizon / n_steps
+
+    A, lo, hi = _interior_operator(model, grid)
+    r0 = r_initial[lo : hi + 1].copy()
+    snap_idx = np.rint(times / dt).astype(int)
+    modes, spread = _modal_basis(*A)
+    if modes is None:
+        method = "stepper"
+        snaps, trace0, trace1 = _step_interior(A, model.kind, r0, dt, n_steps, snap_idx)
+    else:
+        method = "modal"
+        snaps, trace0, trace1 = _evolve_modes(modes, model.kind, r0, dt, n_steps, snap_idx)
+
+    # the NaN-safe comparison also rejects non-finite values
+    limit = 1e6 * (float(np.max(np.abs(r0))) + 1.0)
+    if not all(np.all(np.abs(out) <= limit) for out in (snaps, trace0, trace1)):
+        raise TimeStepError(f"interior {method} solve blew up")
+
     values = np.zeros((times.size, grid.n))
-    for i, s in enumerate(snap_idx):
-        ri = snapshots[int(s)]
-        values[i, lo : hi + 1] = ri
-        values[i, 0] = _extrapolate_left(ri)
-        if model.kind == KIMURA:
-            values[i, -1] = _extrapolate_right(ri)
-        else:
-            values[i, -1] = ri[-1]
+    values[:, lo : hi + 1] = snaps
+    values[:, 0] = _left_trace(snaps)
+    values[:, -1] = _right_trace(snaps, model.kind)
 
     traj = Trajectory(grid=grid, times=np.asarray(snap_idx, dtype=float) * dt, values=values)
     traces = BoundaryTraces(
-        times=np.asarray(step_times),
-        at0=np.asarray(trace0),
-        at1=np.asarray(trace1),
+        times=np.arange(n_steps + 1) * dt,
+        at0=trace0,
+        at1=trace1,
         psi_continuous=model.psi.continuous_tier,
     )
-    return InteriorSolution(trajectory=traj, traces=traces, model=model)
+    return InteriorSolution(
+        trajectory=traj,
+        traces=traces,
+        model=model,
+        method=method,
+        dt=dt,
+        steps=n_steps,
+        log_scale_spread=spread,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -524,12 +662,6 @@ def masses_from_conservation(
     return a, b
 
 
-def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))
-    return out
-
-
 def masses_from_boundary_flux(
     traces: BoundaryTraces, a0: float, b0: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -546,8 +678,8 @@ def masses_from_boundary_flux(
             "boundary-flux mass formulas need a continuous drift "
             "(cubic or expression-backed); use the conservation form"
         )
-    a = a0 + _cumulative_trapezoid(traces.times, traces.at0)
-    b = b0 + _cumulative_trapezoid(traces.times, traces.at1)
+    a = a0 + cumulative_trapezoid(traces.at0, traces.times)
+    b = b0 + cumulative_trapezoid(traces.at1, traces.times)
     return traces.times, a, b
 
 
@@ -558,7 +690,7 @@ def sis_atom_mass(
     a(t) = a0 + (R0 + 1)/2 int_0^t r(0, s) ds."""
     if R0 <= 0:
         raise ParameterError("R0 must be positive")
-    a = a0 + 0.5 * (R0 + 1.0) * _cumulative_trapezoid(traces.times, traces.at0)
+    a = a0 + 0.5 * (R0 + 1.0) * cumulative_trapezoid(traces.at0, traces.times)
     return traces.times, a
 
 

@@ -270,6 +270,15 @@ def _cell_integrals(fn: Callable, nodes: np.ndarray, rtol: float = _QUAD_RTOL):
         k *= 2
 
 
+def cumulative_trapezoid(y, x) -> np.ndarray:
+    """Running trapezoid integral of samples ``y`` over nodes ``x``,
+    starting from 0 at ``x[0]``."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    return out
+
+
 def _antiderivative_table(f: CoefficientField) -> np.ndarray:
     if "antider" not in f._cache:
         cells = _cell_integrals(f, f.xs)

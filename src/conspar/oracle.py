@@ -26,7 +26,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ArgumentError, ParameterError
-from .fields import CoefficientField, field_from_callable
+from .fields import CoefficientField, cumulative_trapezoid, field_from_callable
 from .sturm import Grid
 
 BLOCK_SIZE = 4096
@@ -178,9 +178,7 @@ def _sample_initial(x0, n: int, rng) -> np.ndarray:
         return np.full(n, float(x0))
     density = np.asarray(x0, dtype=float)
     grid = np.linspace(0.0, 1.0, density.size)
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))]
-    )
+    cdf = cumulative_trapezoid(density, grid)
     if cdf[-1] <= 0:
         raise ParameterError("initial density has no mass")
     cdf /= cdf[-1]
@@ -363,8 +361,7 @@ def compare_measures(
 
     nodes = grid.nodes
     dens = np.clip(bm.density, 0.0, None)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(nodes))])
-    pde_cdf = np.interp(emp.bin_edges[1:], nodes, cum)
+    pde_cdf = np.interp(emp.bin_edges[1:], nodes, cumulative_trapezoid(dens, nodes))
     emp_cdf = np.cumsum(emp.counts) / emp.n_paths
     cdf_sup = float(np.max(np.abs(pde_cdf - emp_cdf)))
 

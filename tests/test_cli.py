@@ -125,6 +125,17 @@ class TestKimuraCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_interior_diagnostics(self, tmp_path):
+        # psi = 50 on 401 nodes: the symmetrizing scale spans exp(25.5)
+        for psi, method in (("0", "modal"), ("50", "stepper")):
+            out = tmp_path / f"psi{psi}"
+            main(["kimura", "--out", str(out), "--psi", psi, "--T", "0.5", "--times", "0.5"])
+            lines = _manifest_lines(out)
+            assert f"diag.interior_method = {method}" in lines
+            assert "diag.interior_dt = 0.00025" in lines
+            assert "diag.interior_steps = 2000" in lines
+            assert any(ln.startswith("diag.interior_log_scale_spread = ") for ln in lines)
+
     def test_cell_peclet_warning(self, tmp_path, capsys):
         # psi = 400 on n = 101 nodes: max |psi| h / 2 = 2
         steep = tmp_path / "steep"
@@ -134,6 +145,9 @@ class TestKimuraCommand:
         assert any(
             ln.startswith("warning: cell Peclet number") for ln in _manifest_lines(steep)
         )
+        # the upper diagonal changes sign, so the generator is not symmetrizable
+        assert "diag.interior_method = stepper" in _manifest_lines(steep)
+        assert "diag.interior_log_scale_spread = nan" in _manifest_lines(steep)
         # psi = 100: max |psi| h / 2 = 0.5, no warning
         mild = tmp_path / "mild"
         main(["kimura", "--out", str(mild), "--psi", "100", "--n", "101",
@@ -146,6 +160,7 @@ class TestSisCommand:
         out = tmp_path / "sis"
         rc = main(["sis", "--out", str(out), "--T", "5", "--times", "0,1,5"])
         assert rc == 0
+        assert "diag.interior_method = modal" in _manifest_lines(out)
         rows = _read(out / "masses.csv").splitlines()[1:]
         atom1 = [float(r.split(",")[2]) for r in rows]
         assert all(v == 0.0 for v in atom1)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conspar import degenerate
 from conspar.degenerate import (
     BoundaryMeasure,
     RegularizationLadder,
@@ -281,6 +282,93 @@ class TestSolveInterior:
         bad[5] = -0.2
         with pytest.raises(ArgumentError):
             solve_interior(neutral, bad, 1.0, [1.0], GRID)
+
+
+MODAL_GRID = Grid(0.0, 1.0, 201)
+
+MODAL_MODELS = {
+    "psi=0": lambda: kimura_model(constant_field(0.0)),
+    "psi=1-2x": lambda: kimura_model(field_from_expression("1-2*x")),
+    "psi=20": lambda: kimura_model(constant_field(20.0)),
+    "psi=table": lambda: kimura_model(
+        field_from_table(
+            np.linspace(0.0, 1.0, 21), np.random.default_rng(7).uniform(-5.0, 5.0, 21)
+        )
+    ),
+    "sis R0=2": lambda: sis_model(2.0),
+}
+
+
+def _initial(start, grid):
+    if start == "uniform":
+        return np.ones(grid.n)
+    r = np.zeros(grid.n)  # the CLI's delta:0.3
+    r[int(round(0.3 / grid.h))] = 1.0 / grid.h
+    return r
+
+
+def _relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _assert_matches_stepper(model, sol, r_initial, grid, rtol):
+    """Compare a solve with the kept time stepper run on the same operator,
+    time step, step count and snapshot steps."""
+    A, lo, hi = degenerate._interior_operator(model, grid)
+    snap_idx = np.rint(sol.trajectory.times / sol.dt).astype(int)
+    snaps, at0, at1 = degenerate._step_interior(
+        A, model.kind, r_initial[lo : hi + 1], sol.dt, sol.steps, snap_idx
+    )
+    assert _relative(sol.trajectory.values[:, lo : hi + 1], snaps) <= rtol
+    assert _relative(sol.traces.at0, at0) <= rtol
+    assert _relative(sol.traces.at1, at1) <= rtol
+
+
+class TestModalInterior:
+    """The modal solve reproduces the stepper's own iterates; inputs it
+    cannot reproduce accurately run the stepper."""
+
+    @pytest.mark.parametrize("start", ["uniform", "delta"])
+    @pytest.mark.parametrize("name", list(MODAL_MODELS))
+    def test_matches_stepper(self, name, start):
+        model = MODAL_MODELS[name]()
+        r0 = _initial(start, MODAL_GRID)
+        sol = solve_interior(model, r0, 1.0, [0.01, 0.1, 1.0], MODAL_GRID)
+        assert sol.method == "modal"
+        assert sol.steps == 2000
+        _assert_matches_stepper(model, sol, r0, MODAL_GRID, 1e-10)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 130, 131, 300])
+    def test_rannacher_start_and_chunk_edges(self, steps):
+        # steps 1 and 2 are backward-Euler pairs; traces come in chunks
+        model = sis_model(2.0)
+        r0 = _initial("delta", MODAL_GRID)
+        horizon = 0.01 * steps
+        sol = solve_interior(
+            model, r0, horizon, [0.0, 0.01, horizon], MODAL_GRID, dt=0.01
+        )
+        assert sol.method == "modal" and sol.steps == steps
+        assert sol.traces.at0.shape == (steps + 1,)
+        _assert_matches_stepper(model, sol, r0, MODAL_GRID, 1e-10)
+        assert np.array_equal(sol.trajectory.values[0, 1:], r0[1:])
+
+    def test_wide_scale_spread_runs_stepper(self):
+        grid = Grid(0.0, 1.0, 401)
+        sol = solve_interior(
+            kimura_model(constant_field(50.0)), np.ones(grid.n), 0.1, [0.1], grid
+        )
+        assert sol.method == "stepper"
+        assert sol.log_scale_spread == pytest.approx(25.5, abs=0.1)
+
+    def test_sign_change_runs_stepper(self):
+        # cell Peclet number 2: the upper diagonal changes sign
+        grid = Grid(0.0, 1.0, 101)
+        with pytest.warns(UserWarning, match="Peclet"):
+            sol = solve_interior(
+                kimura_model(constant_field(400.0)), np.ones(grid.n), 0.1, [0.1], grid
+            )
+        assert sol.method == "stepper"
+        assert np.isnan(sol.log_scale_spread)
 
 
 class TestMassesConservationForm:
