@@ -4,8 +4,8 @@ One run per process. A run reads a flat ``key = value`` config file plus
 ``--key value`` command-line overrides (CLI wins over file, file over
 defaults), dispatches to the solver modules, and writes CSV outputs, a
 run manifest with content digests, and optional long-format plot data.
-Exit codes: 0 success, 2 config error, 3 numerical error, 4 validation
-failure.
+Exit codes: 0 success, 2 config error (including a dense eigensolve over
+its memory budget), 3 numerical error, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -153,6 +153,12 @@ class RunManifest:
             interior_dt=sol.dt,
             interior_steps=sol.steps,
             interior_log_scale_spread=sol.log_scale_spread,
+        )
+
+    def record_eigensolve(self, eig):
+        """Which eigensolver ran and how many modes it returned."""
+        self.diagnostics.update(
+            eigensolve_method=eig.method, eigensolve_modes=eig.eigenvalues.size
         )
 
     def all_passed(self) -> bool:
@@ -520,6 +526,7 @@ def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
     problem = build_totally_conservative(p, q, law1, law2, grid, weight=w)
     op = assemble(problem.sl, grid)
     eig = eigensolve(op, k=cfg["k"])
+    manifest.record_eigensolve(eig)
     manifest.check("zero_multiplicity", eig.zero_multiplicity, eig.zero_multiplicity >= 1)
     if eig.eigenvalues.size >= 3 and eig.zero_multiplicity == 2:
         ok = bool(
@@ -542,6 +549,7 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
     problem = build_totally_conservative(p, q, law1, law2, grid)
     op = assemble(problem.sl, grid)
     eig = eigensolve(op)
+    manifest.record_eigensolve(eig)
 
     def tf(expr_text):
         expr = parse_expression(expr_text, variable="t")
@@ -553,6 +561,7 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
     times = cfg["times"]
     times = np.linspace(0.0, cfg["T"], 26) if times is None else np.asarray(times)
     v_traj, w_traj = prescribed_moments_evolve(eig, v0, pres, times)
+    manifest.diagnostics.update(v_traj.diagnostics)
 
     mu = grid.cell_weights()
     m1 = v_traj.values @ (mu * pres.weight * pres.phi1)

@@ -24,7 +24,12 @@ from .errors import (
     InputError,
     QuadratureError,
 )
-from .fields import CoefficientField, constant_field, field_from_callable
+from .fields import (
+    CoefficientField,
+    _simpson_weights,
+    constant_field,
+    field_from_callable,
+)
 from .sturm import (
     DEFAULT_GRID,
     EigenSystem,
@@ -42,6 +47,8 @@ from .sturm import (
 INTRINSICALLY_POSITIVE = "intrinsically_positive"
 NONNEGATIVE = "nonnegative"
 UNKNOWN = "unknown"
+
+_DUHAMEL_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,6 +357,13 @@ def prescribe_moments(
     )
 
 
+def _check_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ArgumentError("times must be a non-empty list")
+    return times
+
+
 def prescribed_moments_reduce(
     v0: np.ndarray, pres: MomentPrescription, compat_tol: float = 1e-8
 ):
@@ -377,34 +391,39 @@ def prescribed_moments_reduce(
 
 
 def _mode_convolution(
-    eig: EigenSystem, G: Callable, t: float, rtol: float
-) -> np.ndarray:
-    """int_0^t exp(-lambda (t-s)) <G(s), w_k> ds for every mode, by
-    composite Simpson refined by doubling."""
-    lam = eig.eigenvalues
-    if t == 0.0:
-        return np.zeros_like(lam)
-    basis = eig.mass[:, None] * eig.vectors  # project all s at once
+    lam: np.ndarray, source: Callable, t: float, rtol: float
+) -> Tuple[np.ndarray, int]:
+    """int_0^t exp(-lam_k (t-s)) g_k(s) ds for every mode k, by composite
+    Simpson refined by doubling.
+
+    ``source(s)`` returns the modal source g(s) at the nodes ``s`` as a
+    (len(s), modes) array; each doubling evaluates it at the new nodes
+    only. Returns the integrals and the doubling level reached, log2 of
+    the number of panels (0 when there is nothing to integrate).
+    """
+    if t == 0.0 or lam.size == 0:
+        return np.zeros_like(lam), 0
     k = 2
+    s = np.linspace(0.0, t, k + 1)
+    g = source(s)
     prev = None
     while True:
-        s = np.linspace(0.0, t, k + 1)
-        gs = np.stack([np.asarray(G(float(si)), dtype=float) for si in s])
-        coeffs = gs @ basis  # (k+1, modes)
-        w = np.ones(k + 1)
-        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        w *= t / (3 * k)
         with np.errstate(under="ignore"):
             kern = np.exp(-np.outer(t - s, lam))
-        est = (w[:, None] * kern * coeffs).sum(axis=0)
+        est = ((_simpson_weights(k) * (t / k))[:, None] * kern * g).sum(axis=0)
         if prev is not None and float(np.max(np.abs(est - prev))) <= rtol * max(
             1.0, float(np.max(np.abs(est)))
         ):
-            return est
+            return est, k.bit_length() - 1
         if k >= 2**14:
             raise QuadratureError("Duhamel time quadrature did not converge")
         prev = est
         k *= 2
+        s = np.linspace(0.0, t, k + 1)
+        fine = np.empty((k + 1, g.shape[1]))
+        fine[::2] = g
+        fine[1::2] = source(s[1::2])
+        g = fine
 
 
 def duhamel_evolve(
@@ -412,20 +431,34 @@ def duhamel_evolve(
     w0: np.ndarray,
     G: Callable,
     times: Sequence[float],
-    rtol: float = 1e-10,
+    rtol: float = _DUHAMEL_RTOL,
 ) -> Trajectory:
-    """w(t) = e^{tL} w0 + int_0^t e^{(t-s)L} G(s) ds on the eigenbasis."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ArgumentError("times must be a non-empty list")
+    """w(t) = e^{tL} w0 + int_0^t e^{(t-s)L} G(s) ds on the eigenbasis.
+
+    G(s) is projected as g(s) = V^T diag(mass) G(s) at each quadrature node.
+    """
+    times = _check_times(times)
+    basis = eig.mass[:, None] * eig.vectors
+
+    def source(s):
+        return np.stack([np.asarray(G(float(si)), dtype=float) for si in s]) @ basis
+
     a = eig.project(w0)
     lam = eig.eigenvalues
-    values = np.empty((times.size, eig.grid.n))
+    coef = np.empty((times.size, lam.size))
+    levels = 0
     for i, t in enumerate(times):
+        conv, level = _mode_convolution(lam, source, float(t), rtol)
         with np.errstate(under="ignore"):
-            coef = a * np.exp(-lam * t) + _mode_convolution(eig, G, float(t), rtol)
-        values[i] = eig.vectors @ coef
-    return Trajectory(grid=eig.grid, times=times, values=values, weight=eig.weight)
+            coef[i] = a * np.exp(-lam * t) + conv
+        levels = max(levels, level)
+    return Trajectory(
+        grid=eig.grid,
+        times=times,
+        values=coef @ eig.vectors.T,
+        weight=eig.weight,
+        diagnostics={"duhamel_levels": levels},
+    )
 
 
 def prescribed_moments_evolve(
@@ -439,19 +472,60 @@ def prescribed_moments_evolve(
     The solution trajectory carries the prescribed moments F_i(t); the
     second trajectory is the solution minus F_i(t) phi_i, whose moments
     vanish identically.
+
+    The source G(s) = F1'(s) phi1 + F2'(s) phi2 is projected once, as
+    R = V^T diag(mass) [phi1 phi2]. On the zero modes (the laws' span) its
+    convolution is integrated by parts exactly,
+    int_0^t e^{-lam (t-s)} F'(s) ds
+        = F(t) - e^{-lam t} F(0) - lam int_0^t e^{-lam (t-s)} F(s) ds,
+    with each mode's computed lam, which leaves a quadrature of lam F. The
+    other modes see only the part of the laws outside the discrete kernel,
+    against the two scalar derivatives F_i'. One quadrature takes both, to
+    the accuracy :func:`duhamel_evolve` uses by default. ``diagnostics`` on
+    both trajectories holds ``duhamel_kernel_leakage``, max |R| on the
+    non-zero modes, and ``duhamel_levels``, the deepest doubling reached.
     """
-    w0, G = prescribed_moments_reduce(v0, pres)
-    base = pres.F1.value(0.0) * pres.phi1 + pres.F2.value(0.0) * pres.phi2
-    wt = duhamel_evolve(eig, w0, G, times)
-    v_values = wt.values + base[None, :]
-    lift = np.stack(
-        [
-            pres.F1.value(float(t)) * pres.phi1 + pres.F2.value(float(t)) * pres.phi2
-            for t in wt.times
-        ]
+    w0, _ = prescribed_moments_reduce(v0, pres)
+    times = _check_times(times)
+    F = (pres.F1, pres.F2)
+    phi = np.stack([pres.phi1, pres.phi2])
+    R = eig.vectors.T @ (eig.mass[:, None] * phi.T)
+    lam = eig.eigenvalues
+    zm = eig.zero_multiplicity
+
+    def values(s):
+        return np.array([[f.value(float(si)) for f in F] for si in s])
+
+    def source(s):
+        slopes = np.array([[f.derivative(float(si)) for f in F] for si in s])
+        return np.hstack([values(s) @ R[:zm].T * lam[:zm], slopes @ R[zm:].T])
+
+    a = eig.project(w0)
+    F0 = values([0.0])[0]
+    coef = np.empty((times.size, lam.size))
+    lift = np.empty((times.size, eig.grid.n))
+    levels = 0
+    for i, t in enumerate(times):
+        Ft = values([t])[0]
+        with np.errstate(under="ignore"):
+            decay = np.exp(-lam * t)
+        conv, level = _mode_convolution(lam, source, float(t), _DUHAMEL_RTOL)
+        conv[:zm] = R[:zm] @ Ft - decay[:zm] * (R[:zm] @ F0) - conv[:zm]
+        coef[i] = a * decay + conv
+        lift[i] = Ft @ phi
+        levels = max(levels, level)
+
+    v_values = coef @ eig.vectors.T + (F0 @ phi)[None, :]
+    diagnostics = {
+        "duhamel_kernel_leakage": float(np.max(np.abs(R[zm:]), initial=0.0)),
+        "duhamel_levels": levels,
+    }
+    v_traj = Trajectory(
+        grid=eig.grid, times=times, values=v_values, weight=eig.weight,
+        diagnostics=diagnostics,
     )
-    v_traj = Trajectory(grid=eig.grid, times=wt.times, values=v_values, weight=eig.weight)
     w_traj = Trajectory(
-        grid=eig.grid, times=wt.times, values=v_values - lift, weight=eig.weight
+        grid=eig.grid, times=times, values=v_values - lift, weight=eig.weight,
+        diagnostics=dict(diagnostics),
     )
     return v_traj, w_traj

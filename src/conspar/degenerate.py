@@ -446,15 +446,15 @@ def _modal_basis(diag, lower, upper, cell):
     return (lam, Q, np.exp(log_d - 0.5 * (top + bottom))), spread
 
 
-def _evolve_modes(modes, kind, r0, dt, n_steps, snap_idx):
+def _modal_snapshots(modes, kind, r0, dt, snap_idx):
     """The stepper's iterates read off the modes: r_k = D^-1 Q rho_k Q^T D r0
     with rho_k = R_be^(2 min(k, 2)) R_tr^max(k - 2, 0), where R_be is one
     backward-Euler half step and R_tr one trapezoid step.
 
-    Returns the snapshots at ``snap_idx`` and both traces at every step.
-    Traces are produced in chunks of steps, each one product of a fixed
-    (chunk x m) matrix of R_tr powers with the rescaled trace weights, so
-    no (steps x m) array is formed.
+    Returns the snapshots at ``snap_idx``, the per-mode trace weights
+    (trace functional of D^-1 Q times the coefficient, for both traces)
+    and the factors (R_be, R_tr): all that :func:`_modal_traces` needs, so
+    the m x m basis can be released before the traces are formed.
     """
     lam, Q, d = modes
     x = 0.5 * dt * lam
@@ -462,33 +462,45 @@ def _evolve_modes(modes, kind, r0, dt, n_steps, snap_idx):
     r_tr = (1.0 + x) * r_be
     c = Q.T @ (d * r0)
 
-    def rho(k):
-        k = np.asarray(k)[..., None]
-        return r_be ** (2 * np.minimum(k, 2)) * r_tr ** np.maximum(k - 2, 0)
-
-    snaps = (rho(snap_idx) * c) @ Q.T / d
+    snaps = (_rho(r_be, r_tr, snap_idx) * c) @ Q.T / d
     snaps[snap_idx == 0] = r0  # the stepper's own t = 0 data
 
-    # weights[i] = (trace functional of mode i) * c_i, for both traces;
-    # only the rows of D^-1 Q that the functionals read are formed
+    # only the rows of D^-1 Q that the trace functionals read are formed
     weights = np.stack(
         [_left_trace(Q[:3].T / d[:3]), _right_trace(Q[-3:].T / d[-3:], kind)],
         axis=1,
     ) * c[:, None]
+    return snaps, weights, (r_be, r_tr)
+
+
+def _rho(r_be, r_tr, k):
+    """Per-mode factor of the step-k iterate, for an array of k."""
+    k = np.asarray(k)[..., None]
+    return r_be ** (2 * np.minimum(k, 2)) * r_tr ** np.maximum(k - 2, 0)
+
+
+def _modal_traces(weights, factors, kind, r0, n_steps):
+    """Both boundary traces at every step from the modal trace weights.
+
+    Traces are produced in chunks of steps, each one product of a fixed
+    (chunk x m) matrix of R_tr powers with the rescaled weights, so no
+    (steps x m) array is formed.
+    """
+    r_be, r_tr = factors
     head = np.arange(min(n_steps, 2) + 1)  # the Rannacher start
     traces = np.empty((2, n_steps + 1))
-    traces[:, head] = (rho(head) @ weights).T
+    traces[:, head] = (_rho(r_be, r_tr, head) @ weights).T
     traces[:, 0] = _left_trace(r0), _right_trace(r0, kind)
     # later steps: trace[k + j] = sum_i R_tr^j_i w_i with w the weights at
     # step k, for j = 1..chunk, then w moves on by R_tr^chunk
     chunk = min(_TRACE_CHUNK, n_steps)
     powers = np.cumprod(np.broadcast_to(r_tr, (chunk, r_tr.size)), axis=0)
-    w = rho(2)[:, None] * weights
+    w = _rho(r_be, r_tr, 2)[:, None] * weights
     for k in range(2, n_steps, chunk):
         count = min(chunk, n_steps - k)
         traces[:, k + 1 : k + 1 + count] = (powers[:count] @ w).T
         w = powers[count - 1][:, None] * w
-    return snaps, traces[0], traces[1]
+    return traces[0], traces[1]
 
 
 def _step_interior(A, kind, r0, dt, n_steps, snap_idx):
@@ -593,7 +605,9 @@ def solve_interior(
         snaps, trace0, trace1 = _step_interior(A, model.kind, r0, dt, n_steps, snap_idx)
     else:
         method = "modal"
-        snaps, trace0, trace1 = _evolve_modes(modes, model.kind, r0, dt, n_steps, snap_idx)
+        snaps, weights, factors = _modal_snapshots(modes, model.kind, r0, dt, snap_idx)
+        del modes  # the m x m basis; the traces need only the weights
+        trace0, trace1 = _modal_traces(weights, factors, model.kind, r0, n_steps)
 
     # the NaN-safe comparison also rejects non-finite values
     limit = 1e6 * (float(np.max(np.abs(r0))) + 1.0)

@@ -70,6 +70,10 @@ class ArgumentError(InputError):
     """Arguments are structurally invalid (empty lists, mismatched data)."""
 
 
+class DenseSizeError(InputError):
+    """A dense n x n solve would exceed its fixed memory budget."""
+
+
 class NoSteadyStateError(InputError):
     """Steady-state projection requested but the spectrum has no kernel."""
 

@@ -36,6 +36,7 @@ from .expressions import parse_expression
 DEFAULT_SAMPLES = 401
 _QUAD_RTOL = 1e-12
 _QUAD_MAX_NODES = 2**20
+_ONE_SIDED_STEP = 2.0**-20  # endpoint difference step for formula fields
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,8 @@ class CoefficientField:
         return float(out) if scalar else out
 
     def derivative(self, x):
-        """d/dx of the field; one-sided differences at the endpoints for
+        """d/dx of the field; second-order one-sided differences at the
+        endpoints for formula fields without a derivative and for
         tabulated-linear data."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
         xa = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -107,17 +109,36 @@ class CoefficientField:
             out = np.asarray(self.exact_derivative(xa), dtype=float)
             out = out + np.zeros(xa.shape)
         elif self.exact_fn is not None:
-            h = 1e-6
-            lo = np.clip(xa - h, 0.0, 1.0)
-            hi = np.clip(xa + h, 0.0, 1.0)
-            out = (np.asarray(self.exact_fn(hi)) - np.asarray(self.exact_fn(lo))) / (
-                hi - lo
-            )
+            out = self._difference_derivative(xa)
         elif self.interpolation == "cubic":
             out = self._interpolant()(xa, 1)
         else:
             out = self._linear_derivative(xa)
         return float(out) if scalar else out
+
+    def _difference_derivative(self, xa, h=1e-6):
+        """Central difference of the exact formula; within one step of an
+        end, where it would leave [0, 1], the second-order one-sided
+        3-point difference instead. The one-sided step is a power of two,
+        so its nodes are exact at the ends and quadratics differentiate
+        exactly there."""
+
+        def f(x):
+            return np.asarray(self.exact_fn(x), dtype=float) + np.zeros(x.shape)
+
+        x = np.atleast_1d(xa)
+        out = np.empty(x.shape)
+        left = x < h
+        mid = ~left & (x <= 1.0 - h)
+        if np.any(mid):
+            lo, hi = x[mid] - h, x[mid] + h
+            out[mid] = (f(hi) - f(lo)) / (hi - lo)
+        end = ~mid
+        if np.any(end):
+            xe = x[end]
+            e = np.where(left[end], _ONE_SIDED_STEP, -_ONE_SIDED_STEP)  # inwards
+            out[end] = (-3 * f(xe) + 4 * f(xe + e) - f(xe + 2 * e)) / (2 * e)
+        return out.reshape(xa.shape)
 
     def _linear_derivative(self, xa):
         xs, v = self.xs, self.values

@@ -19,16 +19,20 @@ read-only use; evolution over a list of times is a pure map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (
     ArgumentError,
     AssemblyError,
     CouplingError,
+    DenseSizeError,
     EigensolveError,
     InputError,
     NoSteadyStateError,
@@ -36,6 +40,12 @@ from .errors import (
 from .fields import CoefficientField, _cell_integrals
 
 _FLUX_PIVOT_TOL = 1e-10
+_DENSE_MAX_BYTES = 2**28  # one dense n x n float64 matrix
+_DENSE_MAX_N = math.isqrt(_DENSE_MAX_BYTES // 8)  # 5792
+_FEW_MODES_MIN_N = 256  # below this, dense LAPACK was faster for every k
+# one-sided second-order derivative stencils at a and b, times h
+_STENCIL_A = np.array([-3.0, 4.0, -1.0]) / 2
+_STENCIL_B = np.array([1.0, -4.0, 3.0]) / 2
 
 
 @dataclass(frozen=True)
@@ -160,16 +170,19 @@ class SLProblem:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Assembled finite-volume matrices on a grid.
+    """Assembled finite-volume operator on a grid.
 
-    ``stiffness`` covers the interior stencil and q terms; its boundary
-    rows carry only the one-sided cell flux and are completed by the
-    coupling constraints inside :func:`eigensolve`. ``mass`` is the
-    diagonal of the weighted inner product (weight times trapezoid cell).
+    The stiffness matrix is symmetric tridiagonal and is stored as its
+    ``diagonal`` and first ``off_diagonal``. It covers the interior stencil
+    and q terms; its boundary rows carry only the one-sided cell flux and
+    are completed by the coupling constraints inside :func:`eigensolve`.
+    ``mass`` is the diagonal of the weighted inner product (weight times
+    trapezoid cell).
     """
 
     grid: Grid
-    stiffness: np.ndarray
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
     mass: np.ndarray
     weight_values: np.ndarray
     p_end: tuple
@@ -196,20 +209,17 @@ def assemble(problem: SLProblem, grid: Grid) -> DiscreteOperator:
     if np.any(~np.isfinite(p_half)) or np.any(p_half <= 0):
         raise AssemblyError("p produced invalid cell averages")
 
-    n = grid.n
     c = p_half / grid.h
-    K = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    K[idx, idx] -= c
-    K[idx + 1, idx + 1] -= c
-    K[idx, idx + 1] += c
-    K[idx + 1, idx] += c
+    diagonal = np.zeros(grid.n)
+    diagonal[:-1] -= c
+    diagonal[1:] -= c
     mu = grid.cell_weights()
-    K[np.arange(n), np.arange(n)] += q_nodes * mu
+    diagonal += q_nodes * mu
 
     return DiscreteOperator(
         grid=grid,
-        stiffness=K,
+        diagonal=diagonal,
+        off_diagonal=c,
         mass=w_nodes * mu,
         weight_values=w_nodes,
         p_end=(float(p_nodes[0]), float(p_nodes[-1])),
@@ -220,7 +230,11 @@ def assemble(problem: SLProblem, grid: Grid) -> DiscreteOperator:
 def apply_operator(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     """L v at the grid nodes; boundary rows lack the constraint flux and
     are meaningful only as diagnostics."""
-    return (op.stiffness @ np.asarray(v, dtype=float)) / op.mass
+    v = np.asarray(v, dtype=float)
+    out = op.diagonal * v
+    out[:-1] += op.off_diagonal * v[1:]
+    out[1:] += op.off_diagonal * v[:-1]
+    return out / op.mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +243,8 @@ class EigenSystem:
 
     Eigenvectors are columns of ``vectors``, orthonormal in the weighted
     inner product diag(mass). ``zero_multiplicity`` counts eigenvalues
-    below 1e-8 * max(1, largest computed eigenvalue).
+    below 1e-8 * max(1, largest computed eigenvalue). ``method`` names the
+    solver that ran: "dense", "shift_invert" or "bordered".
     """
 
     grid: Grid
@@ -241,6 +256,7 @@ class EigenSystem:
     coupling: BoundaryCoupling
     bc_residuals: np.ndarray
     flux_map: Optional[np.ndarray] = None
+    method: str = "dense"
 
     def project(self, v0: np.ndarray) -> np.ndarray:
         """Weighted-inner-product coefficients of v0 on the eigenbasis."""
@@ -263,13 +279,34 @@ def _flux_elimination(coupling: BoundaryCoupling, p_end) -> Optional[np.ndarray]
     return -np.linalg.solve(A2, Av)
 
 
-def _one_sided_stencils(grid: Grid, n: int):
-    h = grid.h
-    da = np.zeros(n)
-    da[:3] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
-    db = np.zeros(n)
-    db[-3:] = np.array([1.0, -4.0, 3.0]) / (2 * h)
-    return da, db
+def _require_dense(n: int):
+    """Refuse a dense n x n solve whose matrix would exceed the budget."""
+    if n > _DENSE_MAX_N:
+        raise DenseSizeError(
+            f"n = {n} needs a dense {n} x {n} matrix ({8 * n * n / 2**30:.1f} GiB), "
+            f"over the {_DENSE_MAX_BYTES // 2**20} MiB budget of the dense "
+            f"eigensolver (n <= {_DENSE_MAX_N}); ask for fewer modes "
+            "(k <= n/8) or use a smaller n"
+        )
+
+
+def _row_residuals(rows: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """Normalized coupling-row residual of every mode.
+
+    ``quad`` is (modes x 4), each row the mode's (v(a), v(b), v'(a),
+    v'(b)). A mode's residual is the largest over the coupling rows of
+    |sum of terms| / (1 + largest |term|).
+    """
+    terms = quad[:, None, :] * rows[None, :, :]
+    return np.max(np.abs(terms.sum(axis=2)) / (1.0 + np.abs(terms).max(axis=2)), axis=1)
+
+
+def _stencil_quad(grid: Grid, vec: np.ndarray) -> np.ndarray:
+    """(v(a), v(b), v'(a), v'(b)) per column of ``vec``, with one-sided
+    second-order derivative stencils."""
+    return np.column_stack(
+        [vec[0], vec[-1], vec[:3].T @ _STENCIL_A / grid.h, vec[-3:].T @ _STENCIL_B / grid.h]
+    )
 
 
 def _bordered_eigensolve(op: DiscreteOperator, coupling: BoundaryCoupling, k: int):
@@ -281,17 +318,19 @@ def _bordered_eigensolve(op: DiscreteOperator, coupling: BoundaryCoupling, k: in
     real eigenvalues.
     """
     n = op.grid.n
+    _require_dense(n)
     mu = op.grid.cell_weights()
-    da, db = _one_sided_stencils(op.grid, n)
     A = np.zeros((n, n))
     B = np.zeros((n, n))
-    for j, row in enumerate(coupling.rows):
-        i = 0 if j == 0 else n - 1
-        A[i] = row[2] * da + row[3] * db
+    for i, row in zip((0, n - 1), coupling.rows):
+        A[i, :3] += row[2] * _STENCIL_A / op.grid.h
+        A[i, -3:] += row[3] * _STENCIL_B / op.grid.h
         A[i, 0] += row[0]
         A[i, -1] += row[1]
     interior = np.arange(1, n - 1)
-    A[interior] = -op.stiffness[interior] / mu[interior, None]
+    A[interior, interior - 1] = -op.off_diagonal[:-1] / mu[interior]
+    A[interior, interior] = -op.diagonal[interior] / mu[interior]
+    A[interior, interior + 1] = -op.off_diagonal[1:] / mu[interior]
     B[interior, interior] = op.weight_values[interior]
 
     lam, vec = scipy.linalg.eig(A, B)
@@ -312,17 +351,84 @@ def _bordered_eigensolve(op: DiscreteOperator, coupling: BoundaryCoupling, k: in
         if norm <= 0:
             raise EigensolveError("degenerate eigenvector in bordered solve")
         vec[:, j] /= norm
-    residuals = np.zeros(k)
-    for j in range(k):
-        v = vec[:, j]
-        for row in coupling.rows:
-            terms = np.array(
-                [row[0] * v[0], row[1] * v[-1], row[2] * (da @ v), row[3] * (db @ v)]
-            )
-            residuals[j] = max(
-                residuals[j], abs(terms.sum()) / (1.0 + np.abs(terms).max())
-            )
-    return lam, vec, residuals, None
+    return lam, vec, _row_residuals(coupling.rows, _stencil_quad(op.grid, vec))
+
+
+def _folded_tridiagonal(op: DiscreteOperator, W: np.ndarray, root: np.ndarray):
+    """T = -M^-1/2 S M^-1/2 with the flux map folded into S.
+
+    T is symmetric tridiagonal apart from the corner pair T[0, -1] =
+    T[-1, 0]. Returns (diagonal, off-diagonal, corner), each entry rounded
+    as the symmetrization 0.5 (T + T^T) of the unsymmetrized fold rounds it.
+    """
+    d = -op.diagonal
+    d[0] += W[0, 0]
+    d[-1] -= W[1, 1]
+    c = op.off_diagonal
+    off = 0.5 * (-c / root[:-1] / root[1:] + -c / root[1:] / root[:-1])
+    corner = 0.5 * (W[0, 1] / root[0] / root[-1] - W[1, 0] / root[-1] / root[0])
+    return d / root / root, off, corner
+
+
+def _dense_eigh(diag, off, corner, k):
+    """The k smallest eigenpairs of T by LAPACK, on the dense matrix."""
+    n = diag.size
+    _require_dense(n)
+    T = np.zeros((n, n))
+    i = np.arange(n)
+    T[i, i] = diag
+    T[i[:-1], i[1:]] = T[i[1:], i[:-1]] = off
+    T[0, -1] = T[-1, 0] = corner
+    try:
+        return scipy.linalg.eigh(T, subset_by_index=[0, k - 1])
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise EigensolveError(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _shift_invert_eigh(diag, off, corner, k):
+    """The k smallest eigenpairs of T by shift-invert Lanczos (ARPACK).
+
+    The shift sigma must lie below the whole spectrum, so that the k
+    eigenvalues nearest to it are the k smallest, even when q > 0 makes
+    some negative. Shifts are tried from -s downwards by factors of 4,
+    s = max|T_ii| / (n - 1)^2 being the operator's eigenvalue scale. The
+    first whose LDL^T factorization of T - sigma I has only positive
+    pivots is taken: by Sylvester's law of inertia no eigenvalue lies
+    below it. (A Gershgorin bound would also do, but the corner terms put
+    it about 4/h below the spectrum, and a shift that far away slows
+    Lanczos.) The start vector is fixed, so two identical calls agree to
+    the bit.
+    """
+    n = diag.size
+    idx = np.arange(n)
+    rows = np.concatenate([idx, idx[:-1], idx[1:], [0, n - 1]])
+    cols = np.concatenate([idx, idx[1:], idx[:-1], [n - 1, 0]])
+    scale = np.abs(diag).max() / (n - 1) ** 2
+    for j in range(60):
+        sigma = -scale * 4.0**j
+        shifted = scipy.sparse.csc_matrix(
+            (np.concatenate([diag - sigma, off, off, [corner, corner]]), (rows, cols)),
+            shape=(n, n),
+        )
+        lu = scipy.sparse.linalg.splu(
+            shifted,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        if np.all(lu.perm_r == idx) and np.all(lu.U.diagonal() > 0):
+            break
+    else:
+        raise EigensolveError("no shift below the spectrum was found")
+    solve = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        # with a shift and OPinv, ARPACK applies only OPinv; A gives the shape
+        lam, Y = scipy.sparse.linalg.eigsh(shifted, k=k, sigma=sigma, OPinv=solve, v0=v0)
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
+    order = np.argsort(lam)
+    return lam[order], Y[:, order]
 
 
 def eigensolve(
@@ -333,9 +439,12 @@ def eigensolve(
     """k smallest eigenpairs of -L v = lambda v under the coupling rows.
 
     The primary path folds the rows into the operator through the endpoint
-    fluxes, keeping an exactly symmetric definite pencil; eigenvalues are
-    then computed with the LAPACK symmetric subset drivers and eigenvectors
-    returned orthonormal in the weighted inner product.
+    fluxes, keeping an exactly symmetric definite pencil, and returns
+    eigenvectors orthonormal in the weighted inner product. The folded
+    matrix is tridiagonal apart from two corners. Few modes (n >= 256 and
+    k <= n/8, the measured crossover) come from shift-invert Lanczos on
+    its sparse form; more modes from LAPACK on the dense matrix, which is
+    refused with DenseSizeError when it would exceed 256 MiB.
     """
     coupling = coupling if coupling is not None else op.coupling
     n = op.grid.n
@@ -345,7 +454,8 @@ def eigensolve(
 
     W = _flux_elimination(coupling, op.p_end)
     if W is None:
-        lam, vec, residuals, W = _bordered_eigensolve(op, coupling, k)
+        lam, vec, residuals = _bordered_eigensolve(op, coupling, k)
+        method = "bordered"
     else:
         asym = abs(W[0, 1] + W[1, 0])
         if asym > 1e-8 * (1.0 + np.abs(W).max()):
@@ -353,18 +463,14 @@ def eigensolve(
                 "coupling rows are not mutually self-adjoint; the symmetric "
                 "eigensolver does not apply"
             )
-        S = op.stiffness.copy()
-        S[0, 0] -= W[0, 0]
-        S[0, -1] -= W[0, 1]
-        S[-1, 0] += W[1, 0]
-        S[-1, -1] += W[1, 1]
         root = np.sqrt(op.mass)
-        T = -S / root[:, None] / root[None, :]
-        T = 0.5 * (T + T.T)
-        try:
-            lam, Y = scipy.linalg.eigh(T, subset_by_index=[0, k - 1])
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-            raise EigensolveError(f"symmetric eigensolver failed: {exc}") from exc
+        diag, off, corner = _folded_tridiagonal(op, W, root)
+        if n >= _FEW_MODES_MIN_N and k <= n // 8:
+            lam, Y = _shift_invert_eigh(diag, off, corner, k)
+            method = "shift_invert"
+        else:
+            lam, Y = _dense_eigh(diag, off, corner, k)
+            method = "dense"
         vec = Y / root[:, None]
         residuals = _implied_flux_residuals(coupling, op.p_end, W, vec)
 
@@ -380,6 +486,7 @@ def eigensolve(
         coupling=coupling,
         bc_residuals=residuals,
         flux_map=W,
+        method=method,
     )
 
 
@@ -392,31 +499,16 @@ def _implied_flux_residuals(coupling, p_end, W, vec) -> np.ndarray:
     :func:`stencil_boundary_residuals`.
     """
     pa, pb = p_end
-    k = vec.shape[1]
-    out = np.zeros(k)
-    for j in range(k):
-        vab = np.array([vec[0, j], vec[-1, j]])
-        f = W @ vab
-        quad = np.array([vab[0], vab[1], f[0] / pa, f[1] / pb])
-        for row in coupling.rows:
-            terms = row * quad
-            out[j] = max(out[j], abs(terms.sum()) / (1.0 + np.abs(terms).max()))
-    return out
+    ends = vec[[0, -1]].T
+    f = ends @ W.T
+    quad = np.column_stack([ends, f[:, 0] / pa, f[:, 1] / pb])
+    return _row_residuals(coupling.rows, quad)
 
 
 def stencil_boundary_residuals(eig: EigenSystem) -> np.ndarray:
     """Coupling-row residuals evaluated with one-sided second-order
     derivative stencils (an O(h^2) consistency diagnostic)."""
-    n = eig.grid.n
-    da, db = _one_sided_stencils(eig.grid, n)
-    out = np.zeros(eig.vectors.shape[1])
-    for j in range(eig.vectors.shape[1]):
-        v = eig.vectors[:, j]
-        quad = np.array([v[0], v[-1], da @ v, db @ v])
-        for row in eig.coupling.rows:
-            terms = row * quad
-            out[j] = max(out[j], abs(terms.sum()) / (1.0 + np.abs(terms).max()))
-    return out
+    return _row_residuals(eig.coupling.rows, _stencil_quad(eig.grid, eig.vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,6 +520,7 @@ class Trajectory:
     values: np.ndarray  # shape (len(times), n)
     weight: Optional[np.ndarray] = None
     truncation_error: Optional[np.ndarray] = None
+    diagnostics: dict = field(default_factory=dict)  # solver facts, by name
 
     def snapshot(self, t: float) -> np.ndarray:
         i = int(np.argmin(np.abs(self.times - t)))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conspar.cli import (
@@ -180,7 +182,53 @@ class TestSpectrumCommand:
         assert abs(lams[1]) < 1e-8 * lams[2]
 
 
+    def test_variable_coefficient_laws(self, tmp_path):
+        # log(1 + x) has no exact derivative: its endpoint slopes enter the
+        # coupling rows, which must pass the 1e-8 self-adjointness test
+        out = tmp_path / "var"
+        rc = main(["spectrum", "--out", str(out), "--p", "1+x", "--law2", "log(1+x)"])
+        assert rc == 0
+        checks = [ln for ln in _manifest_lines(out) if ln.startswith("check: ")]
+        assert len(checks) == 2
+        assert all(ln.endswith("[pass]") for ln in checks)
+
+    @pytest.mark.parametrize("k, method", [("6", "shift_invert"), ("401", "dense")])
+    def test_eigensolve_diagnostics(self, tmp_path, k, method):
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--out", str(out), "--k", k]) == 0
+        lines = _manifest_lines(out)
+        assert f"diag.eigensolve_method = {method}" in lines
+        assert f"diag.eigensolve_modes = {k}" in lines
+
+    def test_few_modes_at_the_largest_n(self, tmp_path):
+        # no dense matrix is formed; exit 4 is the documented double-zero
+        # limit at this n (conditioning, not the solver)
+        out = tmp_path / "big"
+        rc = main(["spectrum", "--out", str(out), "--n", "100001", "--k", "6"])
+        assert rc in (0, 4)
+        assert "diag.eigensolve_method = shift_invert" in _manifest_lines(out)
+
+
 class TestMomentsCommand:
+    def test_dense_refused_at_large_n(self, tmp_path, capsys):
+        started = time.perf_counter()
+        rc = main(["moments", "--out", str(tmp_path / "big"), "--n", "100001"])
+        assert rc == 2
+        assert time.perf_counter() - started < 10.0
+        assert "dense" in capsys.readouterr().err
+
+    def test_duhamel_diagnostics(self, tmp_path):
+        out = tmp_path / "mom"
+        assert main(["moments", "--out", str(out), "--F1", "1+sin(t)"]) == 0
+        diag = dict(
+            ln[len("diag."):].split(" = ") for ln in _manifest_lines(out)
+            if ln.startswith("diag.")
+        )
+        assert diag["eigensolve_method"] == "dense"
+        assert diag["eigensolve_modes"] == "401"
+        assert float(diag["duhamel_kernel_leakage"]) <= 1e-10
+        assert int(diag["duhamel_levels"]) >= 1
+
     def test_sinusoidal_target(self, tmp_path):
         out = tmp_path / "mom"
         rc = main(["moments", "--out", str(out), "--F1", "1+sin(t)", "--T", "5"])

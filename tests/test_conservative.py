@@ -24,6 +24,7 @@ from conspar.fields import (
     field_from_expression,
 )
 from conspar.sturm import (
+    apply_operator,
     assemble,
     eigensolve,
     evolve,
@@ -192,8 +193,13 @@ class TestSelfadjointReduction:
         )
         problem, weight = selfadjoint_reduction(one, b, zero, law1, law2, grid)
         op = assemble(problem.sl, grid)
-        S = op.stiffness
-        assert np.max(np.abs(S - S.T)) <= 1e-10 * np.max(np.abs(S))
+        # symmetric stiffness: <L u, v> = <u, L v> in the weighted product
+        rng = np.random.default_rng(3)
+        u, v = rng.random(grid.n), rng.random(grid.n)
+        lhs = u @ (op.mass * apply_operator(op, v))
+        rhs = v @ (op.mass * apply_operator(op, u))
+        scale = np.max(np.abs(op.diagonal))
+        assert abs(lhs - rhs) <= 1e-10 * scale * np.linalg.norm(u) * np.linalg.norm(v)
 
     def test_non_kernel_law_rejected(self, grid, one, zero, x_field):
         # 1 is not conserved by M = D^2 + (x/2) D
@@ -332,6 +338,30 @@ class TestPrescribedMoments:
         )
         want = np.array([F1.value(float(t)) for t in times])
         assert np.max(np.abs(got - want)) <= 1e-6
+
+    @pytest.mark.parametrize("laws", [("0", "1", "x"), ("1", "cos(x)", "sin(x)")])
+    def test_kernel_closed_form_matches_general_duhamel(self, grid, one, laws):
+        # the zero modes are integrated by parts with their computed lambda;
+        # for q = 1 that lambda is about -1e-5, so F(t) - F(0) alone would
+        # miss by about 1e-5 * t
+        q, law1, law2 = (field_from_expression(e) for e in laws)
+        problem = build_totally_conservative(one, q, law1, law2, grid)
+        eig = eigensolve(assemble(problem.sl, grid))
+        F1 = time_function(lambda t: 1.0 + math.sin(t))
+        F2 = time_function(lambda t: 0.5 * t)
+        pres = prescribe_moments(problem, F1, F2)
+        v0 = F1.value(0.0) * pres.phi1
+        times = np.linspace(0.0, 5.0, 11)
+        v_traj, _ = prescribed_moments_evolve(eig, v0, pres, times)
+        w0, G = prescribed_moments_reduce(v0, pres)
+        general = duhamel_evolve(eig, w0, G, times).values + v0[None, :]
+        assert np.max(np.abs(v_traj.values - general)) <= 1e-9
+        assert v_traj.diagnostics["duhamel_levels"] >= 1
+        leak = v_traj.diagnostics["duhamel_kernel_leakage"]
+        assert leak == float(np.max(np.abs(
+            eig.vectors[:, eig.zero_multiplicity:].T
+            @ (eig.mass[:, None] * np.stack([pres.phi1, pres.phi2], axis=1))
+        )))
 
     def test_numeric_derivative_fallback(self):
         f = time_function(lambda t: math.sin(3 * t))

@@ -232,6 +232,18 @@ class TestDerivatives:
         assert abs(phi.derivative(0.0) - 1.0 / z) <= 1e-8
         assert abs(phi.derivative(1.0) - math.exp(-0.5) / z) <= 1e-8
 
+    def test_formula_one_sided_endpoints_second_order(self):
+        # a formula field without a derivative: a first-order step at the
+        # ends would be off by about 5e-7 here
+        f = field_from_expression("log(1+x)")
+        xs = np.array([0.0, 5e-7, 0.5, 1.0 - 5e-7, 1.0])
+        assert np.max(np.abs(f.derivative(xs) - 1.0 / (1.0 + xs))) <= 1e-9
+        assert abs(f.derivative(0.0) - 1.0) <= 1e-9
+        assert abs(f.derivative(1.0) - 0.5) <= 1e-9
+        # the 3-point stencil is exact on quadratics
+        g = field_from_expression("x^2")
+        assert (g.derivative(0.0), g.derivative(1.0)) == (0.0, 2.0)
+
     def test_linear_table_one_sided_endpoints(self):
         xs = np.linspace(0, 1, 11)
         f = field_from_table(xs, xs**2)

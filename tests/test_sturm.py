@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conspar.conservative import build_totally_conservative
 from conspar.errors import (
     ArgumentError,
     AssemblyError,
     CouplingError,
+    DenseSizeError,
     InputError,
     NoSteadyStateError,
 )
@@ -16,6 +18,8 @@ from conspar.fields import (
 from conspar.sturm import (
     Grid,
     SLProblem,
+    _row_residuals,
+    _stencil_quad,
     apply_operator,
     assemble,
     coupling_from_kernel,
@@ -150,13 +154,13 @@ class TestEigensolve:
         p = field_from_expression("1+x^2")
         op = assemble(SLProblem(p=p, q=zero, weight=w, coupling=neumann_coupling()), grid)
         rng = np.random.default_rng(1)
-        S = op.stiffness
-        scale = np.max(np.abs(S))
-        defect = np.max(np.abs(S - S.T)) / scale
-        assert defect <= 1e-10
+        # the stiffness is stored as one diagonal and one off-diagonal, so
+        # it is symmetric by construction; check the operator through
+        # apply_operator, in the weighted inner product diag(mass)
+        scale = np.max(np.abs(op.diagonal))
         u, v = rng.random(grid.n), rng.random(grid.n)
-        lhs = u @ (S @ v)
-        rhs = v @ (S @ u)
+        lhs = u @ (op.mass * apply_operator(op, v))
+        rhs = v @ (op.mass * apply_operator(op, u))
         assert abs(lhs - rhs) <= 1e-10 * scale * np.linalg.norm(u) * np.linalg.norm(v)
 
     def test_spectral_convergence_richardson_ratio(self, one, zero, x_field):
@@ -199,6 +203,84 @@ class TestEigensolve:
         eig = eigensolve(assemble(SLProblem(p=one, q=zero, weight=one, coupling=neumann_coupling()), g), k=3)
         expected = (np.pi / 2) ** 2
         assert abs(eig.eigenvalues[1] - expected) / expected <= 1e-3
+
+
+def _kernel_operator(grid, p="1", q="0", weight="1", law1="1", law2="x"):
+    f = field_from_expression
+    problem = build_totally_conservative(
+        f(p), f(q), f(law1), f(law2), grid, weight=f(weight)
+    )
+    return assemble(problem.sl, grid)
+
+
+FEW_MODE_CASES = {
+    "heat": {},
+    "variable p and weight": dict(p="exp(x)", weight="1+x/2", law2="exp(-x)"),
+    "q = 1": dict(q="1", law1="cos(x)", law2="sin(x)"),
+    # three eigenvalues near -1240, -89 and -81: a shift of -1 would
+    # find -81 and -89 but miss -1240
+    "q = 100": dict(q="100", law1="cos(10*x)", law2="sin(10*x)"),
+}
+
+
+def _loop_row_residuals(rows, quad):
+    """Reference: the per-mode loop that the vectorized residual replaced."""
+    out = np.zeros(quad.shape[0])
+    for j, values in enumerate(quad):
+        for row in rows:
+            terms = row * values
+            out[j] = max(out[j], abs(terms.sum()) / (1.0 + np.abs(terms).max()))
+    return out
+
+
+class TestFewModeEigensolve:
+    @pytest.mark.parametrize("case", sorted(FEW_MODE_CASES))
+    def test_matches_dense(self, grid, case):
+        op = _kernel_operator(grid, **FEW_MODE_CASES[case])
+        k = 6
+        few, dense = eigensolve(op, k=k), eigensolve(op)
+        assert (few.method, dense.method) == ("shift_invert", "dense")
+        lam, ref = few.eigenvalues, dense.eigenvalues[:k]
+        zero = np.zeros(k, dtype=bool)
+        zero[np.argsort(np.abs(ref))[:2]] = True  # the two laws' modes
+        err = np.abs(lam - ref)
+        assert np.all(err[zero] <= 1e-9 * max(1.0, float(np.max(np.abs(ref)))))
+        assert np.all(err[~zero] <= 1e-9 * np.abs(ref[~zero]))
+        # the same subspace: no weight on dense modes beyond the k-th
+        coef = dense.vectors.T @ (dense.mass[:, None] * few.vectors)
+        assert np.max(np.linalg.norm(coef[k:], axis=0)) <= 1e-8
+        gram = few.vectors.T @ (few.mass[:, None] * few.vectors)
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
+
+    def test_repeat_calls_identical(self, grid):
+        op = _kernel_operator(grid)
+        a, b = eigensolve(op, k=6), eigensolve(op, k=6)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, k, method",
+        [(401, 50, "shift_invert"), (401, 51, "dense"), (255, 6, "dense"),
+         (256, 32, "shift_invert")],
+    )
+    def test_method_crossover(self, n, k, method):
+        op = _kernel_operator(Grid(0.0, 1.0, n))
+        assert eigensolve(op, k=k).method == method
+
+    def test_dense_refused_beyond_budget(self, one, zero):
+        g = Grid(0.0, 1.0, 6001)
+        op = _kernel_operator(g)
+        with pytest.raises(DenseSizeError):
+            eigensolve(op)
+        assert eigensolve(op, k=6).method == "shift_invert"
+        dirichlet = make_coupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        with pytest.raises(DenseSizeError):  # the bordered path is dense too
+            eigensolve(assemble(SLProblem(p=one, q=zero, weight=one, coupling=dirichlet), g), k=4)
+
+    def test_row_residuals_match_loop(self, heat_eig):
+        quad = _stencil_quad(heat_eig.grid, heat_eig.vectors)
+        rows = heat_eig.coupling.rows
+        assert np.array_equal(_row_residuals(rows, quad), _loop_row_residuals(rows, quad))
 
 
 class TestEvolve:
