@@ -603,6 +603,10 @@ def _run_oracle(cfg: RunConfig, manifest: RunManifest) -> dict:
         )
     measures = simulate(spec, cfg["times"], bins=cfg["bins"])
     manifest.assumptions.append("sde_matching")
+    manifest.diagnostics.update(
+        oracle_steps=measures[-1].steps,
+        oracle_live_paths=[int(m.counts.sum()) for m in measures],
+    )
     identity = all(m.counting_identity() for m in measures)
     manifest.check("counting_identity", identity, identity)
     rows = [

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .errors import (
@@ -918,7 +917,9 @@ def weak_form_residual(
         atoms = m.atom0 * float(dt_a[0] + gen[0]) + m.atom1 * float(dt_a[-1] + gen[-1])
         integrand[i] = interior + atoms
 
-    time_integral = float(scipy.integrate.simpson(integrand, x=ts))
+    from scipy.integrate import simpson  # slow import, first use only
+
+    time_integral = float(simpson(integrand, x=ts))
     first = measures[0].moment(np.asarray(alpha.value(nodes, ts[0]), dtype=float))
     last = measures[-1].moment(np.asarray(alpha.value(nodes, ts[-1]), dtype=float))
     return float(time_integral + first - last)

@@ -16,9 +16,11 @@ abscissa at which a division by zero or non-finite value occurs.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
@@ -172,35 +174,66 @@ class _Parser:
 
 
 def _first_bad_x(x, mask) -> float:
-    xa = np.broadcast_to(np.asarray(x, dtype=float), np.shape(mask))
-    return float(xa[mask][0]) if np.ndim(mask) else float(xa)
+    xa = np.asarray(x, dtype=float)
+    if np.ndim(mask) == 0:  # a constant part is bad at every x
+        return float(xa.flat[0])
+    return float(np.broadcast_to(xa, np.shape(mask))[mask][0])
 
 
-def _eval(node: Node, x):
+def _power(left, right):
+    with np.errstate(all="ignore"):
+        return np.power(left, right)
+
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,  # by a nonzero constant; other divisors are checked
+    "^": _power,
+}
+
+
+def _compile(node: Node):
+    """``node`` as a closure of x, or as a number where no x occurs below
+    it. Constants are folded with the operations the closure would apply,
+    so both give bit-identical values; a division by a constant zero is
+    left to raise when called."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        return x
+        return lambda x: x
     if isinstance(node, Neg):
-        return -_eval(node.operand, x)
+        f = _compile(node.operand)
+        return (lambda x: -f(x)) if callable(f) else -f
     if isinstance(node, Call):
-        with np.errstate(all="ignore"):
-            return FUNCTIONS[node.name](_eval(node.arg, x))
-    left = _eval(node.left, x)
-    right = _eval(node.right, x)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        bad = np.asarray(right) == 0
-        if np.any(bad):
-            raise EvaluationError("division by zero", _first_bad_x(x, bad))
-        return left / right
-    with np.errstate(all="ignore"):
-        return np.power(left, right)
+        fn, f = FUNCTIONS[node.name], _compile(node.arg)
+
+        def call(x):
+            with np.errstate(all="ignore"):
+                return fn(f(x) if callable(f) else f)
+
+        return call if callable(f) else call(None)
+    left, right = _compile(node.left), _compile(node.right)
+    if node.op == "/" and (callable(right) or right == 0):
+
+        def divide(x):
+            a = left(x) if callable(left) else left
+            b = right(x) if callable(right) else right
+            bad = np.asarray(b) == 0
+            if np.any(bad):
+                raise EvaluationError("division by zero", _first_bad_x(x, bad))
+            return a / b
+
+        return divide
+    rule = _BINARY[node.op]
+    if callable(left) and callable(right):
+        return lambda x: rule(left(x), right(x))
+    if callable(left):
+        return lambda x: rule(left(x), right)
+    if callable(right):
+        return lambda x: rule(left, right(x))
+    return rule(left, right)
 
 
 def _canonical(node: Node, variable: str) -> str:
@@ -222,20 +255,38 @@ def _canonical(node: Node, variable: str) -> str:
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression: evaluable, printable, hashable."""
+    """A parsed expression: evaluable, printable, hashable.
+
+    The tree is compiled once, at construction, to a numpy closure (or to
+    a number when the expression does not depend on its variable).
+    """
 
     text: str
     root: Node
     variable: str = "x"
+    _compiled: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_compiled", _compile(self.root))
+
+    @property
+    def constant(self) -> Optional[float]:
+        """The value of an expression free of its variable when it is
+        finite; None otherwise."""
+        c = self._compiled
+        return None if callable(c) or not math.isfinite(c) else float(c)
 
     def __call__(self, x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
-        out = _eval(self.root, np.asarray(x, dtype=float) if not scalar else float(x))
-        out = np.asarray(out, dtype=float)
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            raise EvaluationError("non-finite value", _first_bad_x(x, bad))
-        return float(out) if scalar else out + np.zeros(np.shape(x))
+        xv = float(x) if scalar else np.asarray(x, dtype=float)
+        f = self._compiled
+        out = np.asarray(f(xv) if callable(f) else f, dtype=float)
+        if not np.isfinite(out).all():
+            raise EvaluationError("non-finite value", _first_bad_x(x, ~np.isfinite(out)))
+        if scalar:
+            return float(out)
+        # a fresh array of x's shape: never x itself
+        return out if out.shape == xv.shape and out is not xv else out + np.zeros(xv.shape)
 
     def canonical(self) -> str:
         return _canonical(self.root, self.variable)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DegeneracyError,
@@ -82,6 +81,8 @@ class CoefficientField:
 
     def _interpolant(self):
         if "spline" not in self._cache:
+            from scipy.interpolate import CubicSpline  # slow import, first use only
+
             self._cache["spline"] = CubicSpline(self.xs, self.values)
         return self._cache["spline"]
 
@@ -329,6 +330,8 @@ def _antiderivative_callable(
     fine = np.linspace(0.0, 1.0, (nodes.size - 1) * refine + 1)
     cells = _cell_integrals(fn, fine)
     table = np.concatenate([[0.0], np.cumsum(cells)])
+    from scipy.interpolate import CubicSpline  # slow import, first use only
+
     return CubicSpline(fine, table)
 
 

@@ -12,6 +12,10 @@ reflection there for the epidemic model). Paths are split into blocks of
 counter-based ``Philox(seed, b)`` stream: at every step, one normal per
 live path of the block, in path order. All blocks step together in one
 array of live paths, grouped by block; an absorbed path leaves the array.
+Each step runs in place on reused buffers. One helper thread draws each
+block's next chunk of normals ahead while the current chunk is used; it
+makes every draw, in the order they are queued, so each stream is drawn
+in order.
 Because each block's draws depend only on its own paths, the counts are
 bit-identical however the blocks are laid out or scheduled, and so is
 ``oracle.csv``.
@@ -20,18 +24,20 @@ bit-identical however the blocks are laid out or scheduled, and so is
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Sequence, Union
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ArgumentError, ParameterError
+from .expressions import Expression
 from .fields import CoefficientField, cumulative_trapezoid, field_from_callable
 from .sturm import Grid
 
 BLOCK_SIZE = 4096
-_NORMAL_CHUNK = 2**14  # most normals one block draws at once
-# chunks shrink as blocks are added, so that all blocks together buffer
+_NORMAL_CHUNK = 2**14  # most normals one block holds: current chunk plus next
+# chunks shrink as blocks are added, so that all blocks together hold
 # about this many normals beyond one step's need
 _NORMAL_BUDGET = 2**18
 
@@ -48,6 +54,10 @@ class SdeSpec:
     horizon: float
     replicates: int
     seed: int
+    # fills the drift and the squared volatility at x into two buffers,
+    # (x, mu, s2) -> None; the model constructors set it, and without it
+    # the two fields are evaluated
+    _coefficients: Optional[Callable] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.boundary_at_1 not in ("absorbing", "reflecting"):
@@ -71,6 +81,22 @@ def _plain_evaluator(f: CoefficientField):
     return f.exact_fn if f.exact_fn is not None else f
 
 
+def _with_coefficients(spec: SdeSpec, coefficients: Callable) -> SdeSpec:
+    object.__setattr__(spec, "_coefficients", coefficients)
+    return spec
+
+
+def _field_coefficients(spec: SdeSpec) -> Callable:
+    drift = _plain_evaluator(spec.drift)
+    vol2 = _plain_evaluator(spec.squared_volatility)
+
+    def coefficients(x, mu, s2):
+        mu[...] = drift(x)
+        s2[...] = vol2(x)
+
+    return coefficients
+
+
 def kimura_sde(
     psi: CoefficientField,
     x0,
@@ -83,9 +109,18 @@ def kimura_sde(
     drift g psi, squared volatility 2 g, both endpoints absorbing."""
     g = lambda x: np.asarray(x) * (1.0 - np.asarray(x))  # noqa: E731
     psi_fn = _plain_evaluator(psi)
+    # a constant psi is not evaluated per step
+    psi_c = psi_fn.constant if isinstance(psi_fn, Expression) else None
+
+    def coefficients(x, mu, s2):
+        np.subtract(1.0, x, out=s2)
+        s2 *= x  # g
+        np.multiply(s2, psi_fn(x) if psi_c is None else psi_c, out=mu)
+        s2 *= 2.0
+
     drift = field_from_callable(lambda x: g(x) * np.asarray(psi_fn(x)), "kimura_drift")
     vol2 = field_from_callable(lambda x: 2.0 * g(x), "kimura_vol2")
-    return SdeSpec(
+    spec = SdeSpec(
         drift=drift,
         squared_volatility=vol2,
         boundary_at_1="absorbing",
@@ -95,6 +130,7 @@ def kimura_sde(
         replicates=replicates,
         seed=seed,
     )
+    return _with_coefficients(spec, coefficients)
 
 
 def sis_sde(
@@ -109,13 +145,22 @@ def sis_sde(
     squared volatility x(R0(1-x) + 1), reflecting at 1."""
     if R0 <= 0:
         raise ParameterError("R0 must be positive")
+
+    def coefficients(x, mu, s2):
+        np.subtract(1.0, x, out=s2)
+        s2 *= R0
+        np.subtract(s2, 1.0, out=mu)
+        mu *= x
+        s2 += 1.0
+        s2 *= x
+
     drift = field_from_callable(
         lambda x: np.asarray(x) * (R0 * (1 - np.asarray(x)) - 1.0), "sis_drift_sde"
     )
     vol2 = field_from_callable(
         lambda x: np.asarray(x) * (R0 * (1 - np.asarray(x)) + 1.0), "sis_vol2"
     )
-    return SdeSpec(
+    spec = SdeSpec(
         drift=drift,
         squared_volatility=vol2,
         boundary_at_1="reflecting",
@@ -125,6 +170,7 @@ def sis_sde(
         replicates=replicates,
         seed=seed,
     )
+    return _with_coefficients(spec, coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +187,7 @@ class EmpiricalMeasure:
     count_at_0: int
     count_at_1: int
     n_paths: int
+    steps: int = 0  # lockstep Euler-Maruyama steps taken up to this time
 
     @property
     def mass_at_0(self) -> float:
@@ -190,30 +237,53 @@ class _BlockNormals:
     """Standard normals for the live paths of all blocks, in array order.
 
     Block b draws from its own stream only, ``live[b]`` normals per step,
-    in chunks that are sliced step by step. A chunked draw yields the same
-    numbers as one draw per step.
+    in chunks that are sliced step by step; a chunked draw yields the same
+    numbers as one draw per step. While a block uses its current chunk,
+    its next one is drawn ahead. Every draw runs on the single worker of
+    ``pool``, first in first out, so each stream is drawn in order, and
+    this thread never touches ``rngs``.
     """
 
-    def __init__(self, rngs: list):
+    def __init__(self, rngs: list, pool: ThreadPoolExecutor):
         self.rngs = rngs
-        self.chunk = max(1, min(_NORMAL_CHUNK, _NORMAL_BUDGET // len(rngs)))
+        self.pool = pool
+        per_block = min(_NORMAL_CHUNK, _NORMAL_BUDGET // len(rngs))
+        self.chunk = max(1, per_block // 2)  # current and next share the block's part
         self.buffers = [np.empty(0)] * len(rngs)
         self.used = [0] * len(rngs)
+        self.ahead = [pool.submit(rng.standard_normal, self.chunk) for rng in rngs]
 
-    def take(self, live: list) -> np.ndarray:
-        parts = []
+    def _next_chunk(self, b: int, need: int) -> np.ndarray:
+        """Block b's drawn-ahead chunk, extended to ``need`` normals when
+        one step needs more. The draws after it are queued first, so the
+        helper goes on to them as soon as this one is done."""
+        draw = self.rngs[b].standard_normal
+        ready = self.ahead[b]
+        rest = self.pool.submit(draw, need - self.chunk) if need > self.chunk else None
+        self.ahead[b] = self.pool.submit(draw, self.chunk)
+        buf = ready.result()
+        return buf if rest is None else np.concatenate([buf, rest.result()])
+
+    def scale(self, s2: np.ndarray, live: list):
+        """Multiply ``s2``, one entry per live path, by the next ``live[b]``
+        normals of every block b, block 0's first."""
+        pos = 0
         for b, n in enumerate(live):
             if not n:
                 continue
+            seg = s2[pos : pos + n]
+            pos += n
             buf, used = self.buffers[b], self.used[b]
-            if used + n > buf.size:
-                parts.append(buf[used:])
-                n -= buf.size - used
-                buf = self.buffers[b] = self.rngs[b].standard_normal(max(self.chunk, n))
-                used = 0
-            parts.append(buf[used : used + n])
-            self.used[b] = used + n
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if used + n <= buf.size:
+                seg *= buf[used : used + n]
+                self.used[b] = used + n
+            else:  # the rest of this chunk, then the next one
+                k = buf.size - used
+                head, tail = seg[:k], seg[k:]
+                head *= buf[used:]
+                buf = self.buffers[b] = self._next_chunk(b, n - k)
+                tail *= buf[: n - k]
+                self.used[b] = n - k
 
 
 def simulate(
@@ -253,6 +323,7 @@ def simulate(
     counts = np.zeros((n_snap, bins), dtype=np.int64)
     absorbed0 = np.zeros(n_snap, dtype=np.int64)
     absorbed1 = np.zeros(n_snap, dtype=np.int64)
+    steps_at = np.zeros(n_snap, dtype=np.int64)
 
     n_blocks = (spec.replicates + block_size - 1) // block_size
     sizes = [min(block_size, spec.replicates - b * block_size) for b in range(n_blocks)]
@@ -264,45 +335,54 @@ def simulate(
         )
         for b in range(n_blocks)
     ]
-    # live paths of every block, block 0's first, each block in path order
+    # live paths of every block, block 0's first, each block in path order;
+    # a step writes the next positions into ``new``, then the two swap
     x = np.concatenate([_sample_initial(spec.x0, m, rng) for m, rng in zip(sizes, rngs)])
+    new, s2 = np.empty((2, x.size))
     block_of = np.repeat(np.arange(n_blocks), sizes)
     live = sizes
-    normals = _BlockNormals(rngs)
-    drift = _plain_evaluator(spec.drift)
-    vol2 = _plain_evaluator(spec.squared_volatility)
+    coefficients = spec._coefficients or _field_coefficients(spec)
     reflecting = spec.boundary_at_1 == "reflecting"
+    fmin, fmax = np.fmin.reduce, np.fmax.reduce  # NaN-blind, as the masks are
     dead0 = dead1 = 0
     step = 0
-    for si in range(n_snap):
-        target = int(snap_steps[si])
-        while step < target and x.size:
-            mu = np.asarray(drift(x), dtype=float)
-            s2 = np.maximum(np.asarray(vol2(x), dtype=float), 0.0)
-            x = x + mu * dt + np.sqrt(s2 * dt) * normals.take(live)
-            hit0 = x <= 0.0
-            hit1 = x >= 1.0
-            if reflecting:
-                if hit1.any():
-                    x = np.where(hit1, 2.0 - x, x)
-                    hit0 = x <= 0.0
-                hit = hit0
-            else:
-                hit = hit0 | hit1
-            if hit.any():
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        normals = _BlockNormals(rngs, pool)
+        for si in range(n_snap):
+            target = int(snap_steps[si])
+            while step < target and x.size:
+                coefficients(x, new, s2)
+                # new = (x + mu dt) + sqrt(max(s2, 0) dt) z, with mu in new
+                new *= dt
+                new += x
+                np.maximum(s2, 0.0, out=s2)
+                s2 *= dt
+                np.sqrt(s2, out=s2)
+                normals.scale(s2, live)
+                new += s2
+                if reflecting and fmax(new) >= 1.0:
+                    np.subtract(2.0, new, out=new, where=new >= 1.0)
+                x, new = new, x
+                step += 1
+                if fmin(x) > 0.0 and (reflecting or fmax(x) < 1.0):
+                    continue
+                hit = hit0 = x <= 0.0
                 dead0 += np.count_nonzero(hit0)
                 if not reflecting:
+                    hit1 = x >= 1.0
                     dead1 += np.count_nonzero(hit1)
+                    hit = hit0 | hit1
                 gone = np.bincount(block_of[hit], minlength=n_blocks).tolist()
                 live = [n - k for n, k in zip(live, gone)]
                 keep = ~hit
-                x = x[keep]
                 block_of = block_of[keep]
-            step += 1
-        absorbed0[si] = dead0
-        absorbed1[si] = dead1
-        if x.size:
-            counts[si], _ = np.histogram(x, bins=bin_edges)
+                k = block_of.size
+                x, new, s2 = np.compress(keep, x, out=new[:k]), x[:k], s2[:k]
+            absorbed0[si] = dead0
+            absorbed1[si] = dead1
+            steps_at[si] = step
+            if x.size:
+                counts[si], _ = np.histogram(x, bins=bin_edges)
 
     return [
         EmpiricalMeasure(
@@ -312,6 +392,7 @@ def simulate(
             count_at_0=int(absorbed0[i]),
             count_at_1=int(absorbed1[i]),
             n_paths=spec.replicates,
+            steps=int(steps_at[i]),
         )
         for i in range(n_snap)
     ]

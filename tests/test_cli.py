@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import conspar
 from conspar.cli import (
     RunManifest,
     _csv,
@@ -19,6 +24,19 @@ def _read(path):
 
 def _manifest_lines(outdir):
     return _read(outdir / "manifest.txt").splitlines()
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # CubicSpline and simpson are imported where they are first used
+    code = (
+        "import sys, conspar.cli; "
+        "print([m for m in ('scipy.interpolate', 'scipy.integrate') if m in sys.modules])"
+    )
+    src = str(Path(conspar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -290,6 +308,21 @@ class TestOracleAndValidate:
         rows = _read(rep / "report.csv").splitlines()
         assert rows[0].startswith("t,atom0_pde,mass0_mc")
         assert all(r.split(",")[-1] == "1" for r in rows[1:])
+
+    def test_oracle_diagnostics(self, tmp_path):
+        # every path is absorbed before t = 10, so the run stops early
+        args = ["oracle", "--psi", "20", "--x0", "0.5", "--dt", "1e-3", "--T", "10",
+                "--times", "0.2,10", "--replicates", "300", "--seed", "6", "--bins", "10"]
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        lines = _manifest_lines(out1)
+        assert "diag.oracle_steps = 457" in lines
+        assert "diag.oracle_live_paths = 99,0" in lines
+        skip = ("wallclock_s", "config.out")
+        assert [ln for ln in lines if not ln.startswith(skip)] == [
+            ln for ln in _manifest_lines(out2) if not ln.startswith(skip)
+        ]
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         pde = tmp_path / "pde"

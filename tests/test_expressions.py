@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conspar.errors import EvaluationError, ExpressionError
-from conspar.expressions import parse_expression
+from conspar.expressions import (
+    FUNCTIONS,
+    Call,
+    Neg,
+    Num,
+    Var,
+    _first_bad_x,
+    parse_expression,
+)
 
 
 def test_literal_zero():
@@ -142,3 +150,106 @@ def test_canonical_round_trip(text):
     xs = np.random.default_rng(0).random(1000)
     v1, v2 = e1(xs), e2(xs)
     assert np.max(np.abs(v1 - v2)) <= 1e-15 * max(1.0, float(np.max(np.abs(v1))))
+
+
+# the compiled closure against the tree walk it replaced
+
+
+def _tree_eval(node, x):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_tree_eval(node.operand, x)
+    if isinstance(node, Call):
+        with np.errstate(all="ignore"):
+            return FUNCTIONS[node.name](_tree_eval(node.arg, x))
+    left = _tree_eval(node.left, x)
+    right = _tree_eval(node.right, x)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        bad = np.asarray(right) == 0
+        if np.any(bad):
+            raise EvaluationError("division by zero", _first_bad_x(x, bad))
+        return left / right
+    with np.errstate(all="ignore"):
+        return np.power(left, right)
+
+
+def _tree_call(e, x):
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    out = np.asarray(_tree_eval(e.root, float(x) if scalar else np.asarray(x, dtype=float)))
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        raise EvaluationError("non-finite value", _first_bad_x(x, bad))
+    return float(out) if scalar else out + np.zeros(np.shape(x))
+
+
+def _outcome(fn, x):
+    try:
+        return "value", fn(x)
+    except EvaluationError as exc:
+        return "error", (str(exc), exc.x)
+
+
+CLOSURE_CORPUS = [
+    # every function, power, unary minus, constants and constant subtrees
+    "exp(x)", "log(x+1)", "sin(3*x)", "cos(x)^2", "sqrt(x)", "abs(x-0.5)",
+    "x^3", "2^x", "x^0.5^2", "-x", "-(x-1)*(-2)", "3", "-0", "2*3+x",
+    "exp(1)*x-log(2)/7", "(1+2)^(x+1)", "x/(1+x^2)", "1-2*x+0.1*sin(7*x)",
+    "sqrt(abs(x-0.3012)-0.001)", "x*(1-x)*(1/3)",
+    # division by zero: at a variable point, and by a constant zero
+    "1/(x-0.5)", "1/0", "x/(2-2)", "(1/0)*x",
+    # non-finite values: at some points, everywhere, by overflow
+    "log(x-0.5)", "log(0)", "sqrt(x-1)", "exp(1000*x)", "x^(-1)",
+]
+CLOSURE_INPUTS = [0.0, 0.25, 0.5, 1.0, np.float64(0.75), np.array(0.5),
+                  np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 401)[::-1],
+                  np.array([[0.2, 0.5], [0.9, 0.1]])]
+
+
+@pytest.mark.parametrize("text", CLOSURE_CORPUS)
+def test_closure_matches_tree_walk(text):
+    e = parse_expression(text)
+    for x in CLOSURE_INPUTS:
+        got, want = _outcome(e, x), _outcome(lambda v: _tree_call(e, v), x)
+        assert got[0] == want[0], (text, x)
+        if got[0] == "error":
+            assert got[1] == want[1], (text, x)
+            continue
+        assert type(got[1]) is type(want[1])
+        assert np.shape(got[1]) == np.shape(want[1])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_error_paths_name_the_first_bad_x():
+    xs = np.linspace(0.0, 1.0, 5)
+    for text, kind, x in [("1/(x-0.5)", "division by zero", 0.5),
+                          ("1/0", "division by zero", 0.0),
+                          ("log(x-0.5)", "non-finite value", 0.0),
+                          ("log(0)", "non-finite value", 0.0)]:
+        with pytest.raises(EvaluationError, match=kind) as exc:
+            parse_expression(text)(xs)
+        assert exc.value.x == x
+
+
+def test_result_is_a_fresh_array():
+    xs = np.linspace(0.0, 1.0, 5)
+    out = parse_expression("x")(xs)
+    assert out is not xs
+    out[0] = 7.0
+    assert xs[0] == 0.0
+
+
+def test_constant():
+    assert parse_expression("2*3").constant == 6.0
+    assert parse_expression("-exp(0)").constant == -1.0
+    assert parse_expression("x+1").constant is None
+    assert parse_expression("log(0)").constant is None
+    assert parse_expression("1/0").constant is None

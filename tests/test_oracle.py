@@ -1,5 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+
+from conspar import oracle
 
 from conspar.degenerate import BoundaryMeasure
 from conspar.errors import ArgumentError, EvaluationError, ParameterError
@@ -243,6 +248,18 @@ def _reference_simulate(spec, times, bins, block_size):
     return [(c.tolist(), a, b) for c, a, b in zip(counts, at0, at1)]
 
 
+def _assert_matches_reference(block_size):
+    psi = field_from_expression("1-2*x")
+    for spec in (
+        kimura_sde(psi, 0.3, dt=1e-3, horizon=0.2, replicates=61, seed=4),
+        sis_sde(2.0, 0.99, dt=1e-3, horizon=0.2, replicates=61, seed=3),
+    ):
+        times = [0.0, 0.05, 0.2]
+        got = simulate(spec, times, bins=10, block_size=block_size)
+        want = _reference_simulate(spec, times, 10, block_size)
+        assert [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in got] == want
+
+
 class TestKernelIdentity:
     @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_recorded_counts(self, name):
@@ -253,24 +270,50 @@ class TestKernelIdentity:
 
     @pytest.mark.parametrize("block_size", [3, 7, 4096])
     def test_matches_block_by_block_reference(self, block_size):
-        psi = field_from_expression("1-2*x")
-        for spec in (
-            kimura_sde(psi, 0.3, dt=1e-3, horizon=0.2, replicates=61, seed=4),
-            sis_sde(2.0, 0.99, dt=1e-3, horizon=0.2, replicates=61, seed=3),
-        ):
-            times = [0.0, 0.05, 0.2]
-            got = simulate(spec, times, bins=10, block_size=block_size)
-            want = _reference_simulate(spec, times, 10, block_size)
-            assert [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in got] == want
+        _assert_matches_reference(block_size)
+
+    @pytest.mark.parametrize("chunk, budget", [(8, 16), (64, 1024)])
+    @pytest.mark.parametrize("block_size", [3, 7, 61])
+    def test_small_chunks_match_reference(self, monkeypatch, block_size, chunk, budget):
+        # (8, 16): one step needs more normals than a chunk holds, so the
+        # drawn-ahead chunk is extended; (64, 1024): chunks span steps
+        monkeypatch.setattr(oracle, "_NORMAL_CHUNK", chunk)
+        monkeypatch.setattr(oracle, "_NORMAL_BUDGET", budget)
+        _assert_matches_reference(block_size)
+
+    def test_frequent_thread_switches_keep_the_streams(self, monkeypatch):
+        # the helper and this thread interleave as often as the interpreter
+        # allows; each block's draws must still come in stream order
+        monkeypatch.setattr(oracle, "_NORMAL_CHUNK", 8)
+        monkeypatch.setattr(oracle, "_NORMAL_BUDGET", 64)
+        spec = kimura_sde(field_from_expression("1-2*x"), 0.3, dt=1e-3, horizon=0.2,
+                          replicates=61, seed=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate(spec, [0.05, 0.2], bins=10, block_size=5)
+        finally:
+            sys.setswitchinterval(interval)
+        want = _reference_simulate(spec, [0.05, 0.2], 10, 5)
+        assert [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in got] == want
 
     def test_non_finite_psi_on_a_live_path_raises(self):
         # finite on every sample of the field, NaN on (0.3002, 0.3022),
         # which paths started at 0.3 step into
         psi = field_from_expression("sqrt(abs(x-0.3012)-0.001)")
         spec = kimura_sde(psi, 0.3, dt=1e-3, horizon=0.5, replicates=200, seed=9)
+        threads = threading.active_count()
         with pytest.raises(EvaluationError, match="non-finite") as info:
             simulate(spec, [0.5], bins=10, block_size=64)
         assert 0.3002 < info.value.x < 0.3022
+        assert threading.active_count() == threads  # the helper thread is gone
+
+    def test_steps_taken(self):
+        # every path is absorbed long before t = 10
+        spec, times, bins, block_size = _identity_cases()["all_absorbed"]
+        first, last = simulate(spec, times, bins=bins, block_size=block_size)
+        assert first.steps == 200
+        assert 200 < last.steps < 10_000
 
 
 class TestCompare:
