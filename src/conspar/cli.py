@@ -49,7 +49,7 @@ from .errors import (
     ValidationFailure,
 )
 from .expressions import parse_expression
-from .fields import field_from_expression, field_from_table, fixation_probability
+from .fields import field_from_expression, field_from_table
 from .oracle import kimura_sde, simulate, sis_sde
 from .sturm import Grid, assemble, eigensolve
 
@@ -144,22 +144,6 @@ class RunManifest:
 
     def check(self, name: str, value, passed: bool):
         self.checks.append((name, value, bool(passed)))
-
-    def record_interior(self, sol):
-        """How an interior solve ran: method, time step, step count and
-        the spread of its symmetrizing log-scale."""
-        self.diagnostics.update(
-            interior_method=sol.method,
-            interior_dt=sol.dt,
-            interior_steps=sol.steps,
-            interior_log_scale_spread=sol.log_scale_spread,
-        )
-
-    def record_eigensolve(self, eig):
-        """Which eigensolver ran and how many modes it returned."""
-        self.diagnostics.update(
-            eigensolve_method=eig.method, eigensolve_modes=eig.eigenvalues.size
-        )
 
     def all_passed(self) -> bool:
         return all(p for _, _, p in self.checks)
@@ -270,15 +254,11 @@ def _validate_semantics(command: str, cfg: dict, problems: list):
     for key in ("T", "eps", "dt", "R0", "se_limit"):
         if key in cfg and cfg[key] is not None and cfg[key] <= 0:
             problems.append(f"{key}: must be positive")
-    if command in ("kimura", "sis") and cfg.get("mode") not in (
-        "interior",
-        "regularized",
-        "ladder",
-    ):
+    if "mode" in cfg and cfg["mode"] not in ("interior", "regularized", "ladder"):
         problems.append("mode: must be interior, regularized, or ladder")
-    if command == "sis" and cfg.get("mode") == "ladder":
+    if cfg.get("mode") == "ladder" and "ladder" not in cfg:
         problems.append("mode: ladder runs are only wired for the kimura command")
-    if command == "kimura" and cfg.get("psi_table"):
+    if cfg.get("psi_table"):
         if not Path(cfg["psi_table"]).is_file():
             problems.append(f"psi_table: no such file {cfg['psi_table']!r}")
     if command == "oracle":
@@ -297,7 +277,6 @@ def _validate_semantics(command: str, cfg: dict, problems: list):
         any(e <= 0 for e in ladder) or any(b >= a for a, b in zip(ladder, ladder[1:]))
     ):
         problems.append("ladder: must be strictly decreasing positive values")
-    times = cfg.get("times")
     T = cfg.get("T")
     if times is not None and T is not None and times and max(times) > T + 1e-12:
         problems.append("times: beyond the horizon T")
@@ -387,72 +366,109 @@ def _initial_density(spec: str, grid: Grid) -> np.ndarray:
     return vals
 
 
-def _run_kimura(cfg: RunConfig, manifest: RunManifest) -> dict:
+def _kimura_atoms(manifest: RunManifest, model, sol, u0):
+    """Both interior atoms from the two conservation identities, checked
+    against the boundary-trace integrals when the drift is continuous."""
+    a, b = masses_from_conservation(sol.trajectory, u0, 0.0, 0.0, model.laws[1])
+    if model.psi.continuous_tier:
+        out_times = sol.trajectory.times
+        tf, af, bf = masses_from_boundary_flux(sol.traces, 0.0, 0.0)
+        agree = float(
+            max(
+                np.max(np.abs(a - np.interp(out_times, tf, af))),
+                np.max(np.abs(b - np.interp(out_times, tf, bf))),
+            )
+        )
+        manifest.check("flux_vs_conservation_masses", agree, agree <= 1e-3)
+    else:
+        manifest.warnings.append(
+            "tabulated-linear drift: flux-form masses unavailable, "
+            "conservation form only"
+        )
+    return a, b
+
+
+def _sis_atoms(manifest: RunManifest, model, sol, u0):
+    """The interior atom at x = 0 from the boundary flux, with the Robin
+    residual at x = 1 and the atom's monotonicity checked."""
+    ta, a_curve = sis_atom_mass(sol.traces, 0.0, model.R0)
+    a = np.interp(sol.trajectory.times, ta, a_curve)
+    r = sol.trajectory.values[-1]
+    drx = (3 * r[-1] - 4 * r[-2] + r[-3]) / (2 * sol.trajectory.grid.h)
+    robin = abs(0.5 * ((1 - model.R0) * r[-1] + drx) + r[-1])
+    manifest.check("robin_residual_at_1", robin, robin <= 1e-3)
+    mono = bool(np.all(np.diff(a_curve) >= -1e-10))
+    manifest.check("atom_mass_nondecreasing", mono, mono)
+    return a, np.zeros_like(a)
+
+
+# All that differs between the degenerate commands: the model, the key of
+# its initial density, and its interior atoms with their checks
+_DEGENERATE = {
+    "kimura": (
+        lambda cfg: kimura_model(_field_from_config(cfg["psi"], cfg["psi_table"])),
+        "u0",
+        _kimura_atoms,
+    ),
+    "sis": (lambda cfg: sis_model(cfg["R0"]), "p0", _sis_atoms),
+}
+
+
+def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
+    build, initial_key, interior_atoms = _DEGENERATE[cfg.command]
     grid = Grid(0.0, 1.0, cfg["n"])
-    psi = _field_from_config(cfg["psi"], cfg["psi_table"])
-    model = kimura_model(psi)
-    phi = fixation_probability(psi)
-    u0 = _initial_density(cfg["u0"], grid)
+    model = build(cfg)
+    u0 = _initial_density(cfg[initial_key], grid)
     times = np.asarray(cfg["times"], dtype=float)
     mode = cfg["mode"]
 
     if mode == "interior":
         sol = solve_interior(model, u0, cfg["T"], times, grid)
-        manifest.record_interior(sol)
-        traj = sol.trajectory
-        a, b = masses_from_conservation(traj, u0, 0.0, 0.0, phi)
-        dens = traj.values
-        out_times = traj.times
-        if psi.continuous_tier:
-            tf, af, bf = masses_from_boundary_flux(sol.traces, 0.0, 0.0)
-            agree = float(
-                max(
-                    np.max(np.abs(a - np.interp(out_times, tf, af))),
-                    np.max(np.abs(b - np.interp(out_times, tf, bf))),
-                )
-            )
-            manifest.check("flux_vs_conservation_masses", agree, agree <= 1e-3)
-        else:
-            manifest.warnings.append(
-                "tabulated-linear drift: flux-form masses unavailable, "
-                "conservation form only"
-            )
-    elif mode == "regularized":
-        sol = solve_regularized(model, u0, cfg["eps"], times, grid)
+        manifest.diagnostics.update(
+            interior_method=sol.method,
+            interior_dt=sol.dt,
+            interior_steps=sol.steps,
+            interior_log_scale_spread=sol.log_scale_spread,
+        )
+        a, b = interior_atoms(manifest, model, sol, u0)
         dens = sol.trajectory.values
         out_times = sol.trajectory.times
-        decomposed = [decompose_measure(v, grid, t) for v, t in zip(dens, out_times)]
-        a = np.array([d.atom0 for d in decomposed])
-        b = np.array([d.atom1 for d in decomposed])
-        dens = np.stack([d.density for d in decomposed])
     else:
-        ladder = RegularizationLadder(g=model.g, epsilons=tuple(cfg["ladder"]))
-        res = vanishing_limit(model, u0, ladder, times, grid)
-        if res.warning:
-            manifest.warnings.append(res.warning)
-        manifest.assumptions.append("richardson_order1")
-        if np.isfinite(res.extrapolation_ratio):
-            manifest.warnings.append(
-                "ladder differences decay geometrically (ratio "
-                f"{res.extrapolation_ratio:.3f}); extrapolation used the "
-                "estimated ratio instead of the first-order form"
-            )
-        a = np.array([m.atom0 for m in res.measures])
-        b = np.array([m.atom1 for m in res.measures])
-        dens = np.stack([m.density for m in res.measures])
-        out_times = times
+        if mode == "regularized":
+            traj = solve_regularized(model, u0, cfg["eps"], times, grid).trajectory
+            measures = [decompose_measure(v, grid, t) for v, t in zip(traj.values, traj.times)]
+        else:
+            ladder = RegularizationLadder(g=model.g, epsilons=tuple(cfg["ladder"]))
+            res = vanishing_limit(model, u0, ladder, times, grid)
+            if res.warning:
+                manifest.warnings.append(res.warning)
+            manifest.assumptions.append("richardson_order1")
+            if np.isfinite(res.extrapolation_ratio):
+                manifest.warnings.append(
+                    "ladder differences decay geometrically (ratio "
+                    f"{res.extrapolation_ratio:.3f}); extrapolation used the "
+                    "estimated ratio instead of the first-order form"
+                )
+            measures = res.measures
+        out_times = np.array([m.time for m in measures])
+        a = np.array([m.atom0 for m in measures])
+        # no atom at a zero-flux end
+        b = np.array([m.atom1 if model.absorbs_at_1 else 0.0 for m in measures])
+        dens = np.stack([m.density for m in measures])
 
     nodes = grid.nodes
-    phiv = phi(nodes)
     interior = np.array([float(np.trapezoid(d, nodes)) for d in dens])
     total = a + b + interior
-    phimom = b + np.array([float(np.trapezoid(d * phiv, nodes)) for d in dens])
     mass_drift = float(np.max(np.abs(total - total[0])))
-    mom_drift = float(np.max(np.abs(phimom - phimom[0])))
     manifest.check("total_mass_drift", mass_drift, mass_drift <= 1e-4)
-    manifest.check("phi_moment_drift", mom_drift, mom_drift <= 1e-4)
-    min_atom = float(min(a.min(), b.min()))
-    manifest.check("atom_admissibility", min_atom, min_atom >= -1e-8)
+    phimom = total  # the moment of the last law, total mass under one law
+    if model.absorbs_at_1:  # the second law's moment, and two atoms
+        phiv = model.laws[1](nodes)
+        phimom = b + np.array([float(np.trapezoid(d * phiv, nodes)) for d in dens])
+        mom_drift = float(np.max(np.abs(phimom - phimom[0])))
+        manifest.check("phi_moment_drift", mom_drift, mom_drift <= 1e-4)
+        min_atom = float(min(a.min(), b.min()))
+        manifest.check("atom_admissibility", min_atom, min_atom >= -1e-8)
 
     rows = list(zip(out_times, a, b, interior, total, phimom))
     files = {
@@ -467,66 +483,22 @@ def _run_kimura(cfg: RunConfig, manifest: RunManifest) -> dict:
     return files
 
 
-def _run_sis(cfg: RunConfig, manifest: RunManifest) -> dict:
+def _conservative_eigensystem(cfg: RunConfig, manifest: RunManifest, k=None, weight=None):
+    """The totally conservative problem of the config's p, q and laws, and
+    its k smallest eigenpairs (all by default)."""
     grid = Grid(0.0, 1.0, cfg["n"])
-    model = sis_model(cfg["R0"])
-    p0 = _initial_density(cfg["p0"], grid)
-    times = np.asarray(cfg["times"], dtype=float)
-
-    if cfg["mode"] == "interior":
-        sol = solve_interior(model, p0, cfg["T"], times, grid)
-        manifest.record_interior(sol)
-        traj = sol.trajectory
-        ta, a_curve = sis_atom_mass(sol.traces, 0.0, cfg["R0"])
-        a = np.interp(traj.times, ta, a_curve)
-        dens = traj.values
-        out_times = traj.times
-        r = dens[-1]
-        h = grid.h
-        drx = (3 * r[-1] - 4 * r[-2] + r[-3]) / (2 * h)
-        robin = abs(0.5 * ((1 - cfg["R0"]) * r[-1] + drx) + r[-1])
-        manifest.check("robin_residual_at_1", robin, robin <= 1e-3)
-        mono = bool(np.all(np.diff(a_curve) >= -1e-10))
-        manifest.check("atom_mass_nondecreasing", mono, mono)
-    else:
-        sol = solve_regularized(model, p0, cfg["eps"], times, grid)
-        dens = sol.trajectory.values
-        out_times = sol.trajectory.times
-        decomposed = [decompose_measure(v, grid, t) for v, t in zip(dens, out_times)]
-        a = np.array([d.atom0 for d in decomposed])
-        dens = np.stack([d.density for d in decomposed])
-
-    nodes = grid.nodes
-    interior = np.array([float(np.trapezoid(d, nodes)) for d in dens])
-    b = np.zeros_like(a)
-    total = a + interior
-    mass_err = float(np.max(np.abs(total - total[0])))
-    manifest.check("total_mass_drift", mass_err, mass_err <= 1e-4)
-
-    rows = list(zip(out_times, a, b, interior, total, total))
-    files = {
-        "masses.csv": _csv(
-            rows,
-            header=("t", "atom0", "atom1", "interior_mass", "total_mass", "phi_moment"),
-        )
-    }
-    files.update(_density_files(out_times, grid, dens))
-    if cfg["emit_plot_data"]:
-        files.update(_plot_files(out_times, grid, dens, rows))
-    return files
+    p, q, law1, law2 = (field_from_expression(cfg[key]) for key in ("p", "q", "law1", "law2"))
+    problem = build_totally_conservative(p, q, law1, law2, grid, weight=weight)
+    eig = eigensolve(assemble(problem.sl, grid), k=k)
+    manifest.diagnostics.update(
+        eigensolve_method=eig.method, eigensolve_modes=eig.eigenvalues.size
+    )
+    return grid, problem, eig
 
 
 def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
-    grid = Grid(0.0, 1.0, cfg["n"])
-    p = field_from_expression(cfg["p"])
-    q = field_from_expression(cfg["q"])
-    w = field_from_expression(cfg["weight"])
-    law1 = field_from_expression(cfg["law1"])
-    law2 = field_from_expression(cfg["law2"])
-    problem = build_totally_conservative(p, q, law1, law2, grid, weight=w)
-    op = assemble(problem.sl, grid)
-    eig = eigensolve(op, k=cfg["k"])
-    manifest.record_eigensolve(eig)
+    weight = field_from_expression(cfg["weight"])
+    _, _, eig = _conservative_eigensystem(cfg, manifest, cfg["k"], weight)
     manifest.check("zero_multiplicity", eig.zero_multiplicity, eig.zero_multiplicity >= 1)
     if eig.eigenvalues.size >= 3 and eig.zero_multiplicity == 2:
         ok = bool(
@@ -541,15 +513,7 @@ def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
 
 
 def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
-    grid = Grid(0.0, 1.0, cfg["n"])
-    p = field_from_expression(cfg["p"])
-    q = field_from_expression(cfg["q"])
-    law1 = field_from_expression(cfg["law1"])
-    law2 = field_from_expression(cfg["law2"])
-    problem = build_totally_conservative(p, q, law1, law2, grid)
-    op = assemble(problem.sl, grid)
-    eig = eigensolve(op)
-    manifest.record_eigensolve(eig)
+    grid, problem, eig = _conservative_eigensystem(cfg, manifest)
 
     def tf(expr_text):
         expr = parse_expression(expr_text, variable="t")
@@ -582,25 +546,12 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
 
 
 def _run_oracle(cfg: RunConfig, manifest: RunManifest) -> dict:
-    if cfg["model"] == "kimura":
-        psi = field_from_expression(cfg["psi"])
-        spec = kimura_sde(
-            psi,
-            cfg["x0"],
-            dt=cfg["dt"],
-            horizon=cfg["T"],
-            replicates=cfg["replicates"],
-            seed=cfg["seed"],
-        )
-    else:
-        spec = sis_sde(
-            cfg["R0"],
-            cfg["x0"],
-            dt=cfg["dt"],
-            horizon=cfg["T"],
-            replicates=cfg["replicates"],
-            seed=cfg["seed"],
-        )
+    common = dict(dt=cfg["dt"], horizon=cfg["T"], replicates=cfg["replicates"], seed=cfg["seed"])
+    make_spec = {
+        "kimura": lambda: kimura_sde(field_from_expression(cfg["psi"]), cfg["x0"], **common),
+        "sis": lambda: sis_sde(cfg["R0"], cfg["x0"], **common),
+    }
+    spec = make_spec[cfg["model"]]()
     measures = simulate(spec, cfg["times"], bins=cfg["bins"])
     manifest.assumptions.append("sde_matching")
     manifest.diagnostics.update(
@@ -686,8 +637,8 @@ def _run_validate(cfg: RunConfig, manifest: RunManifest) -> dict:
 
 
 _RUNNERS = {
-    "kimura": _run_kimura,
-    "sis": _run_sis,
+    "kimura": _run_degenerate,
+    "sis": _run_degenerate,
     "spectrum": _run_spectrum,
     "moments": _run_moments,
     "oracle": _run_oracle,

@@ -38,6 +38,7 @@ from .sturm import (
     Trajectory,
     apply_operator,
     assemble,
+    conservation_row,
     coupling_from_kernel,
     make_coupling,
     sample_field,
@@ -72,8 +73,9 @@ class ConservativeProblem:
     max_principle_assumed: bool = False
 
 
-def _kernel_residual(p, q, weight, phi, grid: Grid) -> Tuple[float, float]:
-    """Max interior residual of L phi and the acceptance threshold."""
+def _require_law(name, p, q, weight, phi, grid: Grid, kernel_tol=None):
+    """Raise InputError unless L phi = 0 on the interior nodes up to
+    ``kernel_tol`` (by default a discretization-aware threshold)."""
     from .sturm import neumann_coupling
 
     op = assemble(SLProblem(p=p, q=q, weight=weight, coupling=neumann_coupling()), grid)
@@ -85,7 +87,12 @@ def _kernel_residual(p, q, weight, phi, grid: Grid) -> Tuple[float, float]:
     # discretization-aware acceptance: the h^-2 term is the natural size of
     # the stencil applied to a resolved non-kernel direction
     tol = 1e-6 * (1.0 + phi_sup * q_sup + phi_sup / grid.h**2)
-    return resid, tol
+    tol = kernel_tol if kernel_tol is not None else tol
+    if resid > tol:
+        raise InputError(
+            f"{name} is not a conservation law: interior kernel residual "
+            f"{resid:.3e} exceeds {tol:.3e}"
+        )
 
 
 def _assemble_conservative(p, q, weight, phi1, phi2, grid: Grid) -> ConservativeProblem:
@@ -100,21 +107,13 @@ def _assemble_conservative(p, q, weight, phi1, phi2, grid: Grid) -> Conservative
         raise CouplingError("conservation laws are numerically proportional")
     coupling = coupling_from_kernel(phi1, phi2, p, grid)
     law_values = np.vstack([v1, v2])
-    problem = ConservativeProblem(
+    return ConservativeProblem(
         sl=SLProblem(p=p, q=q, weight=weight, coupling=coupling),
         grid=grid,
         laws=(phi1, phi2),
         law_values=law_values,
         kind="totally",
-        positivity=UNKNOWN,
-    )
-    return ConservativeProblem(
-        sl=problem.sl,
-        grid=grid,
-        laws=problem.laws,
-        law_values=law_values,
-        kind="totally",
-        positivity=certify_intrinsic_positivity(problem),
+        positivity=_positivity(law_values),
     )
 
 
@@ -134,12 +133,7 @@ def build_totally_conservative(
     """
     weight = weight if weight is not None else constant_field(1.0)
     for name, phi in (("phi1", phi1), ("phi2", phi2)):
-        resid, tol = _kernel_residual(p, q, weight, phi, grid)
-        if resid > (kernel_tol if kernel_tol is not None else tol):
-            raise InputError(
-                f"{name} is not a conservation law: interior kernel residual "
-                f"{resid:.3e} exceeds {kernel_tol if kernel_tol is not None else tol:.3e}"
-            )
+        _require_law(name, p, q, weight, phi, grid, kernel_tol)
     return _assemble_conservative(p, q, weight, phi1, phi2, grid)
 
 
@@ -158,17 +152,8 @@ def build_partially_conservative(
     maximum principle that is recorded as assumed.
     """
     weight = weight if weight is not None else constant_field(1.0)
-    resid, tol = _kernel_residual(p, q, weight, phi1, grid)
-    if resid > tol:
-        raise InputError(
-            f"phi1 is not a conservation law: residual {resid:.3e} exceeds {tol:.3e}"
-        )
-    scale = 1.0 / (grid.b - grid.a)
-    va, vb = phi1(0.0), phi1(1.0)
-    da, db = phi1.derivative(0.0) * scale, phi1.derivative(1.0) * scale
-    pa, pb = p(0.0), p(1.0)
-    law_row = [pa * da, -pb * db, -pa * va, pb * vb]
-    coupling = make_coupling([law_row, list(extra_bc)])
+    _require_law("phi1", p, q, weight, phi1, grid)
+    coupling = make_coupling([conservation_row(phi1, p, grid), list(extra_bc)])
     v1 = sample_field(phi1, grid)
     positivity = NONNEGATIVE if float(v1.min()) >= -1e-12 else UNKNOWN
     return ConservativeProblem(
@@ -193,7 +178,13 @@ def certify_intrinsic_positivity(
     """
     if problem.kind != "totally":
         raise ArgumentError("positivity certification needs a totally conservative problem")
-    v1, v2 = problem.law_values
+    return _positivity(problem.law_values, directions, margin)
+
+
+def _positivity(law_values, directions: int = 720, margin: float = 1e-12) -> str:
+    """The sweep behind :func:`certify_intrinsic_positivity`, on the two
+    laws' samples."""
+    v1, v2 = law_values
     thetas = np.linspace(0.0, np.pi, directions, endpoint=False)
     for th in thetas:
         combo = np.cos(th) * v1 + np.sin(th) * v2

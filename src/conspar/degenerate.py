@@ -1,22 +1,23 @@
 """Boundary-degenerate drift-diffusion problems and their measure limits.
 
-Two model families are covered, both of the form
-``du/dt = (g u)'' - (g psi u)'`` with g vanishing at x = 0:
+A model has the form ``du/dt = (g u)'' - (g psi u)'`` with g vanishing at
+x = 0, and is described by its conservation laws. The laws decide the
+closure at x = 1:
 
-* gene-frequency dynamics ("kimura"): g = x(1-x) vanishes at both ends and
-  the problem carries two conserved functionals (total mass and the
-  fixation-probability moment);
-* epidemic prevalence dynamics ("sis"): g = x(R0(1-x)+1)/2 is positive at
-  x = 1, where a zero-flux (Robin) condition holds, and only total mass is
-  conserved.
+* two laws, total mass and the fixation-probability moment: g(1) = 0 and
+  x = 1 absorbs like x = 0 (gene-frequency dynamics, "kimura", with
+  g = x(1-x));
+* one law, total mass: g(1) > 0 and a zero-flux (Robin) condition holds
+  at x = 1 (epidemic prevalence dynamics, "sis", with g = x(R0(1-x)+1)/2).
 
 The uniformly parabolic regularization replaces g by g + eps, transforms
 to self-adjoint form with the weight exp(int psi)/g_eps, and evolves
-spectrally. The vanishing-regularization limit is a nonnegative measure:
-atoms at the degenerate endpoints plus a regular interior density. Atomic
-masses are computed from the conservation identities (primary) or by time
-integration of the interior boundary traces (requires continuous psi);
-half-cell excess extraction is available as a secondary diagnostic.
+spectrally under the boundary rows of the laws (plus a zero-flux row at
+x = 1 under one law). The vanishing-regularization limit is a nonnegative
+measure: atoms at the absorbing endpoints plus a regular interior density.
+Atomic masses are computed from the conservation identities (primary) or
+by time integration of the interior boundary traces (requires continuous
+psi); half-cell excess extraction is available as a secondary diagnostic.
 
 The strong interior solution uses a Rannacher-started trapezoidal time
 discretization of the method-of-lines system. Its iterates are read off
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +46,7 @@ from .errors import (
 )
 from .fields import (
     CoefficientField,
-    SisCoefficients,
+    constant_field,
     cumulative_trapezoid,
     exponential_weight,
     field_from_callable,
@@ -58,41 +60,62 @@ from .sturm import (
     SLProblem,
     Trajectory,
     assemble,
-    coupling_from_kernel,
+    conservation_row,
     eigensolve,
     evolve,
     make_coupling,
     sample_field,
 )
 
-KIMURA = "kimura"
-SIS = "sis"
+
+def _total_mass(psi: CoefficientField) -> CoefficientField:
+    """The law every model keeps: the constant 1, whatever the drift."""
+    return constant_field(1.0)
 
 
 @dataclass(frozen=True, eq=False)
 class DegenerateModel:
-    """A boundary-degenerate model: kind, drift, and degeneracy field."""
+    """A boundary-degenerate model: degeneracy field, drift and the
+    conservation laws that close it.
+
+    ``law_builders`` make each conserved density from the drift: total
+    mass, then, when x = 1 absorbs, the fixation probability. Their number
+    decides the closure at x = 1 (see ``absorbs_at_1``). ``kind`` is a
+    label only.
+    """
 
     kind: str
     g: CoefficientField
     psi: CoefficientField
+    law_builders: tuple
     R0: Optional[float] = None
-    sis: Optional[SisCoefficients] = None
+
+    @cached_property
+    def laws(self) -> tuple:
+        """The conserved densities, (1, phi) or (1,), built on first use."""
+        return tuple(build(self.psi) for build in self.law_builders)
+
+    @property
+    def absorbs_at_1(self) -> bool:
+        """Two laws: g(1) = 0, x = 1 absorbs and carries no unknown, and its
+        trace is extrapolated. One law: g(1) > 0, zero flux through x = 1,
+        and the last unknown sits on x = 1 as its own trace."""
+        return len(self.law_builders) == 2
 
     @property
     def boundary_mode_at_1(self) -> str:
-        return "degenerate_with_second_law" if self.kind == KIMURA else "robin_flux"
+        return "degenerate_with_second_law" if self.absorbs_at_1 else "robin_flux"
 
     def __post_init__(self):
-        if self.kind not in (KIMURA, SIS):
-            raise InputError(f"unknown model kind {self.kind!r}")
+        if len(self.law_builders) not in (1, 2):
+            raise InputError("a degenerate model conserves one or two laws")
         if abs(self.g(0.0)) > 1e-14:
             raise InputError("degeneracy field must vanish at x = 0")
         g1 = self.g(1.0)
-        if self.kind == KIMURA and abs(g1) > 1e-14:
-            raise InputError("two-sided model needs g(1) = 0")
-        if self.kind == SIS and g1 <= 0:
-            raise InputError("flux-boundary model needs g(1) > 0")
+        if self.absorbs_at_1 and abs(g1) > 1e-14:
+            raise InputError("two conservation laws need g(1) = 0")
+        if not self.absorbs_at_1 and g1 <= 0:
+            raise InputError("one conservation law needs g(1) > 0 (zero flux at x = 1)")
 
 
 def kimura_model(psi: CoefficientField) -> DegenerateModel:
@@ -102,7 +125,9 @@ def kimura_model(psi: CoefficientField) -> DegenerateModel:
         "logistic_degeneracy",
         derivative=lambda x: 1.0 - 2.0 * np.asarray(x),
     )
-    return DegenerateModel(kind=KIMURA, g=g, psi=psi)
+    return DegenerateModel(
+        kind="kimura", g=g, psi=psi, law_builders=(_total_mass, fixation_probability)
+    )
 
 
 def sis_model(R0: float) -> DegenerateModel:
@@ -120,7 +145,9 @@ def sis_model(R0: float) -> DegenerateModel:
         (R0,),
         derivative=lambda x: -4.0 * R0 / coeffs.F(x) ** 2,
     )
-    return DegenerateModel(kind=SIS, g=g, psi=psi, R0=float(R0), sis=coeffs)
+    return DegenerateModel(
+        kind="sis", g=g, psi=psi, law_builders=(_total_mass,), R0=float(R0)
+    )
 
 
 @dataclass(frozen=True)
@@ -149,22 +176,24 @@ class RegularizationLadder:
         )
 
 
-def to_selfadjoint(u: np.ndarray, g_eps: np.ndarray, p_weight: np.ndarray) -> np.ndarray:
-    """v = u g_eps / p; the transform taking the forward equation to
-    self-adjoint form."""
+def _divisors(g_eps, p_weight):
     g_eps = np.asarray(g_eps, dtype=float)
     p_weight = np.asarray(p_weight, dtype=float)
     if np.any(g_eps <= 0) or np.any(p_weight <= 0):
         raise TransformError("transform divisors must be positive")
+    return g_eps, p_weight
+
+
+def to_selfadjoint(u: np.ndarray, g_eps: np.ndarray, p_weight: np.ndarray) -> np.ndarray:
+    """v = u g_eps / p; the transform taking the forward equation to
+    self-adjoint form."""
+    g_eps, p_weight = _divisors(g_eps, p_weight)
     return np.asarray(u, dtype=float) * g_eps / p_weight
 
 
 def from_selfadjoint(v: np.ndarray, g_eps: np.ndarray, p_weight: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_selfadjoint`: u = v p / g_eps."""
-    g_eps = np.asarray(g_eps, dtype=float)
-    p_weight = np.asarray(p_weight, dtype=float)
-    if np.any(g_eps <= 0) or np.any(p_weight <= 0):
-        raise TransformError("transform divisors must be positive")
+    g_eps, p_weight = _divisors(g_eps, p_weight)
     return np.asarray(v, dtype=float) * p_weight / g_eps
 
 
@@ -178,8 +207,6 @@ class RegularizedSolution:
     eig: EigenSystem
     p_values: np.ndarray
     g_eps_values: np.ndarray
-    model: DegenerateModel
-    eps: float
 
 
 def regularized_system(
@@ -197,15 +224,10 @@ def regularized_system(
         (eps,),
         n=max(p.xs.size, g_eps.xs.size),
     )
-    if model.kind == KIMURA:
-        phi = fixation_probability(model.psi)
-        one = field_from_callable(lambda x: np.ones(np.shape(x)), "1")
-        coupling = coupling_from_kernel(one, phi, p, grid)
-    else:
-        pa, pb = p(0.0), p(1.0)
-        coupling = make_coupling(
-            [[0.0, 0.0, -pa, pb], [0.0, 0.0, 0.0, 1.0]]
-        )
+    rows = [conservation_row(law, p, grid) for law in model.laws]
+    if not model.absorbs_at_1:
+        rows.append([0.0, 0.0, 0.0, 1.0])  # zero flux through x = 1
+    coupling = make_coupling(rows)
     problem = SLProblem(p=p, q=field_from_callable(lambda x: np.zeros(np.shape(x)), "0"),
                         weight=weight, coupling=coupling)
     eig = eigensolve(assemble(problem, grid))
@@ -223,9 +245,8 @@ def solve_regularized(
     snapshots.
 
     The initial density is transformed to the self-adjoint variable,
-    evolved spectrally under the coupling rows of the model, and
-    transformed back; mass (and for the two-sided model the fixation
-    moment) is conserved along the way.
+    evolved spectrally under the coupling rows of the model's laws, and
+    transformed back; every law's moment is conserved along the way.
     """
     u_initial = np.asarray(u_initial, dtype=float)
     if u_initial.shape != (grid.n,):
@@ -241,8 +262,6 @@ def solve_regularized(
         eig=eig,
         p_values=p_vals,
         g_eps_values=g_vals,
-        model=model,
-        eps=eps,
     )
 
 
@@ -289,8 +308,7 @@ def decompose_measure(values: np.ndarray, grid: Grid, time: float = 0.0) -> Boun
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n,) or grid.n < 5:
         raise ArgumentError("need grid data with at least 5 nodes")
-    left = 3 * v[1] - 3 * v[2] + v[3]
-    right = 3 * v[-2] - 3 * v[-3] + v[-4]
+    left, right = _left_trace(v[1:]), _right_trace(v[:-1], absorbing=True)
     h = grid.h
     atom0 = (h / 2) * (v[0] - left)
     atom1 = (h / 2) * (v[-1] - right)
@@ -324,7 +342,6 @@ class InteriorSolution:
 
     trajectory: Trajectory
     traces: BoundaryTraces
-    model: DegenerateModel
     method: str
     dt: float
     steps: int
@@ -333,8 +350,9 @@ class InteriorSolution:
 
 def _interior_operator(model: DegenerateModel, grid: Grid):
     """Tridiagonal generator of dr/dt = (flux differences) on the unknown
-    nodes; the degenerate endpoints carry no unknowns (their flux factor
-    vanishes) and the flux-boundary model closes x = 1 with a zero flux."""
+    nodes. An absorbing end carries no unknown (its flux factor vanishes);
+    under one law the last unknown sits on x = 1 in a half cell whose
+    outer face carries zero flux."""
     nodes = grid.nodes
     h = grid.h
     g_nodes = sample_field(model.g, grid)
@@ -351,35 +369,14 @@ def _interior_operator(model: DegenerateModel, grid: Grid):
     alpha = -g_nodes[:-1] / h - psi_half * g_nodes[:-1] / 2
     beta = g_nodes[1:] / h - psi_half * g_nodes[1:] / 2
 
-    if model.kind == KIMURA:
-        lo, hi = 1, grid.n - 2  # unknowns nodes[lo..hi]
-    else:
-        lo, hi = 1, grid.n - 1
-    m = hi - lo + 1
-    cell = np.full(m, h)
-    if model.kind == SIS:
-        cell[-1] = h / 2  # half cell against the zero-flux face at x = 1
-
-    # d r_i/dt = (F_{i+1/2} - F_{i-1/2}) / cell_i ; F at the outer faces of
-    # the unknown range uses the vanishing degenerate factor (or zero flux)
-    diag = np.zeros(m)
-    lower = np.zeros(m - 1)
-    upper = np.zeros(m - 1)
-    for j in range(m):
-        i = lo + j
-        if i + 1 <= hi:  # flux to the right neighbor
-            diag[j] += alpha[i]
-            upper[j] = beta[i]
-        elif model.kind == KIMURA:
-            diag[j] += alpha[i]  # w_{n-1} = 0: beta column drops
-        # SIS right boundary: outgoing face flux is zero
-        if i - 1 >= lo:
-            diag[j] -= beta[i - 1]
-            lower[j - 1] = -alpha[i - 1]
-        else:
-            diag[j] -= beta[i - 1]  # w_0 = 0: alpha column drops
-    A = (diag, lower, upper, cell)
-    return A, lo, hi
+    lo, hi = 1, (grid.n - 2 if model.absorbs_at_1 else grid.n - 1)  # unknowns
+    # d r_i/dt = (F_{i+1/2} - F_{i-1/2}) / cell_i. Terms in r at an absorbing
+    # end drop out; the appended 0 is the zero flux past x = 1 under one law
+    diag = np.append(alpha, 0.0)[lo : hi + 1] - beta[lo - 1 : hi]
+    lower = -alpha[lo:hi]
+    upper = beta[lo:hi]
+    cell = grid.cell_weights()[lo : hi + 1]
+    return (diag, lower, upper, cell), lo, hi
 
 
 def _banded(diag, lower, upper, scale, shift, factor):
@@ -393,14 +390,14 @@ def _banded(diag, lower, upper, scale, shift, factor):
 
 
 # Boundary-trace functionals on the unknowns (node axis last): the
-# quadratic extrapolations to the endpoints, or the last unknown itself
-# when it sits on x = 1.
+# quadratic extrapolation to an absorbing end, or the last unknown itself
+# when it sits on x = 1 (``absorbing`` is the model's ``absorbs_at_1``).
 def _left_trace(r):
     return 3 * r[..., 0] - 3 * r[..., 1] + r[..., 2]
 
 
-def _right_trace(r, kind):
-    if kind == KIMURA:
+def _right_trace(r, absorbing):
+    if absorbing:
         return 3 * r[..., -1] - 3 * r[..., -2] + r[..., -3]
     return r[..., -1]
 
@@ -445,7 +442,7 @@ def _modal_basis(diag, lower, upper, cell):
     return (lam, Q, np.exp(log_d - 0.5 * (top + bottom))), spread
 
 
-def _modal_snapshots(modes, kind, r0, dt, snap_idx):
+def _modal_snapshots(modes, absorbing, r0, dt, snap_idx):
     """The stepper's iterates read off the modes: r_k = D^-1 Q rho_k Q^T D r0
     with rho_k = R_be^(2 min(k, 2)) R_tr^max(k - 2, 0), where R_be is one
     backward-Euler half step and R_tr one trapezoid step.
@@ -466,7 +463,7 @@ def _modal_snapshots(modes, kind, r0, dt, snap_idx):
 
     # only the rows of D^-1 Q that the trace functionals read are formed
     weights = np.stack(
-        [_left_trace(Q[:3].T / d[:3]), _right_trace(Q[-3:].T / d[-3:], kind)],
+        [_left_trace(Q[:3].T / d[:3]), _right_trace(Q[-3:].T / d[-3:], absorbing)],
         axis=1,
     ) * c[:, None]
     return snaps, weights, (r_be, r_tr)
@@ -478,7 +475,7 @@ def _rho(r_be, r_tr, k):
     return r_be ** (2 * np.minimum(k, 2)) * r_tr ** np.maximum(k - 2, 0)
 
 
-def _modal_traces(weights, factors, kind, r0, n_steps):
+def _modal_traces(weights, factors, absorbing, r0, n_steps):
     """Both boundary traces at every step from the modal trace weights.
 
     Traces are produced in chunks of steps, each one product of a fixed
@@ -489,7 +486,7 @@ def _modal_traces(weights, factors, kind, r0, n_steps):
     head = np.arange(min(n_steps, 2) + 1)  # the Rannacher start
     traces = np.empty((2, n_steps + 1))
     traces[:, head] = (_rho(r_be, r_tr, head) @ weights).T
-    traces[:, 0] = _left_trace(r0), _right_trace(r0, kind)
+    traces[:, 0] = _left_trace(r0), _right_trace(r0, absorbing)
     # later steps: trace[k + j] = sum_i R_tr^j_i w_i with w the weights at
     # step k, for j = 1..chunk, then w moves on by R_tr^chunk
     chunk = min(_TRACE_CHUNK, n_steps)
@@ -502,7 +499,7 @@ def _modal_traces(weights, factors, kind, r0, n_steps):
     return traces[0], traces[1]
 
 
-def _step_interior(A, kind, r0, dt, n_steps, snap_idx):
+def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
     """Reference time stepper: one banded solve per step.
 
     Implicit trapezoidal steps; the first two steps are each split into
@@ -525,7 +522,7 @@ def _step_interior(A, kind, r0, dt, n_steps, snap_idx):
 
     trace0 = np.empty(n_steps + 1)
     trace1 = np.empty(n_steps + 1)
-    trace0[0], trace1[0] = _left_trace(r), _right_trace(r, kind)
+    trace0[0], trace1[0] = _left_trace(r), _right_trace(r, absorbing)
 
     snap_set = {int(s) for s in snap_idx}
     snapshots = {}
@@ -545,7 +542,7 @@ def _step_interior(A, kind, r0, dt, n_steps, snap_idx):
         if step % 200 == 0 or step == n_steps:
             if not np.all(np.isfinite(r)) or float(np.max(np.abs(r))) > 1e6 * norm0:
                 raise TimeStepError(f"interior stepper blew up at step {step}")
-        trace0[step], trace1[step] = _left_trace(r), _right_trace(r, kind)
+        trace0[step], trace1[step] = _left_trace(r), _right_trace(r, absorbing)
         if step in snap_set:
             snapshots[step] = r.copy()
 
@@ -577,8 +574,8 @@ def solve_interior(
     amplify rounding past about 1e-10, or when the dense eigenbasis would
     exceed 32 MiB. ``method`` on the result says which ran.
 
-    Degenerate endpoints need no boundary rows; the flux-boundary model
-    gets a zero-flux closure at x = 1 that realizes its Robin condition.
+    Absorbing endpoints need no boundary rows; under one law a zero-flux
+    closure at x = 1 realizes the Robin condition there.
     Snapshots carry quadratically extrapolated boundary traces in the
     endpoint slots.
     """
@@ -598,15 +595,16 @@ def solve_interior(
     A, lo, hi = _interior_operator(model, grid)
     r0 = r_initial[lo : hi + 1].copy()
     snap_idx = np.rint(times / dt).astype(int)
+    absorbing = model.absorbs_at_1
     modes, spread = _modal_basis(*A)
     if modes is None:
         method = "stepper"
-        snaps, trace0, trace1 = _step_interior(A, model.kind, r0, dt, n_steps, snap_idx)
+        snaps, trace0, trace1 = _step_interior(A, absorbing, r0, dt, n_steps, snap_idx)
     else:
         method = "modal"
-        snaps, weights, factors = _modal_snapshots(modes, model.kind, r0, dt, snap_idx)
+        snaps, weights, factors = _modal_snapshots(modes, absorbing, r0, dt, snap_idx)
         del modes  # the m x m basis; the traces need only the weights
-        trace0, trace1 = _modal_traces(weights, factors, model.kind, r0, n_steps)
+        trace0, trace1 = _modal_traces(weights, factors, absorbing, r0, n_steps)
 
     # the NaN-safe comparison also rejects non-finite values
     limit = 1e6 * (float(np.max(np.abs(r0))) + 1.0)
@@ -616,7 +614,7 @@ def solve_interior(
     values = np.zeros((times.size, grid.n))
     values[:, lo : hi + 1] = snaps
     values[:, 0] = _left_trace(snaps)
-    values[:, -1] = _right_trace(snaps, model.kind)
+    values[:, -1] = _right_trace(snaps, absorbing)
 
     traj = Trajectory(grid=grid, times=np.asarray(snap_idx, dtype=float) * dt, values=values)
     traces = BoundaryTraces(
@@ -628,7 +626,6 @@ def solve_interior(
     return InteriorSolution(
         trajectory=traj,
         traces=traces,
-        model=model,
         method=method,
         dt=dt,
         steps=n_steps,
@@ -662,11 +659,8 @@ def masses_from_conservation(
     r0 = np.asarray(r_initial, dtype=float)
     i0_one_minus = float(np.trapezoid(r0 * (1 - phi_v), nodes))
     i0_phi = float(np.trapezoid(r0 * phi_v, nodes))
-    a = np.empty(traj.times.size)
-    b = np.empty(traj.times.size)
-    for i, r in enumerate(traj.values):
-        a[i] = a0 + i0_one_minus - float(np.trapezoid(r * (1 - phi_v), nodes))
-        b[i] = b0 + i0_phi - float(np.trapezoid(r * phi_v, nodes))
+    a = a0 + i0_one_minus - np.trapezoid(traj.values * (1 - phi_v), nodes, axis=1)
+    b = b0 + i0_phi - np.trapezoid(traj.values * phi_v, nodes, axis=1)
     worst = float(min(a.min(), b.min()))
     if worst < -1e-8:
         warnings.warn(
@@ -734,7 +728,6 @@ class VanishingLimitResult:
     monotone_fraction: float
     warning: Optional[str]
     extrapolation_ratio: float
-    richardson_assumed: bool = True
 
 
 def vanishing_limit(
@@ -794,27 +787,21 @@ def vanishing_limit(
     # Boundary-cell excess of the extrapolated density moves to the atoms
     # (half-cell decomposition); the conservation identities then pin the
     # atomic masses exactly, with the remaining regular density as the
-    # interior part.
+    # interior part: the second law, if any, gives the atom at x = 1, and
+    # total mass the atom at x = 0.
     nodes = grid.nodes
     mass0 = float(np.trapezoid(u_initial, nodes))
-    measures = []
-    if model.kind == KIMURA:
-        phi_v = sample_field(fixation_probability(model.psi), grid)
+    if model.absorbs_at_1:
+        phi_v = sample_field(model.laws[1], grid)
         moment0 = float(np.trapezoid(u_initial * phi_v, nodes))
-        for i, t in enumerate(times):
-            r = decompose_measure(r_limit[i], grid, float(t)).density
-            b = moment0 - float(np.trapezoid(r * phi_v, nodes))
-            a = mass0 - float(np.trapezoid(r, nodes)) - b
-            measures.append(
-                BoundaryMeasure(atom0=a, density=r, atom1=b, time=float(t), grid=grid)
-            )
-    else:
-        for i, t in enumerate(times):
-            r = decompose_measure(r_limit[i], grid, float(t)).density
-            a = mass0 - float(np.trapezoid(r, nodes))
-            measures.append(
-                BoundaryMeasure(atom0=a, density=r, atom1=0.0, time=float(t), grid=grid)
-            )
+    measures = []
+    for i, t in enumerate(times):
+        r = decompose_measure(r_limit[i], grid, float(t)).density
+        b = moment0 - float(np.trapezoid(r * phi_v, nodes)) if model.absorbs_at_1 else 0.0
+        a = mass0 - float(np.trapezoid(r, nodes)) - b
+        measures.append(
+            BoundaryMeasure(atom0=a, density=r, atom1=b, time=float(t), grid=grid)
+        )
     return VanishingLimitResult(
         measures=measures,
         probe_xs=probe_xs,
@@ -857,29 +844,23 @@ def separable_test_function(
 
 
 def canonical_test_directions(model: DegenerateModel):
-    """The two spatial test directions every admissible domain contains:
-    the constant 1, and (for continuous drift) the fixation moment.
+    """The spatial test directions every admissible domain contains: the
+    model's conservation laws, the constant 1 and (when x = 1 absorbs) the
+    fixation moment.
 
-    Returns a list of (gamma, gamma', gamma'') callable triples.
+    Returns a list of (gamma, gamma', gamma'') callable triples; every law
+    solves gamma'' + psi gamma' = 0.
     """
-    one = (
-        lambda x: np.ones(np.shape(x)),
-        lambda x: np.zeros(np.shape(x)),
-        lambda x: np.zeros(np.shape(x)),
-    )
-    if model.kind != KIMURA:
-        return [one]
-    phi = fixation_probability(model.psi)
     psi = model.psi
-    # phi'' = -psi phi' from the defining equation
-    return [
-        one,
-        (
-            lambda x: np.asarray(phi(x)),
-            lambda x: np.asarray(phi.derivative(x)),
-            lambda x: -np.asarray(psi(x)) * np.asarray(phi.derivative(x)),
-        ),
-    ]
+
+    def direction(law):
+        return (
+            lambda x: np.asarray(law(x)),
+            lambda x: np.asarray(law.derivative(x)),
+            lambda x: -np.asarray(psi(x)) * np.asarray(law.derivative(x)),
+        )
+
+    return [direction(law) for law in model.laws]
 
 
 def weak_form_residual(

@@ -251,23 +251,13 @@ def _simpson_weights(k: int) -> np.ndarray:
 
 def integrate(fn: Callable, lo: float, hi: float, rtol: float = _QUAD_RTOL) -> float:
     """Composite Simpson on [lo, hi], refined by doubling until successive
-    estimates differ by less than ``rtol`` relative (node cap 2**20)."""
+    estimates agree to ``rtol`` relative (node cap 2**20): one cell of
+    :func:`_cell_integrals`."""
     if hi < lo:
         return -integrate(fn, hi, lo, rtol)
     if hi == lo:
         return 0.0
-    k = 2
-    prev = None
-    while True:
-        x = np.linspace(lo, hi, k + 1)
-        y = np.asarray(fn(x), dtype=float) + np.zeros(k + 1)
-        est = float(np.dot(_simpson_weights(k), y) * (hi - lo) / k)
-        if prev is not None and abs(est - prev) <= rtol * max(1.0, abs(est)):
-            return est
-        if k >= _QUAD_MAX_NODES:
-            return est
-        prev = est
-        k *= 2
+    return float(_cell_integrals(fn, np.array([lo, hi], dtype=float), rtol)[0])
 
 
 def _cell_integrals(fn: Callable, nodes: np.ndarray, rtol: float = _QUAD_RTOL):

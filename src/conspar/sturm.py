@@ -123,28 +123,32 @@ def neumann_coupling() -> BoundaryCoupling:
     return make_coupling([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
+def conservation_row(
+    phi: CoefficientField, p: CoefficientField, grid: Grid = DEFAULT_GRID
+) -> list:
+    """The boundary row that conserves the moment against one kernel
+    function phi:
+    p(b)[v'(b) phi(b) - v(b) phi'(b)] - p(a)[v'(a) phi(a) - v(a) phi'(a)] = 0.
+
+    Endpoint derivatives of phi use the field's own derivative rule (exact
+    where available, one-sided differences for tables).
+    """
+    scale = 1.0 / (grid.b - grid.a)
+    va, vb = phi(0.0), phi(1.0)
+    da, db = phi.derivative(0.0) * scale, phi.derivative(1.0) * scale
+    pa, pb = p(0.0), p(1.0)
+    return [pa * da, -pb * db, -pa * va, pb * vb]
+
+
 def coupling_from_kernel(
     phi1: CoefficientField,
     phi2: CoefficientField,
     p: CoefficientField,
     grid: Grid = DEFAULT_GRID,
 ) -> BoundaryCoupling:
-    """Boundary rows that conserve the moments against two kernel functions.
-
-    For each kernel function phi the row imposes
-    p(b)[v'(b) phi(b) - v(b) phi'(b)] - p(a)[v'(a) phi(a) - v(a) phi'(a)] = 0.
-    Endpoint derivatives of the kernel functions use the fields' own
-    derivative rule (exact where available, one-sided differences for
-    tables).
-    """
-    scale = 1.0 / (grid.b - grid.a)
-    rows = []
-    for phi in (phi1, phi2):
-        va, vb = phi(0.0), phi(1.0)
-        da, db = phi.derivative(0.0) * scale, phi.derivative(1.0) * scale
-        pa, pb = p(0.0), p(1.0)
-        rows.append([pa * da, -pb * db, -pa * va, pb * vb])
-    rows = np.asarray(rows, dtype=float)
+    """Boundary rows that conserve the moments against two kernel
+    functions, one :func:`conservation_row` each."""
+    rows = np.asarray([conservation_row(phi, p, grid) for phi in (phi1, phi2)])
     s = scipy.linalg.svdvals(rows)
     if s[1] <= 1e-9 * max(s[0], 1e-300):
         raise CouplingError(

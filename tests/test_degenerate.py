@@ -317,11 +317,29 @@ def _assert_matches_stepper(model, sol, r_initial, grid, rtol):
     A, lo, hi = degenerate._interior_operator(model, grid)
     snap_idx = np.rint(sol.trajectory.times / sol.dt).astype(int)
     snaps, at0, at1 = degenerate._step_interior(
-        A, model.kind, r_initial[lo : hi + 1], sol.dt, sol.steps, snap_idx
+        A, model.absorbs_at_1, r_initial[lo : hi + 1], sol.dt, sol.steps, snap_idx
     )
     assert _relative(sol.trajectory.values[:, lo : hi + 1], snaps) <= rtol
     assert _relative(sol.traces.at0, at0) <= rtol
     assert _relative(sol.traces.at1, at1) <= rtol
+
+
+@pytest.mark.parametrize("name", list(MODAL_MODELS))
+def test_interior_generator_loses_mass_only_at_absorbing_faces(name):
+    """Each column of the unscaled flux-difference matrix sums to the mass
+    that leaves the domain from that unknown: nothing, except next to an
+    absorbing end, which is x = 0 always and x = 1 under two laws."""
+    model = MODAL_MODELS[name]()
+    (diag, lower, upper, _), _, _ = degenerate._interior_operator(model, MODAL_GRID)
+    sums = diag.copy()
+    sums[1:] += upper
+    sums[:-1] += lower
+    leaks = np.abs(sums) > 1e-12 * np.abs(diag).max()
+    expected = np.zeros(diag.size, dtype=bool)
+    expected[0] = True
+    expected[-1] = len(model.laws) == 2
+    assert np.array_equal(leaks, expected)
+    assert np.all(sums[leaks] < 0)
 
 
 class TestModalInterior:
