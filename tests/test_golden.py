@@ -10,6 +10,9 @@ run writes, in name order, each file as its name, a newline and its body.
 They cover every kimura and sis mode, the interior stepper, a tabulated
 drift, both eigensolver paths and a prescribed moment.
 
+The validate digest pins ``report.csv`` of a small seeded kimura run
+checked against a small seeded oracle run.
+
 A change that alters a digest on purpose must say which digest, why, and
 the largest numeric change.
 """
@@ -89,6 +92,14 @@ SOLVER_GOLDEN = {
     ),
 }
 
+# the two runs validate compares, by output directory
+VALIDATE_RUNS = {
+    "pde": ["kimura", "--n", "51", "--u0", "delta:0.3", "--T", "5", "--times", "1,5"],
+    "mc": ["oracle", "--x0", "0.3", "--T", "5", "--times", "1,5", "--dt", "5e-4",
+           "--replicates", "2000", "--seed", "4"],
+}
+VALIDATE_DIGEST = "7accb4c27380569d721d3877ba1af25a8201bfe51377cbd4b63b22fdb933c644"
+
 # manifest lines a solver golden must also carry
 MANIFEST_LINES = {"kimura-stepper": ["diag.interior_method = stepper"]}
 
@@ -121,3 +132,12 @@ def test_solver_csv_digest(name, tmp_path):
     manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
     for line in MANIFEST_LINES.get(name, ()):
         assert line in manifest
+
+
+def test_validate_report_digest(tmp_path):
+    for name, argv in VALIDATE_RUNS.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    rep = tmp_path / "rep"
+    argv = ["validate", "--pde", str(tmp_path / "pde"), "--oracle", str(tmp_path / "mc")]
+    assert main(argv + ["--out", str(rep)]) == 0
+    assert hashlib.sha256((rep / "report.csv").read_bytes()).hexdigest() == VALIDATE_DIGEST
