@@ -4,6 +4,7 @@ One run per process. A run reads a flat ``key = value`` config file plus
 ``--key value`` command-line overrides (CLI wins over file, file over
 defaults), dispatches to the solver modules, and writes CSV outputs, a
 run manifest with content digests, and optional long-format plot data.
+A command imports only the solver modules it runs.
 Exit codes: 0 success, 2 config error (including a dense eigensolve over
 its memory budget), 3 numerical error, 4 validation failure.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import os
 import sys
 import tempfile
@@ -23,24 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conservative import (
-    build_totally_conservative,
-    prescribe_moments,
-    prescribed_moments_evolve,
-    time_function,
-)
-from .degenerate import (
-    RegularizationLadder,
-    kimura_model,
-    masses_from_boundary_flux,
-    masses_from_conservation,
-    sis_atom_mass,
-    sis_model,
-    solve_interior,
-    solve_regularized,
-    vanishing_limit,
-    decompose_measure,
-)
 from .errors import (
     ConfigError,
     ConsparError,
@@ -50,8 +34,30 @@ from .errors import (
 )
 from .expressions import parse_expression
 from .fields import field_from_expression, field_from_table
-from .oracle import kimura_sde, simulate, sis_sde
-from .sturm import Grid, assemble, eigensolve
+
+# The solver names each command's runner uses, by module. They are imported
+# on the command's first run and bound as globals of this module, so a
+# command loads only what it runs (validate loads no solver, oracle no
+# scipy). Bound once, they stay: a wrapper set on one (perfbench's tracer
+# wraps this module's globals) is what the runner calls.
+_DEGENERATE_SOLVERS = {
+    "sturm": "Grid",
+    "degenerate": "RegularizationLadder decompose_measure kimura_model "
+    "masses_from_boundary_flux masses_from_conservation sis_atom_mass sis_model "
+    "solve_interior solve_regularized vanishing_limit",
+}
+_SOLVERS = {
+    "kimura": _DEGENERATE_SOLVERS,
+    "sis": _DEGENERATE_SOLVERS,
+    "spectrum": {"sturm": "Grid assemble eigensolve", "conservative": "build_totally_conservative"},
+    "moments": {
+        "sturm": "Grid assemble eigensolve",
+        "conservative": "build_totally_conservative prescribe_moments "
+        "prescribed_moments_evolve time_function",
+    },
+    "oracle": {"oracle": "kimura_sde simulate sis_sde"},
+    "validate": {},
+}
 
 _FLOAT_LIST = "float_list"
 _COMMON = {
@@ -267,6 +273,9 @@ def _validate_semantics(command: str, cfg: dict, problems: list):
         x0 = cfg.get("x0")
         if x0 is not None and not 0 < x0 < 1:
             problems.append("x0: must lie strictly inside (0, 1)")
+        bins = cfg.get("bins")
+        if bins is not None and bins < 1:
+            problems.append("bins: must be at least 1")
     if command == "validate":
         for key in ("pde", "oracle"):
             path = cfg.get(key)
@@ -651,6 +660,11 @@ def run(config: RunConfig) -> RunManifest:
 
     Raises ValidationFailure after writing everything when a check fails.
     """
+    namespace = globals()
+    for module, names in _SOLVERS[config.command].items():
+        solvers = importlib.import_module(f".{module}", __package__)
+        for name in names.split():
+            namespace.setdefault(name, getattr(solvers, name))
     manifest = RunManifest(command=config.command, config=dict(config.options))
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:

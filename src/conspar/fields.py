@@ -14,6 +14,12 @@ derived weights used by the solvers are built here:
 
 Quadrature is composite Simpson refined by doubling until successive
 estimates agree to 1e-10 relative (or a node cap is reached).
+
+Cubic-tier tables and the antiderivatives behind the derived weights are
+interpolated by a not-a-knot cubic spline that does
+``scipy.interpolate.CubicSpline``'s arithmetic without importing
+``scipy.interpolate``; its values and first derivatives are bit-identical
+to CubicSpline's.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import (
     InputError,
     InternalError,
     ParameterError,
+    QuadratureError,
 )
 from .expressions import parse_expression
 
@@ -81,9 +88,8 @@ class CoefficientField:
 
     def _interpolant(self):
         if "spline" not in self._cache:
-            from scipy.interpolate import CubicSpline  # slow import, first use only
-
-            self._cache["spline"] = CubicSpline(self.xs, self.values)
+            what = f"the samples of {_name(self)}"
+            self._cache["spline"] = _CubicSpline(self.xs, self.values, what)
         return self._cache["spline"]
 
     def __call__(self, x):
@@ -180,6 +186,77 @@ class CoefficientField:
         )
 
 
+def _name(f: CoefficientField) -> str:
+    """A field's name for messages: its expression or formula name."""
+    return f.source.name or "a tabulated field"
+
+
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y), doing the arithmetic of
+    ``scipy.interpolate.CubicSpline`` without importing it.
+
+    The slopes solve CubicSpline's tridiagonal system (a straight line for
+    two nodes, its parabola system for three); the pieces carry
+    CubicHermiteSpline's coefficients, and a value or first derivative is
+    summed in PPoly's term order, so both are bit-identical to
+    CubicSpline's. The end pieces extrapolate. ``what`` names the data in
+    the error raised for non-finite values.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, what: str):
+        if not np.all(np.isfinite(y)):
+            raise QuadratureError(f"no cubic spline through {what}: non-finite values")
+        # imported here, not at the top: oracle imports this module and
+        # needs no scipy
+        import scipy.linalg
+
+        n = x.size
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        if n == 3:
+            A = np.zeros((3, 3))
+            A[0, :2] = A[2, 1:] = 1
+            A[1] = dx[1], 2 * (dx[0] + dx[1]), dx[0]
+            b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
+            s = scipy.linalg.solve(
+                A, b.reshape(3, 1), overwrite_a=True, overwrite_b=True, check_finite=False
+            ).reshape(3)
+        else:
+            A = np.zeros((3, n))  # banded: upper, main and lower diagonals
+            b = np.empty(n)
+            A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+            A[0, 2:] = dx[:-1]
+            A[-1, :-2] = dx[1:]
+            b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            if n == 2:  # both end slopes are the chord's
+                A[1] = 1
+                b[:] = slope[0]
+            else:
+                d = x[2] - x[0]
+                A[1, 0], A[0, 1] = dx[1], d
+                b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+                d = x[-1] - x[-3]
+                A[1, -1], A[-1, -2] = dx[-2], d
+                b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+            s = scipy.linalg.solve_banded(
+                (1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False
+            )
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        # per piece, the coefficients of s^3, s^2, s and 1 in s = x - x_i
+        self.coefficients = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, x, nu: int = 0):
+        """The value (``nu`` = 0) or the first derivative (``nu`` = 1)."""
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.x.size - 2)
+        s = x - self.x[i]
+        a, b, c, d = self.coefficients[:, i]
+        if nu == 0:
+            return (0.0 + d) + c * s + b * (s * s) + a * (s * s * s)
+        return (0.0 + c) + (b * s) * 2.0 + (a * (s * s)) * 3.0
+
+
 def field_from_table(
     xs: Sequence[float], values: Sequence[float], interpolation: str = "linear"
 ) -> CoefficientField:
@@ -272,6 +349,8 @@ def _cell_integrals(fn: Callable, nodes: np.ndarray, rtol: float = _QUAD_RTOL):
         pts = nodes[:-1, None] + widths[:, None] * t[None, :]
         vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
         cells = vals @ _simpson_weights(k) * (widths / k)
+        if not np.all(np.isfinite(cells)):
+            return cells  # a non-finite node stays one under refinement
         if prev is not None:
             floor = 1e-15 * max(1.0, float(np.abs(cells).sum()))
             if np.all(np.abs(cells - prev) <= rtol * np.abs(cells) + floor):
@@ -311,18 +390,19 @@ def cumulative_integral(f: CoefficientField, x: float) -> float:
 
 
 def _antiderivative_callable(
-    fn: Callable, nodes: np.ndarray, refine: int = 8
+    fn: Callable, nodes: np.ndarray, refine: int = 8, what: str = "the integrand"
 ) -> Callable:
     """Smooth interpolant of x |-> int_0^x fn, accurate to quadrature
     tolerance on refined nodes (at least ~1000 cells regardless of the
-    source grid, so coarse fields do not degrade derived weights)."""
+    source grid, so coarse fields do not degrade derived weights).
+
+    Raises QuadratureError, naming ``what`` the integrand is, when the
+    antiderivative overflows or is undefined."""
     refine = max(refine, int(np.ceil(1024 / (nodes.size - 1))))
     fine = np.linspace(0.0, 1.0, (nodes.size - 1) * refine + 1)
     cells = _cell_integrals(fn, fine)
     table = np.concatenate([[0.0], np.cumsum(cells)])
-    from scipy.interpolate import CubicSpline  # slow import, first use only
-
-    return CubicSpline(fine, table)
+    return _CubicSpline(fine, table, f"the antiderivative of {what}")
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +411,7 @@ def _antiderivative_callable(
 
 def exponential_weight(psi: CoefficientField) -> CoefficientField:
     """The strictly positive weight x |-> exp(int_0^x psi)."""
-    anti = _antiderivative_callable(psi, psi.xs)
+    anti = _antiderivative_callable(psi, psi.xs, what=f"psi = {_name(psi)}")
     fn = lambda x: np.exp(anti(x))  # noqa: E731
     deriv = lambda x: np.asarray(psi(x)) * np.exp(anti(x))  # noqa: E731
     out = field_from_callable(
@@ -349,9 +429,12 @@ def fixation_probability(psi: CoefficientField) -> CoefficientField:
     phi(x) = int_0^x exp(-int_0^y psi) dy / int_0^1 exp(-int_0^y psi) dy,
     so it is nondecreasing and pinned to the endpoints by construction.
     """
-    anti_psi = _antiderivative_callable(psi, psi.xs)
+    name = _name(psi)
+    anti_psi = _antiderivative_callable(psi, psi.xs, what=f"psi = {name}")
     integrand = lambda y: np.exp(-anti_psi(y))  # noqa: E731
-    numer = _antiderivative_callable(integrand, psi.xs)
+    numer = _antiderivative_callable(
+        integrand, psi.xs, what=f"exp(-int_0^y psi) for psi = {name}"
+    )
     z = float(numer(1.0))
     if not np.isfinite(z) or z <= 0:
         raise InternalError("degenerate normalizing integral in fixation solve")
@@ -372,7 +455,7 @@ def integrating_factor(a: CoefficientField, b: CoefficientField) -> CoefficientF
         )
     nodes = a.xs if a.xs.size >= b.xs.size else b.xs
     ratio = lambda x: np.asarray(b(x)) / np.asarray(a(x))  # noqa: E731
-    anti = _antiderivative_callable(ratio, nodes)
+    anti = _antiderivative_callable(ratio, nodes, what=f"b/a for a = {_name(a)}, b = {_name(b)}")
     fn = lambda x: np.exp(anti(x))  # noqa: E731
     deriv = lambda x: ratio(x) * np.exp(anti(x))  # noqa: E731
     return field_from_callable(

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import ArgumentError, ParameterError
 from .expressions import Expression
 from .fields import CoefficientField, cumulative_trapezoid, field_from_callable
-from .sturm import Grid
 
 BLOCK_SIZE = 4096
 _NORMAL_CHUNK = 2**14  # most normals one block holds: current chunk plus next
@@ -306,6 +305,8 @@ def simulate(
         raise ArgumentError("snapshot times must be sorted")
     if float(snapshot_times[-1]) > spec.horizon + 1e-12:
         raise ArgumentError("snapshot beyond the simulation horizon")
+    if bins < 1:
+        raise ArgumentError("need at least one bin")
 
     dt = spec.dt
     bin_edges = np.linspace(0.0, 1.0, bins + 1)
@@ -428,7 +429,7 @@ def compare_measures(
         raise ArgumentError(
             f"snapshot times differ: {emp.time} vs {bm.time}"
         )
-    grid: Grid = bm.grid
+    grid = bm.grid
     if abs(grid.a) > 1e-12 or abs(grid.b - 1.0) > 1e-12:
         raise ArgumentError("measure supports do not match the unit interval")
 

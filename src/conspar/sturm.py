@@ -25,8 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     ArgumentError,
@@ -403,6 +401,9 @@ def _shift_invert_eigh(diag, off, corner, k):
     Lanczos.) The start vector is fixed, so two identical calls agree to
     the bit.
     """
+    import scipy.sparse  # first use only: most runs never take this path
+    import scipy.sparse.linalg
+
     n = diag.size
     idx = np.arange(n)
     rows = np.concatenate([idx, idx[:-1], idx[1:], [0, n - 1]])

@@ -26,17 +26,84 @@ def _manifest_lines(outdir):
     return _read(outdir / "manifest.txt").splitlines()
 
 
-def test_import_leaves_slow_scipy_modules_unloaded():
-    # CubicSpline and simpson are imported where they are first used
-    code = (
-        "import sys, conspar.cli; "
-        "print([m for m in ('scipy.interpolate', 'scipy.integrate') if m in sys.modules])"
-    )
-    src = str(Path(conspar.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+SRC = str(Path(conspar.__file__).resolve().parents[1])
+
+
+def _fresh(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+# prints the scipy modules loaded so far on one line
+SCIPY_LOADED = "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    assert _fresh("import sys, conspar; " + SCIPY_LOADED).strip() == ""
+    assert _fresh("import sys, conspar.cli; " + SCIPY_LOADED).strip() == ""
+
+
+# each command at its smallest config, in run order (validate reads two)
+SMALLEST = {
+    "kimura": ["kimura", "--n", "5", "--T", "0.001", "--times", "0,0.001"],
+    "sis": ["sis", "--n", "5", "--T", "5", "--times", "5"],
+    "spectrum": ["spectrum", "--n", "5", "--k", "1"],
+    "moments": ["moments", "--n", "5", "--T", "0.001", "--times", "0,0.001"],
+    "oracle": ["oracle", "--replicates", "1", "--T", "0.001", "--times", "0"],
+    "validate": ["validate", "--pde", "{dir}/kimura", "--oracle", "{dir}/oracle"],
+}
+# modules a command may not load, with their submodules
+UNLOADED = {
+    "kimura": ("scipy.interpolate", "scipy.integrate", "scipy.sparse"),
+    "sis": ("scipy.interpolate", "scipy.integrate", "scipy.sparse"),
+    "spectrum": ("scipy.interpolate", "scipy.integrate", "scipy.sparse"),
+    "moments": ("scipy.interpolate", "scipy.integrate", "scipy.sparse"),
+    "oracle": ("scipy",),
+    "validate": ("scipy",),
+}
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    code = "import sys; from conspar.cli import main; print(main(sys.argv[1:])); " + SCIPY_LOADED
+    for command, argv in SMALLEST.items():
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        lines = _fresh(code, *argv, "--out", str(tmp_path / command)).splitlines()
+        assert lines[-2] == "0", command
+        barred = [m for m in lines[-1].split()
+                  if any(m == p or m.startswith(p + ".") for p in UNLOADED[command])]
+        assert barred == [], command
+
+
+# what ``from conspar import *`` bound when the package imported eagerly
+STAR_NAMES = """
+BoundaryCoupling BoundaryMeasure BoundaryTraces CoefficientField ConfigError
+ConservativeProblem ConsparError CouplingError DEFAULT_GRID DegeneracyError
+DegenerateModel DomainBoundsError EigenSystem EmpiricalMeasure EvaluationError
+Expression ExpressionError Grid InputError InteriorSolution MomentPrescription
+NumericalError ParameterError RegularityTierError RegularizationLadder SLProblem
+SdeSpec SisCoefficients Trajectory TransformError ValidationFailure assemble
+build_partially_conservative build_totally_conservative canonical_test_directions
+certify_intrinsic_positivity compare_measures conservation_residual conservative
+constant_field coupling_from_kernel cumulative_integral decompose_measure
+degenerate duhamel_evolve eigensolve errors evolve exponential_weight expressions
+field_from_callable field_from_expression field_from_table fields
+fixation_probability from_selfadjoint integrating_factor kimura_model kimura_sde
+make_coupling masses_from_boundary_flux masses_from_conservation neumann_coupling
+oracle parse_expression positivity_check prescribe_moments
+prescribed_moments_evolve prescribed_moments_reduce selfadjoint_reduction
+separable_test_function simulate sis_atom_mass sis_coefficients sis_model sis_sde
+solve_interior solve_regularized steady_state sturm time_function to_selfadjoint
+vanishing_limit weak_form_residual weighted_inner
+""".split()
+
+
+def test_star_import_binds_the_same_names():
+    code = "from conspar import *\nprint(' '.join(n for n in dir() if not n.startswith('_')))"
+    assert sorted(_fresh(code).split()) == sorted(STAR_NAMES)
+    assert set(STAR_NAMES) <= set(dir(conspar))
 
 
 class TestConfig:
@@ -60,6 +127,13 @@ class TestConfig:
         for frag in ("bogus", "T", "times", "mode"):
             assert frag in text
         assert len(exc.value.problems) >= 4
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_oracle_bins_at_least_one(self, bins, tmp_path, capsys):
+        rc = main(["oracle", "--bins", bins, "--x0", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bins: must be at least 1" in err and "x0:" in err
 
     def test_missing_out_required(self):
         with pytest.raises(ConfigError, match="out"):
@@ -144,6 +218,13 @@ class TestKimuraCommand:
         rc = main(["kimura", "--out", str(tmp_path / "x"), "--T", "-2"])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_overflowing_fixation_integral_exit_code(self, tmp_path, capsys):
+        # int_0^1 exp(800 y) dy overflows in the fixation probability
+        argv = ["kimura", "--psi", "-800", "--n", "51", "--T", "0.01", "--times", "0,0.01"]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical error" in err and "psi = -800" in err
 
     def test_interior_diagnostics(self, tmp_path):
         # psi = 50 on 401 nodes: the symmetrizing scale spans exp(25.5)

@@ -10,8 +10,10 @@ from conspar.errors import (
     DomainBoundsError,
     InputError,
     ParameterError,
+    QuadratureError,
 )
 from conspar.fields import (
+    _CubicSpline,
     constant_field,
     cumulative_integral,
     exponential_weight,
@@ -250,3 +252,44 @@ class TestDerivatives:
         # 3-point one-sided stencil is exact on quadratics
         assert abs(f.derivative(0.0) - 0.0) <= 1e-12
         assert abs(f.derivative(1.0) - 2.0) <= 1e-12
+
+
+def _random_table(n, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+    return xs, rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5)
+
+
+class TestCubicSpline:
+    """The numpy spline against scipy's CubicSpline, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 401, 1025, 3201])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_bit_for_bit(self, n, seed):
+        from scipy.interpolate import CubicSpline
+
+        xs, ys = _random_table(n, seed)
+        ours, ref = _CubicSpline(xs, ys, "table"), CubicSpline(xs, ys)
+        x = np.concatenate([np.random.default_rng(seed).uniform(0, 1, 2000), xs, [0.0, 1.0]])
+        for nu in (0, 1):
+            assert np.array_equal(ours(x, nu), ref(x, nu))
+            assert ours(0.5, nu) == ref(0.5, nu)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cubic_table_field_matches_scipy(self, n):
+        from scipy.interpolate import CubicSpline
+
+        xs, ys = _random_table(n, 7)
+        f, ref = field_from_table(xs, ys, interpolation="cubic"), CubicSpline(xs, ys)
+        x = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(f(x), ref(x))
+        assert np.array_equal(f.derivative(x), ref(x, 1))
+
+    def test_non_finite_values_refused(self):
+        with pytest.raises(QuadratureError, match="the samples of a tabulated field"):
+            field_from_table([0.0, 0.5, 1.0], [0.0, np.inf, 1.0], interpolation="cubic")(0.2)
+
+    def test_overflowing_antiderivative_names_the_field(self):
+        # int_0^1 exp(800 y) dy overflows
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError, match="psi = -800"):
+            fixation_probability(field_from_expression("-800"))

@@ -143,6 +143,12 @@ class TestSimulate:
         with pytest.raises(ArgumentError):
             simulate(spec, [2.0, 1.0])
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_fewer_than_one_bin_rejected(self, bins):
+        spec = kimura_sde(constant_field(0.0), 0.3, replicates=10)
+        with pytest.raises(ArgumentError, match="bin"):
+            simulate(spec, [1.0], bins=bins)
+
 
 def _kimura_vol2():
     return field_from_callable(lambda x: 2 * np.asarray(x) * (1 - np.asarray(x)), "v")
