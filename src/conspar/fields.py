@@ -16,10 +16,10 @@ Quadrature is composite Simpson refined by doubling until successive
 estimates agree to 1e-10 relative (or a node cap is reached).
 
 Cubic-tier tables and the antiderivatives behind the derived weights are
-interpolated by a not-a-knot cubic spline that does
-``scipy.interpolate.CubicSpline``'s arithmetic without importing
-``scipy.interpolate``; its values and first derivatives are bit-identical
-to CubicSpline's.
+interpolated by a not-a-knot cubic spline that does the arithmetic of
+scipy's ``CubicSpline`` without importing it (the import cost more than a
+run); its values and first derivatives are bit-identical to
+CubicSpline's.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def _name(f: CoefficientField) -> str:
 
 class _CubicSpline:
     """Not-a-knot cubic spline through (x, y), doing the arithmetic of
-    ``scipy.interpolate.CubicSpline`` without importing it.
+    scipy's ``CubicSpline`` without importing it.
 
     The slopes solve CubicSpline's tridiagonal system (a straight line for
     two nodes, its parabola system for three); the pieces carry
@@ -249,12 +249,14 @@ class _CubicSpline:
     def __call__(self, x, nu: int = 0):
         """The value (``nu`` = 0) or the first derivative (``nu`` = 1)."""
         x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.x.size - 2)
+        # the piece i with x_i <= x < x_(i+1), the last piece closed
+        i = np.searchsorted(self.x[1:-1], x, side="right")
         s = x - self.x[i]
-        a, b, c, d = self.coefficients[:, i]
+        s2 = s * s
+        a, b, c, d = self.coefficients.take(i, axis=1)
         if nu == 0:
-            return (0.0 + d) + c * s + b * (s * s) + a * (s * s * s)
-        return (0.0 + c) + (b * s) * 2.0 + (a * (s * s)) * 3.0
+            return (0.0 + d) + c * s + b * s2 + a * (s2 * s)
+        return (0.0 + c) + (b * s) * 2.0 + (a * s2) * 3.0
 
 
 def field_from_table(
