@@ -4,7 +4,8 @@ One run per process. A run reads a flat ``key = value`` config file plus
 ``--key value`` command-line overrides (CLI wins over file, file over
 defaults), dispatches to the solver modules, and writes CSV outputs, a
 run manifest with content digests, and optional long-format plot data.
-A command imports only the solver modules it runs.
+A command imports only the solver modules it runs and accepts only the
+keys its runner reads.
 Exit codes: 0 success, 2 config error (including a dense eigensolve over
 its memory budget), 3 numerical error, 4 validation failure.
 """
@@ -43,7 +44,7 @@ from .fields import field_from_expression, field_from_table
 _DEGENERATE_SOLVERS = {
     "sturm": "Grid",
     "degenerate": "RegularizationLadder decompose_measure kimura_model "
-    "masses_from_boundary_flux masses_from_conservation sis_atom_mass sis_model "
+    "masses_from_boundary_flux masses_from_conservation sis_model "
     "solve_interior solve_regularized vanishing_limit",
 }
 _SOLVERS = {
@@ -56,19 +57,17 @@ _SOLVERS = {
         "prescribed_moments_evolve time_function",
     },
     "oracle": {"oracle": "kimura_sde simulate sis_sde"},
-    "validate": {},
+    "validate": {"oracle": "atom_zscore"},
 }
 
 _FLOAT_LIST = "float_list"
-_COMMON = {
-    "out": (str, None),
-    "n": (int, 401),
-    "seed": (int, 0),
-    "emit_plot_data": (bool, False),
-}
+# Each command takes exactly the keys its runner reads; any other key is
+# a config error
 _SCHEMAS = {
     "kimura": {
-        **_COMMON,
+        "out": (str, None),
+        "n": (int, 401),
+        "emit_plot_data": (bool, False),
         "psi": (str, "0"),
         "psi_table": (str, ""),
         "u0": (str, "uniform"),
@@ -79,7 +78,9 @@ _SCHEMAS = {
         "ladder": (_FLOAT_LIST, [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]),
     },
     "sis": {
-        **_COMMON,
+        "out": (str, None),
+        "n": (int, 401),
+        "emit_plot_data": (bool, False),
         "R0": (float, 2.0),
         "p0": (str, "uniform"),
         "T": (float, 10.0),
@@ -88,7 +89,8 @@ _SCHEMAS = {
         "eps": (float, 1e-2),
     },
     "spectrum": {
-        **_COMMON,
+        "out": (str, None),
+        "n": (int, 401),
         "p": (str, "1"),
         "q": (str, "0"),
         "weight": (str, "1"),
@@ -97,7 +99,8 @@ _SCHEMAS = {
         "k": (int, 6),
     },
     "moments": {
-        **_COMMON,
+        "out": (str, None),
+        "n": (int, 401),
         "p": (str, "1"),
         "q": (str, "0"),
         "law1": (str, "1"),
@@ -108,7 +111,8 @@ _SCHEMAS = {
         "times": (_FLOAT_LIST, None),  # default linspace(0, T, 26)
     },
     "oracle": {
-        **_COMMON,
+        "out": (str, None),
+        "seed": (int, 0),
         "model": (str, "kimura"),
         "psi": (str, "0"),
         "R0": (float, 2.0),
@@ -120,7 +124,7 @@ _SCHEMAS = {
         "times": (_FLOAT_LIST, [1.0, 5.0, 20.0]),
     },
     "validate": {
-        **_COMMON,
+        "out": (str, None),
         "pde": (str, None),
         "oracle": (str, None),
         "se_limit": (float, 3.0),
@@ -281,6 +285,8 @@ def _validate_semantics(command: str, cfg: dict, problems: list):
             path = cfg.get(key)
             if path and not (Path(path) / ("masses.csv" if key == "pde" else "oracle.csv")).is_file():
                 problems.append(f"{key}: {path!r} does not contain a prior run")
+            elif key == "oracle" and path and _oracle_paths(path) is None:
+                problems.append(f"oracle: {path!r} has no manifest with a config.replicates count")
     ladder = cfg.get("ladder")
     if ladder is not None and (
         any(e <= 0 for e in ladder) or any(b >= a for a, b in zip(ladder, ladder[1:]))
@@ -400,11 +406,14 @@ def _kimura_atoms(manifest: RunManifest, model, sol, u0):
 def _sis_atoms(manifest: RunManifest, model, sol, u0):
     """The interior atom at x = 0 from the boundary flux, with the Robin
     residual at x = 1 and the atom's monotonicity checked."""
-    ta, a_curve = sis_atom_mass(sol.traces, 0.0, model.R0)
+    ta, a_curve, _ = masses_from_boundary_flux(sol.traces, 0.0, 0.0)
     a = np.interp(sol.trajectory.times, ta, a_curve)
+    # |flux -(g r)' + g psi r| through x = 1 at the last snapshot, which the
+    # zero-flux closure should make vanish
     r = sol.trajectory.values[-1]
     drx = (3 * r[-1] - 4 * r[-2] + r[-3]) / (2 * sol.trajectory.grid.h)
-    robin = abs(0.5 * ((1 - model.R0) * r[-1] + drx) + r[-1])
+    g1, dg1, psi1 = model.g(1.0), model.g.derivative(1.0), model.psi(1.0)
+    robin = abs(dg1 * r[-1] + g1 * drx - g1 * psi1 * r[-1])
     manifest.check("robin_residual_at_1", robin, robin <= 1e-3)
     mono = bool(np.all(np.diff(a_curve) >= -1e-10))
     manifest.check("atom_mass_nondecreasing", mono, mono)
@@ -427,6 +436,7 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
     build, initial_key, interior_atoms = _DEGENERATE[cfg.command]
     grid = Grid(0.0, 1.0, cfg["n"])
     model = build(cfg)
+    laws = model.laws  # built first: a law that overflows fails before the solve
     u0 = _initial_density(cfg[initial_key], grid)
     times = np.asarray(cfg["times"], dtype=float)
     mode = cfg["mode"]
@@ -472,7 +482,7 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
     manifest.check("total_mass_drift", mass_drift, mass_drift <= 1e-4)
     phimom = total  # the moment of the last law, total mass under one law
     if model.absorbs_at_1:  # the second law's moment, and two atoms
-        phiv = model.laws[1](nodes)
+        phiv = laws[1](nodes)
         phimom = b + np.array([float(np.trapezoid(d * phiv, nodes)) for d in dens])
         mom_drift = float(np.max(np.abs(phimom - phimom[0])))
         manifest.check("phi_moment_drift", mom_drift, mom_drift <= 1e-4)
@@ -594,54 +604,38 @@ def _read_csv(path: Path) -> dict:
     return {name: np.atleast_1d(data[name]) for name in data.dtype.names}
 
 
+def _oracle_paths(outdir) -> int | None:
+    """The positive path count on the ``config.replicates`` line of a prior
+    oracle run's manifest, or None."""
+    manifest = Path(outdir) / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines() if manifest.is_file() else []
+    counts = [ln.partition(" = ")[2] for ln in lines if ln.startswith("config.replicates = ")]
+    return int(counts[0]) if counts and counts[0].isdigit() and int(counts[0]) > 0 else None
+
+
 def _run_validate(cfg: RunConfig, manifest: RunManifest) -> dict:
     pde = _read_csv(Path(cfg["pde"]) / "masses.csv")
     mc = _read_csv(Path(cfg["oracle"]) / "oracle.csv")
+    n_paths = _oracle_paths(cfg["oracle"])
     manifest.assumptions.append("sde_matching")
-    rows = []
-    worst = 0.0
-    matched = 0
+    rows, worst = [], 0.0
     for i, t in enumerate(mc["t"]):
         j = np.where(np.abs(pde["t"] - t) <= 1e-9 * max(1.0, abs(t)))[0]
         if j.size == 0:
             continue
-        matched += 1
         j = int(j[0])
-        se0 = max(mc["se_mass0"][i], 1e-12)
-        se1 = max(mc["se_mass1"][i], 1e-12)
-        z0 = abs(mc["mass0"][i] - pde["atom0"][j]) / se0
-        z1 = abs(mc["mass1"][i] - pde["atom1"][j]) / se1
+        atom0, atom1 = float(pde["atom0"][j]), float(pde["atom1"][j])
+        mass0, mass1 = float(mc["mass0"][i]), float(mc["mass1"][i])
+        se0, z0 = atom_zscore(mass0, atom0, n_paths)
+        se1, z1 = atom_zscore(mass1, atom1, n_paths)
         worst = max(worst, z0, z1)
         ok = z0 <= cfg["se_limit"] and z1 <= cfg["se_limit"]
-        rows.append(
-            (
-                float(t),
-                float(pde["atom0"][j]),
-                float(mc["mass0"][i]),
-                float(se0),
-                float(z0),
-                float(pde["atom1"][j]),
-                float(mc["mass1"][i]),
-                float(se1),
-                float(z1),
-                int(ok),
-            )
-        )
-    if matched == 0:
+        rows.append((float(t), atom0, mass0, se0, z0, atom1, mass1, se1, z1, int(ok)))
+    if not rows:
         raise ConfigError(["validate: the two runs share no snapshot times"])
     manifest.check("max_atom_discrepancy_se", worst, worst <= cfg["se_limit"])
-    header = (
-        "t",
-        "atom0_pde",
-        "mass0_mc",
-        "se_mass0",
-        "z0",
-        "atom1_pde",
-        "mass1_mc",
-        "se_mass1",
-        "z1",
-        "pass",
-    )
+    header = ("t", "atom0_pde", "mass0_mc", "se_mass0", "z0",
+              "atom1_pde", "mass1_mc", "se_mass1", "z1", "pass")
     return {"report.csv": _csv(rows, header=header)}
 
 

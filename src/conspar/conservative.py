@@ -41,6 +41,7 @@ from .sturm import (
     conservation_row,
     coupling_from_kernel,
     make_coupling,
+    orthonormalize_laws,
     sample_field,
     weighted_inner,
 )
@@ -308,21 +309,6 @@ def time_function(fn: Callable[[float], float], dfn: Optional[Callable] = None) 
             return (_f(t + h) - _f(t - h)) / (2 * h)
 
     return TimeFunction(value=fn, derivative=dfn)
-
-
-def orthonormalize_laws(
-    law_values: np.ndarray, weight: np.ndarray, grid: Grid
-) -> np.ndarray:
-    """Gram-Schmidt in the weighted inner product; rows are the laws."""
-    out = np.array(law_values, dtype=float)
-    for i in range(out.shape[0]):
-        for j in range(i):
-            out[i] -= weighted_inner(out[i], out[j], weight, grid) * out[j]
-        norm = np.sqrt(weighted_inner(out[i], out[i], weight, grid))
-        if norm <= 0:
-            raise InputError("laws are not independent; cannot orthonormalize")
-        out[i] /= norm
-    return out
 
 
 @dataclass(frozen=True, eq=False)

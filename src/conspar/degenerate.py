@@ -16,8 +16,9 @@ spectrally under the boundary rows of the laws (plus a zero-flux row at
 x = 1 under one law). The vanishing-regularization limit is a nonnegative
 measure: atoms at the absorbing endpoints plus a regular interior density.
 Atomic masses are computed from the conservation identities (primary) or
-by time integration of the interior boundary traces (requires continuous
-psi); half-cell excess extraction is available as a secondary diagnostic.
+by time integration of the outflow g' r through each absorbing end, read
+off the interior boundary traces (requires continuous psi); half-cell
+excess extraction is available as a secondary diagnostic.
 
 The strong interior solution uses a Rannacher-started trapezoidal time
 discretization of the method-of-lines system. Its iterates are read off
@@ -88,7 +89,6 @@ class DegenerateModel:
     g: CoefficientField
     psi: CoefficientField
     law_builders: tuple
-    R0: Optional[float] = None
 
     @cached_property
     def laws(self) -> tuple:
@@ -145,9 +145,7 @@ def sis_model(R0: float) -> DegenerateModel:
         (R0,),
         derivative=lambda x: -4.0 * R0 / coeffs.F(x) ** 2,
     )
-    return DegenerateModel(
-        kind="sis", g=g, psi=psi, law_builders=(_total_mass,), R0=float(R0)
-    )
+    return DegenerateModel(kind="sis", g=g, psi=psi, law_builders=(_total_mass,))
 
 
 @dataclass(frozen=True)
@@ -326,11 +324,14 @@ def decompose_measure(values: np.ndarray, grid: Grid, time: float = 0.0) -> Boun
 @dataclass(frozen=True, eq=False)
 class BoundaryTraces:
     """Interior-density boundary traces r(0, t), r(1, t) on the stepper's
-    time grid, with the drift regularity tier they were produced under."""
+    time grid, the drift regularity tier they were produced under, and the
+    mass that leaves per unit trace: where g = 0 the flux -(g r)' + g psi r
+    is -g' r, so ``outflow`` is (g'(0), -g'(1)), with 0 at a zero-flux end."""
 
     times: np.ndarray
     at0: np.ndarray
     at1: np.ndarray
+    outflow: Tuple[float, float]
     psi_continuous: bool
 
 
@@ -621,6 +622,7 @@ def solve_interior(
         times=np.arange(n_steps + 1) * dt,
         at0=trace0,
         at1=trace1,
+        outflow=(model.g.derivative(0.0), -model.g.derivative(1.0) if absorbing else 0.0),
         psi_continuous=model.psi.continuous_tier,
     )
     return InteriorSolution(
@@ -672,8 +674,9 @@ def masses_from_conservation(
 def masses_from_boundary_flux(
     traces: BoundaryTraces, a0: float, b0: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Atom masses by time integration of the interior boundary traces:
-    a(t) = a0 + int_0^t r(0, s) ds, b(t) = b0 + int_0^t r(1, s) ds.
+    """Atom masses by time integration of the outflow through each end:
+    a(t) = a0 + g'(0) int_0^t r(0, s) ds, b(t) = b0 - g'(1) int_0^t r(1, s) ds,
+    with the rates from ``traces.outflow`` (b stays b0 at a zero-flux end).
 
     Valid when the drift coefficient is continuous up to the boundary;
     tabulated-linear drifts are rejected (use the conservation form).
@@ -685,8 +688,9 @@ def masses_from_boundary_flux(
             "boundary-flux mass formulas need a continuous drift "
             "(cubic or expression-backed); use the conservation form"
         )
-    a = a0 + cumulative_trapezoid(traces.at0, traces.times)
-    b = b0 + cumulative_trapezoid(traces.at1, traces.times)
+    out0, out1 = traces.outflow
+    a = a0 + out0 * cumulative_trapezoid(traces.at0, traces.times)
+    b = b0 + out1 * cumulative_trapezoid(traces.at1, traces.times)
     return traces.times, a, b
 
 
@@ -694,7 +698,8 @@ def sis_atom_mass(
     traces: BoundaryTraces, a0: float, R0: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Single atom of the flux-boundary model:
-    a(t) = a0 + (R0 + 1)/2 int_0^t r(0, s) ds."""
+    a(t) = a0 + (R0 + 1)/2 int_0^t r(0, s) ds, where (R0 + 1)/2 = g'(0);
+    ``masses_from_boundary_flux`` gives the same atom from SIS traces."""
     if R0 <= 0:
         raise ParameterError("R0 must be positive")
     a = a0 + 0.5 * (R0 + 1.0) * cumulative_trapezoid(traces.at0, traces.times)

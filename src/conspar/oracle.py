@@ -18,7 +18,8 @@ makes every draw, in the order they are queued, so each stream is drawn
 in order.
 Because each block's draws depend only on its own paths, the counts are
 bit-identical however the blocks are laid out or scheduled, and so is
-``oracle.csv``.
+``oracle.csv``. Atoms are compared with absorbed fractions by one rule,
+``atom_zscore``, here and in the CLI's ``validate``.
 """
 
 from __future__ import annotations
@@ -195,10 +196,6 @@ class EmpiricalMeasure:
     @property
     def mass_at_1(self) -> float:
         return self.count_at_1 / self.n_paths
-
-    @property
-    def histogram(self) -> np.ndarray:
-        return self.counts / self.n_paths
 
     @property
     def interior_mass(self) -> float:
@@ -417,6 +414,14 @@ class ComparisonReport:
         return self.atoms_pass and self.cdf_pass
 
 
+def atom_zscore(p_emp: float, p_pde: float, n_paths: int) -> tuple:
+    """(se, z): the binomial standard error of an absorbed fraction,
+    floored at one path's share 1/n_paths, and the PDE atom's distance
+    from the fraction in those units."""
+    se = max(float(np.sqrt(max(p_emp * (1 - p_emp), 0.0) / n_paths)), 1.0 / n_paths)
+    return se, float(abs(p_emp - p_pde) / se)
+
+
 def compare_measures(
     emp: EmpiricalMeasure,
     bm,
@@ -433,13 +438,8 @@ def compare_measures(
     if abs(grid.a) > 1e-12 or abs(grid.b - 1.0) > 1e-12:
         raise ArgumentError("measure supports do not match the unit interval")
 
-    def zscore(p_emp, p_pde):
-        se = float(np.sqrt(max(p_emp * (1 - p_emp), 0.0) / emp.n_paths))
-        se = max(se, 1.0 / emp.n_paths)
-        return abs(p_emp - p_pde) / se
-
-    z0 = zscore(emp.mass_at_0, bm.atom0)
-    z1 = zscore(emp.mass_at_1, bm.atom1)
+    _, z0 = atom_zscore(emp.mass_at_0, bm.atom0, emp.n_paths)
+    _, z1 = atom_zscore(emp.mass_at_1, bm.atom1, emp.n_paths)
 
     nodes = grid.nodes
     dens = np.clip(bm.density, 0.0, None)

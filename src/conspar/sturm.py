@@ -257,7 +257,6 @@ class EigenSystem:
     zero_multiplicity: int
     coupling: BoundaryCoupling
     bc_residuals: np.ndarray
-    flux_map: Optional[np.ndarray] = None
     method: str = "dense"
 
     def project(self, v0: np.ndarray) -> np.ndarray:
@@ -344,16 +343,11 @@ def _bordered_eigensolve(op: DiscreteOperator, coupling: BoundaryCoupling, k: in
         raise EigensolveError(
             f"bordered eigensolve found only {lam.size} real eigenvalues, needed {k}"
         )
-    lam, vec = lam[:k], vec[:, :k]
-    # re-orthonormalize in the weighted inner product (Gram-Schmidt)
-    for j in range(k):
-        for i in range(j):
-            vec[:, j] -= (vec[:, i] @ (op.mass * vec[:, j])) * vec[:, i]
-        norm = np.sqrt(vec[:, j] @ (op.mass * vec[:, j]))
-        if norm <= 0:
-            raise EigensolveError("degenerate eigenvector in bordered solve")
-        vec[:, j] /= norm
-    return lam, vec, _row_residuals(coupling.rows, _stencil_quad(op.grid, vec))
+    try:  # the real parts need not be orthonormal in the weighted product
+        vec = orthonormalize_laws(vec[:, :k].T, op.weight_values, op.grid).T
+    except InputError as exc:
+        raise EigensolveError("degenerate eigenvector in bordered solve") from exc
+    return lam[:k], vec, _row_residuals(coupling.rows, _stencil_quad(op.grid, vec))
 
 
 def _folded_tridiagonal(op: DiscreteOperator, W: np.ndarray, root: np.ndarray):
@@ -490,7 +484,6 @@ def eigensolve(
         zero_multiplicity=zero_multiplicity,
         coupling=coupling,
         bc_residuals=residuals,
-        flux_map=W,
         method=method,
     )
 
@@ -526,12 +519,6 @@ class Trajectory:
     weight: Optional[np.ndarray] = None
     truncation_error: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)  # solver facts, by name
-
-    def snapshot(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ArgumentError(f"no snapshot at t = {t}")
-        return self.values[i]
 
 
 def evolve(eig: EigenSystem, v0: np.ndarray, times: Sequence[float]) -> Trajectory:
@@ -597,6 +584,22 @@ def weighted_inner(
     """Trapezoid approximation of the weighted inner product on the grid."""
     mu = grid.cell_weights()
     return float(np.sum(mu * np.asarray(weight) * np.asarray(u) * np.asarray(v)))
+
+
+def orthonormalize_laws(
+    law_values: np.ndarray, weight: np.ndarray, grid: Grid
+) -> np.ndarray:
+    """Gram-Schmidt in the weighted inner product; rows are the laws (or
+    any grid functions). Raises InputError on a dependent row."""
+    out = np.array(law_values, dtype=float)
+    for i in range(out.shape[0]):
+        for j in range(i):
+            out[i] -= weighted_inner(out[i], out[j], weight, grid) * out[j]
+        norm = np.sqrt(weighted_inner(out[i], out[i], weight, grid))
+        if norm <= 0:
+            raise InputError("laws are not independent; cannot orthonormalize")
+        out[i] /= norm
+    return out
 
 
 def restrict_modes(eig: EigenSystem, keep) -> EigenSystem:

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import conspar
+from conspar import cli
 from conspar.cli import (
+    _SCHEMAS,
+    RunConfig,
     RunManifest,
     _csv,
     build_config,
@@ -139,6 +142,39 @@ class TestConfig:
         with pytest.raises(ConfigError, match="out"):
             build_config("kimura", {}, {})
 
+    def test_unread_key_refused(self, tmp_path, capsys):
+        assert main(["kimura", "--seed", "3", "--out", str(tmp_path / "x")]) == 2
+        assert "unknown key 'seed'" in capsys.readouterr().err
+
+    def test_every_schema_key_is_read(self, tmp_path, monkeypatch):
+        """Each command's runner reads every key of its schema, over every
+        mode and oracle model."""
+        read = {}
+
+        def record(config, key):
+            read.setdefault(config.command, set()).add(key)
+            return config.options[key]
+
+        monkeypatch.setattr(RunConfig, "__getitem__", record)
+        small = ["--n", "21", "--T", "0.01", "--times", "0,0.01"]
+        runs = [
+            ["kimura", *small],
+            ["kimura", *small, "--mode", "regularized"],
+            ["kimura", *small, "--mode", "ladder"],
+            ["sis", *small],
+            ["sis", *small, "--mode", "regularized"],
+            ["spectrum", "--n", "5", "--k", "1"],
+            ["moments", "--n", "5", "--T", "0.001", "--times", "0,0.001"],
+            ["moments", "--n", "5", "--T", "0.001"],  # times from T
+            ["oracle", "--replicates", "1", "--T", "0.001", "--times", "0"],
+            ["oracle", "--model", "sis", "--replicates", "1", "--T", "0.001", "--times", "0"],
+            ["validate", "--pde", str(tmp_path / "0"), "--oracle", str(tmp_path / "8")],
+        ]
+        for i, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / str(i))]) in (0, 4), argv
+        for command, schema in _SCHEMAS.items():
+            assert read[command] == set(schema), command
+
 
 class TestWriters:
     def test_empty_rows_headers_only(self, tmp_path):
@@ -219,10 +255,15 @@ class TestKimuraCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_overflowing_fixation_integral_exit_code(self, tmp_path, capsys):
-        # int_0^1 exp(800 y) dy overflows in the fixation probability
-        argv = ["kimura", "--psi", "-800", "--n", "51", "--T", "0.01", "--times", "0,0.01"]
-        assert main(argv + ["--out", str(tmp_path / "x")]) == 3
+    def test_overflowing_fixation_integral_exit_code(self, tmp_path, capsys, monkeypatch):
+        # int_0^1 exp(800 y) dy overflows in the fixation probability, which
+        # is built before the solve; run() binds solver names with
+        # setdefault, so this stand-in is the one a solve would call
+        def solve_interior(*args, **kwargs):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli, "solve_interior", solve_interior, raising=False)
+        assert main(["kimura", "--psi", "-800", "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert "numerical error" in err and "psi = -800" in err
 
@@ -430,6 +471,52 @@ class TestOracleAndValidate:
         assert "validation failure" in capsys.readouterr().err
         # outputs still written for inspection
         assert (rep / "report.csv").exists()
+
+    def test_no_absorbed_path_against_a_tiny_atom_passes(self, tmp_path):
+        # the PDE atom at t = 0.05 is about 7e-7 and no path of 2000 is
+        # absorbed; a standard error floored at 1/2000 keeps z near 0.001
+        pde, mc, rep = tmp_path / "pde", tmp_path / "mc", tmp_path / "rep"
+        times = ["--T", "1", "--times", "0.05,1"]
+        assert main(["kimura", "--psi", "10", "--u0", "delta:0.5", *times,
+                     "--out", str(pde)]) == 0
+        assert main(["oracle", "--psi", "10", "--x0", "0.5", *times, "--replicates", "2000",
+                     "--dt", "1e-3", "--seed", "3", "--out", str(mc)]) == 0
+        assert main(["validate", "--pde", str(pde), "--oracle", str(mc),
+                     "--out", str(rep)]) == 0
+        first = _read(rep / "report.csv").splitlines()[1].split(",")
+        assert float(first[2]) == 0.0  # mass0_mc
+        assert float(first[3]) == 1 / 2000  # se_mass0
+        assert float(first[4]) < 0.01  # z0
+
+    def _synthetic_runs(self, tmp_path, manifest):
+        pde, mc = tmp_path / "pde", tmp_path / "mc"
+        pde.mkdir()
+        mc.mkdir()
+        (pde / "masses.csv").write_text(
+            "t,atom0,atom1,interior_mass,total_mass,phi_moment\n0.05,0.01,0.0,0.99,1.0,0.5\n",
+            encoding="utf-8",
+        )
+        (mc / "oracle.csv").write_text(
+            "t,mass0,mass1,interior,se_mass0,se_mass1\n0.05,0.0,0.0,1.0,0.0,0.0\n",
+            encoding="utf-8",
+        )
+        if manifest is not None:
+            (mc / "manifest.txt").write_text(manifest, encoding="utf-8")
+        return ["validate", "--pde", str(pde), "--oracle", str(mc),
+                "--out", str(tmp_path / "rep")]
+
+    def test_no_absorbed_path_against_a_real_atom_fails(self, tmp_path):
+        argv = self._synthetic_runs(tmp_path, "command = oracle\nconfig.replicates = 2000\n")
+        assert main(argv) == 4
+        z0 = float(_read(tmp_path / "rep" / "report.csv").splitlines()[1].split(",")[4])
+        assert z0 == pytest.approx(20.0, rel=1e-12)
+
+    @pytest.mark.parametrize("manifest", [None, "command = oracle\n"])
+    def test_oracle_path_count_required(self, tmp_path, capsys, manifest):
+        argv = self._synthetic_runs(tmp_path, manifest)
+        assert main(argv + ["--se_limit", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "config.replicates" in err and "se_limit" in err
 
     def test_warning_reaches_stderr_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "warn"

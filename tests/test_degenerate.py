@@ -437,6 +437,7 @@ class TestMassesFluxForm:
             times=np.linspace(0, 1, 11),
             at0=np.zeros(11),
             at1=np.zeros(11),
+            outflow=(1.0, 1.0),
             psi_continuous=True,
         )
         _, a, b = masses_from_boundary_flux(traces, 0.3, 0.4)
@@ -448,7 +449,8 @@ class TestMassesFluxForm:
 
         times = np.linspace(0, 2, 21)
         traces = BoundaryTraces(
-            times=times, at0=np.full(21, 0.5), at1=np.zeros(21), psi_continuous=True
+            times=times, at0=np.full(21, 0.5), at1=np.zeros(21), outflow=(1.0, 1.0),
+            psi_continuous=True,
         )
         _, a, _ = masses_from_boundary_flux(traces, 0.1, 0.0)
         assert np.max(np.abs(a - (0.1 + 0.5 * times))) <= 1e-12
@@ -478,12 +480,35 @@ class TestMassesFluxForm:
             masses_from_boundary_flux(sol.traces, 0.0, 0.0)
 
 
+class TestOutflow:
+    """The traces carry the mass that leaves per unit trace, so one flux
+    routine gives either model's atoms."""
+
+    def test_kimura_rates(self, neutral_interior):
+        assert neutral_interior.traces.outflow == (1.0, 1.0)
+
+    @pytest.mark.parametrize("R0", [0.5, 2.0, 10.0])
+    def test_sis_rates(self, R0):
+        sol = solve_interior(sis_model(R0), np.ones(21), 0.1, [0.1], Grid(0.0, 1.0, 21))
+        assert sol.traces.outflow == (0.5 * (R0 + 1), 0.0)
+
+    def test_sis_flux_atom_is_sis_atom_mass(self):
+        grid = Grid(0.0, 1.0, 201)
+        sol = solve_interior(sis_model(2.0), np.ones(grid.n), 2.0, [0.0, 1.0, 2.0], grid)
+        tf, a, b = masses_from_boundary_flux(sol.traces, 0.1, 0.2)
+        ta, a_sis = sis_atom_mass(sol.traces, 0.1, 2.0)
+        assert np.array_equal(tf, ta)
+        assert np.array_equal(a, a_sis)
+        assert np.all(b == 0.2)  # no atom grows at the zero-flux end
+
+
 class TestSisAtomMass:
     def test_zero_trace(self):
         from conspar.degenerate import BoundaryTraces
 
         traces = BoundaryTraces(
-            times=np.linspace(0, 1, 5), at0=np.zeros(5), at1=np.zeros(5), psi_continuous=True
+            times=np.linspace(0, 1, 5), at0=np.zeros(5), at1=np.zeros(5), outflow=(1.5, 0.0),
+            psi_continuous=True,
         )
         _, a = sis_atom_mass(traces, 0.25, 2.0)
         assert np.all(a == 0.25)
@@ -494,7 +519,8 @@ class TestSisAtomMass:
         times = np.linspace(0, 3, 31)
         c, R0 = 0.4, 2.0
         traces = BoundaryTraces(
-            times=times, at0=np.full(31, c), at1=np.zeros(31), psi_continuous=True
+            times=times, at0=np.full(31, c), at1=np.zeros(31), outflow=(0.5 * (R0 + 1), 0.0),
+            psi_continuous=True,
         )
         _, a = sis_atom_mass(traces, 0.0, R0)
         assert np.max(np.abs(a - (R0 + 1) / 2 * c * times)) <= 1e-12

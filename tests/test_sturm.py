@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conspar import sturm
 from conspar.conservative import build_totally_conservative
 from conspar.errors import (
     ArgumentError,
     AssemblyError,
     CouplingError,
     DenseSizeError,
+    EigensolveError,
     InputError,
     NoSteadyStateError,
 )
@@ -27,6 +29,7 @@ from conspar.sturm import (
     evolve,
     make_coupling,
     neumann_coupling,
+    orthonormalize_laws,
     positivity_check,
     stencil_boundary_residuals,
     steady_state,
@@ -183,6 +186,28 @@ class TestEigensolve:
         expected = np.array([(k * np.pi) ** 2 for k in (1, 2, 3, 4)])
         assert np.max(np.abs(eig.eigenvalues - expected) / expected) <= 2e-3
         assert eig.zero_multiplicity == 0
+
+    def test_bordered_vectors_weighted_orthonormal(self, one, zero):
+        g = Grid(0.0, 1.0, 201)
+        coup = make_coupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        op = assemble(SLProblem(p=one, q=zero, weight=one, coupling=coup), g)
+        vec = eigensolve(op, k=4).vectors
+        assert np.max(np.abs(vec.T @ (op.mass[:, None] * vec) - np.eye(4))) <= 1e-12
+
+    def test_bordered_dependent_vector_is_an_eigensolve_error(self, one, zero, monkeypatch):
+        def dependent(*args):
+            raise InputError("laws are not independent; cannot orthonormalize")
+
+        monkeypatch.setattr(sturm, "orthonormalize_laws", dependent)
+        coup = make_coupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        op = assemble(SLProblem(p=one, q=zero, weight=one, coupling=coup), Grid(0.0, 1.0, 21))
+        with pytest.raises(EigensolveError, match="bordered"):
+            eigensolve(op, k=2)
+
+    def test_orthonormalize_rejects_dependent_rows(self):
+        g = Grid(0.0, 1.0, 11)
+        with pytest.raises(InputError):
+            orthonormalize_laws(np.stack([g.nodes, np.zeros(g.n)]), np.ones(g.n), g)
 
     def test_non_selfadjoint_rows_rejected(self, grid, one, zero):
         # v'(0) = v(1), v'(1) = 0 is not a symmetric closure
