@@ -34,7 +34,6 @@ _EXPORTS = {
     "expressions": ("Expression", "parse_expression"),
     "fields": (
         "CoefficientField",
-        "SisCoefficients",
         "constant_field",
         "cumulative_integral",
         "exponential_weight",
@@ -43,7 +42,6 @@ _EXPORTS = {
         "field_from_table",
         "fixation_probability",
         "integrating_factor",
-        "sis_coefficients",
     ),
     "sturm": (
         "BoundaryCoupling",
@@ -81,13 +79,11 @@ _EXPORTS = {
         "BoundaryTraces",
         "DegenerateModel",
         "InteriorSolution",
-        "RegularizationLadder",
         "decompose_measure",
         "from_selfadjoint",
         "kimura_model",
         "masses_from_boundary_flux",
         "masses_from_conservation",
-        "sis_atom_mass",
         "sis_model",
         "solve_interior",
         "solve_regularized",

@@ -43,7 +43,7 @@ from .fields import field_from_expression, field_from_table
 # wraps this module's globals) is what the runner calls.
 _DEGENERATE_SOLVERS = {
     "sturm": "Grid",
-    "degenerate": "RegularizationLadder decompose_measure kimura_model "
+    "degenerate": "decompose_measure kimura_model "
     "masses_from_boundary_flux masses_from_conservation sis_model "
     "solve_interior solve_regularized vanishing_limit",
 }
@@ -457,8 +457,7 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
             traj = solve_regularized(model, u0, cfg["eps"], times, grid).trajectory
             measures = [decompose_measure(v, grid, t) for v, t in zip(traj.values, traj.times)]
         else:
-            ladder = RegularizationLadder(g=model.g, epsilons=tuple(cfg["ladder"]))
-            res = vanishing_limit(model, u0, ladder, times, grid)
+            res = vanishing_limit(model, u0, cfg["ladder"], times, grid)
             if res.warning:
                 manifest.warnings.append(res.warning)
             manifest.assumptions.append("richardson_order1")

@@ -433,7 +433,6 @@ def duhamel_evolve(
         grid=eig.grid,
         times=times,
         values=coef @ eig.vectors.T,
-        weight=eig.weight,
         diagnostics={"duhamel_levels": levels},
     )
 
@@ -497,12 +496,8 @@ def prescribed_moments_evolve(
         "duhamel_kernel_leakage": float(np.max(np.abs(R[zm:]), initial=0.0)),
         "duhamel_levels": levels,
     }
-    v_traj = Trajectory(
-        grid=eig.grid, times=times, values=v_values, weight=eig.weight,
-        diagnostics=diagnostics,
-    )
+    v_traj = Trajectory(grid=eig.grid, times=times, values=v_values, diagnostics=diagnostics)
     w_traj = Trajectory(
-        grid=eig.grid, times=times, values=v_values - lift, weight=eig.weight,
-        diagnostics=dict(diagnostics),
+        grid=eig.grid, times=times, values=v_values - lift, diagnostics=dict(diagnostics)
     )
     return v_traj, w_traj

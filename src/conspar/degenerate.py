@@ -52,7 +52,6 @@ from .fields import (
     exponential_weight,
     field_from_callable,
     fixation_probability,
-    sis_coefficients,
 )
 from .sturm import (
     DEFAULT_GRID,
@@ -81,11 +80,9 @@ class DegenerateModel:
 
     ``law_builders`` make each conserved density from the drift: total
     mass, then, when x = 1 absorbs, the fixation probability. Their number
-    decides the closure at x = 1 (see ``absorbs_at_1``). ``kind`` is a
-    label only.
+    decides the closure at x = 1 (see ``absorbs_at_1``).
     """
 
-    kind: str
     g: CoefficientField
     psi: CoefficientField
     law_builders: tuple
@@ -101,10 +98,6 @@ class DegenerateModel:
         trace is extrapolated. One law: g(1) > 0, zero flux through x = 1,
         and the last unknown sits on x = 1 as its own trace."""
         return len(self.law_builders) == 2
-
-    @property
-    def boundary_mode_at_1(self) -> str:
-        return "degenerate_with_second_law" if self.absorbs_at_1 else "robin_flux"
 
     def __post_init__(self):
         if len(self.law_builders) not in (1, 2):
@@ -125,53 +118,34 @@ def kimura_model(psi: CoefficientField) -> DegenerateModel:
         "logistic_degeneracy",
         derivative=lambda x: 1.0 - 2.0 * np.asarray(x),
     )
-    return DegenerateModel(
-        kind="kimura", g=g, psi=psi, law_builders=(_total_mass, fixation_probability)
-    )
+    return DegenerateModel(g=g, psi=psi, law_builders=(_total_mass, fixation_probability))
 
 
 def sis_model(R0: float) -> DegenerateModel:
-    """Epidemic prevalence model; drift and degeneracy derive from R0."""
-    coeffs = sis_coefficients(R0)
+    """Epidemic prevalence model for a basic reproduction number R0 > 0.
+
+    With F(x) = R0(1-x) + 1, the degeneracy is g = x F/2 and the drift is
+    psi = 2 - 4/F, so exp(int_0^x psi) = exp(2x) (F/(R0 + 1))^(4/R0).
+    """
+    if not np.isfinite(R0) or R0 <= 0:
+        raise ParameterError("R0 must be a positive real number")
+
+    def F(x):
+        return R0 * (1.0 - np.asarray(x, dtype=float)) + 1.0
+
     g = field_from_callable(
-        lambda x: 0.5 * np.asarray(x) * coeffs.F(x),
+        lambda x: 0.5 * np.asarray(x) * F(x),
         "sis_degeneracy",
         (R0,),
-        derivative=lambda x: 0.5 * (coeffs.F(x) - R0 * np.asarray(x)),
+        derivative=lambda x: 0.5 * (F(x) - R0 * np.asarray(x)),
     )
     psi = field_from_callable(
-        lambda x: 2.0 - 4.0 / coeffs.F(x),
+        lambda x: 2.0 - 4.0 / F(x),
         "sis_drift",
         (R0,),
-        derivative=lambda x: -4.0 * R0 / coeffs.F(x) ** 2,
+        derivative=lambda x: -4.0 * R0 / F(x) ** 2,
     )
-    return DegenerateModel(kind="sis", g=g, psi=psi, law_builders=(_total_mass,))
-
-
-@dataclass(frozen=True)
-class RegularizationLadder:
-    """A decreasing sequence of regularization strengths for g_eps = g + eps."""
-
-    g: CoefficientField
-    epsilons: tuple
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        object.__setattr__(self, "epsilons", eps)
-        if any(e <= 0 for e in eps):
-            raise ParameterError("ladder strengths must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ParameterError("ladder strengths must be strictly decreasing")
-
-    def g_eps(self, eps: float) -> CoefficientField:
-        g = self.g
-        return field_from_callable(
-            lambda x: np.asarray(g(x)) + eps,
-            "regularized_degeneracy",
-            (eps,),
-            n=g.xs.size,
-            derivative=lambda x: np.asarray(g.derivative(x)),
-        )
+    return DegenerateModel(g=g, psi=psi, law_builders=(_total_mass,))
 
 
 def _divisors(g_eps, p_weight):
@@ -210,17 +184,18 @@ class RegularizedSolution:
 def regularized_system(
     model: DegenerateModel, eps: float, grid: Grid = DEFAULT_GRID
 ) -> Tuple[EigenSystem, np.ndarray, np.ndarray]:
-    """Assemble and eigensolve the eps-regularized self-adjoint problem."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    ladder = RegularizationLadder(g=model.g, epsilons=(eps,))
-    g_eps = ladder.g_eps(eps)
+    """Assemble and eigensolve the eps-regularized self-adjoint problem:
+    g becomes g_eps = g + eps, with the weight exp(int psi)/g_eps. Returns
+    the eigensystem and the grid values of exp(int psi) and g_eps."""
+    if not np.isfinite(eps) or eps <= 0:
+        raise ParameterError("eps must be a positive real number")
+    g = model.g
     p = exponential_weight(model.psi)
     weight = field_from_callable(
-        lambda x: np.asarray(p(x)) / np.asarray(g_eps(x)),
+        lambda x: np.asarray(p(x)) / (np.asarray(g(x)) + eps),
         "regularized_weight",
         (eps,),
-        n=max(p.xs.size, g_eps.xs.size),
+        n=max(p.xs.size, g.xs.size),
     )
     rows = [conservation_row(law, p, grid) for law in model.laws]
     if not model.absorbs_at_1:
@@ -229,7 +204,7 @@ def regularized_system(
     problem = SLProblem(p=p, q=field_from_callable(lambda x: np.zeros(np.shape(x)), "0"),
                         weight=weight, coupling=coupling)
     eig = eigensolve(assemble(problem, grid))
-    return eig, sample_field(p, grid), sample_field(g_eps, grid)
+    return eig, sample_field(p, grid), sample_field(g, grid) + eps
 
 
 def solve_regularized(
@@ -694,18 +669,6 @@ def masses_from_boundary_flux(
     return traces.times, a, b
 
 
-def sis_atom_mass(
-    traces: BoundaryTraces, a0: float, R0: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Single atom of the flux-boundary model:
-    a(t) = a0 + (R0 + 1)/2 int_0^t r(0, s) ds, where (R0 + 1)/2 = g'(0);
-    ``masses_from_boundary_flux`` gives the same atom from SIS traces."""
-    if R0 <= 0:
-        raise ParameterError("R0 must be positive")
-    a = a0 + 0.5 * (R0 + 1.0) * cumulative_trapezoid(traces.at0, traces.times)
-    return traces.times, a
-
-
 # ----------------------------------------------------------------------
 # Vanishing-regularization limit
 
@@ -738,12 +701,13 @@ class VanishingLimitResult:
 def vanishing_limit(
     model: DegenerateModel,
     u_initial: np.ndarray,
-    ladder: RegularizationLadder,
+    epsilons: Sequence[float],
     times: Sequence[float],
     grid: Grid = DEFAULT_GRID,
     probes: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> VanishingLimitResult:
-    """Regularized solves along the ladder, extrapolated to eps -> 0.
+    """Regularized solves along a ladder of strictly decreasing positive
+    strengths ``epsilons`` (at least 3), extrapolated to eps -> 0.
 
     The interior density at each time is extrapolated from the smallest
     regularizations. The first-order-in-eps hypothesis is checked against
@@ -754,12 +718,17 @@ def vanishing_limit(
     falls back to the first-order formula. Atomic masses then follow from
     the conservation identities applied to the extrapolated density.
     """
-    if len(ladder.epsilons) < 3:
+    epsilons = tuple(float(e) for e in epsilons)
+    if not all(0 < e < np.inf for e in epsilons):
+        raise ParameterError("ladder strengths must be positive real numbers")
+    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise ParameterError("ladder strengths must be strictly decreasing")
+    if len(epsilons) < 3:
         raise ArgumentError("ladder needs at least 3 strengths")
     times = np.asarray(times, dtype=float)
     solutions = [
         solve_regularized(model, u_initial, eps, times, grid)
-        for eps in ladder.epsilons
+        for eps in epsilons
     ]
     probe_xs = np.asarray(probes, dtype=float)
     probe_idx = [int(np.argmin(np.abs(grid.nodes - x))) for x in probe_xs]
@@ -776,7 +745,7 @@ def vanishing_limit(
             f"{100 * (1 - monotone_fraction):.0f}% of probes"
         )
 
-    e1, e0 = ladder.epsilons[-2], ladder.epsilons[-1]
+    e1, e0 = epsilons[-2], epsilons[-1]
     d1 = stack[-2] - stack[-3]
     d2 = stack[-1] - stack[-2]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -9,8 +9,6 @@ derived weights used by the solvers are built here:
 * ``fixation_probability(psi)``-> solution of phi'' + psi phi' = 0,
   phi(0) = 0, phi(1) = 1
 * ``integrating_factor(a, b)`` ->  x |-> exp(int_0^x b/a)
-* ``sis_coefficients(R0)``     -> the coefficient family of the SIS
-  epidemic diffusion model
 
 Quadrature is composite Simpson refined by doubling until successive
 estimates agree to 1e-10 relative (or a node cap is reached).
@@ -34,7 +32,6 @@ from .errors import (
     DomainBoundsError,
     InputError,
     InternalError,
-    ParameterError,
     QuadratureError,
 )
 from .expressions import parse_expression
@@ -467,66 +464,3 @@ def integrating_factor(a: CoefficientField, b: CoefficientField) -> CoefficientF
         n=nodes.size,
         derivative=deriv,
     )
-
-
-# ----------------------------------------------------------------------
-# SIS coefficient family
-
-
-@dataclass(frozen=True)
-class SisCoefficients:
-    """Coefficient family of the SIS epidemic diffusion for a given basic
-    reproduction number: F(x) = R0(1-x) + 1, H(x) = x + (2/R0) log(F/F(0)),
-    P = exp(2H), omega = P/(x F)."""
-
-    R0: float
-    F: CoefficientField
-    H: CoefficientField
-    P: CoefficientField
-    omega: CoefficientField
-
-    def omega_eps(self, eps: float) -> CoefficientField:
-        """Regularized weight P/((x + eps) F); converges to omega pointwise
-        on (0, 1] as eps -> 0."""
-        if eps <= 0:
-            raise ParameterError("eps must be positive")
-        R0 = self.R0
-        fn = lambda x: _sis_P(R0, x) / ((np.asarray(x) + eps) * _sis_F(R0, x))  # noqa: E731
-        return field_from_callable(fn, "sis_omega_eps", params=(R0, eps))
-
-
-def _sis_F(R0, x):
-    return R0 * (1.0 - np.asarray(x, dtype=float)) + 1.0
-
-
-def _sis_H(R0, x):
-    return np.asarray(x, dtype=float) + (2.0 / R0) * np.log(_sis_F(R0, x) / (R0 + 1.0))
-
-
-def _sis_P(R0, x):
-    return np.exp(2.0 * _sis_H(R0, x))
-
-
-def sis_coefficients(R0: float) -> SisCoefficients:
-    """Build the SIS coefficient family; requires R0 > 0."""
-    if not np.isfinite(R0) or R0 <= 0:
-        raise ParameterError("R0 must be a positive real number")
-    F = field_from_callable(
-        lambda x: _sis_F(R0, x), "sis_F", (R0,), derivative=lambda x: np.full(np.shape(x), -R0)
-    )
-    dH = lambda x: 1.0 - 2.0 / _sis_F(R0, x)  # noqa: E731
-    H = field_from_callable(lambda x: _sis_H(R0, x), "sis_H", (R0,), derivative=dH)
-    P = field_from_callable(
-        lambda x: _sis_P(R0, x),
-        "sis_P",
-        (R0,),
-        derivative=lambda x: 2.0 * dH(x) * _sis_P(R0, x),
-    )
-
-    def omega_fn(x):
-        xa = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return _sis_P(R0, xa) / (xa * _sis_F(R0, xa))
-
-    omega = field_from_callable(omega_fn, "sis_omega", (R0,))
-    return SisCoefficients(R0=float(R0), F=F, H=H, P=P, omega=omega)

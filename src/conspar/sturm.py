@@ -20,7 +20,7 @@ read-only use; evolution over a list of times is a pure map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -252,7 +252,6 @@ class EigenSystem:
     grid: Grid
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    weight: np.ndarray
     mass: np.ndarray
     zero_multiplicity: int
     coupling: BoundaryCoupling
@@ -479,7 +478,6 @@ def eigensolve(
         grid=op.grid,
         eigenvalues=np.asarray(lam, dtype=float),
         vectors=np.asarray(vec, dtype=float),
-        weight=op.weight_values,
         mass=op.mass,
         zero_multiplicity=zero_multiplicity,
         coupling=coupling,
@@ -516,7 +514,6 @@ class Trajectory:
     grid: Grid
     times: np.ndarray
     values: np.ndarray  # shape (len(times), n)
-    weight: Optional[np.ndarray] = None
     truncation_error: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)  # solver facts, by name
 
@@ -539,7 +536,6 @@ def evolve(eig: EigenSystem, v0: np.ndarray, times: Sequence[float]) -> Trajecto
         grid=eig.grid,
         times=times,
         values=values,
-        weight=eig.weight,
         truncation_error=truncation,
     )
 
@@ -601,13 +597,3 @@ def orthonormalize_laws(
         out[i] /= norm
     return out
 
-
-def restrict_modes(eig: EigenSystem, keep) -> EigenSystem:
-    """EigenSystem with a subset of modes (diagnostic tool)."""
-    keep = np.asarray(keep)
-    return replace(
-        eig,
-        eigenvalues=eig.eigenvalues[keep],
-        vectors=eig.vectors[:, keep],
-        bc_residuals=eig.bc_residuals[keep],
-    )

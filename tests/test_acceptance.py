@@ -16,12 +16,10 @@ from conspar.conservative import (
 )
 from conspar.degenerate import (
     BoundaryMeasure,
-    RegularizationLadder,
     decompose_measure,
     kimura_model,
     masses_from_boundary_flux,
     masses_from_conservation,
-    sis_atom_mass,
     sis_model,
     solve_interior,
     solve_regularized,
@@ -153,7 +151,7 @@ def test_criterion_5_sis_structure():
         model = sis_model(2.0)
         times = np.linspace(0.0, 10.0, 41)
         sol = solve_interior(model, np.ones(GRID.n), 10.0, times, GRID)
-        ta, a_curve = sis_atom_mass(sol.traces, 0.0, 2.0)
+        ta, a_curve, _ = masses_from_boundary_flux(sol.traces, 0.0, 0.0)
         a = np.interp(sol.trajectory.times, ta, a_curve)
         interior = np.array(
             [np.trapezoid(v, GRID.nodes) for v in sol.trajectory.values]
@@ -185,9 +183,7 @@ def test_criterion_6_ladder_convergence():
     with _Timer() as t:
         model = kimura_model(ZERO)
         u0 = np.ones(GRID.n)
-        ladder = RegularizationLadder(
-            g=model.g, epsilons=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-        )
+        ladder = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
         res = vanishing_limit(model, u0, ladder, [1.0], GRID, probes=(0.25, 0.5, 0.75))
         diffs = res.probe_differences[:, :, 0]  # (rungs-1, probes)
         decreasing = np.all(np.diff(diffs, axis=0) < 0, axis=0)
@@ -294,9 +290,7 @@ def test_criterion_10_interchange_of_limits_guard():
         bm = decompose_measure(sol.trajectory.values[0], GRID, 1000.0)
         atoms_small = max(abs(bm.atom0), abs(bm.atom1)) <= GRID.h
         # fixed t = 50, eps -> 0: atoms carry the conserved mass (1/2, 1/2)
-        ladder = RegularizationLadder(
-            g=model.g, epsilons=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        )
+        ladder = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
         res = vanishing_limit(model, u0, ladder, [50.0], GRID)
         m = res.measures[0]
         atoms_half = abs(m.atom0 - 0.5) <= 0.01 and abs(m.atom1 - 0.5) <= 0.01

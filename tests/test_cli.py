@@ -86,8 +86,8 @@ BoundaryCoupling BoundaryMeasure BoundaryTraces CoefficientField ConfigError
 ConservativeProblem ConsparError CouplingError DEFAULT_GRID DegeneracyError
 DegenerateModel DomainBoundsError EigenSystem EmpiricalMeasure EvaluationError
 Expression ExpressionError Grid InputError InteriorSolution MomentPrescription
-NumericalError ParameterError RegularityTierError RegularizationLadder SLProblem
-SdeSpec SisCoefficients Trajectory TransformError ValidationFailure assemble
+NumericalError ParameterError RegularityTierError SLProblem
+SdeSpec Trajectory TransformError ValidationFailure assemble
 build_partially_conservative build_totally_conservative canonical_test_directions
 certify_intrinsic_positivity compare_measures conservation_residual conservative
 constant_field coupling_from_kernel cumulative_integral decompose_measure
@@ -97,7 +97,7 @@ fixation_probability from_selfadjoint integrating_factor kimura_model kimura_sde
 make_coupling masses_from_boundary_flux masses_from_conservation neumann_coupling
 oracle parse_expression positivity_check prescribe_moments
 prescribed_moments_evolve prescribed_moments_reduce selfadjoint_reduction
-separable_test_function simulate sis_atom_mass sis_coefficients sis_model sis_sde
+separable_test_function simulate sis_model sis_sde
 solve_interior solve_regularized steady_state sturm time_function to_selfadjoint
 vanishing_limit weak_form_residual weighted_inner
 """.split()

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from conspar import degenerate
 from conspar.degenerate import (
     BoundaryMeasure,
-    RegularizationLadder,
     canonical_test_directions,
     decompose_measure,
     from_selfadjoint,
@@ -15,7 +14,6 @@ from conspar.degenerate import (
     masses_from_boundary_flux,
     masses_from_conservation,
     separable_test_function,
-    sis_atom_mass,
     sis_model,
     solve_interior,
     solve_regularized,
@@ -31,6 +29,7 @@ from conspar.errors import (
 )
 from conspar.fields import (
     constant_field,
+    cumulative_trapezoid,
     field_from_expression,
     field_from_table,
     fixation_probability,
@@ -55,23 +54,23 @@ class TestModels:
         assert neutral.g(0.0) == 0.0
         assert neutral.g(1.0) == 0.0
         assert neutral.g(0.5) == 0.25
-        assert neutral.boundary_mode_at_1 == "degenerate_with_second_law"
+        assert neutral.absorbs_at_1
 
     def test_sis_half_degenerate(self):
         model = sis_model(2.0)
         assert model.g(0.0) == 0.0
         assert model.g(1.0) == 0.5  # F(1)/2
-        assert model.boundary_mode_at_1 == "robin_flux"
+        assert not model.absorbs_at_1
 
     def test_ladder_validation(self, neutral):
+        u0 = np.ones(GRID.n)
         with pytest.raises(ParameterError):
-            RegularizationLadder(g=neutral.g, epsilons=(1e-2, 1e-1))
+            vanishing_limit(neutral, u0, (1e-2, 1e-1, 1e-3), [1.0], GRID)
         with pytest.raises(ParameterError):
-            RegularizationLadder(g=neutral.g, epsilons=(1e-2, 0.0))
-        ladder = RegularizationLadder(g=neutral.g, epsilons=(1e-1, 1e-2))
-        geps = ladder.g_eps(1e-2)
-        assert geps(0.0) == pytest.approx(1e-2)
-        assert geps.min_sample() > 0
+            vanishing_limit(neutral, u0, (1e-1, 1e-2, 0.0), [1.0], GRID)
+        sol = solve_regularized(neutral, u0, 1e-2, [0.0], GRID)
+        assert sol.g_eps_values[0] == pytest.approx(1e-2)
+        assert sol.g_eps_values.min() > 0
 
 
 class TestTransforms:
@@ -157,7 +156,7 @@ class TestSolveRegularized:
 
 class TestVanishingLimit:
     def test_initial_time_recovers_data(self, neutral):
-        ladder = RegularizationLadder(g=neutral.g, epsilons=(1e-1, 3e-2, 1e-2))
+        ladder = (1e-1, 3e-2, 1e-2)
         res = vanishing_limit(neutral, np.ones(GRID.n), ladder, [0.0], GRID)
         m = res.measures[0]
         assert abs(m.atom0) <= 1e-10
@@ -166,7 +165,7 @@ class TestVanishingLimit:
 
     def test_bump_away_from_boundary(self, neutral):
         bump = np.exp(-((GRID.nodes - 0.5) ** 2) / 0.005)
-        ladder = RegularizationLadder(g=neutral.g, epsilons=(1e-1, 3e-2, 1e-2))
+        ladder = (1e-1, 3e-2, 1e-2)
         res = vanishing_limit(neutral, bump, ladder, [0.0], GRID)
         assert abs(res.measures[0].atom0) <= 1e-10
         assert abs(res.measures[0].atom1) <= 1e-10
@@ -174,9 +173,7 @@ class TestVanishingLimit:
     def test_long_time_concentrates_at_atoms(self, neutral):
         # the eps -> 0 limit at fixed large t piles the conserved mass
         # into the endpoint atoms, (1/2, 1/2) for neutral uniform data
-        ladder = RegularizationLadder(
-            g=neutral.g, epsilons=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        )
+        ladder = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
         res = vanishing_limit(neutral, np.ones(GRID.n), ladder, [50.0], GRID)
         m = res.measures[0]
         assert abs(m.atom0 - 0.5) <= 0.01
@@ -185,22 +182,20 @@ class TestVanishingLimit:
 
     def test_sis_never_gets_right_atom(self):
         model = sis_model(2.0)
-        ladder = RegularizationLadder(g=model.g, epsilons=(1e-1, 3e-2, 1e-2))
+        ladder = (1e-1, 3e-2, 1e-2)
         res = vanishing_limit(model, np.ones(GRID.n), ladder, [0.5, 2.0], GRID)
         for m in res.measures:
             assert m.atom1 == 0.0
 
     def test_ladder_diagnostics_monotone(self, neutral, neutral_interior):
-        ladder = RegularizationLadder(
-            g=neutral.g, epsilons=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-        )
+        ladder = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
         res = vanishing_limit(neutral, np.ones(GRID.n), ladder, [1.0], GRID)
         assert res.monotone_fraction >= 0.8
         assert res.warning is None
         assert res.probe_differences.shape == (4, 3, 1)
 
     def test_needs_three_rungs(self, neutral):
-        ladder = RegularizationLadder(g=neutral.g, epsilons=(1e-1, 1e-2))
+        ladder = (1e-1, 1e-2)
         with pytest.raises(ArgumentError):
             vanishing_limit(neutral, np.ones(GRID.n), ladder, [1.0], GRID)
 
@@ -221,9 +216,7 @@ class TestSolveInterior:
     def test_ladder_extrapolation_consistency(self, neutral, neutral_interior):
         # the vanishing-limit estimate agrees with the direct interior
         # solve within twice the last ladder difference at the probes
-        ladder = RegularizationLadder(
-            g=neutral.g, epsilons=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-        )
+        ladder = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
         res = vanishing_limit(neutral, np.ones(GRID.n), ladder, [1.0], GRID)
         idx = [int(round(p / GRID.h)) for p in res.probe_xs]
         direct = np.interp(
@@ -492,13 +485,14 @@ class TestOutflow:
         sol = solve_interior(sis_model(R0), np.ones(21), 0.1, [0.1], Grid(0.0, 1.0, 21))
         assert sol.traces.outflow == (0.5 * (R0 + 1), 0.0)
 
-    def test_sis_flux_atom_is_sis_atom_mass(self):
+    def test_sis_flux_atom_closed_form(self):
+        # a(t) = a0 + (R0 + 1)/2 int_0^t r(0, s) ds, with g'(0) = (R0 + 1)/2
         grid = Grid(0.0, 1.0, 201)
         sol = solve_interior(sis_model(2.0), np.ones(grid.n), 2.0, [0.0, 1.0, 2.0], grid)
         tf, a, b = masses_from_boundary_flux(sol.traces, 0.1, 0.2)
-        ta, a_sis = sis_atom_mass(sol.traces, 0.1, 2.0)
-        assert np.array_equal(tf, ta)
-        assert np.array_equal(a, a_sis)
+        expected = 0.1 + 0.5 * (2.0 + 1.0) * cumulative_trapezoid(sol.traces.at0, tf)
+        assert np.array_equal(tf, sol.traces.times)
+        assert np.array_equal(a, expected)
         assert np.all(b == 0.2)  # no atom grows at the zero-flux end
 
 
@@ -510,7 +504,7 @@ class TestSisAtomMass:
             times=np.linspace(0, 1, 5), at0=np.zeros(5), at1=np.zeros(5), outflow=(1.5, 0.0),
             psi_continuous=True,
         )
-        _, a = sis_atom_mass(traces, 0.25, 2.0)
+        _, a, _ = masses_from_boundary_flux(traces, 0.25, 0.0)
         assert np.all(a == 0.25)
 
     def test_constant_trace(self):
@@ -522,14 +516,14 @@ class TestSisAtomMass:
             times=times, at0=np.full(31, c), at1=np.zeros(31), outflow=(0.5 * (R0 + 1), 0.0),
             psi_continuous=True,
         )
-        _, a = sis_atom_mass(traces, 0.0, R0)
+        _, a, _ = masses_from_boundary_flux(traces, 0.0, 0.0)
         assert np.max(np.abs(a - (R0 + 1) / 2 * c * times)) <= 1e-12
 
     def test_mass_conservation_cross_check(self):
         model = sis_model(2.0)
         times = np.linspace(0, 10, 41)
         sol = solve_interior(model, np.ones(GRID.n), 10.0, times, GRID)
-        ta, a = sis_atom_mass(sol.traces, 0.0, 2.0)
+        ta, a, _ = masses_from_boundary_flux(sol.traces, 0.0, 0.0)
         interior = np.array(
             [np.trapezoid(v, GRID.nodes) for v in sol.trajectory.values]
         )
@@ -634,9 +628,7 @@ class TestInterchangeOfLimits:
         assert abs(bm.atom0) <= GRID.h
         assert abs(bm.atom1) <= GRID.h
         # fixed t = 50, eps -> 0: atoms carry the conserved mass
-        ladder = RegularizationLadder(
-            g=neutral.g, epsilons=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        )
+        ladder = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
         res = vanishing_limit(neutral, np.ones(GRID.n), ladder, [50.0], GRID)
         assert res.measures[0].atom0 > 0.45
         assert res.measures[0].atom1 > 0.45

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conspar.degenerate import sis_model, solve_regularized
 from conspar.errors import (
     DegeneracyError,
     DomainBoundsError,
@@ -23,8 +24,8 @@ from conspar.fields import (
     fixation_probability,
     integrate,
     integrating_factor,
-    sis_coefficients,
 )
+from conspar.sturm import Grid
 
 # oracle values (adaptive quadrature, scipy.integrate.quad at 1e-14)
 PHI_LINEAR_DRIFT = {0.25: 0.2891690199418016, 0.5: 0.5609064251880029, 0.75: 0.8008696509078178}
@@ -179,51 +180,74 @@ class TestIntegratingFactor:
             integrating_factor(x_field, one)
 
 
+def _sis_F(R0, x):
+    return R0 * (1.0 - x) + 1.0
+
+
+def _sis_P(R0, x):
+    """Reference exp(2H), H = x + (2/R0) log(F/(R0 + 1)): the closed form
+    of exp(int_0^x psi) for the SIS drift."""
+    return np.exp(2.0 * (x + (2.0 / R0) * np.log(_sis_F(R0, x) / (R0 + 1.0))))
+
+
 class TestSisCoefficients:
+    """``sis_model``'s fields against the closed forms of the SIS
+    coefficients, F = R0(1-x) + 1, g = x F/2, psi = 2 - 4/F, P = exp(2H)."""
+
     def test_f_endpoints(self):
-        sis = sis_coefficients(2.0)
-        assert sis.F(0.0) == 3.0
-        assert sis.F(1.0) == 1.0
+        model = sis_model(2.0)
+        assert model.g.derivative(0.0) == 1.5  # F(0)/2
+        assert model.g(1.0) == 0.5  # F(1)/2
+        xs = np.linspace(0, 1, 21)
+        assert np.max(np.abs(model.g(xs) - 0.5 * xs * _sis_F(2.0, xs))) <= 1e-15
+        assert np.max(np.abs(model.psi(xs) - (2.0 - 4.0 / _sis_F(2.0, xs)))) <= 1e-15
 
     def test_anchors_any_r0(self):
         for R0 in (0.5, 1.0, 2.0, 7.3):
-            sis = sis_coefficients(R0)
-            assert abs(sis.H(0.0)) <= 1e-15
-            assert abs(sis.P(0.0) - 1.0) <= 1e-15
+            P = exponential_weight(sis_model(R0).psi)
+            assert abs(_sis_P(R0, 0.0) - 1.0) <= 1e-15
+            assert abs(P(0.0) - 1.0) <= 1e-15
 
     def test_closed_forms_at_one(self):
-        sis = sis_coefficients(2.0)
+        P = exponential_weight(sis_model(2.0).psi)
         # frozen: H(1) = 1 + log(1/3), P(1) = exp(2 H(1)) = e^2/9
-        assert abs(sis.H(1.0) - (-0.09861228866810978)) <= 1e-10
-        assert abs(sis.P(1.0) - 0.8210062332145165) <= 1e-10
+        assert abs(0.5 * np.log(P(1.0)) - (-0.09861228866810978)) <= 1e-10
+        assert abs(P(1.0) - 0.8210062332145165) <= 1e-10
 
     def test_p_consistent_with_exponential_weight(self):
-        sis = sis_coefficients(2.0)
-        psi = field_from_callable(lambda x: 2.0 - 4.0 / sis.F(x), "psi_sis")
-        p = exponential_weight(psi)
         xs = np.linspace(0, 1, 21)
-        assert np.max(np.abs(p(xs) - sis.P(xs))) <= 1e-8
+        for R0 in (0.5, 2.0, 7.3):
+            p = exponential_weight(sis_model(R0).psi)
+            assert np.max(np.abs(p(xs) - _sis_P(R0, xs))) <= 1e-8
 
     def test_omega_eps_converges_pointwise_on_open_interval(self):
-        sis = sis_coefficients(2.0)
-        xs = np.linspace(0.05, 1.0, 20)
-        err = [
-            float(np.max(np.abs(sis.omega_eps(e)(xs) - sis.omega(xs))))
-            for e in (1e-2, 1e-4, 1e-6)
-        ]
+        # the solver's regularized weight P/(g + eps) is 2P/(xF + 2 eps);
+        # on (0, 1] it tends to 2P/(xF) as eps -> 0
+        grid = Grid(0.0, 1.0, 21)
+        xs = grid.nodes
+        P, xF = _sis_P(2.0, xs), xs * _sis_F(2.0, xs)
+        err = []
+        for eps in (1e-2, 1e-4, 1e-6):
+            sol = solve_regularized(sis_model(2.0), np.ones(grid.n), eps, [0.0], grid)
+            w = sol.p_values / sol.g_eps_values
+            np.testing.assert_allclose(w, 2 * P / (xF + 2 * eps), rtol=1e-12, atol=0)
+            err.append(float(np.max(np.abs(w[1:] - 2 * P[1:] / xF[1:]))))
         assert err[0] > err[1] > err[2]
-        # deviation scale is omega(x_min) * eps / x_min
+        # deviation scale is (2P/(xF)) * 2 eps/(xF) at x_min = 0.05
         assert err[2] <= 2e-4
 
     def test_omega_singular_at_zero(self):
-        sis = sis_coefficients(2.0)
-        assert math.isinf(sis.omega(0.0))
+        # the regularized weight at x = 0 is P(0)/eps = 1/eps, unbounded
+        # as eps -> 0
+        grid = Grid(0.0, 1.0, 21)
+        for eps in (1e-2, 1e-4, 1e-6):
+            sol = solve_regularized(sis_model(2.0), np.ones(grid.n), eps, [0.0], grid)
+            assert sol.p_values[0] / sol.g_eps_values[0] == pytest.approx(1 / eps, rel=1e-14)
 
     def test_rejects_bad_r0(self):
-        with pytest.raises(ParameterError):
-            sis_coefficients(0.0)
-        with pytest.raises(ParameterError):
-            sis_coefficients(-1.0)
+        for R0 in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                sis_model(R0)
 
 
 class TestDerivatives:
