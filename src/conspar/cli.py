@@ -455,7 +455,10 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
     else:
         if mode == "regularized":
             traj = solve_regularized(model, u0, cfg["eps"], times, grid).trajectory
-            measures = [decompose_measure(v, grid, t) for v, t in zip(traj.values, traj.times)]
+            measures = [
+                decompose_measure(v, grid, t, model.absorbs_at_1)
+                for v, t in zip(traj.values, traj.times)
+            ]
         else:
             res = vanishing_limit(model, u0, cfg["ladder"], times, grid)
             if res.warning:
@@ -470,8 +473,7 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
             measures = res.measures
         out_times = np.array([m.time for m in measures])
         a = np.array([m.atom0 for m in measures])
-        # no atom at a zero-flux end
-        b = np.array([m.atom1 if model.absorbs_at_1 else 0.0 for m in measures])
+        b = np.array([m.atom1 for m in measures])
         dens = np.stack([m.density for m in measures])
 
     nodes = grid.nodes

@@ -14,7 +14,8 @@ The uniformly parabolic regularization replaces g by g + eps, transforms
 to self-adjoint form with the weight exp(int psi)/g_eps, and evolves
 spectrally under the boundary rows of the laws (plus a zero-flux row at
 x = 1 under one law). The vanishing-regularization limit is a nonnegative
-measure: atoms at the absorbing endpoints plus a regular interior density.
+measure: atoms at the absorbing endpoints plus a regular interior density;
+a zero-flux end carries no atom, and its half cell stays in the density.
 Atomic masses are computed from the conservation identities (primary) or
 by time integration of the outflow g' r through each absorbing end, read
 off the interior boundary traces (requires continuous psi); half-cell
@@ -271,17 +272,22 @@ class BoundaryMeasure:
         return self.atom0 * float(fv[0]) + interior + self.atom1 * float(fv[-1])
 
 
-def decompose_measure(values: np.ndarray, grid: Grid, time: float = 0.0) -> BoundaryMeasure:
+def decompose_measure(
+    values: np.ndarray, grid: Grid, time: float = 0.0, absorbs_at_1: bool = True
+) -> BoundaryMeasure:
     """Split grid data into endpoint atoms plus a regular density.
 
-    The atom at each endpoint is the mass of the boundary half-cell in
-    excess of the quadratically extrapolated density prediction; the
+    The atom at each absorbing end is the mass of the boundary half-cell
+    in excess of the quadratically extrapolated density prediction; the
     remainder stays in the density. Extraction error is O(h) in general.
+    A zero-flux end at x = 1 (``absorbs_at_1`` false, the model's closure)
+    has no atom and keeps its value.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n,) or grid.n < 5:
         raise ArgumentError("need grid data with at least 5 nodes")
-    left, right = _left_trace(v[1:]), _right_trace(v[:-1], absorbing=True)
+    left = _left_trace(v[1:])
+    right = _right_trace(v[:-1], absorbing=True) if absorbs_at_1 else v[-1]
     h = grid.h
     atom0 = (h / 2) * (v[0] - left)
     atom1 = (h / 2) * (v[-1] - right)
@@ -770,7 +776,7 @@ def vanishing_limit(
         moment0 = float(np.trapezoid(u_initial * phi_v, nodes))
     measures = []
     for i, t in enumerate(times):
-        r = decompose_measure(r_limit[i], grid, float(t)).density
+        r = decompose_measure(r_limit[i], grid, float(t), model.absorbs_at_1).density
         b = moment0 - float(np.trapezoid(r * phi_v, nodes)) if model.absorbs_at_1 else 0.0
         a = mass0 - float(np.trapezoid(r, nodes)) - b
         measures.append(

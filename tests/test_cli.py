@@ -309,6 +309,15 @@ class TestSisCommand:
         total = [float(r.split(",")[4]) for r in rows]
         assert all(abs(v - 1.0) <= 1e-4 for v in total)
 
+    def test_regularized_keeps_mass_at_the_zero_flux_end(self, tmp_path):
+        # the half cell at x = 1 once became an atom that was then dropped
+        out = tmp_path / "sis"
+        argv = ["sis", "--n", "5", "--mode", "regularized", "--T", "0.001", "--times", "0,0.001"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = [r.split(",") for r in _read(out / "masses.csv").splitlines()[1:]]
+        assert all(float(r[2]) == 0.0 for r in rows)
+        assert all(abs(float(r[4]) - 1.0) <= 1e-14 for r in rows)
+
 
 class TestSpectrumCommand:
     def test_heat_laws(self, tmp_path):

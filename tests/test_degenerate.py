@@ -613,6 +613,18 @@ class TestDecompose:
         assert abs(bm.atom0) <= GRID.h
         assert abs(bm.atom1) <= GRID.h
 
+    def test_zero_flux_end_keeps_its_mass(self):
+        # a spike at a zero-flux x = 1 stays in the density: no atom there,
+        # and the total mass is the data's own
+        vals = np.ones(GRID.n)
+        vals[0] += 0.3 / (GRID.h / 2)
+        vals[-1] += 0.3 / (GRID.h / 2)
+        bm = decompose_measure(vals, GRID, absorbs_at_1=False)
+        assert abs(bm.atom0 - 0.3) <= GRID.h
+        assert bm.atom1 == 0.0
+        assert bm.density[-1] == vals[-1]
+        assert bm.total_mass() == pytest.approx(np.trapezoid(vals, GRID.nodes), abs=1e-12)
+
     def test_measure_bookkeeping(self, x_field):
         vals = np.ones(GRID.n)
         bm = BoundaryMeasure(atom0=0.25, density=vals, atom1=0.25, time=0.0, grid=GRID)
