@@ -201,19 +201,20 @@ def _coerce(key: str, raw, kind, problems: list):
             return False
         problems.append(f"{key}: expected a boolean, got {raw!r}")
         return None
-    if kind is _FLOAT_LIST:
-        if isinstance(raw, (list, tuple)):
-            return [float(x) for x in raw]
-        try:
-            return [float(tok) for tok in str(raw).split(",") if tok.strip()]
-        except ValueError:
-            problems.append(f"{key}: expected comma-separated numbers, got {raw!r}")
-            return None
     try:
-        return kind(raw)
+        if kind is _FLOAT_LIST:
+            items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+            value = [float(tok) for tok in items if str(tok).strip()]
+        else:
+            value = kind(raw)
     except (TypeError, ValueError):
-        problems.append(f"{key}: expected {kind.__name__}, got {raw!r}")
+        expected = "comma-separated numbers" if kind is _FLOAT_LIST else kind.__name__
+        problems.append(f"{key}: expected {expected}, got {raw!r}")
         return None
+    if kind in (float, _FLOAT_LIST) and not np.all(np.isfinite(value)):
+        problems.append(f"{key}: must be finite, got {raw!r}")
+        return None
+    return value
 
 
 def parse_config_file(path: Path) -> dict:

@@ -566,8 +566,10 @@ def solve_interior(
         raise ArgumentError("initial data must be sampled on the grid")
     if np.any(r_initial < -1e-12):
         raise ArgumentError("initial density must be nonnegative")
+    if not 0 < horizon < np.inf or (dt is not None and not 0 < dt < np.inf):
+        raise ParameterError("horizon and dt must be positive real numbers")
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times < 0) or np.any(times > horizon + 1e-12):
+    if times.size == 0 or not np.all((times >= 0) & (times <= horizon + 1e-12)):
         raise ArgumentError("snapshot times must lie in [0, horizon]")
 
     dt = dt if dt is not None else min(grid.h, horizon / 2000.0)

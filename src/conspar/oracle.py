@@ -62,8 +62,8 @@ class SdeSpec:
     def __post_init__(self):
         if self.boundary_at_1 not in ("absorbing", "reflecting"):
             raise ParameterError("boundary_at_1 must be 'absorbing' or 'reflecting'")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ParameterError("dt and horizon must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.horizon < np.inf):
+            raise ParameterError("dt and horizon must be positive real numbers")
         if self.replicates < 1:
             raise ParameterError("need at least one replicate")
         if self.squared_volatility.min_sample() < -1e-12:
@@ -143,8 +143,8 @@ def sis_sde(
 ) -> SdeSpec:
     """Diffusion matching the epidemic model: drift x(R0(1-x) - 1),
     squared volatility x(R0(1-x) + 1), reflecting at 1."""
-    if R0 <= 0:
-        raise ParameterError("R0 must be positive")
+    if not 0 < R0 < np.inf:
+        raise ParameterError("R0 must be a positive real number")
 
     def coefficients(x, mu, s2):
         np.subtract(1.0, x, out=s2)

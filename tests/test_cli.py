@@ -138,6 +138,26 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "bins: must be at least 1" in err and "x0:" in err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["kimura", "--n", "21", "--T", "nan", "--times", "0"], "T"),
+            (["kimura", "--n", "21", "--T", "inf", "--times", "0"], "T"),
+            (["kimura", "--n", "21", "--mode", "regularized", "--eps", "nan"], "eps"),
+            (["oracle", "--dt", "nan"], "dt"),
+            (["oracle", "--T", "nan", "--times", "0"], "T"),
+            (["oracle", "--times", "nan"], "times"),
+            (["oracle", "--model", "sis", "--R0", "nan"], "R0"),
+        ],
+    )
+    def test_non_finite_number_refused(self, argv, key, tmp_path, capsys):
+        # listed with the other problems: bins is out of range as well
+        argv = argv + ["--bins", "0"] if argv[0] == "oracle" else argv
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: must be finite" in err
+        assert ("bins: must be at least 1" in err) == (argv[0] == "oracle")
+
     def test_missing_out_required(self):
         with pytest.raises(ConfigError, match="out"):
             build_config("kimura", {}, {})

@@ -270,6 +270,16 @@ class TestSolveInterior:
         orders = np.log2([res[0] / res[1], res[1] / res[2]])
         assert np.all(orders >= 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_horizon_dt_eps(self, neutral, bad):
+        u0 = np.ones(GRID.n)
+        with pytest.raises(ParameterError):
+            solve_interior(neutral, u0, bad, [0.0], GRID)
+        with pytest.raises(ParameterError):
+            solve_interior(neutral, u0, 1.0, [0.0], GRID, dt=bad)
+        with pytest.raises(ParameterError):
+            solve_regularized(neutral, u0, bad, [0.0], GRID)
+
     def test_rejects_negative_data(self, neutral):
         bad = np.ones(GRID.n)
         bad[5] = -0.2

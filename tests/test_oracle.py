@@ -47,6 +47,17 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             SdeSpec(drift, vol2, "absorbing", 1.5, 1e-4, 1.0, 100, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        drift = constant_field(0.0)
+        vol2 = field_from_callable(lambda x: 2 * np.asarray(x) * (1 - np.asarray(x)), "v")
+        with pytest.raises(ParameterError):
+            SdeSpec(drift, vol2, "absorbing", 0.3, bad, 1.0, 100, 0)
+        with pytest.raises(ParameterError):
+            SdeSpec(drift, vol2, "absorbing", 0.3, 1e-4, bad, 100, 0)
+        with pytest.raises(ParameterError):
+            sis_sde(bad, 0.3)
+
     def test_negative_volatility_rejected(self):
         drift = constant_field(0.0)
         bad = constant_field(-1.0)
