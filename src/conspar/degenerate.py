@@ -128,7 +128,7 @@ def sis_model(R0: float) -> DegenerateModel:
     With F(x) = R0(1-x) + 1, the degeneracy is g = x F/2 and the drift is
     psi = 2 - 4/F, so exp(int_0^x psi) = exp(2x) (F/(R0 + 1))^(4/R0).
     """
-    if not np.isfinite(R0) or R0 <= 0:
+    if not 0 < R0 < np.inf:
         raise ParameterError("R0 must be a positive real number")
 
     def F(x):
@@ -188,7 +188,7 @@ def regularized_system(
     """Assemble and eigensolve the eps-regularized self-adjoint problem:
     g becomes g_eps = g + eps, with the weight exp(int psi)/g_eps. Returns
     the eigensystem and the grid values of exp(int psi) and g_eps."""
-    if not np.isfinite(eps) or eps <= 0:
+    if not 0 < eps < np.inf:
         raise ParameterError("eps must be a positive real number")
     g = model.g
     p = exponential_weight(model.psi)

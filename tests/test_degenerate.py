@@ -65,9 +65,9 @@ class TestModels:
     def test_ladder_validation(self, neutral):
         u0 = np.ones(GRID.n)
         with pytest.raises(ParameterError):
-            vanishing_limit(neutral, u0, (1e-2, 1e-1, 1e-3), [1.0], GRID)
+            vanishing_limit(neutral, u0, (1e-2, 1e-1), [1.0], GRID)
         with pytest.raises(ParameterError):
-            vanishing_limit(neutral, u0, (1e-1, 1e-2, 0.0), [1.0], GRID)
+            vanishing_limit(neutral, u0, (1e-2, 0.0), [1.0], GRID)
         sol = solve_regularized(neutral, u0, 1e-2, [0.0], GRID)
         assert sol.g_eps_values[0] == pytest.approx(1e-2)
         assert sol.g_eps_values.min() > 0
