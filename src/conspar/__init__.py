@@ -48,13 +48,11 @@ _EXPORTS = {
         "DEFAULT_GRID",
         "EigenSystem",
         "Grid",
-        "SLProblem",
         "Trajectory",
         "assemble",
         "coupling_from_kernel",
         "eigensolve",
         "evolve",
-        "make_coupling",
         "neumann_coupling",
         "positivity_check",
         "steady_state",

@@ -50,9 +50,9 @@ _DEGENERATE_SOLVERS = {
 _SOLVERS = {
     "kimura": _DEGENERATE_SOLVERS,
     "sis": _DEGENERATE_SOLVERS,
-    "spectrum": {"sturm": "Grid assemble eigensolve", "conservative": "build_totally_conservative"},
+    "spectrum": {"sturm": "Grid eigensolve", "conservative": "build_totally_conservative"},
     "moments": {
-        "sturm": "Grid assemble eigensolve",
+        "sturm": "Grid eigensolve",
         "conservative": "build_totally_conservative prescribe_moments "
         "prescribed_moments_evolve time_function",
     },
@@ -510,7 +510,7 @@ def _conservative_eigensystem(cfg: RunConfig, manifest: RunManifest, k=None, wei
     grid = Grid(0.0, 1.0, cfg["n"])
     p, q, law1, law2 = (field_from_expression(cfg[key]) for key in ("p", "q", "law1", "law2"))
     problem = build_totally_conservative(p, q, law1, law2, grid, weight=weight)
-    eig = eigensolve(assemble(problem.sl, grid), k=k)
+    eig = eigensolve(problem.operator, problem.coupling, k=k)
     manifest.diagnostics.update(
         eigensolve_method=eig.method, eigensolve_modes=eig.eigenvalues.size
     )

@@ -3,11 +3,12 @@
 A totally conservative problem keeps two linear functionals of the
 solution constant in time; this is equivalent to a coupled non-local
 boundary value problem whose conservation laws span the kernel of the
-operator. This module builds such problems from candidate laws (rejecting
-functions outside the kernel), classifies their positivity structure,
-reduces general drift-diffusion operators to weighted self-adjoint form,
-and handles prescribed moments through a source term and the Duhamel
-integral.
+operator. This module builds such problems from candidate laws: it
+assembles the operator once, rejects laws outside its kernel and keeps
+that operator with the coupling rows the laws give. It also classifies
+their positivity structure, reduces general drift-diffusion operators to
+weighted self-adjoint form, and handles prescribed moments through a
+source term and the Duhamel integral.
 """
 
 from __future__ import annotations
@@ -32,15 +33,15 @@ from .fields import (
 )
 from .sturm import (
     DEFAULT_GRID,
+    BoundaryCoupling,
+    DiscreteOperator,
     EigenSystem,
     Grid,
-    SLProblem,
     Trajectory,
     apply_operator,
     assemble,
     conservation_row,
     coupling_from_kernel,
-    make_coupling,
     orthonormalize_laws,
     sample_field,
     weighted_inner,
@@ -51,44 +52,46 @@ NONNEGATIVE = "nonnegative"
 UNKNOWN = "unknown"
 
 _DUHAMEL_RTOL = 1e-10
+_POSITIVITY_DIRECTIONS = 720
+_POSITIVITY_MARGIN = 1e-12
+_COMPAT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class ConservativeProblem:
-    """A conservative problem ready for assembly and eigensolve.
+    """A conservative problem ready for :func:`conspar.sturm.eigensolve`:
+    ``eigensolve(problem.operator, problem.coupling)``.
 
-    ``laws`` hold the conserved functionals (two for a totally
-    conservative problem, one plus ``extra_bc`` for a partially
-    conservative one); ``law_values`` are their samples on ``grid``.
-    For partially conservative problems the strong-maximum-principle
-    hypothesis behind positivity is assumed, not checked.
+    ``operator`` is the assembled operator the laws were checked against,
+    and ``coupling`` its boundary rows. ``laws`` hold the conserved
+    functionals (two for a totally conservative problem, one for a
+    partially conservative one, whose second coupling row is the user's);
+    ``law_values`` are their samples on ``operator.grid``. For partially
+    conservative problems the strong-maximum-principle hypothesis behind
+    positivity is assumed, not checked.
     """
 
-    sl: SLProblem
-    grid: Grid
+    operator: DiscreteOperator
+    coupling: BoundaryCoupling
     laws: tuple
     law_values: np.ndarray  # (n_laws, n)
     kind: str  # "totally" | "partially"
     positivity: str
-    extra_bc: Optional[np.ndarray] = None
     max_principle_assumed: bool = False
 
 
-def _require_law(name, p, q, weight, phi, grid: Grid, kernel_tol=None):
-    """Raise InputError unless L phi = 0 on the interior nodes up to
-    ``kernel_tol`` (by default a discretization-aware threshold)."""
-    from .sturm import neumann_coupling
-
-    op = assemble(SLProblem(p=p, q=q, weight=weight, coupling=neumann_coupling()), grid)
+def _require_law(name, op: DiscreteOperator, q, phi):
+    """Raise InputError unless L phi = 0 on the interior nodes of ``op`` up
+    to a discretization-aware threshold."""
+    grid = op.grid
     phi_v = sample_field(phi, grid)
-    resid = apply_operator(op, phi_v) * sample_field(weight, grid)
+    resid = apply_operator(op, phi_v) * op.weight_values
     resid = float(np.max(np.abs(resid[1:-1])))
     phi_sup = float(np.max(np.abs(phi_v)))
     q_sup = float(np.max(np.abs(sample_field(q, grid))))
     # discretization-aware acceptance: the h^-2 term is the natural size of
     # the stencil applied to a resolved non-kernel direction
     tol = 1e-6 * (1.0 + phi_sup * q_sup + phi_sup / grid.h**2)
-    tol = kernel_tol if kernel_tol is not None else tol
     if resid > tol:
         raise InputError(
             f"{name} is not a conservation law: interior kernel residual "
@@ -96,7 +99,8 @@ def _require_law(name, p, q, weight, phi, grid: Grid, kernel_tol=None):
         )
 
 
-def _assemble_conservative(p, q, weight, phi1, phi2, grid: Grid) -> ConservativeProblem:
+def _assemble_conservative(op: DiscreteOperator, p, phi1, phi2) -> ConservativeProblem:
+    grid = op.grid
     v1, v2 = sample_field(phi1, grid), sample_field(phi2, grid)
     gram = np.array(
         [
@@ -106,11 +110,10 @@ def _assemble_conservative(p, q, weight, phi1, phi2, grid: Grid) -> Conservative
     )
     if np.linalg.det(gram) <= 1e-12 * max(gram[0, 0] * gram[1, 1], 1e-300):
         raise CouplingError("conservation laws are numerically proportional")
-    coupling = coupling_from_kernel(phi1, phi2, p, grid)
     law_values = np.vstack([v1, v2])
     return ConservativeProblem(
-        sl=SLProblem(p=p, q=q, weight=weight, coupling=coupling),
-        grid=grid,
+        operator=op,
+        coupling=coupling_from_kernel(phi1, phi2, p, grid),
         laws=(phi1, phi2),
         law_values=law_values,
         kind="totally",
@@ -125,17 +128,18 @@ def build_totally_conservative(
     phi2: CoefficientField,
     grid: Grid = DEFAULT_GRID,
     weight: Optional[CoefficientField] = None,
-    kernel_tol: Optional[float] = None,
 ) -> ConservativeProblem:
     """Accept two conservation laws and build the coupled problem.
 
-    Each law must satisfy L phi = 0 on the interior nodes up to a
-    discretization-aware tolerance; the laws must not be proportional.
+    The operator is assembled once. Each law must satisfy L phi = 0 on its
+    interior nodes up to a discretization-aware tolerance; the laws must
+    not be proportional.
     """
     weight = weight if weight is not None else constant_field(1.0)
+    op = assemble(p, q, weight, grid)
     for name, phi in (("phi1", phi1), ("phi2", phi2)):
-        _require_law(name, p, q, weight, phi, grid, kernel_tol)
-    return _assemble_conservative(p, q, weight, phi1, phi2, grid)
+        _require_law(name, op, q, phi)
+    return _assemble_conservative(op, p, phi1, phi2)
 
 
 def build_partially_conservative(
@@ -153,25 +157,22 @@ def build_partially_conservative(
     maximum principle that is recorded as assumed.
     """
     weight = weight if weight is not None else constant_field(1.0)
-    _require_law("phi1", p, q, weight, phi1, grid)
-    coupling = make_coupling([conservation_row(phi1, p, grid), list(extra_bc)])
+    op = assemble(p, q, weight, grid)
+    _require_law("phi1", op, q, phi1)
     v1 = sample_field(phi1, grid)
     positivity = NONNEGATIVE if float(v1.min()) >= -1e-12 else UNKNOWN
     return ConservativeProblem(
-        sl=SLProblem(p=p, q=q, weight=weight, coupling=coupling),
-        grid=grid,
+        operator=op,
+        coupling=BoundaryCoupling([conservation_row(phi1, p, grid), list(extra_bc)]),
         laws=(phi1,),
         law_values=v1[None, :],
         kind="partially",
         positivity=positivity,
-        extra_bc=np.asarray(extra_bc, dtype=float),
         max_principle_assumed=True,
     )
 
 
-def certify_intrinsic_positivity(
-    problem: ConservativeProblem, directions: int = 720, margin: float = 1e-12
-) -> str:
+def certify_intrinsic_positivity(problem: ConservativeProblem) -> str:
     """Sweep combinations of the two laws for an everywhere-positive one.
 
     This is a certification heuristic over a finite direction grid, not a
@@ -179,14 +180,15 @@ def certify_intrinsic_positivity(
     """
     if problem.kind != "totally":
         raise ArgumentError("positivity certification needs a totally conservative problem")
-    return _positivity(problem.law_values, directions, margin)
+    return _positivity(problem.law_values)
 
 
-def _positivity(law_values, directions: int = 720, margin: float = 1e-12) -> str:
+def _positivity(law_values) -> str:
     """The sweep behind :func:`certify_intrinsic_positivity`, on the two
     laws' samples."""
     v1, v2 = law_values
-    thetas = np.linspace(0.0, np.pi, directions, endpoint=False)
+    margin = _POSITIVITY_MARGIN
+    thetas = np.linspace(0.0, np.pi, _POSITIVITY_DIRECTIONS, endpoint=False)
     for th in thetas:
         combo = np.cos(th) * v1 + np.sin(th) * v2
         sup = float(np.max(np.abs(combo)))
@@ -267,7 +269,8 @@ def selfadjoint_reduction(
         return field_from_callable(fn, "reduced_law", n=eta.xs.size, derivative=deriv)
 
     psi1, psi2 = transformed(phi1), transformed(phi2)
-    problem = _assemble_conservative(eta, q_field, w_field, psi1, psi2, grid)
+    op = assemble(eta, q_field, w_field, grid)
+    problem = _assemble_conservative(op, eta, psi1, psi2)
     return problem, w_field
 
 
@@ -327,11 +330,9 @@ def prescribe_moments(
     problem: ConservativeProblem, F1: TimeFunction, F2: TimeFunction
 ) -> MomentPrescription:
     """Orthonormalize the problem's laws and attach the two targets."""
-    w = sample_field(problem.sl.weight, problem.grid)
-    phi = orthonormalize_laws(problem.law_values, w, problem.grid)
-    return MomentPrescription(
-        F1=F1, F2=F2, phi1=phi[0], phi2=phi[1], weight=w, grid=problem.grid
-    )
+    w, grid = problem.operator.weight_values, problem.operator.grid
+    phi = orthonormalize_laws(problem.law_values, w, grid)
+    return MomentPrescription(F1=F1, F2=F2, phi1=phi[0], phi2=phi[1], weight=w, grid=grid)
 
 
 def _check_times(times) -> np.ndarray:
@@ -341,9 +342,7 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def prescribed_moments_reduce(
-    v0: np.ndarray, pres: MomentPrescription, compat_tol: float = 1e-8
-):
+def prescribed_moments_reduce(v0: np.ndarray, pres: MomentPrescription):
     """Split prescribed-moment data into zero-moment data plus a source.
 
     Returns (w0, G) with w0 = v0 - F1(0) phi1 - F2(0) phi2 (zero moments
@@ -355,7 +354,7 @@ def prescribed_moments_reduce(
     for i, (F, phi) in enumerate(((pres.F1, pres.phi1), (pres.F2, pres.phi2)), start=1):
         m = weighted_inner(v0, phi, pres.weight, pres.grid)
         f0 = F.value(0.0)
-        if abs(m - f0) > compat_tol * max(1.0, abs(f0)):
+        if abs(m - f0) > _COMPAT_TOL * max(1.0, abs(f0)):
             raise CompatibilityError(
                 f"F{i}(0) = {f0} incompatible with initial moment {m}"
             )
@@ -367,9 +366,7 @@ def prescribed_moments_reduce(
     return w0, G
 
 
-def _mode_convolution(
-    lam: np.ndarray, source: Callable, t: float, rtol: float
-) -> Tuple[np.ndarray, int]:
+def _mode_convolution(lam: np.ndarray, source: Callable, t: float) -> Tuple[np.ndarray, int]:
     """int_0^t exp(-lam_k (t-s)) g_k(s) ds for every mode k, by composite
     Simpson refined by doubling.
 
@@ -388,7 +385,7 @@ def _mode_convolution(
         with np.errstate(under="ignore"):
             kern = np.exp(-np.outer(t - s, lam))
         est = ((_simpson_weights(k) * (t / k))[:, None] * kern * g).sum(axis=0)
-        if prev is not None and float(np.max(np.abs(est - prev))) <= rtol * max(
+        if prev is not None and float(np.max(np.abs(est - prev))) <= _DUHAMEL_RTOL * max(
             1.0, float(np.max(np.abs(est)))
         ):
             return est, k.bit_length() - 1
@@ -408,7 +405,6 @@ def duhamel_evolve(
     w0: np.ndarray,
     G: Callable,
     times: Sequence[float],
-    rtol: float = _DUHAMEL_RTOL,
 ) -> Trajectory:
     """w(t) = e^{tL} w0 + int_0^t e^{(t-s)L} G(s) ds on the eigenbasis.
 
@@ -425,7 +421,7 @@ def duhamel_evolve(
     coef = np.empty((times.size, lam.size))
     levels = 0
     for i, t in enumerate(times):
-        conv, level = _mode_convolution(lam, source, float(t), rtol)
+        conv, level = _mode_convolution(lam, source, float(t))
         with np.errstate(under="ignore"):
             coef[i] = a * np.exp(-lam * t) + conv
         levels = max(levels, level)
@@ -457,7 +453,7 @@ def prescribed_moments_evolve(
     with each mode's computed lam, which leaves a quadrature of lam F. The
     other modes see only the part of the laws outside the discrete kernel,
     against the two scalar derivatives F_i'. One quadrature takes both, to
-    the accuracy :func:`duhamel_evolve` uses by default. ``diagnostics`` on
+    the accuracy :func:`duhamel_evolve` uses. ``diagnostics`` on
     both trajectories holds ``duhamel_kernel_leakage``, max |R| on the
     non-zero modes, and ``duhamel_levels``, the deepest doubling reached.
     """
@@ -485,7 +481,7 @@ def prescribed_moments_evolve(
         Ft = values([t])[0]
         with np.errstate(under="ignore"):
             decay = np.exp(-lam * t)
-        conv, level = _mode_convolution(lam, source, float(t), _DUHAMEL_RTOL)
+        conv, level = _mode_convolution(lam, source, float(t))
         conv[:zm] = R[:zm] @ Ft - decay[:zm] * (R[:zm] @ F0) - conv[:zm]
         coef[i] = a * decay + conv
         lift[i] = Ft @ phi

@@ -56,15 +56,14 @@ from .fields import (
 )
 from .sturm import (
     DEFAULT_GRID,
+    BoundaryCoupling,
     EigenSystem,
     Grid,
-    SLProblem,
     Trajectory,
     assemble,
     conservation_row,
     eigensolve,
     evolve,
-    make_coupling,
     sample_field,
 )
 
@@ -201,10 +200,7 @@ def regularized_system(
     rows = [conservation_row(law, p, grid) for law in model.laws]
     if not model.absorbs_at_1:
         rows.append([0.0, 0.0, 0.0, 1.0])  # zero flux through x = 1
-    coupling = make_coupling(rows)
-    problem = SLProblem(p=p, q=field_from_callable(lambda x: np.zeros(np.shape(x)), "0"),
-                        weight=weight, coupling=coupling)
-    eig = eigensolve(assemble(problem, grid))
+    eig = eigensolve(assemble(p, constant_field(0.0), weight, grid), BoundaryCoupling(rows))
     return eig, sample_field(p, grid), sample_field(g, grid) + eps
 
 

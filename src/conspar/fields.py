@@ -325,21 +325,21 @@ def _simpson_weights(k: int) -> np.ndarray:
     return w / 3.0
 
 
-def integrate(fn: Callable, lo: float, hi: float, rtol: float = _QUAD_RTOL) -> float:
+def integrate(fn: Callable, lo: float, hi: float) -> float:
     """Composite Simpson on [lo, hi], refined by doubling until successive
-    estimates agree to ``rtol`` relative (node cap 2**20): one cell of
-    :func:`_cell_integrals`."""
+    estimates agree to ``_QUAD_RTOL`` relative (node cap 2**20): one cell
+    of :func:`_cell_integrals`."""
     if hi < lo:
-        return -integrate(fn, hi, lo, rtol)
+        return -integrate(fn, hi, lo)
     if hi == lo:
         return 0.0
-    return float(_cell_integrals(fn, np.array([lo, hi], dtype=float), rtol)[0])
+    return float(_cell_integrals(fn, np.array([lo, hi], dtype=float))[0])
 
 
-def _cell_integrals(fn: Callable, nodes: np.ndarray, rtol: float = _QUAD_RTOL):
+def _cell_integrals(fn: Callable, nodes: np.ndarray):
     """Simpson integral of ``fn`` over each cell of ``nodes``, all cells
-    refined together by doubling until every cell converges relative to
-    its own magnitude."""
+    refined together by doubling until every cell converges to
+    ``_QUAD_RTOL`` relative to its own magnitude."""
     widths = np.diff(nodes)
     k = 2
     prev = None
@@ -352,7 +352,7 @@ def _cell_integrals(fn: Callable, nodes: np.ndarray, rtol: float = _QUAD_RTOL):
             return cells  # a non-finite node stays one under refinement
         if prev is not None:
             floor = 1e-15 * max(1.0, float(np.abs(cells).sum()))
-            if np.all(np.abs(cells - prev) <= rtol * np.abs(cells) + floor):
+            if np.all(np.abs(cells - prev) <= _QUAD_RTOL * np.abs(cells) + floor):
                 return cells
         if (nodes.size - 1) * k >= _QUAD_MAX_NODES:
             return cells
@@ -389,15 +389,15 @@ def cumulative_integral(f: CoefficientField, x: float) -> float:
 
 
 def _antiderivative_callable(
-    fn: Callable, nodes: np.ndarray, refine: int = 8, what: str = "the integrand"
+    fn: Callable, nodes: np.ndarray, what: str = "the integrand"
 ) -> Callable:
     """Smooth interpolant of x |-> int_0^x fn, accurate to quadrature
-    tolerance on refined nodes (at least ~1000 cells regardless of the
-    source grid, so coarse fields do not degrade derived weights).
+    tolerance on nodes refined 8-fold (at least ~1000 cells regardless of
+    the source grid, so coarse fields do not degrade derived weights).
 
     Raises QuadratureError, naming ``what`` the integrand is, when the
     antiderivative overflows or is undefined."""
-    refine = max(refine, int(np.ceil(1024 / (nodes.size - 1))))
+    refine = max(8, int(np.ceil(1024 / (nodes.size - 1))))
     fine = np.linspace(0.0, 1.0, (nodes.size - 1) * refine + 1)
     cells = _cell_integrals(fn, fine)
     table = np.concatenate([[0.0], np.cumsum(cells)])

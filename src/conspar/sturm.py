@@ -1,12 +1,14 @@
 """Self-adjoint operator discretization, coupled-boundary eigensolves, and
 spectral evolution.
 
-The operator L v = (p v')' + q v is discretized with a vertex-centered
-finite-volume scheme: cell fluxes use the harmonic integral mean of p, so
-any function with p v' constant (the kernel of the q = 0 operator) is
-reproduced exactly by the discrete operator. Boundary conditions enter
-through the endpoint fluxes p v'(a), p v'(b): the two coupling rows are
-solved for the fluxes in terms of the endpoint values and folded into the
+The operator L v = (p v')' + q v, with an inner-product weight, is
+discretized once by :func:`assemble` with a vertex-centered finite-volume
+scheme: cell fluxes use the harmonic integral mean of p, so any function
+with p v' constant (the kernel of the q = 0 operator) is reproduced
+exactly by the discrete operator. The operator carries no boundary
+conditions. They enter :func:`eigensolve` as a separate coupling, through
+the endpoint fluxes p v'(a), p v'(b): the two coupling rows are solved
+for the fluxes in terms of the endpoint values and folded into the
 boundary rows. For any mutually self-adjoint pair of rows this produces an
 exactly symmetric matrix pencil, so a standard symmetric eigensolver
 applies and the discrete spectrum is real with M-orthonormal eigenvectors.
@@ -92,12 +94,10 @@ def sample_field(f: CoefficientField, grid: Grid, x: Optional[np.ndarray] = None
 class BoundaryCoupling:
     """Two independent linear constraints on (v(a), v(b), v'(a), v'(b)).
 
-    ``rows`` is a 2x4 array of coefficients in that argument order;
-    ``kind`` records whether any row links the two endpoints.
+    ``rows`` is a 2x4 array of coefficients in that argument order.
     """
 
     rows: np.ndarray
-    kind: str  # "coupled_nonlocal" | "separated"
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -109,16 +109,8 @@ class BoundaryCoupling:
             raise CouplingError("coupling rows are linearly dependent")
 
 
-def make_coupling(rows) -> BoundaryCoupling:
-    rows = np.asarray(rows, dtype=float)
-    mixes = any(
-        (abs(r[0]) + abs(r[2]) > 0) and (abs(r[1]) + abs(r[3]) > 0) for r in rows
-    )
-    return BoundaryCoupling(rows=rows, kind="coupled_nonlocal" if mixes else "separated")
-
-
 def neumann_coupling() -> BoundaryCoupling:
-    return make_coupling([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    return BoundaryCoupling([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def conservation_row(
@@ -153,21 +145,7 @@ def coupling_from_kernel(
             "kernel functions give rank-deficient boundary rows "
             "(numerically proportional endpoint data)"
         )
-    return make_coupling(rows)
-
-
-@dataclass(frozen=True)
-class SLProblem:
-    """Operator data: L v = (p v')' + q v with an inner-product weight.
-
-    p and weight must be strictly positive on the interval; the weight is
-    the density of the measure used for all inner products.
-    """
-
-    p: CoefficientField
-    q: CoefficientField
-    weight: CoefficientField
-    coupling: BoundaryCoupling
+    return BoundaryCoupling(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,24 +166,26 @@ class DiscreteOperator:
     mass: np.ndarray
     weight_values: np.ndarray
     p_end: tuple
-    coupling: BoundaryCoupling
 
 
-def assemble(problem: SLProblem, grid: Grid) -> DiscreteOperator:
-    """Discretize the operator; raises AssemblyError if p or the weight is
-    not strictly positive at the grid nodes."""
+def assemble(
+    p: CoefficientField, q: CoefficientField, weight: CoefficientField, grid: Grid
+) -> DiscreteOperator:
+    """Discretize L v = (p v')' + q v; the weight is the density of the
+    measure used for all inner products. Raises AssemblyError if p or the
+    weight is not strictly positive at the grid nodes."""
     nodes = grid.nodes
     ref = grid.reference(nodes)
-    p_nodes = np.asarray(problem.p(ref), dtype=float)
-    w_nodes = np.asarray(problem.weight(ref), dtype=float)
-    q_nodes = np.asarray(problem.q(ref), dtype=float)
+    p_nodes = np.asarray(p(ref), dtype=float)
+    w_nodes = np.asarray(weight(ref), dtype=float)
+    q_nodes = np.asarray(q(ref), dtype=float)
     if np.any(p_nodes <= 0):
         raise AssemblyError("p must be positive at every grid node")
     if np.any(w_nodes <= 0):
         raise AssemblyError("weight must be positive at every grid node")
 
     # harmonic integral mean of p per cell: exact fluxes for p v' = const
-    inv_p = lambda x: 1.0 / np.asarray(problem.p(grid.reference(x)), dtype=float)  # noqa: E731
+    inv_p = lambda x: 1.0 / np.asarray(p(grid.reference(x)), dtype=float)  # noqa: E731
     cell_int = _cell_integrals(inv_p, nodes)
     p_half = grid.h / cell_int
     if np.any(~np.isfinite(p_half)) or np.any(p_half <= 0):
@@ -225,7 +205,6 @@ def assemble(problem: SLProblem, grid: Grid) -> DiscreteOperator:
         mass=w_nodes * mu,
         weight_values=w_nodes,
         p_end=(float(p_nodes[0]), float(p_nodes[-1])),
-        coupling=problem.coupling,
     )
 
 
@@ -430,9 +409,7 @@ def _shift_invert_eigh(diag, off, corner, k):
 
 
 def eigensolve(
-    op: DiscreteOperator,
-    coupling: Optional[BoundaryCoupling] = None,
-    k: Optional[int] = None,
+    op: DiscreteOperator, coupling: BoundaryCoupling, k: Optional[int] = None
 ) -> EigenSystem:
     """k smallest eigenpairs of -L v = lambda v under the coupling rows.
 
@@ -444,7 +421,6 @@ def eigensolve(
     its sparse form; more modes from LAPACK on the dense matrix, which is
     refused with DenseSizeError when it would exceed 256 MiB.
     """
-    coupling = coupling if coupling is not None else op.coupling
     n = op.grid.n
     k = n if k is None else int(k)
     if not 1 <= k <= n:

@@ -3,7 +3,6 @@ import pytest
 
 from conspar import (
     Grid,
-    SLProblem,
     assemble,
     build_totally_conservative,
     constant_field,
@@ -43,7 +42,7 @@ def heat_problem(grid, one, zero, x_field):
 
 @pytest.fixture(scope="session")
 def heat_eig(heat_problem, grid):
-    return eigensolve(assemble(heat_problem.sl, grid))
+    return eigensolve(heat_problem.operator, heat_problem.coupling)
 
 
 @pytest.fixture(scope="session")
@@ -55,8 +54,7 @@ def heat_coupling(grid, one, x_field):
 def neumann_eig(grid, one, zero):
     from conspar import neumann_coupling
 
-    problem = SLProblem(p=one, q=zero, weight=one, coupling=neumann_coupling())
-    return eigensolve(assemble(problem, grid), k=6)
+    return eigensolve(assemble(one, zero, one, grid), neumann_coupling(), k=6)
 
 
 def rng(seed=0):

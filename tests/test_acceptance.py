@@ -33,7 +33,6 @@ from conspar.fields import (
 from conspar.oracle import compare_measures, kimura_sde, simulate
 from conspar.sturm import (
     Grid,
-    assemble,
     eigensolve,
     evolve,
     positivity_check,
@@ -67,7 +66,7 @@ def test_criterion_1_double_zero_spectrum():
     worst_elapsed = 0.0
     with _Timer() as t1:
         heat = build_totally_conservative(ONE, ZERO, ONE, X, GRID)
-        eig = eigensolve(assemble(heat.sl, GRID))
+        eig = eigensolve(heat.operator, heat.coupling)
         lam = eig.eigenvalues
         ok_heat = bool(np.max(np.abs(lam[:2])) <= 1e-8 * lam[2] and lam[2] > 0)
         details.append(f"heat |lam_12|={np.max(np.abs(lam[:2])):.1e}, lam3={lam[2]:.3f}")
@@ -244,7 +243,7 @@ def test_criterion_7_monte_carlo_cross_validation():
 def test_criterion_8_positivity():
     with _Timer() as t:
         heat = build_totally_conservative(ONE, ZERO, ONE, X, GRID)
-        eig = eigensolve(assemble(heat.sl, GRID))
+        eig = eigensolve(heat.operator, heat.coupling)
         rng = np.random.default_rng(8)
         times = [0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0]
         worst = np.inf
@@ -266,7 +265,7 @@ def test_criterion_9_moment_prescription():
 
     with _Timer() as t:
         heat = build_totally_conservative(ONE, ZERO, ONE, X, GRID)
-        eig = eigensolve(assemble(heat.sl, GRID))
+        eig = eigensolve(heat.operator, heat.coupling)
         F1 = time_function(lambda s: 1.0 + math.sin(s), lambda s: math.cos(s))
         F2 = time_function(lambda s: 0.0, lambda s: 0.0)
         pres = prescribe_moments(heat, F1, F2)

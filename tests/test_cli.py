@@ -86,7 +86,7 @@ BoundaryCoupling BoundaryMeasure BoundaryTraces CoefficientField ConfigError
 ConservativeProblem ConsparError CouplingError DEFAULT_GRID DegeneracyError
 DegenerateModel DomainBoundsError EigenSystem EmpiricalMeasure EvaluationError
 Expression ExpressionError Grid InputError InteriorSolution MomentPrescription
-NumericalError ParameterError RegularityTierError SLProblem
+NumericalError ParameterError RegularityTierError
 SdeSpec Trajectory TransformError ValidationFailure assemble
 build_partially_conservative build_totally_conservative canonical_test_directions
 certify_intrinsic_positivity compare_measures conservation_residual conservative
@@ -94,7 +94,7 @@ constant_field coupling_from_kernel cumulative_integral decompose_measure
 degenerate duhamel_evolve eigensolve errors evolve exponential_weight expressions
 field_from_callable field_from_expression field_from_table fields
 fixation_probability from_selfadjoint integrating_factor kimura_model kimura_sde
-make_coupling masses_from_boundary_flux masses_from_conservation neumann_coupling
+masses_from_boundary_flux masses_from_conservation neumann_coupling
 oracle parse_expression positivity_check prescribe_moments
 prescribed_moments_evolve prescribed_moments_reduce selfadjoint_reduction
 separable_test_function simulate sis_model sis_sde
@@ -350,6 +350,19 @@ class TestSpectrumCommand:
         assert abs(lams[0]) < 1e-8 * lams[2]
         assert abs(lams[1]) < 1e-8 * lams[2]
 
+    def test_assembles_once(self, tmp_path, monkeypatch):
+        from conspar import conservative
+
+        calls = []
+        original = conservative.assemble
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(conservative, "assemble", counted)
+        assert main(["spectrum", "--out", str(tmp_path / "spec"), "--n", "51", "--k", "6"]) == 0
+        assert len(calls) == 1
 
     def test_variable_coefficient_laws(self, tmp_path):
         # log(1 + x) has no exact derivative: its endpoint slopes enter the

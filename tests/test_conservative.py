@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conspar import conservative
 from conspar.conservative import (
     INTRINSICALLY_POSITIVE,
     UNKNOWN,
@@ -63,6 +64,20 @@ class TestBuildTotallyConservative:
         problem = build_totally_conservative(p, zero, constant_field(1.0), phi, grid)
         assert problem.positivity == INTRINSICALLY_POSITIVE
 
+    def test_assembles_once(self, grid, one, zero, x_field, monkeypatch):
+        # the laws are checked against the operator the eigensolve uses
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(conservative, "assemble", counted)
+        problem = build_totally_conservative(one, zero, one, x_field, grid)
+        eig = eigensolve(problem.operator, problem.coupling, k=6)
+        assert len(calls) == 1
+        assert eig.zero_multiplicity == 2
+
 
 class TestCertifyPositivity:
     def test_mass_law_alone_positive(self, heat_problem):
@@ -109,7 +124,7 @@ class TestPartiallyConservative:
         )
         assert problem.kind == "partially"
         assert problem.max_principle_assumed
-        eig = eigensolve(assemble(problem.sl, grid), k=4)
+        eig = eigensolve(problem.operator, problem.coupling, k=4)
         assert eig.zero_multiplicity == 1
         from conspar.sturm import steady_state
 
@@ -118,11 +133,17 @@ class TestPartiallyConservative:
         assert steady.shape == (grid.n,)
 
 
+def _assert_same_operator(op, ref):
+    for name in ("off_diagonal", "mass", "p_end"):
+        got, want = np.asarray(getattr(op, name)), np.asarray(getattr(ref, name))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
 class TestSelfadjointReduction:
     def test_identity_reduction(self, grid, one, zero, x_field):
         problem, weight = selfadjoint_reduction(one, zero, zero, one, x_field, grid)
         xs = np.linspace(0, 1, 9)
-        assert np.max(np.abs(problem.sl.p(xs) - 1.0)) <= 1e-12
+        _assert_same_operator(problem.operator, assemble(one, zero, one, grid))
         assert np.max(np.abs(weight(xs) - 1.0)) <= 1e-12
 
     def test_constant_drift_closed_form(self, grid, one, zero):
@@ -136,7 +157,8 @@ class TestSelfadjointReduction:
         )
         problem, weight = selfadjoint_reduction(one, b, zero, one, growth, grid)
         xs = np.linspace(0, 1, 9)
-        assert np.max(np.abs(problem.sl.p(xs) - np.exp(kappa * xs))) <= 1e-8
+        # with a = 1 both p and the weight are eta = e^{kappa x}
+        _assert_same_operator(problem.operator, assemble(growth, zero, growth, grid))
         assert np.max(np.abs(weight(xs) - np.exp(kappa * xs))) <= 1e-8
 
     def test_degenerate_coefficient_routed(self, grid, one, zero, x_field):
@@ -192,7 +214,7 @@ class TestSelfadjointReduction:
             derivative=lambda x: np.asarray(x) / 2 * gauss(x) * anti(x) + 1.0,
         )
         problem, weight = selfadjoint_reduction(one, b, zero, law1, law2, grid)
-        op = assemble(problem.sl, grid)
+        op = problem.operator
         # symmetric stiffness: <L u, v> = <u, L v> in the weighted product
         rng = np.random.default_rng(3)
         u, v = rng.random(grid.n), rng.random(grid.n)
@@ -351,7 +373,7 @@ class TestPrescribedMoments:
         # miss by about 1e-5 * t
         q, law1, law2 = (field_from_expression(e) for e in laws)
         problem = build_totally_conservative(one, q, law1, law2, grid)
-        eig = eigensolve(assemble(problem.sl, grid))
+        eig = eigensolve(problem.operator, problem.coupling)
         F1 = time_function(lambda t: 1.0 + math.sin(t))
         F2 = time_function(lambda t: 0.5 * t)
         pres = prescribe_moments(problem, F1, F2)

@@ -18,8 +18,8 @@ from conspar.fields import (
     field_from_expression,
 )
 from conspar.sturm import (
+    BoundaryCoupling,
     Grid,
-    SLProblem,
     _row_residuals,
     _stencil_quad,
     apply_operator,
@@ -27,7 +27,6 @@ from conspar.sturm import (
     coupling_from_kernel,
     eigensolve,
     evolve,
-    make_coupling,
     neumann_coupling,
     orthonormalize_laws,
     positivity_check,
@@ -56,34 +55,34 @@ class TestGrid:
 
 
 class TestAssemble:
-    def test_constants_in_kernel(self, grid, one, zero, heat_coupling):
-        op = assemble(SLProblem(p=one, q=zero, weight=one, coupling=heat_coupling), grid)
+    def test_constants_in_kernel(self, grid, one, zero):
+        op = assemble(one, zero, one, grid)
         out = apply_operator(op, np.ones(grid.n))
         # zero up to roundoff at the h^-2 operator scale
         assert np.max(np.abs(out[1:-1])) <= 1e-9
 
-    def test_stencil_exact_on_quadratics(self, grid, one, zero, heat_coupling):
-        op = assemble(SLProblem(p=one, q=zero, weight=one, coupling=heat_coupling), grid)
+    def test_stencil_exact_on_quadratics(self, grid, one, zero):
+        op = assemble(one, zero, one, grid)
         out = apply_operator(op, grid.nodes**2)
         assert np.max(np.abs(out[1:-1] - 2.0)) <= 1e-8
 
-    def test_variable_p_against_symbolic_oracle(self, grid, zero, heat_coupling):
+    def test_variable_p_against_symbolic_oracle(self, grid, zero):
         # (p v')' for p = 1 + x, v = x^2, via sympy
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         expr = sympy.diff((1 + x) * sympy.diff(x**2, x), x)
         exact = sympy.lambdify(x, expr)(grid.nodes[1:-1])
         p = field_from_callable(lambda t: 1.0 + np.asarray(t), "1+x")
-        op = assemble(SLProblem(p=p, q=zero, weight=constant_field(1.0), coupling=heat_coupling), grid)
+        op = assemble(p, zero, constant_field(1.0), grid)
         out = apply_operator(op, grid.nodes**2)
         assert np.max(np.abs(out[1:-1] - exact)) <= 10 * grid.h**2
 
-    def test_rejects_nonpositive_p_or_weight(self, grid, one, zero, heat_coupling):
+    def test_rejects_nonpositive_p_or_weight(self, grid, one, zero):
         bad = field_from_expression("x-1/2")
         with pytest.raises(AssemblyError):
-            assemble(SLProblem(p=bad, q=zero, weight=one, coupling=heat_coupling), grid)
+            assemble(bad, zero, one, grid)
         with pytest.raises(AssemblyError):
-            assemble(SLProblem(p=one, q=zero, weight=bad, coupling=heat_coupling), grid)
+            assemble(one, zero, bad, grid)
 
 
 class TestCouplingFromKernel:
@@ -93,7 +92,6 @@ class TestCouplingFromKernel:
         assert np.allclose(rows[0], [0.0, 0.0, -1.0, 1.0])
         # second law: v(0) - v(1) + v'(1) = 0
         assert np.allclose(rows[1], [1.0, -1.0, 0.0, 1.0])
-        assert heat_coupling.kind == "coupled_nonlocal"
 
     def test_neutral_transformed_rows(self, grid, one, zero):
         # with unit drift weight and fixation moment x, the rows reduce to
@@ -145,7 +143,7 @@ class TestEigensolve:
         for n in (101, 201, 401):
             g = Grid(0.0, 1.0, n)
             coup = coupling_from_kernel(one, x_field, one, g)
-            eig = eigensolve(assemble(SLProblem(p=one, q=zero, weight=one, coupling=coup), g), k=5)
+            eig = eigensolve(assemble(one, zero, one, g), coup, k=5)
             res.append(np.max(stencil_boundary_residuals(eig)[2:5]))
         assert res[0] / res[1] > 3.0
         assert res[1] / res[2] > 3.0
@@ -155,7 +153,7 @@ class TestEigensolve:
         # satisfying the coupling rows (holds here for all grid functions)
         w = field_from_expression("1+x/2")
         p = field_from_expression("1+x^2")
-        op = assemble(SLProblem(p=p, q=zero, weight=w, coupling=neumann_coupling()), grid)
+        op = assemble(p, zero, w, grid)
         rng = np.random.default_rng(1)
         # the stiffness is stored as one diagonal and one off-diagonal, so
         # it is symmetric by construction; check the operator through
@@ -171,8 +169,8 @@ class TestEigensolve:
         for n in (101, 201, 401, 801):
             g = Grid(0.0, 1.0, n)
             coup = coupling_from_kernel(one, x_field, one, g)
-            op = assemble(SLProblem(p=one, q=zero, weight=one, coupling=coup), g)
-            lams[n] = eigensolve(op, k=5).eigenvalues
+            op = assemble(one, zero, one, g)
+            lams[n] = eigensolve(op, coup, k=5).eigenvalues
         for j in (2, 3, 4):
             r = (lams[101][j] - lams[201][j]) / (lams[201][j] - lams[401][j])
             assert 3.5 <= r <= 4.5
@@ -181,17 +179,17 @@ class TestEigensolve:
 
     def test_bordered_fallback_dirichlet(self, one, zero):
         g = Grid(0.0, 1.0, 201)
-        coup = make_coupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        eig = eigensolve(assemble(SLProblem(p=one, q=zero, weight=one, coupling=coup), g), k=4)
+        coup = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        eig = eigensolve(assemble(one, zero, one, g), coup, k=4)
         expected = np.array([(k * np.pi) ** 2 for k in (1, 2, 3, 4)])
         assert np.max(np.abs(eig.eigenvalues - expected) / expected) <= 2e-3
         assert eig.zero_multiplicity == 0
 
     def test_bordered_vectors_weighted_orthonormal(self, one, zero):
         g = Grid(0.0, 1.0, 201)
-        coup = make_coupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        op = assemble(SLProblem(p=one, q=zero, weight=one, coupling=coup), g)
-        vec = eigensolve(op, k=4).vectors
+        coup = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        op = assemble(one, zero, one, g)
+        vec = eigensolve(op, coup, k=4).vectors
         assert np.max(np.abs(vec.T @ (op.mass[:, None] * vec) - np.eye(4))) <= 1e-12
 
     def test_bordered_dependent_vector_is_an_eigensolve_error(self, one, zero, monkeypatch):
@@ -199,10 +197,10 @@ class TestEigensolve:
             raise InputError("laws are not independent; cannot orthonormalize")
 
         monkeypatch.setattr(sturm, "orthonormalize_laws", dependent)
-        coup = make_coupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        op = assemble(SLProblem(p=one, q=zero, weight=one, coupling=coup), Grid(0.0, 1.0, 21))
+        coup = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        op = assemble(one, zero, one, Grid(0.0, 1.0, 21))
         with pytest.raises(EigensolveError, match="bordered"):
-            eigensolve(op, k=2)
+            eigensolve(op, coup, k=2)
 
     def test_orthonormalize_rejects_dependent_rows(self):
         g = Grid(0.0, 1.0, 11)
@@ -211,31 +209,32 @@ class TestEigensolve:
 
     def test_non_selfadjoint_rows_rejected(self, grid, one, zero):
         # v'(0) = v(1), v'(1) = 0 is not a symmetric closure
-        coup = make_coupling([[0.0, 1.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        coup = BoundaryCoupling([[0.0, 1.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
         with pytest.raises(AssemblyError):
-            eigensolve(assemble(SLProblem(p=one, q=zero, weight=one, coupling=coup), grid))
+            eigensolve(assemble(one, zero, one, grid), coup)
 
     def test_k_validation(self, heat_eig, grid, heat_problem):
-        op = assemble(heat_problem.sl, grid)
+        op, coup = heat_problem.operator, heat_problem.coupling
         with pytest.raises(ArgumentError):
-            eigensolve(op, k=0)
+            eigensolve(op, coup, k=0)
         with pytest.raises(ArgumentError):
-            eigensolve(op, k=grid.n + 1)
+            eigensolve(op, coup, k=grid.n + 1)
 
     def test_general_interval_neumann(self, zero):
         g = Grid(0.0, 2.0, 201)
         one = constant_field(1.0)
-        eig = eigensolve(assemble(SLProblem(p=one, q=zero, weight=one, coupling=neumann_coupling()), g), k=3)
+        eig = eigensolve(assemble(one, zero, one, g), neumann_coupling(), k=3)
         expected = (np.pi / 2) ** 2
         assert abs(eig.eigenvalues[1] - expected) / expected <= 1e-3
 
 
 def _kernel_operator(grid, p="1", q="0", weight="1", law1="1", law2="x"):
+    """The operator of a totally conservative problem and its coupling."""
     f = field_from_expression
     problem = build_totally_conservative(
         f(p), f(q), f(law1), f(law2), grid, weight=f(weight)
     )
-    return assemble(problem.sl, grid)
+    return problem.operator, problem.coupling
 
 
 FEW_MODE_CASES = {
@@ -261,9 +260,9 @@ def _loop_row_residuals(rows, quad):
 class TestFewModeEigensolve:
     @pytest.mark.parametrize("case", sorted(FEW_MODE_CASES))
     def test_matches_dense(self, grid, case):
-        op = _kernel_operator(grid, **FEW_MODE_CASES[case])
+        op, coup = _kernel_operator(grid, **FEW_MODE_CASES[case])
         k = 6
-        few, dense = eigensolve(op, k=k), eigensolve(op)
+        few, dense = eigensolve(op, coup, k=k), eigensolve(op, coup)
         assert (few.method, dense.method) == ("shift_invert", "dense")
         lam, ref = few.eigenvalues, dense.eigenvalues[:k]
         zero = np.zeros(k, dtype=bool)
@@ -278,8 +277,8 @@ class TestFewModeEigensolve:
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
 
     def test_repeat_calls_identical(self, grid):
-        op = _kernel_operator(grid)
-        a, b = eigensolve(op, k=6), eigensolve(op, k=6)
+        op, coup = _kernel_operator(grid)
+        a, b = eigensolve(op, coup, k=6), eigensolve(op, coup, k=6)
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
         assert a.vectors.tobytes() == b.vectors.tobytes()
 
@@ -289,18 +288,18 @@ class TestFewModeEigensolve:
          (256, 32, "shift_invert")],
     )
     def test_method_crossover(self, n, k, method):
-        op = _kernel_operator(Grid(0.0, 1.0, n))
-        assert eigensolve(op, k=k).method == method
+        op, coup = _kernel_operator(Grid(0.0, 1.0, n))
+        assert eigensolve(op, coup, k=k).method == method
 
     def test_dense_refused_beyond_budget(self, one, zero):
         g = Grid(0.0, 1.0, 6001)
-        op = _kernel_operator(g)
+        op, coup = _kernel_operator(g)
         with pytest.raises(DenseSizeError):
-            eigensolve(op)
-        assert eigensolve(op, k=6).method == "shift_invert"
-        dirichlet = make_coupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+            eigensolve(op, coup)
+        assert eigensolve(op, coup, k=6).method == "shift_invert"
+        dirichlet = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         with pytest.raises(DenseSizeError):  # the bordered path is dense too
-            eigensolve(assemble(SLProblem(p=one, q=zero, weight=one, coupling=dirichlet), g), k=4)
+            eigensolve(assemble(one, zero, one, g), dirichlet, k=4)
 
     def test_row_residuals_match_loop(self, heat_eig):
         quad = _stencil_quad(heat_eig.grid, heat_eig.vectors)
@@ -358,8 +357,8 @@ class TestSteadyState:
 
     def test_no_kernel_error(self, one, zero):
         g = Grid(0.0, 1.0, 201)
-        coup = make_coupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        eig = eigensolve(assemble(SLProblem(p=one, q=zero, weight=one, coupling=coup), g), k=3)
+        coup = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        eig = eigensolve(assemble(one, zero, one, g), coup, k=3)
         with pytest.raises(NoSteadyStateError):
             steady_state(eig, np.ones(g.n))
 
