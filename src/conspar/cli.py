@@ -20,6 +20,7 @@ import sys
 import tempfile
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,7 +57,7 @@ _SOLVERS = {
         "conservative": "build_totally_conservative prescribe_moments "
         "prescribed_moments_evolve time_function",
     },
-    "oracle": {"oracle": "kimura_sde simulate sis_sde"},
+    "oracle": {"oracle": "bin_resolution_dt kimura_sde simulate sis_sde"},
     "validate": {"oracle": "atom_zscore"},
 }
 
@@ -117,7 +118,7 @@ _SCHEMAS = {
         "psi": (str, "0"),
         "R0": (float, 2.0),
         "x0": (float, 0.3),
-        "dt": (float, 1e-4),
+        "dt": (float, None),  # default: see _ORACLE_DT_CHOICES
         "T": (float, 20.0),
         "replicates": (int, 10_000),
         "bins": (int, 50),
@@ -150,10 +151,21 @@ class RunManifest:
     assumptions: list = field(default_factory=list)
     files: list = field(default_factory=list)  # (name, sha256)
     diagnostics: dict = field(default_factory=dict)  # solver facts, not checked
-    wallclock_s: float = 0.0
+    wallclock_s: float = 0.0  # set when the outputs are written
+    stages: dict = field(default_factory=dict)  # seconds per stage of the run
+    started: float = field(default_factory=time.perf_counter)
 
     def check(self, name: str, value, passed: bool):
         self.checks.append((name, value, bool(passed)))
+
+    @contextmanager
+    def stage(self, name: str):
+        """Add the time spent in the block to stage ``name``."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = self.stages.get(name, 0.0) + time.perf_counter() - started
 
     def all_passed(self) -> bool:
         return all(p for _, _, p in self.checks)
@@ -163,6 +175,8 @@ class RunManifest:
         for k in sorted(self.config):
             lines.append(f"config.{k} = {_fmt(self.config[k])}")
         lines.append(f"wallclock_s = {self.wallclock_s!r}")
+        for name, seconds in self.stages.items():
+            lines.append(f"wallclock_s.{name} = {seconds!r}")
         for name, value, passed in self.checks:
             lines.append(
                 f"check: {name} = {_fmt(value)} [{'pass' if passed else 'fail'}]"
@@ -322,12 +336,15 @@ def _csv(rows, header) -> str:
 
 
 def write_outputs(outdir: Path, files: dict, manifest: RunManifest):
-    """Write every output atomically and record content digests."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        _write_atomic(outdir / name, text)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        manifest.files.append((name, digest))
+    """Write every output atomically and record content digests; the
+    manifest, written last, times the run up to it."""
+    with manifest.stage("write"):
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            _write_atomic(outdir / name, text)
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            manifest.files.append((name, digest))
+    manifest.wallclock_s = time.perf_counter() - manifest.started
     _write_atomic(outdir / "manifest.txt", manifest.render())
 
 
@@ -435,33 +452,39 @@ _DEGENERATE = {
 
 def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
     build, initial_key, interior_atoms = _DEGENERATE[cfg.command]
-    grid = Grid(0.0, 1.0, cfg["n"])
-    model = build(cfg)
-    laws = model.laws  # built first: a law that overflows fails before the solve
-    u0 = _initial_density(cfg[initial_key], grid)
+    with manifest.stage("fields"):
+        grid = Grid(0.0, 1.0, cfg["n"])
+        model = build(cfg)
+        laws = model.laws  # built first: a law that overflows fails before the solve
+        u0 = _initial_density(cfg[initial_key], grid)
     times = np.asarray(cfg["times"], dtype=float)
     mode = cfg["mode"]
 
     if mode == "interior":
-        sol = solve_interior(model, u0, cfg["T"], times, grid)
+        with manifest.stage("step"):
+            sol = solve_interior(model, u0, cfg["T"], times, grid)
         manifest.diagnostics.update(
             interior_method=sol.method,
             interior_dt=sol.dt,
             interior_steps=sol.steps,
             interior_log_scale_spread=sol.log_scale_spread,
         )
-        a, b = interior_atoms(manifest, model, sol, u0)
+        with manifest.stage("atoms"):
+            a, b = interior_atoms(manifest, model, sol, u0)
         dens = sol.trajectory.values
         out_times = sol.trajectory.times
     else:
         if mode == "regularized":
-            traj = solve_regularized(model, u0, cfg["eps"], times, grid).trajectory
-            measures = [
-                decompose_measure(v, grid, t, model.absorbs_at_1)
-                for v, t in zip(traj.values, traj.times)
-            ]
+            with manifest.stage("evolve"):
+                traj = solve_regularized(model, u0, cfg["eps"], times, grid).trajectory
+            with manifest.stage("atoms"):
+                measures = [
+                    decompose_measure(v, grid, t, model.absorbs_at_1)
+                    for v, t in zip(traj.values, traj.times)
+                ]
         else:
-            res = vanishing_limit(model, u0, cfg["ladder"], times, grid)
+            with manifest.stage("evolve"):
+                res = vanishing_limit(model, u0, cfg["ladder"], times, grid)
             if res.warning:
                 manifest.warnings.append(res.warning)
             manifest.assumptions.append("richardson_order1")
@@ -491,26 +514,30 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
         min_atom = float(min(a.min(), b.min()))
         manifest.check("atom_admissibility", min_atom, min_atom >= -1e-8)
 
-    rows = list(zip(out_times, a, b, interior, total, phimom))
-    files = {
-        "masses.csv": _csv(
-            rows,
-            header=("t", "atom0", "atom1", "interior_mass", "total_mass", "phi_moment"),
-        )
-    }
-    files.update(_density_files(out_times, grid, dens))
-    if cfg["emit_plot_data"]:
-        files.update(_plot_files(out_times, grid, dens, rows))
+    with manifest.stage("write"):
+        rows = list(zip(out_times, a, b, interior, total, phimom))
+        files = {
+            "masses.csv": _csv(
+                rows,
+                header=("t", "atom0", "atom1", "interior_mass", "total_mass", "phi_moment"),
+            )
+        }
+        files.update(_density_files(out_times, grid, dens))
+        if cfg["emit_plot_data"]:
+            files.update(_plot_files(out_times, grid, dens, rows))
     return files
 
 
 def _conservative_eigensystem(cfg: RunConfig, manifest: RunManifest, k=None, weight=None):
     """The totally conservative problem of the config's p, q and laws, and
     its k smallest eigenpairs (all by default)."""
-    grid = Grid(0.0, 1.0, cfg["n"])
-    p, q, law1, law2 = (field_from_expression(cfg[key]) for key in ("p", "q", "law1", "law2"))
-    problem = build_totally_conservative(p, q, law1, law2, grid, weight=weight)
-    eig = eigensolve(problem.operator, problem.coupling, k=k)
+    with manifest.stage("fields"):
+        grid = Grid(0.0, 1.0, cfg["n"])
+        p, q, law1, law2 = (field_from_expression(cfg[key]) for key in ("p", "q", "law1", "law2"))
+    with manifest.stage("assemble"):
+        problem = build_totally_conservative(p, q, law1, law2, grid, weight=weight)
+    with manifest.stage("eigensolve"):
+        eig = eigensolve(problem.operator, problem.coupling, k=k)
     manifest.diagnostics.update(
         eigensolve_method=eig.method, eigensolve_modes=eig.eigenvalues.size
     )
@@ -518,7 +545,8 @@ def _conservative_eigensystem(cfg: RunConfig, manifest: RunManifest, k=None, wei
 
 
 def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
-    weight = field_from_expression(cfg["weight"])
+    with manifest.stage("fields"):
+        weight = field_from_expression(cfg["weight"])
     _, _, eig = _conservative_eigensystem(cfg, manifest, cfg["k"], weight)
     manifest.check("zero_multiplicity", eig.zero_multiplicity, eig.zero_multiplicity >= 1)
     if eig.eigenvalues.size >= 3 and eig.zero_multiplicity == 2:
@@ -526,11 +554,12 @@ def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
             np.all(np.abs(eig.eigenvalues[:2]) <= 1e-8 * max(eig.eigenvalues[2], 1e-300))
         )
         manifest.check("double_zero_below_1e-8_lambda3", float(np.abs(eig.eigenvalues[:2]).max()), ok)
-    rows = [
-        (k + 1, lam, res)
-        for k, (lam, res) in enumerate(zip(eig.eigenvalues, eig.bc_residuals))
-    ]
-    return {"eigenvalues.csv": _csv(rows, header=("k", "lambda", "bc_residual"))}
+    with manifest.stage("write"):
+        rows = [
+            (k + 1, lam, res)
+            for k, (lam, res) in enumerate(zip(eig.eigenvalues, eig.bc_residuals))
+        ]
+        return {"eigenvalues.csv": _csv(rows, header=("k", "lambda", "bc_residual"))}
 
 
 def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
@@ -540,12 +569,13 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
         expr = parse_expression(expr_text, variable="t")
         return time_function(lambda t: float(expr(t)))
 
-    F1, F2 = tf(cfg["F1"]), tf(cfg["F2"])
-    pres = prescribe_moments(problem, F1, F2)
-    v0 = F1.value(0.0) * pres.phi1 + F2.value(0.0) * pres.phi2
-    times = cfg["times"]
-    times = np.linspace(0.0, cfg["T"], 26) if times is None else np.asarray(times)
-    v_traj, w_traj = prescribed_moments_evolve(eig, v0, pres, times)
+    with manifest.stage("evolve"):
+        F1, F2 = tf(cfg["F1"]), tf(cfg["F2"])
+        pres = prescribe_moments(problem, F1, F2)
+        v0 = F1.value(0.0) * pres.phi1 + F2.value(0.0) * pres.phi2
+        times = cfg["times"]
+        times = np.linspace(0.0, cfg["T"], 26) if times is None else np.asarray(times)
+        v_traj, w_traj = prescribed_moments_evolve(eig, v0, pres, times)
     manifest.diagnostics.update(v_traj.diagnostics)
 
     mu = grid.cell_weights()
@@ -558,45 +588,70 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
     zero = float(np.max(np.abs(w_traj.values @ (mu * pres.weight * pres.phi1))))
     manifest.check("zero_moment_part", zero, zero <= 1e-6)
 
-    rows = zip(times, t1, m1, t2, m2)
-    return {
-        "moments.csv": _csv(
-            rows, header=("t", "target1", "moment1", "target2", "moment2")
-        )
-    }
+    with manifest.stage("write"):
+        rows = zip(times, t1, m1, t2, m2)
+        return {
+            "moments.csv": _csv(
+                rows, header=("t", "target1", "moment1", "target2", "moment2")
+            )
+        }
+
+
+# Default oracle time steps, largest first: the default is the largest whose
+# one-step spread resolves a histogram bin (oracle.bin_resolution_dt), else
+# the last. Their time-step bias was measured with the coupled coarse paths,
+# pooled over 500,000 paths: 5e-4 is left out, since at t = 1 the default
+# Kimura run's fine and coarse mass0 differ there by 0.12 of its standard
+# error (0.03 at 2.5e-4; SIS at R0 = 2, 0.09).
+_ORACLE_DT_CHOICES = (2.5e-4, 1e-4)
 
 
 def _run_oracle(cfg: RunConfig, manifest: RunManifest) -> dict:
-    common = dict(dt=cfg["dt"], horizon=cfg["T"], replicates=cfg["replicates"], seed=cfg["seed"])
-    make_spec = {
-        "kimura": lambda: kimura_sde(field_from_expression(cfg["psi"]), cfg["x0"], **common),
-        "sis": lambda: sis_sde(cfg["R0"], cfg["x0"], **common),
-    }
-    spec = make_spec[cfg["model"]]()
-    measures = simulate(spec, cfg["times"], bins=cfg["bins"])
+    def make_spec(dt):
+        common = dict(dt=dt, horizon=cfg["T"], replicates=cfg["replicates"], seed=cfg["seed"])
+        if cfg["model"] == "sis":
+            return sis_sde(cfg["R0"], cfg["x0"], **common)
+        return kimura_sde(field_from_expression(cfg["psi"]), cfg["x0"], **common)
+
+    with manifest.stage("fields"):
+        dt = cfg["dt"]
+        if dt is None:
+            vol2 = make_spec(_ORACLE_DT_CHOICES[-1]).squared_volatility
+            resolved = bin_resolution_dt(vol2, cfg["bins"])
+            dt = next((c for c in _ORACLE_DT_CHOICES if c <= resolved), _ORACLE_DT_CHOICES[-1])
+            manifest.config["dt"] = dt
+        spec = make_spec(dt)
+    with manifest.stage("simulate"):
+        measures = simulate(spec, cfg["times"], bins=cfg["bins"])
+    manifest.stages["oracle_normal_wait"] = measures[-1].normal_wait_s
     manifest.assumptions.append("sde_matching")
+    bias = [m.dt_bias() for m in measures]
     manifest.diagnostics.update(
         oracle_steps=measures[-1].steps,
         oracle_live_paths=[int(m.counts.sum()) for m in measures],
     )
+    for atom in ("atom0", "atom1"):
+        manifest.diagnostics[f"oracle_dt_bias_se.{atom}"] = [b[atom][0] for b in bias]
+        manifest.diagnostics[f"oracle_dt_bias_se.{atom}_stderr"] = [b[atom][1] for b in bias]
     identity = all(m.counting_identity() for m in measures)
     manifest.check("counting_identity", identity, identity)
-    rows = [
-        (
-            m.time,
-            m.mass_at_0,
-            m.mass_at_1,
-            m.interior_mass,
-            m.standard_errors["mass_at_0"],
-            m.standard_errors["mass_at_1"],
-        )
-        for m in measures
-    ]
-    return {
-        "oracle.csv": _csv(
-            rows, header=("t", "mass0", "mass1", "interior", "se_mass0", "se_mass1")
-        )
-    }
+    with manifest.stage("write"):
+        rows = [
+            (
+                m.time,
+                m.mass_at_0,
+                m.mass_at_1,
+                m.interior_mass,
+                m.standard_errors["mass_at_0"],
+                m.standard_errors["mass_at_1"],
+            )
+            for m in measures
+        ]
+        return {
+            "oracle.csv": _csv(
+                rows, header=("t", "mass0", "mass1", "interior", "se_mass0", "se_mass1")
+            )
+        }
 
 
 def _read_csv(path: Path) -> dict:
@@ -662,13 +717,11 @@ def run(config: RunConfig) -> RunManifest:
         for name in names.split():
             namespace.setdefault(name, getattr(solvers, name))
     manifest = RunManifest(command=config.command, config=dict(config.options))
-    started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         files = _RUNNERS[config.command](config, manifest)
     for w in caught:
         manifest.warnings.append(str(w.message))
-    manifest.wallclock_s = time.perf_counter() - started
     for w in manifest.warnings:
         print(f"warning: {w}", file=sys.stderr)
     write_outputs(Path(config["out"]), files, manifest)

@@ -14,6 +14,7 @@ source term and the Duhamel integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,8 +77,16 @@ class ConservativeProblem:
     laws: tuple
     law_values: np.ndarray  # (n_laws, n)
     kind: str  # "totally" | "partially"
-    positivity: str
     max_principle_assumed: bool = False
+
+    @cached_property
+    def positivity(self) -> str:
+        """The positivity class of the laws, computed when first read: the
+        direction sweep of :func:`certify_intrinsic_positivity` for two
+        laws, the sign of the one law otherwise."""
+        if self.kind == "totally":
+            return _positivity(self.law_values)
+        return NONNEGATIVE if float(self.law_values[0].min()) >= -1e-12 else UNKNOWN
 
 
 def _require_law(name, op: DiscreteOperator, q, phi):
@@ -117,7 +126,6 @@ def _assemble_conservative(op: DiscreteOperator, p, phi1, phi2) -> ConservativeP
         laws=(phi1, phi2),
         law_values=law_values,
         kind="totally",
-        positivity=_positivity(law_values),
     )
 
 
@@ -159,15 +167,12 @@ def build_partially_conservative(
     weight = weight if weight is not None else constant_field(1.0)
     op = assemble(p, q, weight, grid)
     _require_law("phi1", op, q, phi1)
-    v1 = sample_field(phi1, grid)
-    positivity = NONNEGATIVE if float(v1.min()) >= -1e-12 else UNKNOWN
     return ConservativeProblem(
         operator=op,
         coupling=BoundaryCoupling([conservation_row(phi1, p, grid), list(extra_bc)]),
         laws=(phi1,),
-        law_values=v1[None, :],
+        law_values=sample_field(phi1, grid)[None, :],
         kind="partially",
-        positivity=positivity,
         max_principle_assumed=True,
     )
 

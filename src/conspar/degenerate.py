@@ -18,8 +18,9 @@ measure: atoms at the absorbing endpoints plus a regular interior density;
 a zero-flux end carries no atom, and its half cell stays in the density.
 Atomic masses are computed from the conservation identities (primary) or
 by time integration of the outflow g' r through each absorbing end, read
-off the interior boundary traces (requires continuous psi); half-cell
-excess extraction is available as a secondary diagnostic.
+off the interior boundary traces by the time scheme's own rule (requires
+continuous psi); half-cell excess extraction is available as a secondary
+diagnostic.
 
 The strong interior solution uses a Rannacher-started trapezoidal time
 discretization of the method-of-lines system. Its iterates are read off
@@ -31,7 +32,7 @@ the generator cannot be symmetrized accurately (see ``solve_interior``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -303,13 +304,17 @@ class BoundaryTraces:
     """Interior-density boundary traces r(0, t), r(1, t) on the stepper's
     time grid, the drift regularity tier they were produced under, and the
     mass that leaves per unit trace: where g = 0 the flux -(g r)' + g psi r
-    is -g' r, so ``outflow`` is (g'(0), -g'(1)), with 0 at a zero-flux end."""
+    is -g' r, so ``outflow`` is (g'(0), -g'(1)), with 0 at a zero-flux end.
+    ``half_steps`` holds both traces after each backward-Euler half step
+    of the Rannacher start, two per step of its first k steps (shape
+    (2, 2k)); it is empty when every step is a trapezoid step."""
 
     times: np.ndarray
     at0: np.ndarray
     at1: np.ndarray
     outflow: Tuple[float, float]
     psi_continuous: bool
+    half_steps: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,7 +459,9 @@ def _rho(r_be, r_tr, k):
 
 
 def _modal_traces(weights, factors, absorbing, r0, n_steps):
-    """Both boundary traces at every step from the modal trace weights.
+    """Both boundary traces at every step from the modal trace weights, and
+    after each backward-Euler half step of the Rannacher start, where the
+    j-th half step applies R_be^j.
 
     Traces are produced in chunks of steps, each one product of a fixed
     (chunk x m) matrix of R_tr powers with the rescaled weights, so no
@@ -462,6 +469,7 @@ def _modal_traces(weights, factors, absorbing, r0, n_steps):
     """
     r_be, r_tr = factors
     head = np.arange(min(n_steps, 2) + 1)  # the Rannacher start
+    half = (r_be ** np.arange(1, 2 * head[-1] + 1)[:, None] @ weights).T
     traces = np.empty((2, n_steps + 1))
     traces[:, head] = (_rho(r_be, r_tr, head) @ weights).T
     traces[:, 0] = _left_trace(r0), _right_trace(r0, absorbing)
@@ -474,7 +482,7 @@ def _modal_traces(weights, factors, absorbing, r0, n_steps):
         count = min(chunk, n_steps - k)
         traces[:, k + 1 : k + 1 + count] = (powers[:count] @ w).T
         w = powers[count - 1][:, None] * w
-    return traces[0], traces[1]
+    return traces[0], traces[1], half
 
 
 def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
@@ -482,8 +490,8 @@ def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
 
     Implicit trapezoidal steps; the first two steps are each split into
     two backward-Euler half steps so rough initial data does not ring
-    (Rannacher start). Returns the snapshots at ``snap_idx`` and both
-    traces at every step.
+    (Rannacher start). Returns the snapshots at ``snap_idx``, both traces
+    at every step and both traces after each half step.
     """
     diag, lower, upper, cell = A
     r = r0.copy()
@@ -509,11 +517,13 @@ def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
 
     norm0 = float(np.max(np.abs(r))) + 1.0
     rannacher_steps = 2
+    half = []
     for step in range(1, n_steps + 1):
         if step <= rannacher_steps:
             # two backward-Euler half steps per dt (damps rough data)
             for _ in range(2):
                 r = scipy.linalg.solve_banded((1, 1), implicit, r)
+                half.append((_left_trace(r), _right_trace(r, absorbing)))
         else:
             rhs = matvec(r, dt / 2)
             r = scipy.linalg.solve_banded((1, 1), implicit, rhs)
@@ -525,7 +535,7 @@ def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
             snapshots[step] = r.copy()
 
     snaps = np.array([snapshots[int(s)] for s in snap_idx])
-    return snaps, trace0, trace1
+    return snaps, trace0, trace1, np.array(half).T
 
 
 def solve_interior(
@@ -579,16 +589,16 @@ def solve_interior(
     modes, spread = _modal_basis(*A)
     if modes is None:
         method = "stepper"
-        snaps, trace0, trace1 = _step_interior(A, absorbing, r0, dt, n_steps, snap_idx)
+        snaps, trace0, trace1, half = _step_interior(A, absorbing, r0, dt, n_steps, snap_idx)
     else:
         method = "modal"
         snaps, weights, factors = _modal_snapshots(modes, absorbing, r0, dt, snap_idx)
         del modes  # the m x m basis; the traces need only the weights
-        trace0, trace1 = _modal_traces(weights, factors, absorbing, r0, n_steps)
+        trace0, trace1, half = _modal_traces(weights, factors, absorbing, r0, n_steps)
 
     # the NaN-safe comparison also rejects non-finite values
     limit = 1e6 * (float(np.max(np.abs(r0))) + 1.0)
-    if not all(np.all(np.abs(out) <= limit) for out in (snaps, trace0, trace1)):
+    if not all(np.all(np.abs(out) <= limit) for out in (snaps, trace0, trace1, half)):
         raise TimeStepError(f"interior {method} solve blew up")
 
     values = np.zeros((times.size, grid.n))
@@ -603,6 +613,7 @@ def solve_interior(
         at1=trace1,
         outflow=(model.g.derivative(0.0), -model.g.derivative(1.0) if absorbing else 0.0),
         psi_continuous=model.psi.continuous_tier,
+        half_steps=half,
     )
     return InteriorSolution(
         trajectory=traj,
@@ -657,6 +668,9 @@ def masses_from_boundary_flux(
     a(t) = a0 + g'(0) int_0^t r(0, s) ds, b(t) = b0 - g'(1) int_0^t r(1, s) ds,
     with the rates from ``traces.outflow`` (b stays b0 at a zero-flux end).
 
+    The integral follows the time scheme: each backward-Euler half step of
+    the Rannacher start removes (dt/2) times the outflow of the trace it
+    ends with, and the trapezoid rule covers the trapezoid steps.
     Valid when the drift coefficient is continuous up to the boundary;
     tabulated-linear drifts are rejected (use the conservation form).
     Returns (times, a, b); the curves are nondecreasing whenever the
@@ -667,9 +681,19 @@ def masses_from_boundary_flux(
             "boundary-flux mass formulas need a continuous drift "
             "(cubic or expression-backed); use the conservation form"
         )
+    times = traces.times
+    k = traces.half_steps.shape[1] // 2  # steps of the Rannacher start
+
+    def integral(trace, half):
+        if not k:
+            return cumulative_trapezoid(trace, times)
+        start = np.cumsum(0.5 * np.diff(times[: k + 1]) * (half[0::2] + half[1::2]))
+        rest = cumulative_trapezoid(trace[k:], times[k:])[1:]
+        return np.concatenate([[0.0], start, start[-1] + rest])
+
     out0, out1 = traces.outflow
-    a = a0 + out0 * cumulative_trapezoid(traces.at0, traces.times)
-    b = b0 + out1 * cumulative_trapezoid(traces.at1, traces.times)
+    a = a0 + out0 * integral(traces.at0, traces.half_steps[0])
+    b = b0 + out1 * integral(traces.at1, traces.half_steps[1])
     return traces.times, a, b
 
 

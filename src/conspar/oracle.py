@@ -12,18 +12,32 @@ reflection there for the epidemic model). Paths are split into blocks of
 counter-based ``Philox(seed, b)`` stream: at every step, one normal per
 live path of the block, in path order. All blocks step together in one
 array of live paths, grouped by block; an absorbed path leaves the array.
-Each step runs in place on reused buffers. One helper thread draws each
-block's next chunk of normals ahead while the current chunk is used; it
-makes every draw, in the order they are queued, so each stream is drawn
-in order.
+One helper thread draws each block's next chunk of normals ahead while the
+current chunk is used; it makes every draw, in the order they are queued,
+so each stream is drawn in order.
 Because each block's draws depend only on its own paths, the counts are
 bit-identical however the blocks are laid out or scheduled, and so is
 ``oracle.csv``. Atoms are compared with absorbed fractions by one rule,
 ``atom_zscore``, here and in the CLI's ``validate``.
+
+Beside each path runs a coupled coarse path at step 2 dt, the coupling of
+multilevel Monte Carlo (Giles 2008, Oper. Res. 56:607-617): over each pair
+of steps it moves by x + mu(x) 2dt + sqrt(max(s2(x), 0) dt) (z_2k + z_2k+1),
+from its fine partner's two normals, with the same absorption and
+reflection rules. A coarse path that outlives its partner draws the
+missing normals from its block's own stream, ``Philox(seed, 2**63 + b)``,
+one per step, in path order, on the helper thread in small chunks; a
+block's first is drawn when it first has such a path. So the fine draws,
+and ``oracle.csv``, are those of the fine paths alone. Each
+snapshot counts the coarse absorbed paths and the paths absorbed at an
+end on one level only; ``EmpiricalMeasure.dt_bias`` turns these into the
+time-step bias of an absorbed fraction and its standard error. A snapshot
+at an odd step count reads the coarse paths one fine step earlier.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -40,6 +54,10 @@ _NORMAL_CHUNK = 2**14  # most normals one block holds: current chunk plus next
 # chunks shrink as blocks are added, so that all blocks together hold
 # about this many normals beyond one step's need
 _NORMAL_BUDGET = 2**18
+# a block's own stream, for coarse paths that outlive their fine partners,
+# is drawn in chunks of this fraction of the block's part of the budget
+_OWN_CHUNK_DIVISOR = 16
+_OWN_STREAM = 2**63  # added to the block index in the Philox key
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,9 +72,10 @@ class SdeSpec:
     horizon: float
     replicates: int
     seed: int
-    # fills the drift and the squared volatility at x into two buffers,
-    # (x, mu, s2) -> None; the model constructors set it, and without it
-    # the two fields are evaluated
+    # fills the drift and the squared volatility, clamped at 0, at x into
+    # two buffers, (x, mu, s2) -> bool, and returns False instead of
+    # filling mu when the drift is 0 everywhere; the model constructors set
+    # it, and without it the two fields are evaluated
     _coefficients: Optional[Callable] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -92,7 +111,8 @@ def _field_coefficients(spec: SdeSpec) -> Callable:
 
     def coefficients(x, mu, s2):
         mu[...] = drift(x)
-        s2[...] = vol2(x)
+        np.maximum(vol2(x), 0.0, out=s2)
+        return True
 
     return coefficients
 
@@ -111,12 +131,15 @@ def kimura_sde(
     psi_fn = _plain_evaluator(psi)
     # a constant psi is not evaluated per step
     psi_c = psi_fn.constant if isinstance(psi_fn, Expression) else None
+    drifts = psi_c != 0.0  # x + 0 dt is x: neutral paths skip the drift
 
-    def coefficients(x, mu, s2):
+    def coefficients(x, mu, s2):  # s2 >= 0 on [0, 1], where live paths are
         np.subtract(1.0, x, out=s2)
         s2 *= x  # g
-        np.multiply(s2, psi_fn(x) if psi_c is None else psi_c, out=mu)
+        if drifts:
+            np.multiply(s2, psi_fn(x) if psi_c is None else psi_c, out=mu)
         s2 *= 2.0
+        return drifts
 
     drift = field_from_callable(lambda x: g(x) * np.asarray(psi_fn(x)), "kimura_drift")
     vol2 = field_from_callable(lambda x: 2.0 * g(x), "kimura_vol2")
@@ -146,13 +169,14 @@ def sis_sde(
     if not 0 < R0 < np.inf:
         raise ParameterError("R0 must be a positive real number")
 
-    def coefficients(x, mu, s2):
+    def coefficients(x, mu, s2):  # s2 >= 0 on [0, 1], where live paths are
         np.subtract(1.0, x, out=s2)
         s2 *= R0
         np.subtract(s2, 1.0, out=mu)
         mu *= x
         s2 += 1.0
         s2 *= x
+        return True
 
     drift = field_from_callable(
         lambda x: np.asarray(x) * (R0 * (1 - np.asarray(x)) - 1.0), "sis_drift_sde"
@@ -188,6 +212,34 @@ class EmpiricalMeasure:
     count_at_1: int
     n_paths: int
     steps: int = 0  # lockstep Euler-Maruyama steps taken up to this time
+    # the coupled coarse paths at 2 dt: their absorbed counts, and the
+    # paths absorbed at that end on exactly one of the two levels
+    coarse_count_at_0: int = 0
+    coarse_count_at_1: int = 0
+    split_at_0: int = 0
+    split_at_1: int = 0
+    normal_wait_s: float = 0.0  # the stepping thread's wait for normals so far
+
+    def dt_bias(self) -> dict:
+        """Per atom, (fine minus coarse absorbed fraction, standard error
+        of that difference), both in units of the fine fraction's standard
+        error as :func:`atom_zscore` floors it.
+
+        The difference of one path's two absorption indicators is -1, 0 or
+        1, and it is nonzero on the split paths only; its variance is
+        split/n - difference^2.
+        """
+        n = self.n_paths
+        out = {}
+        for atom, fine, coarse, split in (
+            ("atom0", self.count_at_0, self.coarse_count_at_0, self.split_at_0),
+            ("atom1", self.count_at_1, self.coarse_count_at_1, self.split_at_1),
+        ):
+            diff = (fine - coarse) / n
+            se_diff = float(np.sqrt(max(split / n - diff * diff, 0.0) / n))
+            se, _ = atom_zscore(fine / n, 0.0, n)
+            out[atom] = (diff / se, se_diff / se)
+        return out
 
     @property
     def mass_at_0(self) -> float:
@@ -229,57 +281,120 @@ def _sample_initial(x0, n: int, rng) -> np.ndarray:
     return np.clip(np.interp(u, cdf, grid), 1e-12, 1 - 1e-12)
 
 
+def _philox(seed: int, key: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.Philox(key=np.array([np.uint64(seed), np.uint64(key)], dtype=np.uint64))
+    )
+
+
 class _BlockNormals:
     """Standard normals for the live paths of all blocks, in array order.
 
     Block b draws from its own stream only, ``live[b]`` normals per step,
     in chunks that are sliced step by step; a chunked draw yields the same
     numbers as one draw per step. While a block uses its current chunk,
-    its next one is drawn ahead. Every draw runs on the single worker of
-    ``pool``, first in first out, so each stream is drawn in order, and
-    this thread never touches ``rngs``.
+    its next one is drawn ahead; a block's first chunk is drawn at once
+    when ``eager``, else when the block first needs one. Every draw runs
+    on the single worker of ``pool``, first in first out, so each stream
+    is drawn in order, and this thread never touches ``rngs``. ``wait_s``
+    sums the time spent waiting for draws.
     """
 
-    def __init__(self, rngs: list, pool: ThreadPoolExecutor):
+    def __init__(self, rngs: list, pool: ThreadPoolExecutor, chunk: int, eager: bool):
         self.rngs = rngs
         self.pool = pool
-        per_block = min(_NORMAL_CHUNK, _NORMAL_BUDGET // len(rngs))
-        self.chunk = max(1, per_block // 2)  # current and next share the block's part
+        self.chunk = chunk
         self.buffers = [np.empty(0)] * len(rngs)
         self.used = [0] * len(rngs)
-        self.ahead = [pool.submit(rng.standard_normal, self.chunk) for rng in rngs]
+        self.ahead = [pool.submit(rng.standard_normal, chunk) if eager else None for rng in rngs]
+        self.wait_s = 0.0
+
+    def _result(self, future) -> np.ndarray:
+        started = time.perf_counter()
+        out = future.result()
+        self.wait_s += time.perf_counter() - started
+        return out
 
     def _next_chunk(self, b: int, need: int) -> np.ndarray:
-        """Block b's drawn-ahead chunk, extended to ``need`` normals when
-        one step needs more. The draws after it are queued first, so the
-        helper goes on to them as soon as this one is done."""
+        """Block b's next chunk, extended to ``need`` normals when one step
+        needs more. The draws after it are queued first, so the helper goes
+        on to them as soon as this one is done."""
         draw = self.rngs[b].standard_normal
-        ready = self.ahead[b]
+        ready = self.ahead[b] or self.pool.submit(draw, self.chunk)
         rest = self.pool.submit(draw, need - self.chunk) if need > self.chunk else None
         self.ahead[b] = self.pool.submit(draw, self.chunk)
-        buf = ready.result()
-        return buf if rest is None else np.concatenate([buf, rest.result()])
+        buf = self._result(ready)
+        return buf if rest is None else np.concatenate([buf, self._result(rest)])
 
-    def scale(self, s2: np.ndarray, live: list):
-        """Multiply ``s2``, one entry per live path, by the next ``live[b]``
+    def fill(self, out: np.ndarray, live: list):
+        """Write into ``out``, one entry per live path, the next ``live[b]``
         normals of every block b, block 0's first."""
         pos = 0
         for b, n in enumerate(live):
             if not n:
                 continue
-            seg = s2[pos : pos + n]
+            seg = out[pos : pos + n]
             pos += n
             buf, used = self.buffers[b], self.used[b]
             if used + n <= buf.size:
-                seg *= buf[used : used + n]
+                seg[...] = buf[used : used + n]
                 self.used[b] = used + n
             else:  # the rest of this chunk, then the next one
                 k = buf.size - used
-                head, tail = seg[:k], seg[k:]
-                head *= buf[used:]
+                seg[:k] = buf[used:]
                 buf = self.buffers[b] = self._next_chunk(b, n - k)
-                tail *= buf[: n - k]
+                seg[k:] = buf[: n - k]
                 self.used[b] = n - k
+
+
+def _euler_step(coefficients, x, mu, s2, z, dt, n_fine, reflecting):
+    """x <- (x + mu dt) + sqrt(s2 dt) z in place, with 2 dt for the drift of
+    the coarse paths after the first ``n_fine``; mu and s2 >= 0 are the
+    coefficients at x, written into the buffers ``mu`` and ``s2`` (no mu
+    when the drift is 0). A step past 1 folds back when ``reflecting``."""
+    if coefficients(x, mu, s2):
+        mu[:n_fine] *= dt
+        if x.size > n_fine:
+            mu[n_fine:] *= 2 * dt
+        x += mu
+    s2 *= dt
+    np.sqrt(s2, out=s2)
+    s2 *= z
+    x += s2
+    if reflecting and np.fmax.reduce(x) >= 1.0:
+        np.subtract(2.0, x, out=x, where=x >= 1.0)
+
+
+def _exits(x, reflecting):
+    """None when every path of ``x`` is inside; otherwise the indices of
+    the paths that left, ascending, and their fates: 1 absorbed at 0, 2
+    absorbed at 1. The NaN-blind reductions agree with the comparisons,
+    which are False for NaN."""
+    if np.fmin.reduce(x) > 0.0 and (reflecting or np.fmax.reduce(x) < 1.0):
+        return None
+    out = x <= 0.0
+    if not reflecting:
+        out |= x >= 1.0
+    at = np.flatnonzero(out)
+    return at, np.where(x[at] <= 0.0, 1, 2).astype(np.int8)
+
+
+def bin_resolution_dt(squared_volatility: CoefficientField, bins: int) -> float:
+    """The largest dt at which one step's spread, sqrt(max vol2 * dt), stays
+    within one histogram bin of width 1/bins; ``simulate`` warns above it."""
+    return (1.0 / bins) ** 2 / max(squared_volatility.max_sample(), 1e-12)
+
+
+def _fate_counts(fate: np.ndarray) -> dict:
+    """The absorbed counts of the fine and the coarse paths (rows of
+    ``fate``) at each end, and the paths absorbed there on one level only."""
+    out = {}
+    for end, code in ((0, 1), (1, 2)):
+        fine, coarse = fate == code
+        out[f"count_at_{end}"] = int(np.count_nonzero(fine))
+        out[f"coarse_count_at_{end}"] = int(np.count_nonzero(coarse))
+        out[f"split_at_{end}"] = int(np.count_nonzero(fine != coarse))
+    return out
 
 
 def simulate(
@@ -288,12 +403,13 @@ def simulate(
     bins: int = 50,
     block_size: int = BLOCK_SIZE,
 ) -> list:
-    """Euler-Maruyama ensemble; returns one EmpiricalMeasure per snapshot.
+    """Euler-Maruyama ensemble and its coupled coarse ensemble at 2 dt;
+    returns one EmpiricalMeasure per snapshot.
 
     Volatility is evaluated at the pre-step point with the square-root
     argument clamped at zero; a step crossing 0 absorbs the path there,
     and a step crossing 1 absorbs or reflects (by folding) per
-    ``boundary_at_1``.
+    ``boundary_at_1``. Coarse paths follow the same rules.
     """
     snapshot_times = np.asarray(snapshot_times, dtype=float)
     if snapshot_times.size == 0:
@@ -307,90 +423,109 @@ def simulate(
 
     dt = spec.dt
     bin_edges = np.linspace(0.0, 1.0, bins + 1)
-    h_bin = 1.0 / bins
-    vol2_max = max(spec.squared_volatility.max_sample(), 1e-12)
-    if dt > h_bin**2 / vol2_max:
+    resolved = bin_resolution_dt(spec.squared_volatility, bins)
+    if dt > resolved:
         warnings.warn(
             f"dt = {dt} exceeds the bin-resolution heuristic "
-            f"{h_bin**2 / vol2_max:.2e}; boundary bias may be visible",
+            f"{resolved:.2e}; boundary bias may be visible",
             stacklevel=2,
         )
 
     snap_steps = np.rint(snapshot_times / dt).astype(np.int64)
     n_snap = snapshot_times.size
     counts = np.zeros((n_snap, bins), dtype=np.int64)
-    absorbed0 = np.zeros(n_snap, dtype=np.int64)
-    absorbed1 = np.zeros(n_snap, dtype=np.int64)
     steps_at = np.zeros(n_snap, dtype=np.int64)
+    tallies, waits = [], []
 
     n_blocks = (spec.replicates + block_size - 1) // block_size
     sizes = [min(block_size, spec.replicates - b * block_size) for b in range(n_blocks)]
-    rngs = [
-        np.random.Generator(
-            np.random.Philox(
-                key=np.array([np.uint64(spec.seed), np.uint64(b)], dtype=np.uint64)
-            )
-        )
-        for b in range(n_blocks)
-    ]
-    # live paths of every block, block 0's first, each block in path order;
-    # a step writes the next positions into ``new``, then the two swap
+    rngs = [_philox(spec.seed, b) for b in range(n_blocks)]
+    # One array of live paths: n fine paths of every block, block 0's first,
+    # each block in path order, then c coarse paths in path order. Beside
+    # them are their path indices and normals, which for a coarse path are
+    # summed over the current pair of steps. ``position`` maps a path index
+    # to its fine path's place in the array, -1 once that is absorbed; a
+    # coarse path's ``partner`` is that place, and -1 marks an orphan.
     x = np.concatenate([_sample_initial(spec.x0, m, rng) for m, rng in zip(sizes, rngs)])
-    new, s2 = np.empty((2, x.size))
-    block_of = np.repeat(np.arange(n_blocks), sizes)
-    live = sizes
+    n = c = x.size
+    x = np.concatenate([x, x])
+    ids = np.concatenate([np.arange(n), np.arange(n)])
+    z, mu, s2 = np.empty((3, x.size))
+    position = np.arange(n)
+    partner = position.copy()
+    orphaned = np.empty(0, dtype=np.int64)  # where the orphans are among the coarse
+    live, orphans = sizes, [0] * n_blocks  # fine paths and orphans per block
+    fate = np.zeros((2, spec.replicates), dtype=np.int8)  # fine, coarse; see _exits
     coefficients = spec._coefficients or _field_coefficients(spec)
     reflecting = spec.boundary_at_1 == "reflecting"
-    fmin, fmax = np.fmin.reduce, np.fmax.reduce  # NaN-blind, as the masks are
-    dead0 = dead1 = 0
-    step = 0
+    step = fine_steps = 0
+    per_block = min(_NORMAL_CHUNK, _NORMAL_BUDGET // n_blocks)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        normals = _BlockNormals(rngs, pool)
+        # the current chunk and the next one share the block's part
+        normals = _BlockNormals(rngs, pool, max(1, per_block // 2), eager=True)
+        orphan_normals = _BlockNormals(
+            [_philox(spec.seed, _OWN_STREAM + b) for b in range(n_blocks)],
+            pool, max(1, per_block // _OWN_CHUNK_DIVISOR), eager=False,
+        )
         for si in range(n_snap):
             target = int(snap_steps[si])
-            while step < target and x.size:
-                coefficients(x, new, s2)
-                # new = (x + mu dt) + sqrt(max(s2, 0) dt) z, with mu in new
-                new *= dt
-                new += x
-                np.maximum(s2, 0.0, out=s2)
-                s2 *= dt
-                np.sqrt(s2, out=s2)
-                normals.scale(s2, live)
-                new += s2
-                if reflecting and fmax(new) >= 1.0:
-                    np.subtract(2.0, new, out=new, where=new >= 1.0)
-                x, new = new, x
+            while step < target and n + c:
+                pair_end = step % 2 == 1
+                normals.fill(z[:n], live)
+                drawn = z[partner]  # an orphan's entry is replaced by its own draw
+                if orphaned.size:
+                    w = np.empty(orphaned.size)
+                    orphan_normals.fill(w, orphans)
+                    drawn[orphaned] = w
+                if pair_end:
+                    z[n : n + c] += drawn
+                else:
+                    z[n : n + c] = drawn
+                if n:
+                    fine_steps = step + 1
                 step += 1
-                if fmin(x) > 0.0 and (reflecting or fmax(x) < 1.0):
+                k = n + c if pair_end else n  # coarse paths move at pair ends
+                if not k:
                     continue
-                hit = hit0 = x <= 0.0
-                dead0 += np.count_nonzero(hit0)
-                if not reflecting:
-                    hit1 = x >= 1.0
-                    dead1 += np.count_nonzero(hit1)
-                    hit = hit0 | hit1
-                gone = np.bincount(block_of[hit], minlength=n_blocks).tolist()
-                live = [n - k for n, k in zip(live, gone)]
-                keep = ~hit
-                block_of = block_of[keep]
-                k = block_of.size
-                x, new, s2 = np.compress(keep, x, out=new[:k]), x[:k], s2[:k]
-            absorbed0[si] = dead0
-            absorbed1[si] = dead1
-            steps_at[si] = step
-            if x.size:
-                counts[si], _ = np.histogram(x, bins=bin_edges)
+                _euler_step(coefficients, x[:k], mu[:k], s2[:k], z[:k], dt, n, reflecting)
+                exits = _exits(x[:k], reflecting)
+                if exits is None:
+                    continue
+                at, fates = exits
+                f = int(np.searchsorted(at, n))  # the fine paths come first
+                gone = ids[at]
+                fate[(at >= n).view(np.int8), gone] = fates
+                keep = np.ones(n + c, dtype=bool)
+                keep[at] = False
+                x, ids = x[: n + c][keep], ids[: n + c][keep]
+                # after a pair's end the coarse sums are spent
+                z = z if pair_end else z[: n + c][keep]
+                if f:  # fine paths after the first absorbed one move up
+                    absorbed = np.bincount(gone[:f] // block_size, minlength=n_blocks)
+                    live = [a - b for a, b in zip(live, absorbed.tolist())]
+                    n -= f
+                    position[gone[:f]] = -1
+                    position[ids[at[0] : n]] = np.arange(at[0], n)
+                c = ids.size - n
+                partner = position[ids[n:]]
+                orphaned = np.flatnonzero(partner < 0)
+                if orphaned.size:
+                    orphans = np.bincount(ids[n:][orphaned] // block_size, minlength=n_blocks).tolist()
+            steps_at[si] = fine_steps
+            if n:
+                counts[si], _ = np.histogram(x[:n], bins=bin_edges)
+            tallies.append(_fate_counts(fate))
+            waits.append(normals.wait_s + orphan_normals.wait_s)
 
     return [
         EmpiricalMeasure(
             time=float(snapshot_times[i]),
             bin_edges=bin_edges,
             counts=counts[i],
-            count_at_0=int(absorbed0[i]),
-            count_at_1=int(absorbed1[i]),
             n_paths=spec.replicates,
             steps=int(steps_at[i]),
+            normal_wait_s=waits[i],
+            **tallies[i],
         )
         for i in range(n_snap)
     ]

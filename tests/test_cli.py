@@ -80,6 +80,31 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         assert barred == [], command
 
 
+# the stages each command's manifest times, as wallclock_s.<stage> lines
+STAGES = {
+    "kimura": ["fields", "step", "atoms", "write"],
+    "sis": ["fields", "step", "atoms", "write"],
+    "spectrum": ["fields", "assemble", "eigensolve", "write"],
+    "moments": ["fields", "assemble", "eigensolve", "evolve", "write"],
+    "oracle": ["fields", "simulate", "oracle_normal_wait", "write"],
+    "validate": ["write"],
+}
+
+
+def test_manifests_time_their_stages(tmp_path):
+    for command, argv in SMALLEST.items():
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / command)]) == 0, command
+        lines = _manifest_lines(tmp_path / command)
+        timed = dict(ln.split(" = ") for ln in lines if ln.startswith("wallclock_s"))
+        assert list(timed) == ["wallclock_s"] + [f"wallclock_s.{s}" for s in STAGES[command]]
+        total = float(timed.pop("wallclock_s"))
+        seconds = [float(v) for v in timed.values()]
+        assert all(v >= 0 for v in seconds), command
+        if command != "oracle":  # the oracle's wait lies inside its simulate stage
+            assert sum(seconds) <= total, command
+
+
 # what ``from conspar import *`` bound when the package imported eagerly
 STAR_NAMES = """
 BoundaryCoupling BoundaryMeasure BoundaryTraces CoefficientField ConfigError
@@ -364,6 +389,16 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--out", str(tmp_path / "spec"), "--n", "51", "--k", "6"]) == 0
         assert len(calls) == 1
 
+    def test_positivity_not_swept(self, tmp_path, monkeypatch):
+        # nothing a spectrum run writes reads the problem's positivity class
+        from conspar import conservative
+
+        def refuse(law_values):
+            raise AssertionError("positivity swept")
+
+        monkeypatch.setattr(conservative, "_positivity", refuse)
+        assert main(["spectrum", "--out", str(tmp_path / "spec"), "--n", "51", "--k", "6"]) == 0
+
     def test_variable_coefficient_laws(self, tmp_path):
         # log(1 + x) has no exact derivative: its endpoint slopes enter the
         # coupling rows, which must pass the 1e-8 self-adjointness test
@@ -483,6 +518,10 @@ class TestOracleAndValidate:
         lines = _manifest_lines(out1)
         assert "diag.oracle_steps = 457" in lines
         assert "diag.oracle_live_paths = 99,0" in lines
+        # the coupled coarse paths' bias per snapshot, rerun below
+        bias = [ln.split(" = ")[0] for ln in lines if ln.startswith("diag.oracle_dt_bias_se")]
+        assert bias == [f"diag.oracle_dt_bias_se.{atom}{part}"
+                        for atom in ("atom0", "atom1") for part in ("", "_stderr")]
         skip = ("wallclock_s", "config.out")
         assert [ln for ln in lines if not ln.startswith(skip)] == [
             ln for ln in _manifest_lines(out2) if not ln.startswith(skip)
@@ -559,6 +598,28 @@ class TestOracleAndValidate:
         assert main(argv + ["--se_limit", "-1"]) == 2
         err = capsys.readouterr().err
         assert "config.replicates" in err and "se_limit" in err
+
+    @pytest.mark.parametrize("model", ["kimura", "sis"])
+    def test_default_dt_resolves_the_bins(self, tmp_path, capsys, model):
+        # the largest default step whose spread stays within a bin: 2.5e-4
+        # for both models at 50 bins (bounds 8e-4 and 3.56e-4)
+        out = tmp_path / model
+        args = ["oracle", "--model", model, "--replicates", "50", "--T", "0.5", "--times", "0.5"]
+        assert main(args + ["--out", str(out)]) == 0
+        lines = _manifest_lines(out)
+        assert "config.dt = 0.00025" in lines
+        assert not any(ln.startswith("warning:") for ln in lines)
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_default_dt_falls_back_and_warns(self, tmp_path, capsys):
+        # 200 bins resolve only dt <= 5e-5: no default does, so the smallest
+        # runs and the bin-resolution warning stays
+        out = tmp_path / "fine-bins"
+        args = ["oracle", "--bins", "200", "--replicates", "50", "--T", "0.5", "--times", "0.5"]
+        assert main(args + ["--out", str(out)]) == 0
+        lines = _manifest_lines(out)
+        assert "config.dt = 0.0001" in lines
+        assert any(ln.startswith("warning:") and "bin-resolution" in ln for ln in lines)
 
     def test_warning_reaches_stderr_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "warn"

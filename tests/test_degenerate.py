@@ -319,12 +319,17 @@ def _assert_matches_stepper(model, sol, r_initial, grid, rtol):
     time step, step count and snapshot steps."""
     A, lo, hi = degenerate._interior_operator(model, grid)
     snap_idx = np.rint(sol.trajectory.times / sol.dt).astype(int)
-    snaps, at0, at1 = degenerate._step_interior(
+    snaps, at0, at1, half = degenerate._step_interior(
         A, model.absorbs_at_1, r_initial[lo : hi + 1], sol.dt, sol.steps, snap_idx
     )
     assert _relative(sol.trajectory.values[:, lo : hi + 1], snaps) <= rtol
     assert _relative(sol.traces.at0, at0) <= rtol
     assert _relative(sol.traces.at1, at1) <= rtol
+    # both traces after each backward-Euler half step of the first two
+    # steps, relative to the size of each trace over the whole run
+    assert sol.traces.half_steps.shape == half.shape == (2, 2 * min(sol.steps, 2))
+    for modal, stepped, trace in zip(sol.traces.half_steps, half, (at0, at1)):
+        assert np.max(np.abs(modal - stepped)) <= rtol * np.max(np.abs(trace))
 
 
 @pytest.mark.parametrize("name", list(MODAL_MODELS))
@@ -496,14 +501,31 @@ class TestOutflow:
         assert sol.traces.outflow == (0.5 * (R0 + 1), 0.0)
 
     def test_sis_flux_atom_closed_form(self):
-        # a(t) = a0 + (R0 + 1)/2 int_0^t r(0, s) ds, with g'(0) = (R0 + 1)/2
+        # a(t) = a0 + (R0 + 1)/2 int_0^t r(0, s) ds, with g'(0) = (R0 + 1)/2;
+        # each of the four backward-Euler half steps that start the time
+        # scheme removes (dt/2) g'(0) times its own end trace, and the
+        # trapezoid steps after them the trapezoid rule's share
         grid = Grid(0.0, 1.0, 201)
         sol = solve_interior(sis_model(2.0), np.ones(grid.n), 2.0, [0.0, 1.0, 2.0], grid)
         tf, a, b = masses_from_boundary_flux(sol.traces, 0.1, 0.2)
-        expected = 0.1 + 0.5 * (2.0 + 1.0) * cumulative_trapezoid(sol.traces.at0, tf)
+        dt = sol.dt
+        start = np.cumsum(sol.traces.half_steps[0])[1::2] * (dt / 2)
+        rest = start[-1] + cumulative_trapezoid(sol.traces.at0[2:], tf[2:])
+        expected = 0.1 + 0.5 * (2.0 + 1.0) * np.concatenate([[0.0], start, rest[1:]])
         assert np.array_equal(tf, sol.traces.times)
-        assert np.array_equal(a, expected)
+        assert np.max(np.abs(a - expected)) <= 1e-15
         assert np.all(b == 0.2)  # no atom grows at the zero-flux end
+
+    def test_start_integrated_by_half_steps(self):
+        # the half steps are the scheme's own: integrating them by their
+        # right ends, not the first two full steps by the trapezoid rule,
+        # keeps the total mass at R0 = 10 (3.0e-4 drift before, 8.1e-7 now)
+        grid = Grid(0.0, 1.0, 401)
+        sol = solve_interior(sis_model(10.0), np.ones(grid.n), 10.0, [0.0, 1.0, 10.0], grid)
+        ta, a, _ = masses_from_boundary_flux(sol.traces, 0.0, 0.0)
+        interior = np.array([np.trapezoid(v, grid.nodes) for v in sol.trajectory.values])
+        total = np.interp(sol.trajectory.times, ta, a) + interior
+        assert np.max(np.abs(total - total[0])) <= 1e-6
 
 
 class TestSisAtomMass:
