@@ -22,6 +22,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -514,17 +515,16 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
         min_atom = float(min(a.min(), b.min()))
         manifest.check("atom_admissibility", min_atom, min_atom >= -1e-8)
 
-    with manifest.stage("write"):
-        rows = list(zip(out_times, a, b, interior, total, phimom))
-        files = {
-            "masses.csv": _csv(
-                rows,
-                header=("t", "atom0", "atom1", "interior_mass", "total_mass", "phi_moment"),
-            )
-        }
-        files.update(_density_files(out_times, grid, dens))
-        if cfg["emit_plot_data"]:
-            files.update(_plot_files(out_times, grid, dens, rows))
+    rows = list(zip(out_times, a, b, interior, total, phimom))
+    files = {
+        "masses.csv": _csv(
+            rows,
+            header=("t", "atom0", "atom1", "interior_mass", "total_mass", "phi_moment"),
+        )
+    }
+    files.update(_density_files(out_times, grid, dens))
+    if cfg["emit_plot_data"]:
+        files.update(_plot_files(out_times, grid, dens, rows))
     return files
 
 
@@ -554,12 +554,11 @@ def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
             np.all(np.abs(eig.eigenvalues[:2]) <= 1e-8 * max(eig.eigenvalues[2], 1e-300))
         )
         manifest.check("double_zero_below_1e-8_lambda3", float(np.abs(eig.eigenvalues[:2]).max()), ok)
-    with manifest.stage("write"):
-        rows = [
-            (k + 1, lam, res)
-            for k, (lam, res) in enumerate(zip(eig.eigenvalues, eig.bc_residuals))
-        ]
-        return {"eigenvalues.csv": _csv(rows, header=("k", "lambda", "bc_residual"))}
+    rows = [
+        (k + 1, lam, res)
+        for k, (lam, res) in enumerate(zip(eig.eigenvalues, eig.bc_residuals))
+    ]
+    return {"eigenvalues.csv": _csv(rows, header=("k", "lambda", "bc_residual"))}
 
 
 def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
@@ -588,13 +587,12 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
     zero = float(np.max(np.abs(w_traj.values @ (mu * pres.weight * pres.phi1))))
     manifest.check("zero_moment_part", zero, zero <= 1e-6)
 
-    with manifest.stage("write"):
-        rows = zip(times, t1, m1, t2, m2)
-        return {
-            "moments.csv": _csv(
-                rows, header=("t", "target1", "moment1", "target2", "moment2")
-            )
-        }
+    rows = zip(times, t1, m1, t2, m2)
+    return {
+        "moments.csv": _csv(
+            rows, header=("t", "target1", "moment1", "target2", "moment2")
+        )
+    }
 
 
 # Default oracle time steps, largest first: the default is the largest whose
@@ -607,20 +605,18 @@ _ORACLE_DT_CHOICES = (2.5e-4, 1e-4)
 
 
 def _run_oracle(cfg: RunConfig, manifest: RunManifest) -> dict:
-    def make_spec(dt):
-        common = dict(dt=dt, horizon=cfg["T"], replicates=cfg["replicates"], seed=cfg["seed"])
-        if cfg["model"] == "sis":
-            return sis_sde(cfg["R0"], cfg["x0"], **common)
-        return kimura_sde(field_from_expression(cfg["psi"]), cfg["x0"], **common)
-
     with manifest.stage("fields"):
-        dt = cfg["dt"]
-        if dt is None:
-            vol2 = make_spec(_ORACLE_DT_CHOICES[-1]).squared_volatility
-            resolved = bin_resolution_dt(vol2, cfg["bins"])
-            dt = next((c for c in _ORACLE_DT_CHOICES if c <= resolved), _ORACLE_DT_CHOICES[-1])
-            manifest.config["dt"] = dt
-        spec = make_spec(dt)
+        common = dict(horizon=cfg["T"], replicates=cfg["replicates"], seed=cfg["seed"])
+        if cfg["model"] == "sis":
+            make_spec = partial(sis_sde, cfg["R0"], cfg["x0"], **common)
+        else:
+            psi = field_from_expression(cfg["psi"])
+            make_spec = partial(kimura_sde, psi, cfg["x0"], **common)
+        for dt in _ORACLE_DT_CHOICES if cfg["dt"] is None else (cfg["dt"],):
+            spec = make_spec(dt=dt)
+            if dt <= bin_resolution_dt(spec.squared_volatility, cfg["bins"]):
+                break
+        manifest.config["dt"] = dt
     with manifest.stage("simulate"):
         measures = simulate(spec, cfg["times"], bins=cfg["bins"])
     manifest.stages["oracle_normal_wait"] = measures[-1].normal_wait_s
@@ -635,23 +631,22 @@ def _run_oracle(cfg: RunConfig, manifest: RunManifest) -> dict:
         manifest.diagnostics[f"oracle_dt_bias_se.{atom}_stderr"] = [b[atom][1] for b in bias]
     identity = all(m.counting_identity() for m in measures)
     manifest.check("counting_identity", identity, identity)
-    with manifest.stage("write"):
-        rows = [
-            (
-                m.time,
-                m.mass_at_0,
-                m.mass_at_1,
-                m.interior_mass,
-                m.standard_errors["mass_at_0"],
-                m.standard_errors["mass_at_1"],
-            )
-            for m in measures
-        ]
-        return {
-            "oracle.csv": _csv(
-                rows, header=("t", "mass0", "mass1", "interior", "se_mass0", "se_mass1")
-            )
-        }
+    rows = [
+        (
+            m.time,
+            m.mass_at_0,
+            m.mass_at_1,
+            m.interior_mass,
+            m.standard_errors["mass_at_0"],
+            m.standard_errors["mass_at_1"],
+        )
+        for m in measures
+    ]
+    return {
+        "oracle.csv": _csv(
+            rows, header=("t", "mass0", "mass1", "interior", "se_mass0", "se_mass1")
+        )
+    }
 
 
 def _read_csv(path: Path) -> dict:

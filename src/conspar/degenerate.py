@@ -32,7 +32,7 @@ the generator cannot be symmetrized accurately (see ``solve_interior``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -306,15 +306,15 @@ class BoundaryTraces:
     mass that leaves per unit trace: where g = 0 the flux -(g r)' + g psi r
     is -g' r, so ``outflow`` is (g'(0), -g'(1)), with 0 at a zero-flux end.
     ``half_steps`` holds both traces after each backward-Euler half step
-    of the Rannacher start, two per step of its first k steps (shape
-    (2, 2k)); it is empty when every step is a trapezoid step."""
+    of the Rannacher start, two per step of its first k >= 1 steps (shape
+    (2, 2k))."""
 
     times: np.ndarray
     at0: np.ndarray
     at1: np.ndarray
     outflow: Tuple[float, float]
     psi_continuous: bool
-    half_steps: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
+    half_steps: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -685,8 +685,6 @@ def masses_from_boundary_flux(
     k = traces.half_steps.shape[1] // 2  # steps of the Rannacher start
 
     def integral(trace, half):
-        if not k:
-            return cumulative_trapezoid(trace, times)
         start = np.cumsum(0.5 * np.diff(times[: k + 1]) * (half[0::2] + half[1::2]))
         rest = cumulative_trapezoid(trace[k:], times[k:])[1:]
         return np.concatenate([[0.0], start, start[-1] + rest])

@@ -447,6 +447,7 @@ class TestMassesFluxForm:
             at1=np.zeros(11),
             outflow=(1.0, 1.0),
             psi_continuous=True,
+            half_steps=np.zeros((2, 4)),
         )
         _, a, b = masses_from_boundary_flux(traces, 0.3, 0.4)
         assert np.all(a == 0.3)
@@ -458,7 +459,7 @@ class TestMassesFluxForm:
         times = np.linspace(0, 2, 21)
         traces = BoundaryTraces(
             times=times, at0=np.full(21, 0.5), at1=np.zeros(21), outflow=(1.0, 1.0),
-            psi_continuous=True,
+            psi_continuous=True, half_steps=np.array([np.full(4, 0.5), np.zeros(4)]),
         )
         _, a, _ = masses_from_boundary_flux(traces, 0.1, 0.0)
         assert np.max(np.abs(a - (0.1 + 0.5 * times))) <= 1e-12
@@ -508,12 +509,12 @@ class TestOutflow:
         grid = Grid(0.0, 1.0, 201)
         sol = solve_interior(sis_model(2.0), np.ones(grid.n), 2.0, [0.0, 1.0, 2.0], grid)
         tf, a, b = masses_from_boundary_flux(sol.traces, 0.1, 0.2)
-        dt = sol.dt
-        start = np.cumsum(sol.traces.half_steps[0])[1::2] * (dt / 2)
-        rest = start[-1] + cumulative_trapezoid(sol.traces.at0[2:], tf[2:])
-        expected = 0.1 + 0.5 * (2.0 + 1.0) * np.concatenate([[0.0], start, rest[1:]])
+        half = sol.traces.half_steps[0]
+        start = np.cumsum(0.5 * np.diff(tf[:3]) * (half[0::2] + half[1::2]))
+        rest = cumulative_trapezoid(sol.traces.at0[2:], tf[2:])[1:]
+        expected = 0.1 + 0.5 * (2.0 + 1.0) * np.concatenate([[0.0], start, start[-1] + rest])
         assert np.array_equal(tf, sol.traces.times)
-        assert np.max(np.abs(a - expected)) <= 1e-15
+        assert np.array_equal(a, expected)
         assert np.all(b == 0.2)  # no atom grows at the zero-flux end
 
     def test_start_integrated_by_half_steps(self):
@@ -534,7 +535,7 @@ class TestSisAtomMass:
 
         traces = BoundaryTraces(
             times=np.linspace(0, 1, 5), at0=np.zeros(5), at1=np.zeros(5), outflow=(1.5, 0.0),
-            psi_continuous=True,
+            psi_continuous=True, half_steps=np.zeros((2, 4)),
         )
         _, a, _ = masses_from_boundary_flux(traces, 0.25, 0.0)
         assert np.all(a == 0.25)
@@ -546,7 +547,7 @@ class TestSisAtomMass:
         c, R0 = 0.4, 2.0
         traces = BoundaryTraces(
             times=times, at0=np.full(31, c), at1=np.zeros(31), outflow=(0.5 * (R0 + 1), 0.0),
-            psi_continuous=True,
+            psi_continuous=True, half_steps=np.array([np.full(4, c), np.zeros(4)]),
         )
         _, a, _ = masses_from_boundary_flux(traces, 0.0, 0.0)
         assert np.max(np.abs(a - (R0 + 1) / 2 * c * times)) <= 1e-12
