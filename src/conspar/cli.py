@@ -600,7 +600,8 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
 # the last. Their time-step bias was measured with the coupled coarse paths,
 # pooled over 500,000 paths: 5e-4 is left out, since at t = 1 the default
 # Kimura run's fine and coarse mass0 differ there by 0.12 of its standard
-# error (0.03 at 2.5e-4; SIS at R0 = 2, 0.09).
+# error (0.03 at 2.5e-4; SIS at R0 = 2 and x0 = 0.3, 0.09 over all its
+# runs and 0.10 on the benchmark's SIS config alone).
 _ORACLE_DT_CHOICES = (2.5e-4, 1e-4)
 
 
