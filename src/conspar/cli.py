@@ -390,8 +390,14 @@ def _initial_density(spec: str, grid: Grid) -> np.ndarray:
         x0 = float(spec.split(":", 1)[1])
         if not 0 < x0 < 1:
             raise InputError("delta position must lie inside (0, 1)")
+        j = int(round((x0 - grid.a) / grid.h))
+        if not 0 < j < grid.n - 1:  # an end node's mass would be lost
+            raise InputError(
+                f"delta:{x0} falls on an end node of the n = {grid.n} grid; "
+                f"use {grid.h / 2:g} < x0 < {1 - grid.h / 2:g}"
+            )
         vals = np.zeros(grid.n)
-        vals[int(round((x0 - grid.a) / grid.h))] = 1.0 / grid.h
+        vals[j] = 1.0 / grid.h
         return vals
     f = field_from_expression(spec)
     vals = f(grid.nodes)
@@ -597,8 +603,9 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
 
 # Default oracle time steps, largest first: the default is the largest whose
 # one-step spread resolves a histogram bin (oracle.bin_resolution_dt), else
-# the last. Their time-step bias was measured with the coupled coarse paths,
-# pooled over 500,000 paths: 5e-4 is left out, since at t = 1 the default
+# the last. Their time-step bias was measured offline against coupled
+# coarse paths at 2 dt (commit b44162f), pooled over 500,000 paths; the
+# table is ROADMAP item 3. 5e-4 is left out, since at t = 1 the default
 # Kimura run's fine and coarse mass0 differ there by 0.12 of its standard
 # error (0.03 at 2.5e-4; SIS at R0 = 2 and x0 = 0.3, 0.09 over all its
 # runs and 0.10 on the benchmark's SIS config alone).
@@ -622,14 +629,10 @@ def _run_oracle(cfg: RunConfig, manifest: RunManifest) -> dict:
         measures = simulate(spec, cfg["times"], bins=cfg["bins"])
     manifest.stages["oracle_normal_wait"] = measures[-1].normal_wait_s
     manifest.assumptions.append("sde_matching")
-    bias = [m.dt_bias() for m in measures]
     manifest.diagnostics.update(
         oracle_steps=measures[-1].steps,
         oracle_live_paths=[int(m.counts.sum()) for m in measures],
     )
-    for atom in ("atom0", "atom1"):
-        manifest.diagnostics[f"oracle_dt_bias_se.{atom}"] = [b[atom][0] for b in bias]
-        manifest.diagnostics[f"oracle_dt_bias_se.{atom}_stderr"] = [b[atom][1] for b in bias]
     identity = all(m.counting_identity() for m in measures)
     manifest.check("counting_identity", identity, identity)
     rows = [

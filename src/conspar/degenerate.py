@@ -137,13 +137,11 @@ def sis_model(R0: float) -> DegenerateModel:
     g = field_from_callable(
         lambda x: 0.5 * np.asarray(x) * F(x),
         "sis_degeneracy",
-        (R0,),
         derivative=lambda x: 0.5 * (F(x) - R0 * np.asarray(x)),
     )
     psi = field_from_callable(
         lambda x: 2.0 - 4.0 / F(x),
         "sis_drift",
-        (R0,),
         derivative=lambda x: -4.0 * R0 / F(x) ** 2,
     )
     return DegenerateModel(g=g, psi=psi, law_builders=(_total_mass,))
@@ -195,7 +193,6 @@ def regularized_system(
     weight = field_from_callable(
         lambda x: np.asarray(p(x)) / (np.asarray(g(x)) + eps),
         "regularized_weight",
-        (eps,),
         n=max(p.xs.size, g.xs.size),
     )
     rows = [conservation_row(law, p, grid) for law in model.laws]

@@ -48,7 +48,6 @@ class SourceInfo:
 
     kind: str  # "table" | "builtin" | "expression"
     name: str = ""
-    params: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +271,6 @@ def field_from_table(
 def field_from_callable(
     fn: Callable,
     name: str,
-    params: tuple = (),
     n: int = DEFAULT_SAMPLES,
     derivative: Optional[Callable] = None,
 ) -> CoefficientField:
@@ -284,7 +282,7 @@ def field_from_callable(
         xs=xs,
         values=values,
         interpolation="cubic",
-        source=SourceInfo(kind="builtin", name=name, params=tuple(params)),
+        source=SourceInfo(kind="builtin", name=name),
         exact_fn=fn,
         exact_derivative=derivative,
     )
@@ -413,9 +411,7 @@ def exponential_weight(psi: CoefficientField) -> CoefficientField:
     anti = _antiderivative_callable(psi, psi.xs, what=f"psi = {_name(psi)}")
     fn = lambda x: np.exp(anti(x))  # noqa: E731
     deriv = lambda x: np.asarray(psi(x)) * np.exp(anti(x))  # noqa: E731
-    out = field_from_callable(
-        fn, "exp_integral", params=(psi.source,), n=psi.xs.size, derivative=deriv
-    )
+    out = field_from_callable(fn, "exp_integral", n=psi.xs.size, derivative=deriv)
     if out.min_sample() <= 0:
         raise InternalError("exponential weight not positive")
     return out
@@ -439,9 +435,7 @@ def fixation_probability(psi: CoefficientField) -> CoefficientField:
         raise InternalError("degenerate normalizing integral in fixation solve")
     fn = lambda x: numer(x) / z  # noqa: E731
     deriv = lambda x: integrand(x) / z  # noqa: E731
-    return field_from_callable(
-        fn, "fixation", params=(psi.source,), n=psi.xs.size, derivative=deriv
-    )
+    return field_from_callable(fn, "fixation", n=psi.xs.size, derivative=deriv)
 
 
 def integrating_factor(a: CoefficientField, b: CoefficientField) -> CoefficientField:
@@ -457,10 +451,4 @@ def integrating_factor(a: CoefficientField, b: CoefficientField) -> CoefficientF
     anti = _antiderivative_callable(ratio, nodes, what=f"b/a for a = {_name(a)}, b = {_name(b)}")
     fn = lambda x: np.exp(anti(x))  # noqa: E731
     deriv = lambda x: ratio(x) * np.exp(anti(x))  # noqa: E731
-    return field_from_callable(
-        fn,
-        "integrating_factor",
-        params=(a.source, b.source),
-        n=nodes.size,
-        derivative=deriv,
-    )
+    return field_from_callable(fn, "integrating_factor", n=nodes.size, derivative=deriv)

@@ -19,20 +19,6 @@ Because each block's draws depend only on its own paths, the counts are
 bit-identical however the blocks are laid out or scheduled, and so is
 ``oracle.csv``. Atoms are compared with absorbed fractions by one rule,
 ``atom_zscore``, here and in the CLI's ``validate``.
-
-Beside each path runs a coupled coarse path at step 2 dt, the coupling of
-multilevel Monte Carlo (Giles 2008, Oper. Res. 56:607-617): over each pair
-of steps it moves by x + mu(x) 2dt + sqrt(max(s2(x), 0) dt) (z_2k + z_2k+1),
-from its fine partner's two normals, with the same absorption and
-reflection rules. A coarse path that outlives its partner draws the
-missing normals from its block's own stream, ``Philox(seed, 2**63 + b)``,
-one per step, in path order, on the helper thread in small chunks; a
-block's first is drawn when it first has such a path. So the fine draws,
-and ``oracle.csv``, are those of the fine paths alone. Each
-snapshot counts the coarse absorbed paths and the paths absorbed at an
-end on one level only; ``EmpiricalMeasure.dt_bias`` turns these into the
-time-step bias of an absorbed fraction and its standard error. A snapshot
-at an odd step count reads the coarse paths one fine step earlier.
 """
 
 from __future__ import annotations
@@ -54,10 +40,6 @@ _NORMAL_CHUNK = 2**14  # most normals one block holds: current chunk plus next
 # chunks shrink as blocks are added, so that all blocks together hold
 # about this many normals beyond one step's need
 _NORMAL_BUDGET = 2**18
-# a block's own stream, for coarse paths that outlive their fine partners,
-# is drawn in chunks of this fraction of the block's part of the budget
-_OWN_CHUNK_DIVISOR = 16
-_OWN_STREAM = 2**63  # added to the block index in the Philox key
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,34 +194,7 @@ class EmpiricalMeasure:
     count_at_1: int
     n_paths: int
     steps: int = 0  # lockstep Euler-Maruyama steps taken up to this time
-    # the coupled coarse paths at 2 dt: their absorbed counts, and the
-    # paths absorbed at that end on exactly one of the two levels
-    coarse_count_at_0: int = 0
-    coarse_count_at_1: int = 0
-    split_at_0: int = 0
-    split_at_1: int = 0
     normal_wait_s: float = 0.0  # the stepping thread's wait for normals so far
-
-    def dt_bias(self) -> dict:
-        """Per atom, (fine minus coarse absorbed fraction, standard error
-        of that difference), both in units of the fine fraction's standard
-        error as :func:`atom_zscore` floors it.
-
-        The difference of one path's two absorption indicators is -1, 0 or
-        1, and it is nonzero on the split paths only; its variance is
-        split/n - difference^2.
-        """
-        n = self.n_paths
-        out = {}
-        for atom, fine, coarse, split in (
-            ("atom0", self.count_at_0, self.coarse_count_at_0, self.split_at_0),
-            ("atom1", self.count_at_1, self.coarse_count_at_1, self.split_at_1),
-        ):
-            diff = (fine - coarse) / n
-            se_diff = float(np.sqrt(max(split / n - diff * diff, 0.0) / n))
-            se, _ = atom_zscore(fine / n, 0.0, n)
-            out[atom] = (diff / se, se_diff / se)
-        return out
 
     @property
     def mass_at_0(self) -> float:
@@ -293,20 +248,20 @@ class _BlockNormals:
     Block b draws from its own stream only, ``live[b]`` normals per step,
     in chunks that are sliced step by step; a chunked draw yields the same
     numbers as one draw per step. While a block uses its current chunk,
-    its next one is drawn ahead; a block's first chunk is drawn at once
-    when ``eager``, else when the block first needs one. Every draw runs
-    on the single worker of ``pool``, first in first out, so each stream
-    is drawn in order, and this thread never touches ``rngs``. ``wait_s``
-    sums the time spent waiting for draws.
+    its next one is drawn ahead. Every draw runs on the single worker of
+    ``pool``, first in first out, so each stream is drawn in order, and
+    this thread never touches ``rngs``. ``wait_s`` sums the time spent
+    waiting for draws.
     """
 
-    def __init__(self, rngs: list, pool: ThreadPoolExecutor, chunk: int, eager: bool):
+    def __init__(self, rngs: list, pool: ThreadPoolExecutor):
         self.rngs = rngs
         self.pool = pool
-        self.chunk = chunk
+        per_block = min(_NORMAL_CHUNK, _NORMAL_BUDGET // len(rngs))
+        self.chunk = max(1, per_block // 2)  # current and next share the block's part
         self.buffers = [np.empty(0)] * len(rngs)
         self.used = [0] * len(rngs)
-        self.ahead = [pool.submit(rng.standard_normal, chunk) if eager else None for rng in rngs]
+        self.ahead = [pool.submit(rng.standard_normal, self.chunk) for rng in rngs]
         self.wait_s = 0.0
 
     def _result(self, future) -> np.ndarray:
@@ -320,7 +275,7 @@ class _BlockNormals:
         needs more. The draws after it are queued first, so the helper goes
         on to them as soon as this one is done."""
         draw = self.rngs[b].standard_normal
-        ready = self.ahead[b] or self.pool.submit(draw, self.chunk)
+        ready = self.ahead[b]
         rest = self.pool.submit(draw, need - self.chunk) if need > self.chunk else None
         self.ahead[b] = self.pool.submit(draw, self.chunk)
         buf = self._result(ready)
@@ -347,15 +302,12 @@ class _BlockNormals:
                 self.used[b] = n - k
 
 
-def _euler_step(coefficients, x, mu, s2, z, dt, n_fine, reflecting):
-    """x <- (x + mu dt) + sqrt(s2 dt) z in place, with 2 dt for the drift of
-    the coarse paths after the first ``n_fine``; mu and s2 >= 0 are the
+def _euler_step(coefficients, x, mu, s2, z, dt, reflecting):
+    """x <- (x + mu dt) + sqrt(s2 dt) z in place; mu and s2 >= 0 are the
     coefficients at x, written into the buffers ``mu`` and ``s2`` (no mu
     when the drift is 0). A step past 1 folds back when ``reflecting``."""
     if coefficients(x, mu, s2):
-        mu[:n_fine] *= dt
-        if x.size > n_fine:
-            mu[n_fine:] *= 2 * dt
+        mu *= dt
         x += mu
     s2 *= dt
     np.sqrt(s2, out=s2)
@@ -366,17 +318,15 @@ def _euler_step(coefficients, x, mu, s2, z, dt, n_fine, reflecting):
 
 
 def _exits(x, reflecting):
-    """None when every path of ``x`` is inside; otherwise the indices of
-    the paths that left, ascending, and their fates: 1 absorbed at 0, 2
-    absorbed at 1. The NaN-blind reductions agree with the comparisons,
-    which are False for NaN."""
+    """None when every path of ``x`` is inside; otherwise a mask of the
+    paths absorbed at 0 or 1. The NaN-blind reductions agree with the
+    comparisons, which are False for NaN."""
     if np.fmin.reduce(x) > 0.0 and (reflecting or np.fmax.reduce(x) < 1.0):
         return None
     out = x <= 0.0
     if not reflecting:
         out |= x >= 1.0
-    at = np.flatnonzero(out)
-    return at, np.where(x[at] <= 0.0, 1, 2).astype(np.int8)
+    return out
 
 
 def bin_resolution_dt(squared_volatility: CoefficientField, bins: int) -> float:
@@ -385,31 +335,18 @@ def bin_resolution_dt(squared_volatility: CoefficientField, bins: int) -> float:
     return (1.0 / bins) ** 2 / max(squared_volatility.max_sample(), 1e-12)
 
 
-def _fate_counts(fate: np.ndarray) -> dict:
-    """The absorbed counts of the fine and the coarse paths (rows of
-    ``fate``) at each end, and the paths absorbed there on one level only."""
-    out = {}
-    for end, code in ((0, 1), (1, 2)):
-        fine, coarse = fate == code
-        out[f"count_at_{end}"] = int(np.count_nonzero(fine))
-        out[f"coarse_count_at_{end}"] = int(np.count_nonzero(coarse))
-        out[f"split_at_{end}"] = int(np.count_nonzero(fine != coarse))
-    return out
-
-
 def simulate(
     spec: SdeSpec,
     snapshot_times: Sequence[float],
     bins: int = 50,
     block_size: int = BLOCK_SIZE,
 ) -> list:
-    """Euler-Maruyama ensemble and its coupled coarse ensemble at 2 dt;
-    returns one EmpiricalMeasure per snapshot.
+    """Euler-Maruyama ensemble; returns one EmpiricalMeasure per snapshot.
 
     Volatility is evaluated at the pre-step point with the square-root
     argument clamped at zero; a step crossing 0 absorbs the path there,
     and a step crossing 1 absorbs or reflects (by folding) per
-    ``boundary_at_1``. Coarse paths follow the same rules.
+    ``boundary_at_1``.
     """
     snapshot_times = np.asarray(snapshot_times, dtype=float)
     if snapshot_times.size == 0:
@@ -432,103 +369,51 @@ def simulate(
         )
 
     snap_steps = np.rint(snapshot_times / dt).astype(np.int64)
-    n_snap = snapshot_times.size
-    counts = np.zeros((n_snap, bins), dtype=np.int64)
-    steps_at = np.zeros(n_snap, dtype=np.int64)
-    tallies, waits = [], []
-
     n_blocks = (spec.replicates + block_size - 1) // block_size
     sizes = [min(block_size, spec.replicates - b * block_size) for b in range(n_blocks)]
     rngs = [_philox(spec.seed, b) for b in range(n_blocks)]
-    # One array of live paths: n fine paths of every block, block 0's first,
-    # each block in path order, then c coarse paths in path order. Beside
-    # them are their path indices and normals, which for a coarse path are
-    # summed over the current pair of steps. ``position`` maps a path index
-    # to its fine path's place in the array, -1 once that is absorbed; a
-    # coarse path's ``partner`` is that place, and -1 marks an orphan.
+    # live paths of every block, block 0's first, each block in path order,
+    # beside their blocks; z, mu and s2 are buffers for the first n paths
     x = np.concatenate([_sample_initial(spec.x0, m, rng) for m, rng in zip(sizes, rngs)])
-    n = c = x.size
-    x = np.concatenate([x, x])
-    ids = np.concatenate([np.arange(n), np.arange(n)])
+    block_of = np.repeat(np.arange(n_blocks), sizes)
     z, mu, s2 = np.empty((3, x.size))
-    position = np.arange(n)
-    partner = position.copy()
-    orphaned = np.empty(0, dtype=np.int64)  # where the orphans are among the coarse
-    live, orphans = sizes, [0] * n_blocks  # fine paths and orphans per block
-    fate = np.zeros((2, spec.replicates), dtype=np.int8)  # fine, coarse; see _exits
+    live = sizes
     coefficients = spec._coefficients or _field_coefficients(spec)
     reflecting = spec.boundary_at_1 == "reflecting"
-    step = fine_steps = 0
-    per_block = min(_NORMAL_CHUNK, _NORMAL_BUDGET // n_blocks)
+    dead0 = dead1 = 0
+    step = 0
+    measures = []
     with ThreadPoolExecutor(max_workers=1) as pool:
-        # the current chunk and the next one share the block's part
-        normals = _BlockNormals(rngs, pool, max(1, per_block // 2), eager=True)
-        orphan_normals = _BlockNormals(
-            [_philox(spec.seed, _OWN_STREAM + b) for b in range(n_blocks)],
-            pool, max(1, per_block // _OWN_CHUNK_DIVISOR), eager=False,
-        )
-        for si in range(n_snap):
-            target = int(snap_steps[si])
-            while step < target and n + c:
-                pair_end = step % 2 == 1
+        normals = _BlockNormals(rngs, pool)
+        for t, target in zip(snapshot_times.tolist(), snap_steps.tolist()):
+            while step < target and x.size:
+                n = x.size
                 normals.fill(z[:n], live)
-                drawn = z[partner]  # an orphan's entry is replaced by its own draw
-                if orphaned.size:
-                    w = np.empty(orphaned.size)
-                    orphan_normals.fill(w, orphans)
-                    drawn[orphaned] = w
-                if pair_end:
-                    z[n : n + c] += drawn
-                else:
-                    z[n : n + c] = drawn
-                if n:
-                    fine_steps = step + 1
+                _euler_step(coefficients, x, mu[:n], s2[:n], z[:n], dt, reflecting)
                 step += 1
-                k = n + c if pair_end else n  # coarse paths move at pair ends
-                if not k:
+                gone = _exits(x, reflecting)
+                if gone is None:
                     continue
-                _euler_step(coefficients, x[:k], mu[:k], s2[:k], z[:k], dt, n, reflecting)
-                exits = _exits(x[:k], reflecting)
-                if exits is None:
-                    continue
-                at, fates = exits
-                f = int(np.searchsorted(at, n))  # the fine paths come first
-                gone = ids[at]
-                fate[(at >= n).view(np.int8), gone] = fates
-                keep = np.ones(n + c, dtype=bool)
-                keep[at] = False
-                x, ids = x[: n + c][keep], ids[: n + c][keep]
-                # after a pair's end the coarse sums are spent
-                z = z if pair_end else z[: n + c][keep]
-                if f:  # fine paths after the first absorbed one move up
-                    absorbed = np.bincount(gone[:f] // block_size, minlength=n_blocks)
-                    live = [a - b for a, b in zip(live, absorbed.tolist())]
-                    n -= f
-                    position[gone[:f]] = -1
-                    position[ids[at[0] : n]] = np.arange(at[0], n)
-                c = ids.size - n
-                partner = position[ids[n:]]
-                orphaned = np.flatnonzero(partner < 0)
-                if orphaned.size:
-                    orphans = np.bincount(ids[n:][orphaned] // block_size, minlength=n_blocks).tolist()
-            steps_at[si] = fine_steps
-            if n:
-                counts[si], _ = np.histogram(x[:n], bins=bin_edges)
-            tallies.append(_fate_counts(fate))
-            waits.append(normals.wait_s + orphan_normals.wait_s)
-
-    return [
-        EmpiricalMeasure(
-            time=float(snapshot_times[i]),
-            bin_edges=bin_edges,
-            counts=counts[i],
-            n_paths=spec.replicates,
-            steps=int(steps_at[i]),
-            normal_wait_s=waits[i],
-            **tallies[i],
-        )
-        for i in range(n_snap)
-    ]
+                at0 = int(np.count_nonzero(x[gone] <= 0.0))
+                dead0 += at0
+                dead1 += int(np.count_nonzero(gone)) - at0
+                absorbed = np.bincount(block_of[gone], minlength=n_blocks)
+                live = [a - b for a, b in zip(live, absorbed.tolist())]
+                keep = ~gone
+                x, block_of = x[keep], block_of[keep]
+            measures.append(
+                EmpiricalMeasure(
+                    time=t,
+                    bin_edges=bin_edges,
+                    counts=np.histogram(x, bins=bin_edges)[0],
+                    count_at_0=dead0,
+                    count_at_1=dead1,
+                    n_paths=spec.replicates,
+                    steps=step,
+                    normal_wait_s=normals.wait_s,
+                )
+            )
+    return measures
 
 
 @dataclass(frozen=True)

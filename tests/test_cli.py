@@ -183,6 +183,21 @@ class TestConfig:
         assert f"config error: {key}: must be finite" in err
         assert ("bins: must be at least 1" in err) == (argv[0] == "oracle")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sis", "--p0", "delta:0.001"],
+            ["sis", "--p0", "delta:0.999"],
+            ["kimura", "--u0", "delta:0.001"],
+            ["kimura", "--u0", "delta:0.0012", "--mode", "regularized"],
+        ],
+    )
+    def test_delta_on_an_end_node_refused(self, argv, tmp_path, capsys):
+        # at n = 401 these deltas round onto node 0 or n - 1, whose mass the
+        # run would lose; h/2 < x0 < 1 - h/2 is the usable range
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "use 0.00125 < x0 < 0.99875" in capsys.readouterr().err
+
     def test_missing_out_required(self):
         with pytest.raises(ConfigError, match="out"):
             build_config("kimura", {}, {})
@@ -518,10 +533,6 @@ class TestOracleAndValidate:
         lines = _manifest_lines(out1)
         assert "diag.oracle_steps = 457" in lines
         assert "diag.oracle_live_paths = 99,0" in lines
-        # the coupled coarse paths' bias per snapshot, rerun below
-        bias = [ln.split(" = ")[0] for ln in lines if ln.startswith("diag.oracle_dt_bias_se")]
-        assert bias == [f"diag.oracle_dt_bias_se.{atom}{part}"
-                        for atom in ("atom0", "atom1") for part in ("", "_stderr")]
         skip = ("wallclock_s", "config.out")
         assert [ln for ln in lines if not ln.startswith(skip)] == [
             ln for ln in _manifest_lines(out2) if not ln.startswith(skip)

@@ -144,17 +144,6 @@ class TestSimulate:
         assert m.count_at_0 == 0 and m.count_at_1 == 0
         assert m.counts[0] == 0 and m.counts[-1] == 0
 
-    def test_dt_bias_in_standard_errors(self):
-        # 50 of 100 fine paths and 40 coarse ones absorbed at 0, 10 of them
-        # on one level only: the difference 0.1 has variance 0.1 - 0.1^2,
-        # and the fine fraction's standard error is 0.05
-        m = EmpiricalMeasure(time=1.0, bin_edges=np.linspace(0, 1, 3), counts=np.array([25, 25]),
-                             count_at_0=50, count_at_1=0, n_paths=100,
-                             coarse_count_at_0=40, split_at_0=10)
-        bias = m.dt_bias()
-        assert bias["atom0"] == pytest.approx((2.0, 0.6), rel=1e-12)
-        assert bias["atom1"] == (0.0, 0.0)
-
     def test_dt_warning(self):
         spec = kimura_sde(constant_field(0.0), 0.3, dt=5e-2, horizon=0.5, replicates=50, seed=2)
         with pytest.warns(UserWarning, match="bin-resolution"):
@@ -244,85 +233,50 @@ RECORDED = {
 
 def _reference_simulate(spec, times, bins, block_size):
     """One block at a time, one draw per step, through the field calls:
-    the loop that ``simulate`` must reproduce count for count.
-
-    Returns per snapshot the fine (counts, count_at_0, count_at_1) and the
-    coupled coarse paths' (count_at_0, count_at_1, split_at_0, split_at_1).
-    A coarse path moves at 2 dt after every second step, by the sum of the
-    two normals of its pair of steps: its fine partner's while that lives,
-    else one per step from its block's own stream, in path order.
-    """
+    the loop that ``simulate`` must reproduce count for count."""
     edges = np.linspace(0.0, 1.0, bins + 1)
     snaps = np.rint(np.asarray(times) / spec.dt).astype(np.int64)
     counts = np.zeros((len(times), bins), dtype=np.int64)
-    tallies = np.zeros((len(times), 6), dtype=np.int64)
-    reflecting = spec.boundary_at_1 == "reflecting"
-
-    def move(x, zsum, drift_dt):
-        s2 = np.clip(spec.squared_volatility(x), 0.0, None)
-        x = x + spec.drift(x) * drift_dt + np.sqrt(s2 * spec.dt) * zsum
-        return np.where(x >= 1.0, 2.0 - x, x) if reflecting else x
-
-    def fates(x, alive):
-        at0 = alive & (x <= 0.0)
-        at1 = alive & (x >= 1.0) if not reflecting else np.zeros_like(alive)
-        return at0, at1
-
+    at0 = [0] * len(times)
+    at1 = [0] * len(times)
     for block in range(-(-spec.replicates // block_size)):
         m = min(block_size, spec.replicates - block * block_size)
         key = np.array([np.uint64(spec.seed), np.uint64(block)], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        key = np.array([np.uint64(spec.seed), np.uint64(2**63 + block)], dtype=np.uint64)
-        own = np.random.Generator(np.random.Philox(key=key))
         x = _sample_initial(spec.x0, m, rng)
-        xc, zc = x.copy(), np.zeros(m)
-        fate = np.zeros((2, m), dtype=np.int8)  # fine, coarse: 0 alive, 1 at 0, 2 at 1
+        dead0 = dead1 = 0
         step = 0
         for si, target in enumerate(snaps):
-            while step < target and np.any(fate == 0):
-                fine, coarse = fate == 0
-                w = np.zeros(m)
-                w[fine] = rng.standard_normal(np.count_nonzero(fine))
-                w[coarse & ~fine] = own.standard_normal(np.count_nonzero(coarse & ~fine))
-                x[fine] = move(x[fine], w[fine], spec.dt)
-                zc = zc + w if step % 2 else w
-                if step % 2:
-                    xc[coarse] = move(xc[coarse], zc[coarse], 2 * spec.dt)
-                    at0, at1 = fates(xc, coarse)
-                    fate[1, at0], fate[1, at1] = 1, 2
-                at0, at1 = fates(x, fine)
-                fate[0, at0], fate[0, at1] = 1, 2
+            while step < target and x.size:
+                s2 = np.clip(spec.squared_volatility(x), 0.0, None)
+                x = x + spec.drift(x) * spec.dt + np.sqrt(s2 * spec.dt) * rng.standard_normal(x.size)
+                hit1 = x >= 1.0
+                if spec.boundary_at_1 == "reflecting":
+                    x = np.where(hit1, 2.0 - x, x)
+                    hit1 = np.zeros_like(hit1)
+                hit0 = x <= 0.0
+                dead0 += int(hit0.sum())
+                dead1 += int(hit1.sum())
+                x = x[~(hit0 | hit1)]
                 step += 1
-            fine_at = [fate[0] == 1, fate[0] == 2]
-            coarse_at = [fate[1] == 1, fate[1] == 2]
-            tallies[si] += [
-                *(np.count_nonzero(f) for f in fine_at),
-                *(np.count_nonzero(c) for c in coarse_at),
-                *(np.count_nonzero(f != c) for f, c in zip(fine_at, coarse_at)),
-            ]
-            counts[si] += np.histogram(x[fate[0] == 0], bins=edges)[0]
-    return [(c.tolist(), *t[:2].tolist()) for c, t in zip(counts, tallies)], [
-        tuple(t[2:].tolist()) for t in tallies
-    ]
+            at0[si] += dead0
+            at1[si] += dead1
+            counts[si] += np.histogram(x, bins=edges)[0]
+    return [(c.tolist(), a, b) for c, a, b in zip(counts, at0, at1)]
 
 
 def _assert_matches_reference(block_size):
     psi = field_from_expression("1-2*x")
     for spec in (
         kimura_sde(psi, 0.3, dt=1e-3, horizon=0.2, replicates=61, seed=4),
-        # started near x = 0: most paths are absorbed, many on one level
-        # before the other, so coarse paths outlive their fine partners
+        # started near x = 0: most paths are absorbed, so small blocks empty
         kimura_sde(psi, 0.05, dt=1e-3, horizon=0.2, replicates=61, seed=5),
         sis_sde(2.0, 0.99, dt=1e-3, horizon=0.2, replicates=61, seed=3),
     ):
         times = [0.0, 0.05, 0.2]
         got = simulate(spec, times, bins=10, block_size=block_size)
-        fine, coarse = _reference_simulate(spec, times, 10, block_size)
-        assert [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in got] == fine
-        assert [
-            (m.coarse_count_at_0, m.coarse_count_at_1, m.split_at_0, m.split_at_1)
-            for m in got
-        ] == coarse
+        want = _reference_simulate(spec, times, 10, block_size)
+        assert [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in got] == want
 
 
 class TestKernelIdentity:
@@ -359,7 +313,7 @@ class TestKernelIdentity:
             got = simulate(spec, [0.05, 0.2], bins=10, block_size=5)
         finally:
             sys.setswitchinterval(interval)
-        want, _ = _reference_simulate(spec, [0.05, 0.2], 10, 5)
+        want = _reference_simulate(spec, [0.05, 0.2], 10, 5)
         assert [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in got] == want
 
     def test_non_finite_psi_on_a_live_path_raises(self):
