@@ -31,6 +31,7 @@ from . import __version__
 from .errors import (
     ConfigError,
     ConsparError,
+    DenseSizeError,
     InputError,
     NumericalError,
     ValidationFailure,
@@ -483,7 +484,8 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
     else:
         if mode == "regularized":
             with manifest.stage("evolve"):
-                traj = solve_regularized(model, u0, cfg["eps"], times, grid).trajectory
+                sol = solve_regularized(model, u0, cfg["eps"], times, grid)
+            rungs, traj = [sol], sol.trajectory
             with manifest.stage("atoms"):
                 measures = [
                     decompose_measure(v, grid, t, model.absorbs_at_1)
@@ -492,6 +494,7 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
         else:
             with manifest.stage("evolve"):
                 res = vanishing_limit(model, u0, cfg["ladder"], times, grid)
+            rungs = res.rungs
             if res.warning:
                 manifest.warnings.append(res.warning)
             manifest.assumptions.append("richardson_order1")
@@ -502,6 +505,14 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
                     "estimated ratio instead of the first-order form"
                 )
             measures = res.measures
+        widest = max(rungs, key=lambda sol: sol.eig.eigenvalues.size).eig
+        manifest.diagnostics.update(
+            eigensolve_method=widest.method,
+            eigensolve_modes=widest.eigenvalues.size,
+            eigen_truncation_remainder=max(
+                float(sol.v_trajectory.truncation_error.max()) for sol in rungs
+            ),
+        )
         out_times = np.array([m.time for m in measures])
         a = np.array([m.atom0 for m in measures])
         b = np.array([m.atom1 for m in measures])
@@ -730,6 +741,17 @@ def run(config: RunConfig) -> RunManifest:
     return manifest
 
 
+# What each command that can reach a dense eigensolve may change when it is
+# refused: a regularized solve goes dense only when an early first positive
+# snapshot keeps many modes alive
+_DENSE_ADVICE = {
+    "spectrum": "ask for fewer modes (--k <= n/8) or use a smaller --n",
+    "moments": "use a smaller --n",
+    "kimura": "use a smaller --n or a later first positive time in --times",
+    "sis": "use a smaller --n or a later first positive time in --times",
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="conspar",
@@ -771,6 +793,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for p in exc.problems:
             print(f"config error: {p}", file=sys.stderr)
+        return 2
+    except DenseSizeError as exc:
+        print(f"config error: {exc}; {_DENSE_ADVICE[args.command]}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -264,8 +264,7 @@ def _require_dense(n: int):
         raise DenseSizeError(
             f"n = {n} needs a dense {n} x {n} matrix ({8 * n * n / 2**30:.1f} GiB), "
             f"over the {_DENSE_MAX_BYTES // 2**20} MiB budget of the dense "
-            f"eigensolver (n <= {_DENSE_MAX_N}); ask for fewer modes "
-            "(k <= n/8) or use a smaller n"
+            f"eigensolver (n <= {_DENSE_MAX_N})"
         )
 
 
@@ -497,17 +496,21 @@ class Trajectory:
 def evolve(eig: EigenSystem, v0: np.ndarray, times: Sequence[float]) -> Trajectory:
     """Expand v0 on the eigenbasis and evolve each mode by exp(-lambda t).
 
-    The truncation remainder of the last available mode, |a_K| e^(-lam_K t),
-    is reported per snapshot.
+    With K < n modes, the modes left out have weighted norm at most
+    e^(-lam_K t) ||v0||_M at t >= 0, since the full basis is M-orthonormal
+    and ordered (the symmetric paths); that bound is reported per
+    snapshot, and is 0 when every mode is kept.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ArgumentError("times must be a non-empty list")
+    v0 = np.asarray(v0, dtype=float)
     a = eig.project(v0)
     lam = eig.eigenvalues
     decay = np.exp(-np.outer(times, lam))
     values = decay * a[None, :] @ eig.vectors.T
-    truncation = np.abs(a[-1]) * decay[:, -1]
+    norm = np.sqrt(eig.mass @ v0**2) if lam.size < eig.grid.n else 0.0
+    truncation = norm * decay[:, -1]
     return Trajectory(
         grid=eig.grid,
         times=times,

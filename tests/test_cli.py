@@ -301,6 +301,38 @@ class TestKimuraCommand:
         lines = _manifest_lines(out)
         assert any(ln == "assumption: richardson_order1" for ln in lines)
 
+    @pytest.mark.parametrize(
+        "argv, method",
+        [
+            (["kimura", "--mode", "regularized"], "shift_invert"),
+            (["kimura", "--mode", "ladder", "--n", "101"], "dense"),
+            (["sis", "--mode", "regularized", "--n", "101"], "dense"),
+        ],
+    )
+    def test_regularized_eigensolve_diagnostics(self, tmp_path, argv, method):
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 0
+        diag = dict(
+            ln[len("diag."):].split(" = ") for ln in _manifest_lines(out)
+            if ln.startswith("diag.")
+        )
+        assert diag["eigensolve_method"] == method
+        assert diag["eigensolve_modes"] == "16"
+        # exp(-lambda_16 t_min) ||v0||_M with t_min = 1: far below rounding
+        assert 0.0 < float(diag["eigen_truncation_remainder"]) <= 2.0**-53
+        # the data alone: nothing is evolved, so nothing is dropped
+        initial = tmp_path / "initial"
+        assert main(argv + ["--times", "0", "--out", str(initial)]) == 0
+        assert "diag.eigen_truncation_remainder = 0.0" in _manifest_lines(initial)
+
+    def test_ladder_reports_its_widest_rung(self, tmp_path):
+        # at t_min = 0.1 the largest strength keeps 16 modes, the smaller
+        # ones 64
+        out = tmp_path / "ladder"
+        argv = ["kimura", "--mode", "ladder", "--n", "101", "--T", "1", "--times", "0.1,1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "diag.eigensolve_modes = 64" in _manifest_lines(out)
+
     def test_plot_data_flag(self, tmp_path):
         out = tmp_path / "plots"
         rc = main(
@@ -470,6 +502,32 @@ class TestMomentsCommand:
             abs(float(r.split(",")[1]) - float(r.split(",")[2])) for r in rows
         )
         assert worst <= 1e-4
+
+
+class TestDenseCap:
+    @pytest.mark.parametrize(
+        "argv, advice",
+        [
+            (["spectrum", "--n", "6001", "--k", "751"], "fewer modes (--k <= n/8)"),
+            (["moments", "--n", "6001"], "use a smaller --n"),
+            # t_min = 1e-6 keeps every mode alive, so k grows past n/8
+            (["kimura", "--mode", "regularized", "--n", "5793", "--T", "1", "--times", "1e-6"],
+             "a later first positive time in --times"),
+            (["sis", "--mode", "regularized", "--n", "5793", "--T", "1", "--times", "1e-6"],
+             "a later first positive time in --times"),
+        ],
+    )
+    def test_refusal_advises_only_the_commands_own_options(self, tmp_path, capsys, argv, advice):
+        assert main(argv + ["--out", str(tmp_path / "big")]) == 2
+        err = capsys.readouterr().err
+        assert "dense" in err and advice in err
+        assert ("--k" in err) == (argv[0] == "spectrum")
+        assert "(k <= n/8)" not in err
+
+    def test_regularized_runs_beyond_the_dense_cap(self, tmp_path):
+        out = tmp_path / "big"
+        assert main(["kimura", "--mode", "regularized", "--n", "8001", "--out", str(out)]) == 0
+        assert "diag.eigensolve_method = shift_invert" in _manifest_lines(out)
 
 
 class TestOracleAndValidate:

@@ -34,7 +34,7 @@ from conspar.fields import (
     field_from_table,
     fixation_probability,
 )
-from conspar.sturm import Grid
+from conspar.sturm import Grid, eigensolve, evolve
 
 GRID = Grid(0.0, 1.0, 401)
 
@@ -47,6 +47,19 @@ def neutral():
 @pytest.fixture(scope="module")
 def neutral_interior(neutral):
     return solve_interior(neutral, np.ones(GRID.n), 10.0, np.linspace(0, 10, 41), GRID)
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """The k of every eigensolve a degenerate solve asks for, in order."""
+    ks = []
+
+    def counted(op, coupling, k):
+        ks.append(k)
+        return eigensolve(op, coupling, k)
+
+    monkeypatch.setattr(degenerate, "eigensolve", counted)
+    return ks
 
 
 class TestModels:
@@ -142,6 +155,52 @@ class TestSolveRegularized:
         sol = solve_regularized(neutral, np.ones(GRID.n), 1e-2, [0.5, 2.0], GRID)
         assert sol.trajectory.values.min() >= -1e-10
 
+    def test_initial_snapshot_is_the_data(self):
+        model = kimura_model(field_from_expression("1-2*x"))
+        u0 = np.abs(np.random.default_rng(3).normal(1.0, 0.4, GRID.n))
+        sol = solve_regularized(model, u0, 1e-2, [0.0, 1.0], GRID)
+        assert np.array_equal(sol.trajectory.values[0], u0)
+        v0 = to_selfadjoint(u0, sol.g_eps_values, sol.p_values)
+        assert np.array_equal(sol.v_trajectory.values[0], v0)
+        assert sol.v_trajectory.truncation_error[0] == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+    @pytest.mark.parametrize(
+        "make_model", [lambda: kimura_model(field_from_expression("1-2*x")), lambda: sis_model(2.0)]
+    )
+    def test_truncated_solve_matches_all_modes(self, make_model, eps):
+        # measured: the gap is at most 4.7e-11 of max |v| over these six
+        # cases (16 shift-invert modes against all 401 dense ones), the
+        # eigensolvers' own accuracy; the truncation bound is below 1e-50
+        model = make_model()
+        u0 = np.abs(np.random.default_rng(5).normal(1.0, 0.4, GRID.n))
+        times = [0.5, 1.0, 5.0]
+        sol = solve_regularized(model, u0, eps, times, GRID)
+        assert sol.eig.method == "shift_invert"
+        assert sol.eig.eigenvalues.size < GRID.n
+        op, coupling, p, g = degenerate.regularized_system(model, eps, GRID)
+        v0 = to_selfadjoint(u0, g, p)
+        full = evolve(eigensolve(op, coupling, GRID.n), v0, times).values
+        gap = np.max(np.abs(sol.v_trajectory.values - full))
+        assert gap <= 1e-10 * np.max(np.abs(full))
+        norm = np.sqrt(np.sum(sol.eig.mass * v0**2))
+        assert np.all(sol.v_trajectory.truncation_error <= 2.0**-53 * norm)
+
+    def test_tiny_first_snapshot_keeps_every_mode(self, neutral, asked):
+        grid = Grid(0.0, 1.0, 101)
+        sol = solve_regularized(neutral, np.ones(grid.n), 1e-2, [1e-6, 1.0], grid)
+        assert asked == [16, 64, 101]
+        assert sol.eig.method == "dense"
+        assert np.all(sol.v_trajectory.truncation_error == 0.0)
+
+    def test_without_a_positive_snapshot_k_stays_at_its_start(self, neutral, asked):
+        solve_regularized(neutral, np.ones(GRID.n), 1e-2, [0.0], GRID)
+        assert asked == [16]
+
+    def test_negative_time_rejected(self, neutral):
+        with pytest.raises(ArgumentError):
+            solve_regularized(neutral, np.ones(GRID.n), 1e-2, [-1.0, 1.0], GRID)
+
     def test_v_space_weighted_moments_constant(self, neutral):
         # <v, phi_i>_weight is conserved by the spectral evolution
         from conspar.conservative import conservation_residual
@@ -193,6 +252,18 @@ class TestVanishingLimit:
         assert res.monotone_fraction >= 0.8
         assert res.warning is None
         assert res.probe_differences.shape == (4, 3, 1)
+
+    @pytest.mark.parametrize("n", [101, 401])
+    def test_statistics_skip_the_initial_snapshot(self, neutral, n):
+        # every rung equals the data at t = 0, so those differences are no
+        # evidence either way
+        grid = Grid(0.0, 1.0, n)
+        ladder = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+        both = vanishing_limit(neutral, np.ones(n), ladder, [0.0, 1.0], grid)
+        later = vanishing_limit(neutral, np.ones(n), ladder, [1.0], grid)
+        assert both.monotone_fraction == later.monotone_fraction
+        assert both.extrapolation_ratio == pytest.approx(later.extrapolation_ratio, rel=1e-12)
+        assert both.warning is None
 
     def test_needs_three_rungs(self, neutral):
         ladder = (1e-1, 1e-2)

@@ -329,10 +329,19 @@ class TestEvolve:
         direct = evolve(heat_eig, v0, [s + t]).values[0]
         assert np.max(np.abs(via - direct)) <= 1e-10
 
-    def test_truncation_estimate_reported(self, heat_eig, grid):
+    def test_truncation_estimate_reported(self, heat_eig, heat_problem, grid):
         traj = evolve(heat_eig, np.ones(grid.n), [0.1, 1.0])
         assert traj.truncation_error is not None
         assert traj.truncation_error.shape == (2,)
+        assert np.all(traj.truncation_error == 0.0)  # every mode kept
+        # with 8 modes, the dropped part's weighted norm is within the bound
+        v0 = np.random.default_rng(4).random(grid.n)
+        times = [0.0, 1e-3, 1e-2]
+        few = evolve(eigensolve(heat_problem.operator, heat_problem.coupling, k=8), v0, times)
+        full = evolve(heat_eig, v0, times)
+        dropped = np.sqrt(((full.values - few.values) ** 2) @ heat_eig.mass)
+        assert np.all(dropped <= few.truncation_error)
+        assert few.truncation_error[0] == pytest.approx(np.sqrt(heat_eig.mass @ v0**2))
 
     def test_empty_times_rejected(self, heat_eig, grid):
         with pytest.raises(ArgumentError):
