@@ -77,7 +77,11 @@ class ConservativeProblem:
     laws: tuple
     law_values: np.ndarray  # (n_laws, n)
     kind: str  # "totally" | "partially"
-    max_principle_assumed: bool = False
+
+    @property
+    def max_principle_assumed(self) -> bool:
+        """Partially conservative problems assume a strong maximum principle."""
+        return self.kind == "partially"
 
     @cached_property
     def positivity(self) -> str:
@@ -173,7 +177,6 @@ def build_partially_conservative(
         laws=(phi1,),
         law_values=sample_field(phi1, grid)[None, :],
         kind="partially",
-        max_principle_assumed=True,
     )
 
 
@@ -279,11 +282,9 @@ def selfadjoint_reduction(
     return problem, w_field
 
 
-def conservation_residual(
-    traj: Trajectory, law, weight, grid: Optional[Grid] = None
-) -> float:
+def conservation_residual(traj: Trajectory, law, weight) -> float:
     """Max relative drift of the weighted law moment along a trajectory."""
-    grid = grid if grid is not None else traj.grid
+    grid = traj.grid
     law_v = sample_field(law, grid) if isinstance(law, CoefficientField) else np.asarray(law)
     w_v = (
         sample_field(weight, grid)

@@ -39,15 +39,8 @@ from .expressions import parse_expression
 DEFAULT_SAMPLES = 401
 _QUAD_RTOL = 1e-12
 _QUAD_MAX_NODES = 2**20
+_CENTRAL_STEP = 1e-6  # interior difference step for formula fields
 _ONE_SIDED_STEP = 2.0**-20  # endpoint difference step for formula fields
-
-
-@dataclass(frozen=True)
-class SourceInfo:
-    """Provenance of a field: user table, named formula, or expression."""
-
-    kind: str  # "table" | "builtin" | "expression"
-    name: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,13 +50,14 @@ class CoefficientField:
     ``xs`` are strictly increasing sample abscissae with ``xs[0] == 0``
     and ``xs[-1] == 1``; evaluation at a sample abscissa reproduces the
     stored value. Fields are immutable after construction and safe to
-    share between threads.
+    share between threads. ``name`` is the expression or formula name
+    that messages cite (empty for tables).
     """
 
     xs: np.ndarray
     values: np.ndarray
     interpolation: str  # "linear" | "cubic"
-    source: SourceInfo
+    name: str = ""
     exact_fn: Optional[Callable] = None
     exact_derivative: Optional[Callable] = None
     _cache: dict = field(default_factory=dict, repr=False)
@@ -119,7 +113,7 @@ class CoefficientField:
             out = self._linear_derivative(xa)
         return float(out) if scalar else out
 
-    def _difference_derivative(self, xa, h=1e-6):
+    def _difference_derivative(self, xa):
         """Central difference of the exact formula; within one step of an
         end, where it would leave [0, 1], the second-order one-sided
         3-point difference instead. The one-sided step is a power of two,
@@ -131,10 +125,10 @@ class CoefficientField:
 
         x = np.atleast_1d(xa)
         out = np.empty(x.shape)
-        left = x < h
-        mid = ~left & (x <= 1.0 - h)
+        left = x < _CENTRAL_STEP
+        mid = ~left & (x <= 1.0 - _CENTRAL_STEP)
         if np.any(mid):
-            lo, hi = x[mid] - h, x[mid] + h
+            lo, hi = x[mid] - _CENTRAL_STEP, x[mid] + _CENTRAL_STEP
             out[mid] = (f(hi) - f(lo)) / (hi - lo)
         end = ~mid
         if np.any(end):
@@ -174,17 +168,15 @@ class CoefficientField:
 
     @property
     def continuous_tier(self) -> bool:
-        """True when the field qualifies as a continuous coefficient
-        (cubic interpolation or exact formula backing)."""
-        return self.interpolation == "cubic" or self.source.kind in (
-            "builtin",
-            "expression",
-        )
+        """True when the field qualifies as a continuous coefficient: cubic
+        interpolation, which every formula- and expression-backed field
+        has."""
+        return self.interpolation == "cubic"
 
 
 def _name(f: CoefficientField) -> str:
     """A field's name for messages: its expression or formula name."""
-    return f.source.name or "a tabulated field"
+    return f.name or "a tabulated field"
 
 
 class _CubicSpline:
@@ -264,7 +256,6 @@ def field_from_table(
         xs=np.asarray(xs, dtype=float),
         values=np.asarray(values, dtype=float),
         interpolation=interpolation,
-        source=SourceInfo(kind="table"),
     )
 
 
@@ -282,32 +273,31 @@ def field_from_callable(
         xs=xs,
         values=values,
         interpolation="cubic",
-        source=SourceInfo(kind="builtin", name=name),
+        name=name,
         exact_fn=fn,
         exact_derivative=derivative,
     )
 
 
-def field_from_expression(text: str, n: int = DEFAULT_SAMPLES) -> CoefficientField:
+def field_from_expression(text: str) -> CoefficientField:
     """Parse an expression in x and sample it on a uniform grid."""
     expr = parse_expression(text)
-    xs = np.linspace(0.0, 1.0, n)
+    xs = np.linspace(0.0, 1.0, DEFAULT_SAMPLES)
     values = expr(xs)
     return CoefficientField(
         xs=xs,
         values=values,
         interpolation="cubic",
-        source=SourceInfo(kind="expression", name=text),
+        name=text,
         exact_fn=expr,
     )
 
 
-def constant_field(c: float, n: int = DEFAULT_SAMPLES) -> CoefficientField:
+def constant_field(c: float) -> CoefficientField:
     c = float(c)
     return field_from_callable(
         lambda x: np.full(np.shape(x), c),
         repr(c),
-        n=n,
         derivative=lambda x: np.zeros(np.shape(x)),
     )
 

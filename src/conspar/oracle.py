@@ -219,7 +219,6 @@ class EmpiricalMeasure:
         return {
             "mass_at_0": se(self.mass_at_0),
             "mass_at_1": se(self.mass_at_1),
-            "interior": se(self.interior_mass),
         }
 
 
@@ -424,8 +423,6 @@ class ComparisonReport:
     z_atom0: float
     z_atom1: float
     cdf_sup_distance: float
-    se_limit: float
-    cdf_tol: float
     atoms_pass: bool
     cdf_pass: bool
 
@@ -473,8 +470,6 @@ def compare_measures(
         z_atom0=float(z0),
         z_atom1=float(z1),
         cdf_sup_distance=cdf_sup,
-        se_limit=se_limit,
-        cdf_tol=threshold,
         atoms_pass=bool(z0 <= se_limit and z1 <= se_limit),
         cdf_pass=bool(cdf_sup <= threshold),
     )

@@ -84,10 +84,9 @@ class Grid:
 DEFAULT_GRID = Grid(0.0, 1.0, 401)
 
 
-def sample_field(f: CoefficientField, grid: Grid, x: Optional[np.ndarray] = None):
-    """Evaluate a [0,1]-field at physical points of ``grid`` (affine map)."""
-    pts = grid.nodes if x is None else np.asarray(x, dtype=float)
-    return f(grid.reference(pts))
+def sample_field(f: CoefficientField, grid: Grid):
+    """Evaluate a [0,1]-field at the nodes of ``grid`` (affine map)."""
+    return f(grid.reference(grid.nodes))
 
 
 @dataclass(frozen=True)
@@ -534,7 +533,6 @@ class PositivityReport:
     min_value: float
     time: float
     x: float
-    floor: float
     passed: bool
 
 
@@ -548,7 +546,6 @@ def positivity_check(traj: Trajectory, floor: float = 1e-10) -> PositivityReport
         min_value=vmin,
         time=float(traj.times[it]),
         x=float(traj.grid.nodes[ix]),
-        floor=floor,
         passed=vmin >= -floor,
     )
 

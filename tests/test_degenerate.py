@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from conspar import degenerate
 from conspar.degenerate import (
     BoundaryMeasure,
+    DegenerateModel,
     canonical_test_directions,
     decompose_measure,
     from_selfadjoint,
@@ -23,7 +24,9 @@ from conspar.degenerate import (
 )
 from conspar.errors import (
     ArgumentError,
+    InputError,
     ParameterError,
+    QuadratureError,
     RegularityTierError,
     TransformError,
 )
@@ -84,6 +87,34 @@ class TestModels:
         sol = solve_regularized(neutral, u0, 1e-2, [0.0], GRID)
         assert sol.g_eps_values[0] == pytest.approx(1e-2)
         assert sol.g_eps_values.min() > 0
+
+    def test_weight_is_built_once_per_model(self, monkeypatch):
+        model = kimura_model(field_from_expression("1-2*x"))
+
+        def refused(psi):
+            raise AssertionError("exp(int psi) built again")
+
+        monkeypatch.setattr(degenerate, "exponential_weight", refused)
+        grid = Grid(0.0, 1.0, 101)
+        ladder = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+        res = vanishing_limit(model, np.ones(grid.n), ladder, [0.5, 1.0], grid)
+        assert len(res.rungs) == 5
+
+    def test_overflowing_law_fails_on_construction(self):
+        # int_0^1 exp(800 y) dy overflows in the fixation probability
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError, match="psi = -800"):
+            kimura_model(field_from_expression("-800"))
+
+    @pytest.mark.parametrize(
+        "g, absorbs_at_1",
+        [("1+x", True), ("x", True), ("x*(1-x)", False)],
+        ids=["g(0)!=0", "absorbing-g(1)!=0", "zero-flux-g(1)=0"],
+    )
+    def test_closure_must_match_the_degeneracy(self, g, absorbs_at_1):
+        with pytest.raises(InputError):
+            DegenerateModel(
+                g=field_from_expression(g), psi=constant_field(0.0), absorbs_at_1=absorbs_at_1
+            )
 
 
 class TestTransforms:
