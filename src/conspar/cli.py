@@ -470,12 +470,10 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
     if mode == "interior":
         with manifest.stage("step"):
             sol = solve_interior(model, u0, cfg["T"], times, grid)
-        manifest.diagnostics.update(
-            interior_method=sol.method,
-            interior_dt=sol.dt,
-            interior_steps=sol.steps,
-            interior_log_scale_spread=sol.log_scale_spread,
-        )
+        manifest.diagnostics.update(interior_method=sol.method, interior_dt=sol.dt)
+        if sol.method == "stepper":
+            manifest.diagnostics["interior_steps"] = sol.steps
+        manifest.diagnostics["interior_log_scale_spread"] = sol.log_scale_spread
         with manifest.stage("atoms"):
             a, b = interior_atoms(manifest, model, sol, u0)
         dens = sol.trajectory.values
@@ -615,10 +613,10 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
 # one-step spread resolves a histogram bin (oracle.bin_resolution_dt), else
 # the last. Their time-step bias was measured offline against coupled
 # coarse paths at 2 dt (commit b44162f), pooled over 500,000 paths; the
-# table is ROADMAP item 3. 5e-4 is left out, since at t = 1 the default
-# Kimura run's fine and coarse mass0 differ there by 0.12 of its standard
-# error (0.03 at 2.5e-4; SIS at R0 = 2 and x0 = 0.3, 0.09 over all its
-# runs and 0.10 on the benchmark's SIS config alone).
+# table is under ROADMAP "Settled". 5e-4 is left out, since at t = 1 the
+# default Kimura run's fine and coarse mass0 differ there by 0.12 of its
+# standard error (0.03 at 2.5e-4; SIS at R0 = 2 and x0 = 0.3, 0.09 over
+# all its runs and 0.10 on the benchmark's SIS config alone).
 _ORACLE_DT_CHOICES = (2.5e-4, 1e-4)
 
 

@@ -18,15 +18,16 @@ measure: atoms at the absorbing endpoints plus a regular interior density;
 a zero-flux end carries no atom, and its half cell stays in the density.
 Atomic masses are computed from the conservation identities (primary) or
 by time integration of the outflow g' r through each absorbing end, read
-off the interior boundary traces by the time scheme's own rule (requires
-continuous psi); half-cell excess extraction is available as a secondary
+off the integrals of the interior boundary traces (requires continuous
+psi); half-cell excess extraction is available as a secondary
 diagnostic.
 
-The strong interior solution uses a Rannacher-started trapezoidal time
-discretization of the method-of-lines system. Its iterates are read off
-one eigendecomposition of the symmetrized tridiagonal generator; a time
-stepper with one banded solve per step computes the same iterates when
-the generator cannot be symmetrized accurately (see ``solve_interior``).
+The strong interior solution evolves the method-of-lines system exactly
+in time, mode by mode, from one eigendecomposition of the symmetrized
+tridiagonal generator; the trace integrals follow in closed form. A
+Rannacher-started trapezoidal time stepper with one banded solve per step
+runs instead when the generator cannot be symmetrized accurately (see
+``solve_interior``).
 """
 
 from __future__ import annotations
@@ -322,27 +323,28 @@ def decompose_measure(
 
 @dataclass(frozen=True, eq=False)
 class BoundaryTraces:
-    """Interior-density boundary traces r(0, t), r(1, t) on the stepper's
-    time grid, the drift regularity tier they were produced under, and the
-    mass that leaves per unit trace: where g = 0 the flux -(g r)' + g psi r
-    is -g' r, so ``outflow`` is (g'(0), -g'(1)), with 0 at a zero-flux end.
-    ``half_steps`` holds both traces after each backward-Euler half step
-    of the Rannacher start, two per step of its first k >= 1 steps (shape
-    (2, 2k))."""
+    """Time integrals of the interior-density boundary traces,
+    int_0^t r(0, s) ds and int_0^t r(1, s) ds, at ``times``: the solver's
+    own time grid, every step of the stepper, or 0 and the snapshot times
+    of the modal solve. With them come the drift regularity tier they were
+    produced under and the mass that leaves per unit trace: where g = 0
+    the flux -(g r)' + g psi r is -g' r, so ``outflow`` is (g'(0), -g'(1)),
+    with 0 at a zero-flux end."""
 
     times: np.ndarray
-    at0: np.ndarray
-    at1: np.ndarray
+    integral0: np.ndarray
+    integral1: np.ndarray
     outflow: Tuple[float, float]
     psi_continuous: bool
-    half_steps: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class InteriorSolution:
-    """Strong interior solution: snapshots plus per-step boundary traces,
-    with how they were computed ("modal" or "stepper"), the time step, the
-    step count and the spread of the symmetrizing log-scale."""
+    """Strong interior solution: snapshots plus the boundary-trace
+    integrals, with how they were computed ("modal" or "stepper"), the
+    time step (the grid snapshot times are snapped to on either path), the
+    steps the stepper took (0 on the modal path) and the spread of the
+    symmetrizing log-scale."""
 
     trajectory: Trajectory
     traces: BoundaryTraces
@@ -408,18 +410,19 @@ def _right_trace(r, absorbing):
 
 # The modal path reconstructs r = D^-1 Q (...) from D r, so the eigensolver's
 # backward error is amplified by up to exp(spread of log d). Largest error
-# relative to the stepper measured at n = 401 (Kimura, uniform and delta
-# data): 2.4e-11 at spread 10.95 (psi = 20), 1.9e-10 at 11.4, 7.6e-10 at
-# 13.8, 3.9e-8 at 20.6 and 8.8e-6 at 25.5 (psi = 50). Inside this gate the
-# error is not held to 1e-10. Measured at T = 1, snapshots 0.01, 0.1 and 1,
-# uniform data and deltas at 0.3 and 0.7, n = 101..1601, Kimura psi =
-# 12..20.5 and SIS R0 = 10 and 20: 36 of 162 modal cases exceed 1e-10,
-# from spread 7.6 up; the largest is 6.7e-10 (n = 801, psi = 18, delta at
-# 0.3, spread 10.36). Neither other driver holds 1e-10 either: stevd
-# reaches 2.7e-10 (26 cases above) and stev 4.4e-8 (75 cases above).
+# of the snapshots and trace integrals relative to a dense matrix
+# exponential (scipy expm of A t and of the Van Loan block), at n = 401,
+# T = 1, snapshots 0.01, 0.1 and 1, uniform data and deltas at 0.3 and
+# 0.7, Kimura psi = 20 to 50: 6.1e-12 at spread 10.95 (psi = 20), 6.9e-12
+# at 11.4, 6.6e-11 at 13.3, 6.5e-10 at 15.8, 1.9e-8 at 19.6 and 1.1e-6 at
+# 25.5 (psi = 50). Inside the gate, over n = 101..1601 with Kimura psi =
+# 12..20.5 and SIS R0 = 10 and 20 (105 modal cases), every Kimura case
+# stays below 1.4e-11. The largest is 1.7e-10 (SIS R0 = 20, n = 1601,
+# spread 2.66); it grows with t and as n^2 at fixed spread, like the
+# eigensolver's error on the slowest eigenvalue (1.6e-10 relative there,
+# against a long-double inverse iteration).
 _MODAL_MAX_LOG_SPREAD = 11.0
 _MODAL_MAX_BASIS_BYTES = 2**25  # the dense m x m eigenbasis (m <= 2048)
-_TRACE_CHUNK = 128  # steps per trace product; (chunk x m) powers are held
 
 
 def _modal_basis(diag, lower, upper, cell):
@@ -451,73 +454,32 @@ def _modal_basis(diag, lower, upper, cell):
     return (lam, Q, np.exp(log_d - 0.5 * (top + bottom))), spread
 
 
-def _modal_snapshots(modes, absorbing, r0, dt, snap_idx):
-    """The stepper's iterates read off the modes: r_k = D^-1 Q rho_k Q^T D r0
-    with rho_k = R_be^(2 min(k, 2)) R_tr^max(k - 2, 0), where R_be is one
-    backward-Euler half step and R_tr one trapezoid step.
-
-    Returns the snapshots at ``snap_idx``, the per-mode trace weights
-    (trace functional of D^-1 Q times the coefficient, for both traces)
-    and the factors (R_be, R_tr): all that :func:`_modal_traces` needs, so
-    the m x m basis can be released before the traces are formed.
-    """
+def _modal_solve(modes, absorbing, r0, snap_times, grid_times):
+    """r(t) = D^-1 Q e^(lam t) Q^T D r0 at ``snap_times``, and both boundary
+    traces integrated from 0 to each of ``grid_times``, mode by mode in
+    closed form: int_0^t e^(lam s) ds = expm1(lam t) / lam. Every lam is
+    negative, since mass leaves through x = 0."""
     lam, Q, d = modes
-    x = 0.5 * dt * lam
-    r_be = 1.0 / (1.0 - x)
-    r_tr = (1.0 + x) * r_be
     c = Q.T @ (d * r0)
-
-    snaps = (_rho(r_be, r_tr, snap_idx) * c) @ Q.T / d
-    snaps[snap_idx == 0] = r0  # the stepper's own t = 0 data
-
+    snaps = (np.exp(np.outer(snap_times, lam)) * c) @ Q.T / d
     # only the rows of D^-1 Q that the trace functionals read are formed
     weights = np.stack(
         [_left_trace(Q[:3].T / d[:3]), _right_trace(Q[-3:].T / d[-3:], absorbing)],
         axis=1,
     ) * c[:, None]
-    return snaps, weights, (r_be, r_tr)
-
-
-def _rho(r_be, r_tr, k):
-    """Per-mode factor of the step-k iterate, for an array of k."""
-    k = np.asarray(k)[..., None]
-    return r_be ** (2 * np.minimum(k, 2)) * r_tr ** np.maximum(k - 2, 0)
-
-
-def _modal_traces(weights, factors, absorbing, r0, n_steps):
-    """Both boundary traces at every step from the modal trace weights, and
-    after each backward-Euler half step of the Rannacher start, where the
-    j-th half step applies R_be^j.
-
-    Traces are produced in chunks of steps, each one product of a fixed
-    (chunk x m) matrix of R_tr powers with the rescaled weights, so no
-    (steps x m) array is formed.
-    """
-    r_be, r_tr = factors
-    head = np.arange(min(n_steps, 2) + 1)  # the Rannacher start
-    half = (r_be ** np.arange(1, 2 * head[-1] + 1)[:, None] @ weights).T
-    traces = np.empty((2, n_steps + 1))
-    traces[:, head] = (_rho(r_be, r_tr, head) @ weights).T
-    traces[:, 0] = _left_trace(r0), _right_trace(r0, absorbing)
-    # later steps: trace[k + j] = sum_i R_tr^j_i w_i with w the weights at
-    # step k, for j = 1..chunk, then w moves on by R_tr^chunk
-    chunk = min(_TRACE_CHUNK, n_steps)
-    powers = np.cumprod(np.broadcast_to(r_tr, (chunk, r_tr.size)), axis=0)
-    w = _rho(r_be, r_tr, 2)[:, None] * weights
-    for k in range(2, n_steps, chunk):
-        count = min(chunk, n_steps - k)
-        traces[:, k + 1 : k + 1 + count] = (powers[:count] @ w).T
-        w = powers[count - 1][:, None] * w
-    return traces[0], traces[1], half
+    integrals = (np.expm1(np.outer(grid_times, lam)) / lam) @ weights
+    return snaps, integrals[:, 0], integrals[:, 1]
 
 
 def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
-    """Reference time stepper: one banded solve per step.
+    """Time stepper: one banded solve per step.
 
     Implicit trapezoidal steps; the first two steps are each split into
     two backward-Euler half steps so rough initial data does not ring
-    (Rannacher start). Returns the snapshots at ``snap_idx``, both traces
-    at every step and both traces after each half step.
+    (Rannacher start). Returns the snapshots at ``snap_idx`` and both
+    trace integrals at every step, integrated as the scheme removes the
+    outflow: each half step by (dt/2) times the trace it ends with, the
+    trapezoid steps by the trapezoid rule.
     """
     diag, lower, upper, cell = A
     r = r0.copy()
@@ -532,9 +494,8 @@ def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
     # matrix of one backward-Euler half step
     implicit = _banded(diag, lower, upper, cell, 1.0, -dt / 2)
 
-    trace0 = np.empty(n_steps + 1)
-    trace1 = np.empty(n_steps + 1)
-    trace0[0], trace1[0] = _left_trace(r), _right_trace(r, absorbing)
+    traces = np.empty((2, n_steps + 1))
+    traces[:, 0] = _left_trace(r), _right_trace(r, absorbing)
 
     snap_set = {int(s) for s in snap_idx}
     snapshots = {}
@@ -542,7 +503,7 @@ def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
         snapshots[0] = r.copy()
 
     norm0 = float(np.max(np.abs(r))) + 1.0
-    rannacher_steps = 2
+    rannacher_steps = min(n_steps, 2)
     half = []
     for step in range(1, n_steps + 1):
         if step <= rannacher_steps:
@@ -556,12 +517,21 @@ def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
         if step % 200 == 0 or step == n_steps:
             if not np.all(np.isfinite(r)) or float(np.max(np.abs(r))) > 1e6 * norm0:
                 raise TimeStepError(f"interior stepper blew up at step {step}")
-        trace0[step], trace1[step] = _left_trace(r), _right_trace(r, absorbing)
+        traces[:, step] = _left_trace(r), _right_trace(r, absorbing)
         if step in snap_set:
             snapshots[step] = r.copy()
 
+    times = np.arange(n_steps + 1) * dt
+    k = rannacher_steps
+
+    def integral(trace, half):
+        start = np.cumsum(0.5 * np.diff(times[: k + 1]) * (half[0::2] + half[1::2]))
+        rest = cumulative_trapezoid(trace[k:], times[k:])[1:]
+        return np.concatenate([[0.0], start, start[-1] + rest])
+
     snaps = np.array([snapshots[int(s)] for s in snap_idx])
-    return snaps, trace0, trace1, np.array(half).T
+    half = np.array(half).T
+    return snaps, times, integral(traces[0], half[0]), integral(traces[1], half[1])
 
 
 def solve_interior(
@@ -574,26 +544,27 @@ def solve_interior(
 ) -> InteriorSolution:
     """Method-of-lines solve of the untransformed equation on the interior.
 
-    The time discretization is implicit trapezoidal stepping with fixed
-    dt = min(h, horizon/2000), whose first two steps are each split into
-    two backward-Euler half steps so rough initial data does not ring.
-    The generator A is a constant tridiagonal, so these same iterates are
-    computed modally: A is diagonalized once through its symmetric similar
-    form, and every snapshot and every per-step boundary trace is the
-    rational function of the eigenvalues that the steps apply. A time
-    stepper with one banded solve per step computes them instead when the
-    modal form is unsafe: when the off-diagonals of A differ in sign on
-    some face (as can happen above cell Peclet number 1), when the
-    symmetrizing scale spans more than a factor exp(11), whose spread
+    The generator A is a constant tridiagonal. It is diagonalized once
+    through its symmetric similar form, and each snapshot is e^(A t) r0,
+    exact in time; the boundary traces are integrated from 0 to each
+    snapshot in closed form, mode by mode. A time stepper runs instead
+    when the modal form is unsafe: when the off-diagonals of A differ in
+    sign on some face (as can happen above cell Peclet number 1), when
+    the symmetrizing scale spans more than a factor exp(11), whose spread
     amplifies rounding (see ``_MODAL_MAX_LOG_SPREAD``), or when the dense
-    eigenbasis would exceed 32 MiB. ``method`` on the result says which
-    ran. Inside the gate the modal snapshots and traces were measured
-    within 6.7e-10 of the stepper's, relative to their largest value, for
-    n up to 1601; 36 of 162 such cases exceed 1e-10.
+    eigenbasis would exceed 32 MiB. It takes implicit trapezoidal steps of
+    fixed dt, the first two each split into two backward-Euler half steps
+    so rough initial data does not ring. ``method`` on the result says
+    which ran.
+
+    On both paths dt = min(h, horizon/2000), shortened to divide the
+    horizon, and snapshot times are snapped to multiples of dt, so output
+    times do not depend on which path ran. Snapshots at t = 0 are the data
+    itself.
 
     Absorbing endpoints need no boundary rows; under one law a zero-flux
-    closure at x = 1 realizes the Robin condition there.
-    Snapshots carry quadratically extrapolated boundary traces in the
+    closure at x = 1 realizes the Robin condition there. Snapshots at
+    t > 0 carry quadratically extrapolated boundary traces in the
     endpoint slots.
     """
     r_initial = np.asarray(r_initial, dtype=float)
@@ -614,42 +585,43 @@ def solve_interior(
     A, lo, hi = _interior_operator(model, grid)
     r0 = r_initial[lo : hi + 1].copy()
     snap_idx = np.rint(times / dt).astype(int)
+    snap_times = snap_idx * dt
     absorbing = model.absorbs_at_1
     modes, spread = _modal_basis(*A)
     if modes is None:
-        method = "stepper"
-        snaps, trace0, trace1, half = _step_interior(A, absorbing, r0, dt, n_steps, snap_idx)
+        method, steps = "stepper", n_steps
+        snaps, grid_times, int0, int1 = _step_interior(
+            A, absorbing, r0, dt, n_steps, snap_idx
+        )
     else:
-        method = "modal"
-        snaps, weights, factors = _modal_snapshots(modes, absorbing, r0, dt, snap_idx)
-        del modes  # the m x m basis; the traces need only the weights
-        trace0, trace1, half = _modal_traces(weights, factors, absorbing, r0, n_steps)
+        method, steps = "modal", 0
+        grid_times = np.unique(np.append(snap_times, 0.0))
+        snaps, int0, int1 = _modal_solve(modes, absorbing, r0, snap_times, grid_times)
 
     # the NaN-safe comparison also rejects non-finite values
     limit = 1e6 * (float(np.max(np.abs(r0))) + 1.0)
-    if not all(np.all(np.abs(out) <= limit) for out in (snaps, trace0, trace1, half)):
+    if not all(np.all(np.abs(out) <= limit) for out in (snaps, int0, int1)):
         raise TimeStepError(f"interior {method} solve blew up")
 
     values = np.zeros((times.size, grid.n))
     values[:, lo : hi + 1] = snaps
     values[:, 0] = _left_trace(snaps)
     values[:, -1] = _right_trace(snaps, absorbing)
+    values[snap_idx == 0] = r_initial
 
-    traj = Trajectory(grid=grid, times=np.asarray(snap_idx, dtype=float) * dt, values=values)
     traces = BoundaryTraces(
-        times=np.arange(n_steps + 1) * dt,
-        at0=trace0,
-        at1=trace1,
+        times=grid_times,
+        integral0=int0,
+        integral1=int1,
         outflow=(model.g.derivative(0.0), -model.g.derivative(1.0) if absorbing else 0.0),
         psi_continuous=model.psi.continuous_tier,
-        half_steps=half,
     )
     return InteriorSolution(
-        trajectory=traj,
+        trajectory=Trajectory(grid=grid, times=snap_times, values=values),
         traces=traces,
         method=method,
         dt=dt,
-        steps=n_steps,
+        steps=steps,
         log_scale_spread=spread,
     )
 
@@ -695,11 +667,8 @@ def masses_from_boundary_flux(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Atom masses by time integration of the outflow through each end:
     a(t) = a0 + g'(0) int_0^t r(0, s) ds, b(t) = b0 - g'(1) int_0^t r(1, s) ds,
-    with the rates from ``traces.outflow`` (b stays b0 at a zero-flux end).
-
-    The integral follows the time scheme: each backward-Euler half step of
-    the Rannacher start removes (dt/2) times the outflow of the trace it
-    ends with, and the trapezoid rule covers the trapezoid steps.
+    with the rates from ``traces.outflow`` (b stays b0 at a zero-flux end)
+    and the integrals from the traces, on their time grid.
     Valid when the drift coefficient is continuous up to the boundary;
     tabulated-linear drifts are rejected (use the conservation form).
     Returns (times, a, b); the curves are nondecreasing whenever the
@@ -710,18 +679,8 @@ def masses_from_boundary_flux(
             "boundary-flux mass formulas need a continuous drift "
             "(cubic or expression-backed); use the conservation form"
         )
-    times = traces.times
-    k = traces.half_steps.shape[1] // 2  # steps of the Rannacher start
-
-    def integral(trace, half):
-        start = np.cumsum(0.5 * np.diff(times[: k + 1]) * (half[0::2] + half[1::2]))
-        rest = cumulative_trapezoid(trace[k:], times[k:])[1:]
-        return np.concatenate([[0.0], start, start[-1] + rest])
-
     out0, out1 = traces.outflow
-    a = a0 + out0 * integral(traces.at0, traces.half_steps[0])
-    b = b0 + out1 * integral(traces.at1, traces.half_steps[1])
-    return traces.times, a, b
+    return traces.times, a0 + out0 * traces.integral0, b0 + out1 * traces.integral1
 
 
 # ----------------------------------------------------------------------

@@ -376,8 +376,25 @@ class TestKimuraCommand:
             lines = _manifest_lines(out)
             assert f"diag.interior_method = {method}" in lines
             assert "diag.interior_dt = 0.00025" in lines
-            assert "diag.interior_steps = 2000" in lines
+            # the modal solve takes no steps; dt is only its snapping grid
+            steps = [ln for ln in lines if ln.startswith("diag.interior_steps")]
+            assert steps == (["diag.interior_steps = 2000"] if method == "stepper" else [])
             assert any(ln.startswith("diag.interior_log_scale_spread = ") for ln in lines)
+
+    def test_first_row_is_the_data(self, tmp_path):
+        # a delta on node 1 of 401: the t = 0 row holds the data's masses,
+        # not those of the trace extrapolated to x = 0 (atom0 -1.5, interior
+        # mass 2.5); the run still fails flux_vs_conservation_masses at
+        # t = 1 (0.836), the continuum flux formula on a delta beside x = 0
+        out = tmp_path / "delta"
+        argv = ["kimura", "--u0", "delta:0.0025", "--T", "1", "--times", "0,1"]
+        assert main(argv + ["--out", str(out)]) == 4
+        header, first = _read(out / "masses.csv").splitlines()[:2]
+        row = dict(zip(header.split(","), map(float, first.split(","))))
+        assert (row["atom0"], row["atom1"], row["interior_mass"]) == (0.0, 0.0, 1.0)
+        lines = _manifest_lines(out)
+        assert "check: atom_admissibility = 0.0 [pass]" in lines
+        assert any(ln.startswith("check: flux_vs_conservation_masses = 0.83") for ln in lines)
 
     def test_cell_peclet_warning(self, tmp_path, capsys):
         # psi = 400 on n = 101 nodes: max |psi| h / 2 = 2

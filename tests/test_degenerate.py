@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -306,7 +307,7 @@ class TestSolveInterior:
     def test_zero_data_stays_zero(self, neutral):
         sol = solve_interior(neutral, np.zeros(GRID.n), 1.0, [0.5, 1.0], GRID)
         assert np.max(np.abs(sol.trajectory.values)) == 0.0
-        assert np.max(np.abs(sol.traces.at0)) == 0.0
+        assert np.max(np.abs(sol.traces.integral0)) == 0.0
 
     def test_neutral_uniform_closed_form(self, neutral):
         # uniform data stays uniform and decays at rate 2 (g'' = -2)
@@ -416,22 +417,33 @@ def _relative(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def _assert_matches_stepper(model, sol, r_initial, grid, rtol):
-    """Compare a solve with the kept time stepper run on the same operator,
-    time step, step count and snapshot steps."""
-    A, lo, hi = degenerate._interior_operator(model, grid)
-    snap_idx = np.rint(sol.trajectory.times / sol.dt).astype(int)
-    snaps, at0, at1, half = degenerate._step_interior(
-        A, model.absorbs_at_1, r_initial[lo : hi + 1], sol.dt, sol.steps, snap_idx
-    )
-    assert _relative(sol.trajectory.values[:, lo : hi + 1], snaps) <= rtol
-    assert _relative(sol.traces.at0, at0) <= rtol
-    assert _relative(sol.traces.at1, at1) <= rtol
-    # both traces after each backward-Euler half step of the first two
-    # steps, relative to the size of each trace over the whole run
-    assert sol.traces.half_steps.shape == half.shape == (2, 2 * min(sol.steps, 2))
-    for modal, stepped, trace in zip(sol.traces.half_steps, half, (at0, at1)):
-        assert np.max(np.abs(modal - stepped)) <= rtol * np.max(np.abs(trace))
+def _dense_generator(model, grid):
+    """The interior generator A as a dense matrix, with its unknowns' range."""
+    (diag, lower, upper, cell), lo, hi = degenerate._interior_operator(model, grid)
+    return (np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)) / cell[:, None], lo, hi
+
+
+def _van_loan(model, grid, r_initial, times):
+    """Reference for a solve: e^(A t) r0 on the unknowns and both trace
+    integrals int_0^t l^T e^(A s) r0 ds, read off one dense exponential of
+    [[A, 0], [l^T, 0]] per time (Van Loan 1978, IEEE TAC 23:395-404)."""
+    A, lo, hi = _dense_generator(model, grid)
+    m = A.shape[0]
+    block = np.zeros((m + 2, m + 2))
+    block[:m, :m] = A
+    block[m, :3] = 3.0, -3.0, 1.0  # the extrapolated trace at x = 0
+    if model.absorbs_at_1:
+        block[m + 1, m - 3 : m] = 1.0, -3.0, 3.0
+    else:
+        block[m + 1, m - 1] = 1.0  # the last unknown sits on x = 1
+    r0 = r_initial[lo : hi + 1]
+    blocks = [scipy.linalg.expm(block * t)[:, :m] @ r0 for t in times]
+    return np.array([b[:m] for b in blocks]), np.array([b[m:] for b in blocks]).T, lo, hi
+
+
+def _forced_stepper(monkeypatch):
+    """Route every solve to the time stepper: no spread passes the gate."""
+    monkeypatch.setattr(degenerate, "_MODAL_MAX_LOG_SPREAD", -1.0)
 
 
 @pytest.mark.parametrize("name", list(MODAL_MODELS))
@@ -453,32 +465,108 @@ def test_interior_generator_loses_mass_only_at_absorbing_faces(name):
 
 
 class TestModalInterior:
-    """The modal solve reproduces the stepper's own iterates; inputs it
-    cannot reproduce accurately run the stepper."""
+    """The modal solve is exact in time on the discrete operator; the
+    stepper converges to it; inputs it cannot reconstruct accurately run
+    the stepper."""
+
+    # n = 101, T = 1: at most 4.4e-12 (psi = 20, delta at 0.3). Over
+    # n = 101..1601, Kimura psi = 12..20.5 and SIS R0 = 10, 20 with uniform
+    # data and deltas at 0.3 and 0.7, every Kimura case stays below 1.4e-11;
+    # SIS R0 = 20 reaches 1.7e-10 at n = 1601, where the slowest eigenvalue's
+    # error grows as n^2
+    @pytest.mark.parametrize("start", ["uniform", "delta"])
+    @pytest.mark.parametrize("name", list(MODAL_MODELS))
+    def test_matches_matrix_exponential(self, name, start):
+        model = MODAL_MODELS[name]()
+        grid = Grid(0.0, 1.0, 101)
+        r0 = _initial(start, grid)
+        sol = solve_interior(model, r0, 1.0, [0.01, 0.1, 1.0], grid)
+        assert sol.method == "modal" and sol.steps == 0
+        snaps, integrals, lo, hi = _van_loan(model, grid, r0, sol.trajectory.times)
+        assert _relative(sol.trajectory.values[:, lo : hi + 1], snaps) <= 1e-10
+        assert np.array_equal(sol.traces.times, [0.0, 0.01, 0.1, 1.0])
+        for got, want in zip((sol.traces.integral0, sol.traces.integral1), integrals):
+            assert got[0] == 0.0
+            assert _relative(got[1:], want) <= 1e-10
 
     @pytest.mark.parametrize("start", ["uniform", "delta"])
     @pytest.mark.parametrize("name", list(MODAL_MODELS))
-    def test_matches_stepper(self, name, start):
+    def test_matches_stepper(self, name, start, monkeypatch):
+        # the stepper is second order in time, so its snapshots and trace
+        # integrals approach the modal ones by a factor 4 per halving of dt
+        # (observed orders 1.93 to 2.04 from t = 0.1 on)
         model = MODAL_MODELS[name]()
         r0 = _initial(start, MODAL_GRID)
-        sol = solve_interior(model, r0, 1.0, [0.01, 0.1, 1.0], MODAL_GRID)
-        assert sol.method == "modal"
-        assert sol.steps == 2000
-        _assert_matches_stepper(model, sol, r0, MODAL_GRID, 1e-10)
+        times = [0.1, 0.5, 1.0]
+        modal = solve_interior(model, r0, 1.0, times, MODAL_GRID, dt=0.01)
+        assert modal.method == "modal"
+        _forced_stepper(monkeypatch)
+        snap_errors, integral_errors = [], []
+        for dt in (0.01, 0.005, 0.0025):
+            sol = solve_interior(model, r0, 1.0, times, MODAL_GRID, dt=dt)
+            assert sol.method == "stepper" and sol.steps == round(1.0 / dt)
+            assert np.array_equal(sol.trajectory.times, modal.trajectory.times)
+            snap_errors.append(_relative(sol.trajectory.values, modal.trajectory.values))
+            at = np.rint(modal.traces.times / dt).astype(int)
+            integral_errors.append(_relative(sol.traces.integral0[at], modal.traces.integral0))
+        for errors in (snap_errors, integral_errors):
+            orders = np.log2(np.array(errors[:-1]) / errors[1:])
+            assert np.all((orders > 1.85) & (orders < 2.15))
 
-    @pytest.mark.parametrize("steps", [1, 2, 3, 130, 131, 300])
-    def test_rannacher_start_and_chunk_edges(self, steps):
-        # steps 1 and 2 are backward-Euler pairs; traces come in chunks
+    @pytest.mark.parametrize("steps", [1, 2, 3, 300])
+    def test_rannacher_start(self, steps, monkeypatch):
+        # steps 1 and 2 are each two backward-Euler half steps, each
+        # integrated by (dt/2) times the trace it ends with; later steps
+        # are trapezoid steps under the trapezoid rule
+        _forced_stepper(monkeypatch)
         model = sis_model(2.0)
         r0 = _initial("delta", MODAL_GRID)
-        horizon = 0.01 * steps
-        sol = solve_interior(
-            model, r0, horizon, [0.0, 0.01, horizon], MODAL_GRID, dt=0.01
-        )
-        assert sol.method == "modal" and sol.steps == steps
-        assert sol.traces.at0.shape == (steps + 1,)
-        _assert_matches_stepper(model, sol, r0, MODAL_GRID, 1e-10)
-        assert np.array_equal(sol.trajectory.values[0, 1:], r0[1:])
+        dt = 0.01
+        sol = solve_interior(model, r0, dt * steps, [0.0, dt * steps], MODAL_GRID, dt=dt)
+        assert sol.method == "stepper" and sol.steps == steps
+        assert np.array_equal(sol.trajectory.values[0], r0)
+
+        A, lo, hi = _dense_generator(model, MODAL_GRID)
+        eye = np.eye(A.shape[0])
+        half_step = np.linalg.inv(eye - dt / 2 * A)
+        trapezoid = half_step @ (eye + dt / 2 * A)
+
+        def traces(v):  # extrapolated at x = 0; the last unknown sits on x = 1
+            return np.array([3 * v[0] - 3 * v[1] + v[2], v[-1]])
+
+        r = r0[lo : hi + 1]
+        expected = [np.zeros(2)]
+        for step in range(1, steps + 1):
+            if step <= 2:
+                total = expected[-1]
+                for _ in range(2):
+                    r = half_step @ r
+                    total = total + dt / 2 * traces(r)
+            else:
+                r_prev, r = r, trapezoid @ r
+                total = expected[-1] + dt / 2 * (traces(r_prev) + traces(r))
+            expected.append(total)
+        expected = np.array(expected).T
+        assert np.allclose(sol.traces.times, dt * np.arange(steps + 1), rtol=0, atol=1e-15)
+        assert _relative(sol.traces.integral0, expected[0]) <= 1e-12
+        assert _relative(sol.traces.integral1, expected[1]) <= 1e-12
+
+    @pytest.mark.parametrize("stepper", [False, True], ids=["modal", "stepper"])
+    def test_first_row_is_the_data(self, stepper, monkeypatch):
+        # a delta on node 1: the extrapolated trace 3 r1 - 3 r2 + r3 would
+        # put 3/h at x = 0, where the data hold 0
+        if stepper:
+            _forced_stepper(monkeypatch)
+        grid = Grid(0.0, 1.0, 401)
+        r0 = np.zeros(grid.n)
+        r0[1] = 1.0 / grid.h
+        model = kimura_model(constant_field(0.0))
+        sol = solve_interior(model, r0, 1.0, [0.0, 1.0], grid)
+        assert sol.method == ("stepper" if stepper else "modal")
+        assert np.array_equal(sol.trajectory.values[0], r0)
+        a, b = masses_from_conservation(sol.trajectory, r0, 0.0, 0.0, model.laws[1])
+        assert a[0] == 0.0 and b[0] == 0.0
+        assert a[1] == pytest.approx(0.99646, abs=1e-5)
 
     def test_wide_scale_spread_runs_stepper(self):
         grid = Grid(0.0, 1.0, 401)
@@ -545,11 +633,10 @@ class TestMassesFluxForm:
 
         traces = BoundaryTraces(
             times=np.linspace(0, 1, 11),
-            at0=np.zeros(11),
-            at1=np.zeros(11),
+            integral0=np.zeros(11),
+            integral1=np.zeros(11),
             outflow=(1.0, 1.0),
             psi_continuous=True,
-            half_steps=np.zeros((2, 4)),
         )
         _, a, b = masses_from_boundary_flux(traces, 0.3, 0.4)
         assert np.all(a == 0.3)
@@ -560,8 +647,8 @@ class TestMassesFluxForm:
 
         times = np.linspace(0, 2, 21)
         traces = BoundaryTraces(
-            times=times, at0=np.full(21, 0.5), at1=np.zeros(21), outflow=(1.0, 1.0),
-            psi_continuous=True, half_steps=np.array([np.full(4, 0.5), np.zeros(4)]),
+            times=times, integral0=0.5 * times, integral1=np.zeros(21), outflow=(1.0, 1.0),
+            psi_continuous=True,
         )
         _, a, _ = masses_from_boundary_flux(traces, 0.1, 0.0)
         assert np.max(np.abs(a - (0.1 + 0.5 * times))) <= 1e-12
@@ -604,25 +691,23 @@ class TestOutflow:
         assert sol.traces.outflow == (0.5 * (R0 + 1), 0.0)
 
     def test_sis_flux_atom_closed_form(self):
-        # a(t) = a0 + (R0 + 1)/2 int_0^t r(0, s) ds, with g'(0) = (R0 + 1)/2;
-        # each of the four backward-Euler half steps that start the time
-        # scheme removes (dt/2) g'(0) times its own end trace, and the
-        # trapezoid steps after them the trapezoid rule's share
+        # a(t) = a0 + (R0 + 1)/2 int_0^t r(0, s) ds, with g'(0) = (R0 + 1)/2,
+        # on the snapshot times; the trace at x = 1 is integrated but
+        # carries no outflow
         grid = Grid(0.0, 1.0, 201)
         sol = solve_interior(sis_model(2.0), np.ones(grid.n), 2.0, [0.0, 1.0, 2.0], grid)
         tf, a, b = masses_from_boundary_flux(sol.traces, 0.1, 0.2)
-        half = sol.traces.half_steps[0]
-        start = np.cumsum(0.5 * np.diff(tf[:3]) * (half[0::2] + half[1::2]))
-        rest = cumulative_trapezoid(sol.traces.at0[2:], tf[2:])[1:]
-        expected = 0.1 + 0.5 * (2.0 + 1.0) * np.concatenate([[0.0], start, start[-1] + rest])
-        assert np.array_equal(tf, sol.traces.times)
-        assert np.array_equal(a, expected)
+        assert np.array_equal(tf, [0.0, 1.0, 2.0])
+        assert np.array_equal(a, 0.1 + 0.5 * (2.0 + 1.0) * sol.traces.integral0)
+        assert np.all(sol.traces.integral1[1:] > 0)
         assert np.all(b == 0.2)  # no atom grows at the zero-flux end
 
-    def test_start_integrated_by_half_steps(self):
-        # the half steps are the scheme's own: integrating them by their
-        # right ends, not the first two full steps by the trapezoid rule,
-        # keeps the total mass at R0 = 10 (3.0e-4 drift before, 8.1e-7 now)
+    def test_start_integrated_by_half_steps(self, monkeypatch):
+        # on the stepper path the half steps are the scheme's own:
+        # integrating them by their right ends, not the first two full steps
+        # by the trapezoid rule, keeps the total mass at R0 = 10 (3.0e-4
+        # drift the other way, 8.1e-7 this way)
+        _forced_stepper(monkeypatch)
         grid = Grid(0.0, 1.0, 401)
         sol = solve_interior(sis_model(10.0), np.ones(grid.n), 10.0, [0.0, 1.0, 10.0], grid)
         ta, a, _ = masses_from_boundary_flux(sol.traces, 0.0, 0.0)
@@ -636,8 +721,8 @@ class TestSisAtomMass:
         from conspar.degenerate import BoundaryTraces
 
         traces = BoundaryTraces(
-            times=np.linspace(0, 1, 5), at0=np.zeros(5), at1=np.zeros(5), outflow=(1.5, 0.0),
-            psi_continuous=True, half_steps=np.zeros((2, 4)),
+            times=np.linspace(0, 1, 5), integral0=np.zeros(5), integral1=np.zeros(5),
+            outflow=(1.5, 0.0), psi_continuous=True,
         )
         _, a, _ = masses_from_boundary_flux(traces, 0.25, 0.0)
         assert np.all(a == 0.25)
@@ -648,8 +733,8 @@ class TestSisAtomMass:
         times = np.linspace(0, 3, 31)
         c, R0 = 0.4, 2.0
         traces = BoundaryTraces(
-            times=times, at0=np.full(31, c), at1=np.zeros(31), outflow=(0.5 * (R0 + 1), 0.0),
-            psi_continuous=True, half_steps=np.array([np.full(4, c), np.zeros(4)]),
+            times=times, integral0=c * times, integral1=c * times,
+            outflow=(0.5 * (R0 + 1), 0.0), psi_continuous=True,
         )
         _, a, _ = masses_from_boundary_flux(traces, 0.0, 0.0)
         assert np.max(np.abs(a - (R0 + 1) / 2 * c * times)) <= 1e-12

@@ -44,14 +44,20 @@ PSI_TABLE = "x,value\n" + "".join(
     f"{i / 20!r},{1.0 - 2.0 * (i / 20) + 0.05 * (-1) ** i!r}\n" for i in range(21)
 )
 
+# kimura-plot, kimura-delta, kimura-table, sis-plot and the validate
+# digest were re-recorded when the modal interior solve began evolving
+# each mode by exp(lambda t) instead of the time scheme's rational
+# factors (n = 101, dt = min(h, T/2000)): densities moved by at most
+# 2.3e-5, masses by at most 2.3e-5 (kimura-delta at t = 1), sis-plot by
+# at most 4.7e-6, and the validate report's atoms by at most 7.1e-7
 SOLVER_GOLDEN = {
     "kimura-plot": (
         ["kimura", "--n", "101", "--psi", "1-2*x", "--emit_plot_data", "true"],
-        "1878bb493bf9c4939da4059d6c426e12986fbebac8df12acf3d007bdd3532f83",
+        "98a663d62b57d0b760827a6a1fad849f4e04e17a653c0c0ddbf1591389992427",
     ),
     "kimura-delta": (
         ["kimura", "--n", "101", "--u0", "delta:0.3", "--T", "20", "--times", "1,5,20"],
-        "626a491767e32b5e6bb3d47cd487cdb93e67dcaafb303a2606cb7874a4794f80",
+        "119e9fd0cde83c641853f8ef94af00882f5a6cb0137434a91f35af3af284d040",
     ),
     # these two and sis-regularized were re-recorded when the regularized
     # solves began computing only the modes alive at the first positive
@@ -68,19 +74,16 @@ SOLVER_GOLDEN = {
     ),
     "kimura-table": (
         ["kimura", "--n", "101", "--psi_table", "{table}"],
-        "f198f273260b317d4592bdacdff955e5ac8d4375c6d647f360257d294ad4d0da",
+        "71acc4de959c4ff7b8a80879f7c22beba3581999fa08ff257c1211778f24f1f3",
     ),
     # symmetrizing scale spread 12.97 > 11: the time stepper runs
     "kimura-stepper": (
         ["kimura", "--n", "201", "--psi", "25", "--T", "0.5", "--times", "0,0.1,0.5"],
         "18ca0cdd151c7a8c16aed446184193b4283f7522414f53c1c557524227cfcc48",
     ),
-    # re-recorded when the flux atom began integrating the backward-Euler
-    # half steps of the time scheme's start by their own end traces: atom0,
-    # total_mass and phi_moment moved by at most 5.5e-5, densities not at all
     "sis-plot": (
         ["sis", "--n", "101", "--emit_plot_data", "true"],
-        "99c65953c0668194cb413901061c563859fb28c5c78aeaed48e74ba473b94cb8",
+        "4fc1659d3abb0f3c9c4850f03b313faf624f93bd3143446e70e45e5d6595bf26",
     ),
     # re-recorded when the zero-flux end x = 1 stopped giving up a half-cell
     # atom that the run then dropped: r at x = 1 moved by at most 4.1e-6
@@ -109,7 +112,7 @@ VALIDATE_RUNS = {
     "mc": ["oracle", "--x0", "0.3", "--T", "5", "--times", "1,5", "--dt", "5e-4",
            "--replicates", "2000", "--seed", "4"],
 }
-VALIDATE_DIGEST = "7accb4c27380569d721d3877ba1af25a8201bfe51377cbd4b63b22fdb933c644"
+VALIDATE_DIGEST = "82b8d78672fc34244da6673536f21736c00a00fd0aec901a918d456cdc8aa58f"
 
 # manifest lines a solver golden must also carry
 MANIFEST_LINES = {"kimura-stepper": ["diag.interior_method = stepper"]}
