@@ -22,11 +22,15 @@ off the integrals of the interior boundary traces (requires continuous
 psi); half-cell excess extraction is available as a secondary
 diagnostic.
 
-The strong interior solution evolves the method-of-lines system exactly
-in time, mode by mode, from one eigendecomposition of the symmetrized
-tridiagonal generator; the trace integrals follow in closed form. A
-Rannacher-started trapezoidal time stepper with one banded solve per step
-runs instead when the generator cannot be symmetrized accurately (see
+The strong interior solution is the eps = 0 member of the same family:
+the flux p v' in v = g r / p through each face uses the regularized
+operator's harmonic mean of p, so the discrete scheme keeps both laws and
+both off-diagonals of its tridiagonal generator stay positive at every
+drift. It evolves exactly in time, mode by mode, from one
+eigendecomposition of the generator symmetrized by sqrt(cell g / p); the
+trace integrals follow in closed form. A Rannacher-started trapezoidal
+time stepper with one banded solve per step runs instead when that scale
+spreads too widely for an accurate reconstruction (see
 ``solve_interior``).
 """
 
@@ -344,7 +348,8 @@ class InteriorSolution:
     integrals, with how they were computed ("modal" or "stepper"), the
     time step (the grid snapshot times are snapped to on either path), the
     steps the stepper took (0 on the modal path) and the spread of the
-    symmetrizing log-scale."""
+    symmetrizing log-scale, max - min of log sqrt(cell g / p) over the
+    unknowns."""
 
     trajectory: Trajectory
     traces: BoundaryTraces
@@ -356,24 +361,17 @@ class InteriorSolution:
 
 def _interior_operator(model: DegenerateModel, grid: Grid):
     """Tridiagonal generator of dr/dt = (flux differences) on the unknown
-    nodes. An absorbing end carries no unknown (its flux factor vanishes);
-    under one law the last unknown sits on x = 1 in a half cell whose
-    outer face carries zero flux."""
-    nodes = grid.nodes
-    h = grid.h
-    g_nodes = sample_field(model.g, grid)
-    half = 0.5 * (nodes[:-1] + nodes[1:])
-    psi_half = np.asarray(model.psi(grid.reference(half)), dtype=float)
-    peclet = float(np.max(np.abs(psi_half))) * h / 2
-    if peclet > 1.0:
-        warnings.warn(
-            f"cell Peclet number max|psi|*h/2 = {peclet:.3g} exceeds 1; the "
-            "interior stencil may lose positivity (refine n)",
-            stacklevel=3,
-        )
+    nodes, and s = g/p there. The flux through face i+1/2 is
+    K_i (v_{i+1} - v_i) in v = s r, with K_i = 1 / int 1/p over the cell:
+    the regularized operator's harmonic-mean off-diagonal at eps = 0, exact
+    for a flux p v' constant on the cell. An absorbing end carries no
+    unknown (s vanishes there); under one law the last unknown sits on
+    x = 1 in a half cell whose outer face carries zero flux."""
+    K = assemble(model.p, constant_field(0.0), constant_field(1.0), grid).off_diagonal
+    s = sample_field(model.g, grid) / sample_field(model.p, grid)
     # flux through face i+1/2 written as alpha_i r_i + beta_i r_{i+1}
-    alpha = -g_nodes[:-1] / h - psi_half * g_nodes[:-1] / 2
-    beta = g_nodes[1:] / h - psi_half * g_nodes[1:] / 2
+    alpha = -K * s[:-1]
+    beta = K * s[1:]
 
     lo, hi = 1, (grid.n - 2 if model.absorbs_at_1 else grid.n - 1)  # unknowns
     # d r_i/dt = (F_{i+1/2} - F_{i-1/2}) / cell_i. Terms in r at an absorbing
@@ -382,7 +380,7 @@ def _interior_operator(model: DegenerateModel, grid: Grid):
     lower = -alpha[lo:hi]
     upper = beta[lo:hi]
     cell = grid.cell_weights()[lo : hi + 1]
-    return (diag, lower, upper, cell), lo, hi
+    return (diag, lower, upper, cell), s[lo : hi + 1], lo, hi
 
 
 def _banded(diag, lower, upper, scale, shift, factor):
@@ -413,45 +411,39 @@ def _right_trace(r, absorbing):
 # of the snapshots and trace integrals relative to a dense matrix
 # exponential (scipy expm of A t and of the Van Loan block), at n = 401,
 # T = 1, snapshots 0.01, 0.1 and 1, uniform data and deltas at 0.3 and
-# 0.7, Kimura psi = 20 to 50: 6.1e-12 at spread 10.95 (psi = 20), 6.9e-12
-# at 11.4, 6.6e-11 at 13.3, 6.5e-10 at 15.8, 1.9e-8 at 19.6 and 1.1e-6 at
-# 25.5 (psi = 50). Inside the gate, over n = 101..1601 with Kimura psi =
-# 12..20.5 and SIS R0 = 10 and 20 (105 modal cases), every Kimura case
-# stays below 1.4e-11. The largest is 1.7e-10 (SIS R0 = 20, n = 1601,
-# spread 2.66); it grows with t and as n^2 at fixed spread, like the
-# eigensolver's error on the slowest eigenvalue (1.6e-10 relative there,
-# against a long-double inverse iteration).
+# 0.7, Kimura psi = 20 to 50: 6.0e-12 at spread 10.95 (psi = 20), 1.8e-11
+# at 11.9, 6.8e-11 at 13.3, 1.7e-10 at 15.7, 1.2e-9 at 18.2, 2.1e-8 at
+# 20.6 and 6.5e-6 at 25.5 (psi = 50). Inside the gate, over n = 101..1601
+# with Kimura psi = 12..20.5 and SIS R0 = 10 and 20 (105 modal cases),
+# every Kimura case stays below 1.6e-11. The largest is 1.75e-10 (SIS
+# R0 = 20, n = 1601, spread 2.66); at fixed spread it grows with n (SIS
+# R0 = 20 reads 5.9e-12, 2.1e-11 and 1.75e-10 at n = 401, 801 and 1601),
+# like the eigensolver's error on the slowest eigenvalue.
 _MODAL_MAX_LOG_SPREAD = 11.0
 _MODAL_MAX_BASIS_BYTES = 2**25  # the dense m x m eigenbasis (m <= 2048)
 
 
-def _modal_basis(diag, lower, upper, cell):
+def _modal_basis(diag, upper, cell, s):
     """Diagonalize A through its symmetric similar form, if that is safe.
 
-    A (rows scaled by 1/cell) is similar to a symmetric tridiagonal when
-    its off-diagonals have the same sign on every face; D then has
-    d_{j+1}/d_j = sqrt(A[j, j+1] / A[j+1, j]), built in log space.
-    Returns ((lam, Q, d), spread of log d) with A = D^-1 Q diag(lam) Q^T D;
-    the first item is None when the signs differ (spread NaN), the spread
-    is too wide for an accurate reconstruction, or the dense basis would
-    exceed its memory budget.
+    A = C^-1 T S, with C the cells, S = diag(s) and T symmetric
+    tridiagonal, so D = sqrt(C S) makes D A D^-1 symmetric. Returns
+    ((lam, Q, d), spread of log d) with A = D^-1 Q diag(lam) Q^T D; the
+    first item is None when the spread is too wide for an accurate
+    reconstruction or the dense basis would exceed its memory budget.
     """
-    a_up = upper / cell[:-1]
-    a_lo = lower / cell[1:]
-    if not np.all(a_up * a_lo > 0):
-        return None, float("nan")
-    log_d = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (np.log(np.abs(a_up)) - np.log(np.abs(a_lo))))]
-    )
+    log_d = 0.5 * np.log(cell * s)
     top, bottom = float(log_d.max()), float(log_d.min())
     spread = top - bottom
     m = diag.size
     if spread > _MODAL_MAX_LOG_SPREAD or 8 * m * m > _MODAL_MAX_BASIS_BYTES:
         return None, spread
-    off = np.sign(a_up) * np.sqrt(a_up * a_lo)
+    d = np.exp(log_d - 0.5 * (top + bottom))
     # MRRR needs O(m) workspace; divide and conquer would hold another m x m
-    lam, Q = scipy.linalg.eigh_tridiagonal(diag / cell, off, lapack_driver="stemr")
-    return (lam, Q, np.exp(log_d - 0.5 * (top + bottom))), spread
+    lam, Q = scipy.linalg.eigh_tridiagonal(
+        diag / cell, upper / cell[:-1] * d[:-1] / d[1:], lapack_driver="stemr"
+    )
+    return (lam, Q, d), spread
 
 
 def _modal_solve(modes, absorbing, r0, snap_times, grid_times):
@@ -544,18 +536,17 @@ def solve_interior(
 ) -> InteriorSolution:
     """Method-of-lines solve of the untransformed equation on the interior.
 
-    The generator A is a constant tridiagonal. It is diagonalized once
-    through its symmetric similar form, and each snapshot is e^(A t) r0,
-    exact in time; the boundary traces are integrated from 0 to each
-    snapshot in closed form, mode by mode. A time stepper runs instead
-    when the modal form is unsafe: when the off-diagonals of A differ in
-    sign on some face (as can happen above cell Peclet number 1), when
-    the symmetrizing scale spans more than a factor exp(11), whose spread
-    amplifies rounding (see ``_MODAL_MAX_LOG_SPREAD``), or when the dense
-    eigenbasis would exceed 32 MiB. It takes implicit trapezoidal steps of
-    fixed dt, the first two each split into two backward-Euler half steps
-    so rough initial data does not ring. ``method`` on the result says
-    which ran.
+    The generator A is a constant tridiagonal with positive off-diagonals
+    (see ``_interior_operator``). It is diagonalized once through its
+    symmetric similar form, and each snapshot is e^(A t) r0, exact in
+    time; the boundary traces are integrated from 0 to each snapshot in
+    closed form, mode by mode. A time stepper runs instead when the modal
+    form is unsafe: when the symmetrizing scale spans more than a factor
+    exp(11), whose spread amplifies rounding (see
+    ``_MODAL_MAX_LOG_SPREAD``), or when the dense eigenbasis would exceed
+    32 MiB. It takes implicit trapezoidal steps of fixed dt, the first two
+    each split into two backward-Euler half steps so rough initial data
+    does not ring. ``method`` on the result says which ran.
 
     On both paths dt = min(h, horizon/2000), shortened to divide the
     horizon, and snapshot times are snapped to multiples of dt, so output
@@ -582,12 +573,13 @@ def solve_interior(
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     dt = horizon / n_steps
 
-    A, lo, hi = _interior_operator(model, grid)
+    A, s, lo, hi = _interior_operator(model, grid)
     r0 = r_initial[lo : hi + 1].copy()
     snap_idx = np.rint(times / dt).astype(int)
     snap_times = snap_idx * dt
     absorbing = model.absorbs_at_1
-    modes, spread = _modal_basis(*A)
+    diag, _, upper, cell = A
+    modes, spread = _modal_basis(diag, upper, cell, s)
     if modes is None:
         method, steps = "stepper", n_steps
         snaps, grid_times, int0, int1 = _step_interior(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,7 +40,7 @@ from conspar.fields import (
     field_from_table,
     fixation_probability,
 )
-from conspar.sturm import Grid, eigensolve, evolve
+from conspar.sturm import Grid, eigensolve, evolve, sample_field
 
 GRID = Grid(0.0, 1.0, 401)
 
@@ -419,7 +421,7 @@ def _relative(a, b):
 
 def _dense_generator(model, grid):
     """The interior generator A as a dense matrix, with its unknowns' range."""
-    (diag, lower, upper, cell), lo, hi = degenerate._interior_operator(model, grid)
+    (diag, lower, upper, cell), _, lo, hi = degenerate._interior_operator(model, grid)
     return (np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)) / cell[:, None], lo, hi
 
 
@@ -446,22 +448,52 @@ def _forced_stepper(monkeypatch):
     monkeypatch.setattr(degenerate, "_MODAL_MAX_LOG_SPREAD", -1.0)
 
 
-@pytest.mark.parametrize("name", list(MODAL_MODELS))
+# two-law drifts beyond MODAL_MODELS, up to cell Peclet number
+# max |psi| h / 2 = 2 at n = 101, where a central flux loses the fixation law
+STEEP_MODELS = {
+    f"psi={expr}": (lambda expr=expr: kimura_model(field_from_expression(expr)))
+    for expr in ("100", "20*sin(6*x)", "-40*(x-0.5)", "400")
+}
+
+
+def _column_sums(weights, diag, lower, upper):
+    """Column sums of the unscaled flux-difference matrix with row i
+    weighted by weights[i]."""
+    sums = weights * diag
+    sums[1:] += weights[:-1] * upper
+    sums[:-1] += weights[1:] * lower
+    return sums
+
+
+@pytest.mark.parametrize("name", list(MODAL_MODELS) + list(STEEP_MODELS))
 def test_interior_generator_loses_mass_only_at_absorbing_faces(name):
     """Each column of the unscaled flux-difference matrix sums to the mass
     that leaves the domain from that unknown: nothing, except next to an
-    absorbing end, which is x = 0 always and x = 1 under two laws."""
-    model = MODAL_MODELS[name]()
-    (diag, lower, upper, _), _, _ = degenerate._interior_operator(model, MODAL_GRID)
-    sums = diag.copy()
-    sums[1:] += upper
-    sums[:-1] += lower
-    leaks = np.abs(sums) > 1e-12 * np.abs(diag).max()
-    expected = np.zeros(diag.size, dtype=bool)
-    expected[0] = True
-    expected[-1] = len(model.laws) == 2
-    assert np.array_equal(leaks, expected)
-    assert np.all(sums[leaks] < 0)
+    absorbing end, which is x = 0 always and x = 1 under two laws. Under
+    two laws the fixation probability phi is the second law, and the
+    phi-weighted sums vanish except at x = 1, since phi(0) = 0."""
+    model = {**MODAL_MODELS, **STEEP_MODELS}[name]()
+    two_laws = len(model.laws) == 2
+    # expression drifts read at most 9.4e-16 (n = 101..401); the table's
+    # phi comes from fixation_probability's quadrature of a kinked psi, which
+    # matches the operator's cell integrals of 1/p to 5.2e-11 at n = 201
+    law_tol = 1e-10 if name == "psi=table" else 1e-14
+    for n in (101, 201, 401) if name in STEEP_MODELS else (MODAL_GRID.n,):
+        grid = Grid(0.0, 1.0, n)
+        (diag, lower, upper, _), _, lo, hi = degenerate._interior_operator(model, grid)
+        sums = _column_sums(np.ones(diag.size), diag, lower, upper)
+        leaks = np.abs(sums) > 1e-12 * np.abs(diag).max()
+        expected = np.zeros(diag.size, dtype=bool)
+        expected[0] = True
+        expected[-1] = two_laws
+        assert np.array_equal(leaks, expected)
+        assert np.all(sums[leaks] < 0)
+        if two_laws:
+            phi = sample_field(model.laws[1], grid)[lo : hi + 1]
+            # each sum relative to its column's diagonal term
+            phi_sums = _column_sums(phi, diag, lower, upper) / np.abs(phi * diag)
+            assert np.max(np.abs(phi_sums[:-1])) <= law_tol
+            assert phi_sums[-1] < -0.1
 
 
 class TestModalInterior:
@@ -469,11 +501,11 @@ class TestModalInterior:
     stepper converges to it; inputs it cannot reconstruct accurately run
     the stepper."""
 
-    # n = 101, T = 1: at most 4.4e-12 (psi = 20, delta at 0.3). Over
+    # n = 101, T = 1: at most 1.3e-12 (psi = 20, delta at 0.3). Over
     # n = 101..1601, Kimura psi = 12..20.5 and SIS R0 = 10, 20 with uniform
-    # data and deltas at 0.3 and 0.7, every Kimura case stays below 1.4e-11;
-    # SIS R0 = 20 reaches 1.7e-10 at n = 1601, where the slowest eigenvalue's
-    # error grows as n^2
+    # data and deltas at 0.3 and 0.7, every Kimura case stays below 1.6e-11;
+    # SIS R0 = 20 reaches 1.75e-10 at n = 1601, where the slowest
+    # eigenvalue's error grows with n
     @pytest.mark.parametrize("start", ["uniform", "delta"])
     @pytest.mark.parametrize("name", list(MODAL_MODELS))
     def test_matches_matrix_exponential(self, name, start):
@@ -576,15 +608,18 @@ class TestModalInterior:
         assert sol.method == "stepper"
         assert sol.log_scale_spread == pytest.approx(25.5, abs=0.1)
 
-    def test_sign_change_runs_stepper(self):
-        # cell Peclet number 2: the upper diagonal changes sign
+    def test_steep_drift_runs_stepper_nonnegative(self):
+        # psi = 400 on 101 nodes: both off-diagonals stay positive, and the
+        # stepper runs because the symmetrizing scale spans exp(196)
         grid = Grid(0.0, 1.0, 101)
-        with pytest.warns(UserWarning, match="Peclet"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sol = solve_interior(
-                kimura_model(constant_field(400.0)), np.ones(grid.n), 0.1, [0.1], grid
+                kimura_model(constant_field(400.0)), np.ones(grid.n), 1.0, [0.1, 1.0], grid
             )
         assert sol.method == "stepper"
-        assert np.isnan(sol.log_scale_spread)
+        assert sol.log_scale_spread == pytest.approx(196.0, abs=0.1)
+        assert np.all(sol.trajectory.values >= 0)
 
 
 class TestMassesConservationForm:

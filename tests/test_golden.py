@@ -49,15 +49,22 @@ PSI_TABLE = "x,value\n" + "".join(
 # each mode by exp(lambda t) instead of the time scheme's rational
 # factors (n = 101, dt = min(h, T/2000)): densities moved by at most
 # 2.3e-5, masses by at most 2.3e-5 (kimura-delta at t = 1), sis-plot by
-# at most 4.7e-6, and the validate report's atoms by at most 7.1e-7
+# at most 4.7e-6, and the validate report's atoms by at most 7.1e-7.
+# The same five, kimura-stepper and the validate digest were re-recorded
+# when the interior flux became K_i (v_{i+1} - v_i) in v = g r / p, with
+# K the regularized operator's harmonic mean of p: kimura-plot moved by at
+# most 6.6e-6, kimura-table by 9.2e-6, sis-plot by 1.2e-5 (masses 1.1e-5),
+# kimura-stepper's densities by 4.2e-3 of a 4.45 peak and its masses by
+# 2.7e-4; the psi = 0 runs (kimura-delta, validate) by at most 1.6e-13,
+# the rounding of K_i = 1/int 1 by doubling Simpson against 1/h
 SOLVER_GOLDEN = {
     "kimura-plot": (
         ["kimura", "--n", "101", "--psi", "1-2*x", "--emit_plot_data", "true"],
-        "98a663d62b57d0b760827a6a1fad849f4e04e17a653c0c0ddbf1591389992427",
+        "039c20d8a644c2dfea8f674e05a90dcf7d8b4d49ea73c3744b5b7aec2d14696f",
     ),
     "kimura-delta": (
         ["kimura", "--n", "101", "--u0", "delta:0.3", "--T", "20", "--times", "1,5,20"],
-        "119e9fd0cde83c641853f8ef94af00882f5a6cb0137434a91f35af3af284d040",
+        "4816b203fcea3a6916c59f71de8f0a419ada381067a3abf567d2fc0272dec207",
     ),
     # these two and sis-regularized were re-recorded when the regularized
     # solves began computing only the modes alive at the first positive
@@ -74,16 +81,16 @@ SOLVER_GOLDEN = {
     ),
     "kimura-table": (
         ["kimura", "--n", "101", "--psi_table", "{table}"],
-        "71acc4de959c4ff7b8a80879f7c22beba3581999fa08ff257c1211778f24f1f3",
+        "42247ab2677abcbd4671b5a71f5d992aafcfc0a98df87901b9446e96056fc5e4",
     ),
-    # symmetrizing scale spread 12.97 > 11: the time stepper runs
+    # symmetrizing scale spread 12.96 > 11: the time stepper runs
     "kimura-stepper": (
         ["kimura", "--n", "201", "--psi", "25", "--T", "0.5", "--times", "0,0.1,0.5"],
-        "18ca0cdd151c7a8c16aed446184193b4283f7522414f53c1c557524227cfcc48",
+        "92a402a6a79cb46b1dc74184f42379cef22724a03692b8ca28cf0eda719f4ff4",
     ),
     "sis-plot": (
         ["sis", "--n", "101", "--emit_plot_data", "true"],
-        "4fc1659d3abb0f3c9c4850f03b313faf624f93bd3143446e70e45e5d6595bf26",
+        "eb216dedff082d0702fe99829c717dad444605ddd3c5768196f241e9c3ffaeff",
     ),
     # re-recorded when the zero-flux end x = 1 stopped giving up a half-cell
     # atom that the run then dropped: r at x = 1 moved by at most 4.1e-6
@@ -112,7 +119,7 @@ VALIDATE_RUNS = {
     "mc": ["oracle", "--x0", "0.3", "--T", "5", "--times", "1,5", "--dt", "5e-4",
            "--replicates", "2000", "--seed", "4"],
 }
-VALIDATE_DIGEST = "82b8d78672fc34244da6673536f21736c00a00fd0aec901a918d456cdc8aa58f"
+VALIDATE_DIGEST = "3d57bdc1deb0456504242d4167076dbf5e416dae4ce2a7d1ef55bbc3e9fa133d"
 
 # manifest lines a solver golden must also carry
 MANIFEST_LINES = {"kimura-stepper": ["diag.interior_method = stepper"]}
