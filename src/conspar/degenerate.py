@@ -36,6 +36,7 @@ spreads too widely for an accurate reconstruction (see
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -68,6 +69,7 @@ from .sturm import (
     Trajectory,
     assemble,
     conservation_row,
+    count_below,
     eigensolve,
     evolve,
     sample_field,
@@ -218,12 +220,13 @@ def solve_regularized(
     transformed back; every law's moment is conserved along the way.
 
     Only the modes alive at the first positive snapshot t_min are
-    computed: k starts at min(n, 16) and grows fourfold, on the same
-    operator, while exp(-lambda_k t_min) > 2^-53 and k < n. The basis is
-    M-orthonormal and ordered, so at every t >= t_min the dropped modes
-    have weighted norm at most exp(-lambda_k t) ||v0||_M, the bound that
-    ``v_trajectory.truncation_error`` reports. Snapshots at t = 0 are the
-    data itself, with no truncation.
+    computed, in one eigensolve: k is one more than the number of
+    eigenvalues below 53 ln 2 / t_min (counted by ``count_below``), so
+    exp(-lambda_k t_min) <= 2^-53, and never fewer than min(n, 16). The
+    basis is M-orthonormal and ordered, so at every t >= t_min the dropped
+    modes have weighted norm at most exp(-lambda_k t) ||v0||_M, the bound
+    that ``v_trajectory.truncation_error`` reports. Snapshots at t = 0 are
+    the data itself, with no truncation.
     """
     u_initial = np.asarray(u_initial, dtype=float)
     if u_initial.shape != (grid.n,):
@@ -233,14 +236,9 @@ def solve_regularized(
         raise ArgumentError("snapshot times must be nonnegative")
     op, coupling, p_vals, g_vals = regularized_system(model, eps, grid)
     v0 = to_selfadjoint(u_initial, g_vals, p_vals)
-    k = min(grid.n, _FIRST_MODES)
-    eig = eigensolve(op, coupling, k)
-    later = times[times > 0]
-    if later.size:
-        t_min = later.min()
-        while k < grid.n and np.exp(-eig.eigenvalues[-1] * t_min) > 2.0**-53:
-            k = min(grid.n, 4 * k)
-            eig = eigensolve(op, coupling, k)
+    later = times[times > 0]  # keep every mode below 53 ln 2 / t_min, and the next one
+    alive = count_below(op, coupling, 53 * math.log(2.0) / float(later.min())) if later.size else 0
+    eig = eigensolve(op, coupling, min(grid.n, max(_FIRST_MODES, alive + 1)))
     evolved = evolve(eig, v0, times)
     at_zero = times == 0
     v_values = evolved.values

@@ -357,20 +357,10 @@ def _dense_eigh(diag, off, corner, k):
         raise EigensolveError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _shift_invert_eigh(diag, off, corner, k):
-    """The k smallest eigenpairs of T by shift-invert Lanczos (ARPACK).
-
-    The shift sigma must lie below the whole spectrum, so that the k
-    eigenvalues nearest to it are the k smallest, even when q > 0 makes
-    some negative. Shifts are tried from -s downwards by factors of 4,
-    s = max|T_ii| / (n - 1)^2 being the operator's eigenvalue scale. The
-    first whose LDL^T factorization of T - sigma I has only positive
-    pivots is taken: by Sylvester's law of inertia no eigenvalue lies
-    below it. (A Gershgorin bound would also do, but the corner terms put
-    it about 4/h below the spectrum, and a shift that far away slows
-    Lanczos.) The start vector is fixed, so two identical calls agree to
-    the bit.
-    """
+def _shifted_ldl(diag, off, corner, sigma):
+    """T - sigma I in sparse form, its LDL^T factors in natural order, and
+    the count of negative pivots, by Sylvester's law of inertia the number
+    of eigenvalues of T below sigma; None when a zero pivot made SuperLU reorder."""
     import scipy.sparse  # first use only: most runs never take this path
     import scipy.sparse.linalg
 
@@ -378,25 +368,42 @@ def _shift_invert_eigh(diag, off, corner, k):
     idx = np.arange(n)
     rows = np.concatenate([idx, idx[:-1], idx[1:], [0, n - 1]])
     cols = np.concatenate([idx, idx[1:], idx[:-1], [n - 1, 0]])
-    scale = np.abs(diag).max() / (n - 1) ** 2
+    shifted = scipy.sparse.csc_matrix(
+        (np.concatenate([diag - sigma, off, off, [corner, corner]]), (rows, cols)),
+        shape=(n, n),
+    )
+    lu = scipy.sparse.linalg.splu(
+        shifted,
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return shifted, lu, int(np.sum(lu.U.diagonal() < 0)) if np.all(lu.perm_r == idx) else None
+
+
+def _shift_invert_eigh(diag, off, corner, k):
+    """The k smallest eigenpairs of T by shift-invert Lanczos (ARPACK).
+
+    The shift must lie below the whole spectrum, so that the k eigenvalues
+    nearest to it are the k smallest, even when q > 0 makes some negative.
+    It is the first of -s 4^j, j = 0, 1, ..., with s = max|T_ii| / (n - 1)^2
+    the operator's eigenvalue scale, below which :func:`_shifted_ldl`
+    counts no eigenvalue; its factors serve ARPACK. (A Gershgorin bound
+    lies about 4/h below the spectrum, and a shift that far away slows
+    Lanczos.) The start vector is fixed, so identical calls agree to the bit.
+    """
+    import scipy.sparse.linalg
+
+    scale = np.abs(diag).max() / (diag.size - 1) ** 2
     for j in range(60):
         sigma = -scale * 4.0**j
-        shifted = scipy.sparse.csc_matrix(
-            (np.concatenate([diag - sigma, off, off, [corner, corner]]), (rows, cols)),
-            shape=(n, n),
-        )
-        lu = scipy.sparse.linalg.splu(
-            shifted,
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        if np.all(lu.perm_r == idx) and np.all(lu.U.diagonal() > 0):
+        shifted, lu, below = _shifted_ldl(diag, off, corner, sigma)
+        if below == 0:
             break
     else:
         raise EigensolveError("no shift below the spectrum was found")
-    solve = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
+    solve = scipy.sparse.linalg.LinearOperator(shifted.shape, matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(diag.size)
     try:
         # with a shift and OPinv, ARPACK applies only OPinv; A gives the shape
         lam, Y = scipy.sparse.linalg.eigsh(shifted, k=k, sigma=sigma, OPinv=solve, v0=v0)
@@ -458,6 +465,20 @@ def eigensolve(
         bc_residuals=residuals,
         method=method,
     )
+
+
+def count_below(op: DiscreteOperator, coupling: BoundaryCoupling, sigma: float) -> int:
+    """Number of eigenvalues of -L under the coupling below sigma, by the
+    inertia of the folded T - sigma I. It is n when the coupling has no flux
+    form or sigma is not finite."""
+    W = _flux_elimination(coupling, op.p_end)
+    if W is None or not np.isfinite(sigma):
+        return op.grid.n
+    diag, off, corner = _folded_tridiagonal(op, W, np.sqrt(op.mass))
+    below = _shifted_ldl(diag, off, corner, sigma)[2]
+    if below is None:  # a zero pivot: count just above it, towards more modes
+        below = _shifted_ldl(diag, off, corner, sigma + 1e-9 * max(1.0, abs(sigma)))[2]
+    return op.grid.n if below is None else below
 
 
 def _implied_flux_residuals(coupling, p_end, W, vec) -> np.ndarray:

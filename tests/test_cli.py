@@ -326,12 +326,12 @@ class TestKimuraCommand:
         assert "diag.eigen_truncation_remainder = 0.0" in _manifest_lines(initial)
 
     def test_ladder_reports_its_widest_rung(self, tmp_path):
-        # at t_min = 0.1 the largest strength keeps 16 modes, the smaller
-        # ones 64
+        # at t_min = 0.1 each rung keeps its eigenvalues below 53 ln 2 / 0.1
+        # and one more, at least 16; the smallest eps keeps the most, 21
         out = tmp_path / "ladder"
         argv = ["kimura", "--mode", "ladder", "--n", "101", "--T", "1", "--times", "0.1,1"]
         assert main(argv + ["--out", str(out)]) == 0
-        assert "diag.eigensolve_modes = 64" in _manifest_lines(out)
+        assert "diag.eigensolve_modes = 21" in _manifest_lines(out)
 
     def test_plot_data_flag(self, tmp_path):
         out = tmp_path / "plots"
@@ -535,7 +535,7 @@ class TestDenseCap:
         [
             (["spectrum", "--n", "6001", "--k", "751"], "fewer modes (--k <= n/8)"),
             (["moments", "--n", "6001"], "use a smaller --n"),
-            # t_min = 1e-6 keeps every mode alive, so k grows past n/8
+            # t_min = 1e-6 keeps every mode alive, so the one solve asks for all n
             (["kimura", "--mode", "regularized", "--n", "5793", "--T", "1", "--times", "1e-6"],
              "a later first positive time in --times"),
             (["sis", "--mode", "regularized", "--n", "5793", "--T", "1", "--times", "1e-6"],

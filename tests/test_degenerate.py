@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conspar import degenerate
+from conspar import degenerate, sturm
 from conspar.degenerate import (
     BoundaryMeasure,
     DegenerateModel,
@@ -27,6 +27,7 @@ from conspar.degenerate import (
 )
 from conspar.errors import (
     ArgumentError,
+    DenseSizeError,
     InputError,
     ParameterError,
     QuadratureError,
@@ -40,7 +41,7 @@ from conspar.fields import (
     field_from_table,
     fixation_probability,
 )
-from conspar.sturm import Grid, eigensolve, evolve, sample_field
+from conspar.sturm import Grid, count_below, eigensolve, evolve, sample_field
 
 GRID = Grid(0.0, 1.0, 401)
 
@@ -223,9 +224,24 @@ class TestSolveRegularized:
     def test_tiny_first_snapshot_keeps_every_mode(self, neutral, asked):
         grid = Grid(0.0, 1.0, 101)
         sol = solve_regularized(neutral, np.ones(grid.n), 1e-2, [1e-6, 1.0], grid)
-        assert asked == [16, 64, 101]
+        assert asked == [101]
         assert sol.eig.method == "dense"
         assert np.all(sol.v_trajectory.truncation_error == 0.0)
+
+    def test_subnormal_first_snapshot_keeps_every_mode(self, neutral, asked):
+        # 53 ln 2 / 1e-320 overflows to inf, which counts every mode
+        grid = Grid(0.0, 1.0, 101)
+        sol = solve_regularized(neutral, np.ones(grid.n), 1e-2, [1e-320], grid)
+        assert asked == [101]
+        assert np.all(sol.v_trajectory.truncation_error == 0.0)
+
+    def test_refused_dense_solve_is_the_only_solve(self, neutral, asked):
+        # every mode is alive at t_min = 1e-6, so the one eigensolve asks for
+        # all n > 5792 and is refused before any shift-invert solve runs
+        grid = Grid(0.0, 1.0, 5793)
+        with pytest.raises(DenseSizeError):
+            solve_regularized(neutral, np.ones(grid.n), 1e-2, [1e-6, 1.0], grid)
+        assert asked == [5793]
 
     def test_without_a_positive_snapshot_k_stays_at_its_start(self, neutral, asked):
         solve_regularized(neutral, np.ones(GRID.n), 1e-2, [0.0], GRID)
@@ -245,6 +261,44 @@ class TestSolveRegularized:
         w = sol.p_values / sol.g_eps_values
         for law in (np.ones(GRID.n), GRID.nodes):
             assert conservation_residual(sol.v_trajectory, law, w) <= 1e-6
+
+
+COUNT_MODELS = {
+    "kimura-0": lambda: kimura_model(constant_field(0.0)),
+    "kimura-1-2x": lambda: kimura_model(field_from_expression("1-2*x")),
+    "sis-2": lambda: sis_model(2.0),
+}
+
+
+class TestCountBelow:
+    @pytest.mark.parametrize("eps", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
+    @pytest.mark.parametrize("n", [101, 401])
+    @pytest.mark.parametrize("model", sorted(COUNT_MODELS))
+    def test_matches_dense_spectrum(self, model, n, eps):
+        op, coupling, _, _ = degenerate.regularized_system(
+            COUNT_MODELS[model](), eps, Grid(0.0, 1.0, n)
+        )
+        lam = eigensolve(op, coupling, n).eigenvalues
+        for t_min in (1.0, 0.1, 0.01):
+            sigma = 53 * np.log(2.0) / t_min
+            assert count_below(op, coupling, sigma) == np.sum(lam < sigma)
+
+    def test_ends_of_the_spectrum(self):
+        op, coupling, _, _ = degenerate.regularized_system(sis_model(2.0), 1e-2, GRID)
+        assert count_below(op, coupling, -1.0) == 0
+        assert count_below(op, coupling, np.inf) == GRID.n
+
+    def test_zero_pivot_counts_just_above_it(self):
+        # sigma = T[0, 0] makes the first pivot exactly zero, so SuperLU
+        # reorders; the count is taken again just above sigma
+        model = kimura_model(field_from_expression("1-2*x"))
+        op, coupling, _, _ = degenerate.regularized_system(model, 1e-2, Grid(0.0, 1.0, 101))
+        W = sturm._flux_elimination(coupling, op.p_end)
+        diag, off, corner = sturm._folded_tridiagonal(op, W, np.sqrt(op.mass))
+        sigma = float(diag[0])
+        assert sturm._shifted_ldl(diag, off, corner, sigma)[2] is None
+        lam = eigensolve(op, coupling, 101).eigenvalues
+        assert count_below(op, coupling, sigma) == np.sum(lam < sigma)
 
 
 class TestVanishingLimit:

@@ -24,6 +24,7 @@ from conspar.sturm import (
     _stencil_quad,
     apply_operator,
     assemble,
+    count_below,
     coupling_from_kernel,
     eigensolve,
     evolve,
@@ -300,6 +301,11 @@ class TestFewModeEigensolve:
         dirichlet = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         with pytest.raises(DenseSizeError):  # the bordered path is dense too
             eigensolve(assemble(one, zero, one, g), dirichlet, k=4)
+
+    def test_count_below_without_flux_form_counts_every_mode(self, one, zero, grid):
+        # the bordered solve computes every eigenvalue anyway
+        dirichlet = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        assert count_below(assemble(one, zero, one, grid), dirichlet, 1.0) == grid.n
 
     def test_row_residuals_match_loop(self, heat_eig):
         quad = _stencil_quad(heat_eig.grid, heat_eig.vectors)
