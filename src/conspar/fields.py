@@ -1,9 +1,9 @@
 """Scalar coefficient functions on [0, 1] and the quadrature behind them.
 
 A :class:`CoefficientField` is an immutable real function on the unit
-interval: tabulated samples plus an interpolation rule, optionally backed
-by an exact evaluator (for expression- and formula-defined fields). All
-derived weights used by the solvers are built here:
+interval: either a formula (an exact evaluator, sampled for reference) or
+a table of samples interpolated linearly. All derived weights used by the
+solvers are built here:
 
 * ``exponential_weight(psi)``  ->  x |-> exp(int_0^x psi)
 * ``fixation_probability(psi)``-> solution of phi'' + psi phi' = 0,
@@ -13,11 +13,10 @@ derived weights used by the solvers are built here:
 Quadrature is composite Simpson refined by doubling until successive
 estimates agree to 1e-10 relative (or a node cap is reached).
 
-Cubic-tier tables and the antiderivatives behind the derived weights are
-interpolated by a not-a-knot cubic spline that does the arithmetic of
-scipy's ``CubicSpline`` without importing it (the import cost more than a
-run); its values and first derivatives are bit-identical to
-CubicSpline's.
+The antiderivatives behind the derived weights are interpolated by a
+not-a-knot cubic spline that does the arithmetic of scipy's
+``CubicSpline`` without importing it (the import cost more than a run);
+its values and first derivatives are bit-identical to CubicSpline's.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ _ONE_SIDED_STEP = 2.0**-20  # endpoint difference step for formula fields
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """A real function on [0, 1].
+    """A real function on [0, 1]: the formula ``exact_fn`` when given,
+    else linear interpolation of the samples.
 
     ``xs`` are strictly increasing sample abscissae with ``xs[0] == 0``
     and ``xs[-1] == 1``; evaluation at a sample abscissa reproduces the
@@ -56,7 +56,6 @@ class CoefficientField:
 
     xs: np.ndarray
     values: np.ndarray
-    interpolation: str  # "linear" | "cubic"
     name: str = ""
     exact_fn: Optional[Callable] = None
     exact_derivative: Optional[Callable] = None
@@ -73,14 +72,6 @@ class CoefficientField:
             raise InputError("sample abscissae must be strictly increasing")
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise InputError("sample abscissae must start at 0 and end at 1")
-        if self.interpolation not in ("linear", "cubic"):
-            raise InputError(f"unknown interpolation {self.interpolation!r}")
-
-    def _interpolant(self):
-        if "spline" not in self._cache:
-            what = f"the samples of {_name(self)}"
-            self._cache["spline"] = _CubicSpline(self.xs, self.values, what)
-        return self._cache["spline"]
 
     def __call__(self, x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -90,8 +81,6 @@ class CoefficientField:
         xa = np.clip(xa, 0.0, 1.0)
         if self.exact_fn is not None:
             out = np.asarray(self.exact_fn(xa), dtype=float) + np.zeros(xa.shape)
-        elif self.interpolation == "cubic":
-            out = self._interpolant()(xa)
         else:
             out = np.interp(xa, self.xs, self.values)
         return float(out) if scalar else out
@@ -107,8 +96,6 @@ class CoefficientField:
             out = out + np.zeros(xa.shape)
         elif self.exact_fn is not None:
             out = self._difference_derivative(xa)
-        elif self.interpolation == "cubic":
-            out = self._interpolant()(xa, 1)
         else:
             out = self._linear_derivative(xa)
         return float(out) if scalar else out
@@ -168,10 +155,9 @@ class CoefficientField:
 
     @property
     def continuous_tier(self) -> bool:
-        """True when the field qualifies as a continuous coefficient: cubic
-        interpolation, which every formula- and expression-backed field
-        has."""
-        return self.interpolation == "cubic"
+        """True when the field qualifies as a continuous coefficient: it is
+        a formula (expression- or callable-backed), not a table."""
+        return self.exact_fn is not None
 
 
 def _name(f: CoefficientField) -> str:
@@ -180,11 +166,10 @@ def _name(f: CoefficientField) -> str:
 
 
 class _CubicSpline:
-    """Not-a-knot cubic spline through (x, y), doing the arithmetic of
-    scipy's ``CubicSpline`` without importing it.
+    """Not-a-knot cubic spline through (x, y), at least 4 nodes, doing the
+    arithmetic of scipy's ``CubicSpline`` without importing it.
 
-    The slopes solve CubicSpline's tridiagonal system (a straight line for
-    two nodes, its parabola system for three); the pieces carry
+    The slopes solve CubicSpline's tridiagonal system; the pieces carry
     CubicHermiteSpline's coefficients, and a value or first derivative is
     summed in PPoly's term order, so both are bit-identical to
     CubicSpline's. The end pieces extrapolate. ``what`` names the data in
@@ -201,34 +186,21 @@ class _CubicSpline:
         n = x.size
         dx = np.diff(x)
         slope = np.diff(y) / dx
-        if n == 3:
-            A = np.zeros((3, 3))
-            A[0, :2] = A[2, 1:] = 1
-            A[1] = dx[1], 2 * (dx[0] + dx[1]), dx[0]
-            b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
-            s = scipy.linalg.solve(
-                A, b.reshape(3, 1), overwrite_a=True, overwrite_b=True, check_finite=False
-            ).reshape(3)
-        else:
-            A = np.zeros((3, n))  # banded: upper, main and lower diagonals
-            b = np.empty(n)
-            A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-            A[0, 2:] = dx[:-1]
-            A[-1, :-2] = dx[1:]
-            b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-            if n == 2:  # both end slopes are the chord's
-                A[1] = 1
-                b[:] = slope[0]
-            else:
-                d = x[2] - x[0]
-                A[1, 0], A[0, 1] = dx[1], d
-                b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-                d = x[-1] - x[-3]
-                A[1, -1], A[-1, -2] = dx[-2], d
-                b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-            s = scipy.linalg.solve_banded(
-                (1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False
-            )
+        A = np.zeros((3, n))  # banded: upper, main and lower diagonals
+        b = np.empty(n)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        A[1, 0], A[0, 1] = dx[1], d
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        A[1, -1], A[-1, -2] = dx[-2], d
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = scipy.linalg.solve_banded(
+            (1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False
+        )
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
         # per piece, the coefficients of s^3, s^2, s and 1 in s = x - x_i
@@ -247,16 +219,10 @@ class _CubicSpline:
         return (0.0 + c) + (b * s) * 2.0 + (a * s2) * 3.0
 
 
-def field_from_table(
-    xs: Sequence[float], values: Sequence[float], interpolation: str = "linear"
-) -> CoefficientField:
-    """Build a field from user-supplied samples (linear by default, so
-    rough data does not oscillate)."""
-    return CoefficientField(
-        xs=np.asarray(xs, dtype=float),
-        values=np.asarray(values, dtype=float),
-        interpolation=interpolation,
-    )
+def field_from_table(xs: Sequence[float], values: Sequence[float]) -> CoefficientField:
+    """Build a field from user-supplied samples, interpolated linearly so
+    rough data does not oscillate."""
+    return CoefficientField(xs=np.asarray(xs, dtype=float), values=np.asarray(values, dtype=float))
 
 
 def field_from_callable(
@@ -265,14 +231,14 @@ def field_from_callable(
     n: int = DEFAULT_SAMPLES,
     derivative: Optional[Callable] = None,
 ) -> CoefficientField:
-    """Wrap an exact formula as a field (interpolation is nominal)."""
+    """Wrap an exact formula as a field, sampled at ``n`` uniform points
+    (the samples give the field's grid and its min and max)."""
     xs = np.linspace(0.0, 1.0, n)
     with np.errstate(all="ignore"):
         values = np.asarray(fn(xs), dtype=float) + np.zeros(n)
     return CoefficientField(
         xs=xs,
         values=values,
-        interpolation="cubic",
         name=name,
         exact_fn=fn,
         exact_derivative=derivative,
@@ -287,7 +253,6 @@ def field_from_expression(text: str) -> CoefficientField:
     return CoefficientField(
         xs=xs,
         values=values,
-        interpolation="cubic",
         name=text,
         exact_fn=expr,
     )
@@ -392,13 +357,22 @@ def _antiderivative_callable(
     return _CubicSpline(fine, table, f"the antiderivative of {what}")
 
 
+def _drift_antiderivative(psi: CoefficientField) -> Callable:
+    """x |-> int_0^x psi, built once per field and shared by the weights
+    derived from it."""
+    if "drift_antider" not in psi._cache:
+        what = f"psi = {_name(psi)}"
+        psi._cache["drift_antider"] = _antiderivative_callable(psi, psi.xs, what=what)
+    return psi._cache["drift_antider"]
+
+
 # ----------------------------------------------------------------------
 # Derived weights
 
 
 def exponential_weight(psi: CoefficientField) -> CoefficientField:
     """The strictly positive weight x |-> exp(int_0^x psi)."""
-    anti = _antiderivative_callable(psi, psi.xs, what=f"psi = {_name(psi)}")
+    anti = _drift_antiderivative(psi)
     fn = lambda x: np.exp(anti(x))  # noqa: E731
     deriv = lambda x: np.asarray(psi(x)) * np.exp(anti(x))  # noqa: E731
     out = field_from_callable(fn, "exp_integral", n=psi.xs.size, derivative=deriv)
@@ -415,7 +389,7 @@ def fixation_probability(psi: CoefficientField) -> CoefficientField:
     so it is nondecreasing and pinned to the endpoints by construction.
     """
     name = _name(psi)
-    anti_psi = _antiderivative_callable(psi, psi.xs, what=f"psi = {name}")
+    anti_psi = _drift_antiderivative(psi)
     integrand = lambda y: np.exp(-anti_psi(y))  # noqa: E731
     numer = _antiderivative_callable(
         integrand, psi.xs, what=f"exp(-int_0^y psi) for psi = {name}"

@@ -353,6 +353,20 @@ class TestVanishingLimit:
         assert both.extrapolation_ratio == pytest.approx(later.extrapolation_ratio, rel=1e-12)
         assert both.warning is None
 
+    def test_rounding_level_differences_stay_out_of_the_ratio(self, neutral):
+        # at n = 101 and t = 0.01 the rungs at 1e-2 and 3e-3 agree to rounding at
+        # 39 nodes; their d2/d1 is noise and pulled the median to 0.259
+        grid = Grid(0.0, 1.0, 101)
+        ladder = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+        res = vanishing_limit(neutral, np.ones(grid.n), ladder, [0.01, 1.0], grid)
+        stack = np.stack([s.trajectory.values for s in res.rungs])
+        d1, d2 = stack[-2] - stack[-3], stack[-1] - stack[-2]
+        tiny = np.abs(d1) <= 1e-12 * np.abs(stack[-1]).max(axis=1, keepdims=True)
+        assert tiny.sum() == 39
+        ratio = d2[~tiny] / d1[~tiny]
+        assert res.extrapolation_ratio == np.median(ratio[(ratio > 0) & (ratio < 0.95)])
+        assert res.extrapolation_ratio == pytest.approx(0.491, abs=1e-3)
+
     def test_needs_three_rungs(self, neutral):
         ladder = (1e-1, 1e-2)
         with pytest.raises(ArgumentError):
