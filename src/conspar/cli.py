@@ -473,6 +473,8 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
         manifest.diagnostics.update(interior_method=sol.method, interior_dt=sol.dt)
         if sol.method == "stepper":
             manifest.diagnostics["interior_steps"] = sol.steps
+        else:
+            manifest.diagnostics["interior_modes"] = sol.modes
         manifest.diagnostics["interior_log_scale_spread"] = sol.log_scale_spread
         with manifest.stage("atoms"):
             a, b = interior_atoms(manifest, model, sol, u0)

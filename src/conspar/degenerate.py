@@ -26,9 +26,9 @@ The strong interior solution is the eps = 0 member of the same family:
 the flux p v' in v = g r / p through each face uses the regularized
 operator's harmonic mean of p, so the discrete scheme keeps both laws and
 both off-diagonals of its tridiagonal generator stay positive at every
-drift. It evolves exactly in time, mode by mode, from one
-eigendecomposition of the generator symmetrized by sqrt(cell g / p); the
-trace integrals follow in closed form. A Rannacher-started trapezoidal
+drift. It evolves exactly in time the modes of the generator, symmetrized
+by sqrt(cell g / p), alive at the first positive snapshot; the trace
+integrals follow from one banded solve. A Rannacher-started trapezoidal
 time stepper with one banded solve per step runs instead when that scale
 spreads too widely for an accurate reconstruction (see
 ``solve_interior``).
@@ -345,15 +345,16 @@ class InteriorSolution:
     """Strong interior solution: snapshots plus the boundary-trace
     integrals, with how they were computed ("modal" or "stepper"), the
     time step (the grid snapshot times are snapped to on either path), the
-    steps the stepper took (0 on the modal path) and the spread of the
-    symmetrizing log-scale, max - min of log sqrt(cell g / p) over the
-    unknowns."""
+    steps the stepper took (0 on the modal path), the modes the modal solve
+    kept (0 on the stepper path) and the spread of the symmetrizing
+    log-scale, max - min of log sqrt(cell g / p) over the unknowns."""
 
     trajectory: Trajectory
     traces: BoundaryTraces
     method: str
     dt: float
     steps: int
+    modes: int
     log_scale_spread: float
 
 
@@ -404,61 +405,75 @@ def _right_trace(r, absorbing):
     return r[..., -1]
 
 
-# The modal path reconstructs r = D^-1 Q (...) from D r, so the eigensolver's
-# backward error is amplified by up to exp(spread of log d). Largest error
-# of the snapshots and trace integrals relative to a dense matrix
-# exponential (scipy expm of A t and of the Van Loan block), at n = 401,
-# T = 1, snapshots 0.01, 0.1 and 1, uniform data and deltas at 0.3 and
-# 0.7, Kimura psi = 20 to 50: 6.0e-12 at spread 10.95 (psi = 20), 1.8e-11
-# at 11.9, 6.8e-11 at 13.3, 1.7e-10 at 15.7, 1.2e-9 at 18.2, 2.1e-8 at
-# 20.6 and 6.5e-6 at 25.5 (psi = 50). Inside the gate, over n = 101..1601
-# with Kimura psi = 12..20.5 and SIS R0 = 10 and 20 (105 modal cases),
-# every Kimura case stays below 1.6e-11. The largest is 1.75e-10 (SIS
-# R0 = 20, n = 1601, spread 2.66); at fixed spread it grows with n (SIS
-# R0 = 20 reads 5.9e-12, 2.1e-11 and 1.75e-10 at n = 401, 801 and 1601),
-# like the eigensolver's error on the slowest eigenvalue.
+# The modal path reconstructs r = D^-1 Q (...) from D r, so an error in the
+# kept pairs is amplified by up to exp(spread of log d). Largest error of
+# the snapshots and trace integrals relative to a dense matrix exponential
+# (scipy expm of A t and of the Van Loan block), T = 1, snapshots 0.01, 0.1
+# and 1, uniform data and deltas at 0.3 and 0.7. Forced past the gate at
+# n = 401, Kimura psi = 20 to 50: 1.1e-11 at spread 10.95 (psi = 20),
+# 2.0e-11 at 11.9, 2.5e-10 at 13.3, 9.5e-10 at 15.7, 6.4e-9 at 18.2, 1.5e-8
+# at 20.6, 9.9e-7 at 25.5. Inside it, over n = 101..1601, Kimura psi =
+# 12..20.5 and SIS R0 = 10, 20 (105 cases), SIS reads at most 4.5e-11 and
+# Kimura 1.4e-10 (psi = 14, n = 1601, spread 8.8; 14 cases above 1e-11):
+# the Rayleigh quotients are not the eigenvalues of the nearby tridiagonal
+# whose eigenvectors MRRR returns, a mismatch the spread amplifies.
 _MODAL_MAX_LOG_SPREAD = 11.0
-_MODAL_MAX_BASIS_BYTES = 2**25  # the dense m x m eigenbasis (m <= 2048)
+_MODAL_MAX_BASIS_BYTES = 2**25  # the dense m x k basis of the modes kept
 
 
-def _modal_basis(diag, upper, cell, s):
-    """Diagonalize A through its symmetric similar form, if that is safe.
+def _count_above(a, b, sigma):
+    """Eigenvalues above sigma of the symmetric tridiagonal (a, b): the
+    positive pivots of T - sigma I = L D L^T (Sylvester's law of inertia)."""
+    count, pivot, sigma = 0, 1.0, float(sigma)
+    for ai, b2 in zip(a.tolist(), [0.0] + (b * b).tolist()):
+        pivot = (ai - sigma) - b2 / pivot or -1e-300  # a zero pivot counts as negative
+        count += pivot > 0.0
+    return count
 
-    A = C^-1 T S, with C the cells, S = diag(s) and T symmetric
-    tridiagonal, so D = sqrt(C S) makes D A D^-1 symmetric. Returns
-    ((lam, Q, d), spread of log d) with A = D^-1 Q diag(lam) Q^T D; the
-    first item is None when the spread is too wide for an accurate
-    reconstruction or the dense basis would exceed its memory budget.
-    """
+
+def _modal_basis(diag, upper, cell, s, t_min):
+    """The modes of A alive at t_min through its symmetric similar form, if
+    that is safe. A = C^-1 T S, with C the cells, S = diag(s) and T
+    symmetric tridiagonal, so D = sqrt(C S) makes B = D A D^-1 symmetric.
+    The k eigenpairs of B with exp(lam t_min) > 2^-53 are counted, then
+    computed (k = 0 for t_min = inf); MRRR's eigenvalues err by O(eps ||B||)
+    ~ n^2, so each lam is the Rayleigh quotient of its vector. Returns
+    ((lam, Q, d), spread of log d), Q the m x k basis; the first item is
+    None when the spread is too wide for an accurate reconstruction or the
+    basis would exceed its memory budget."""
     log_d = 0.5 * np.log(cell * s)
     top, bottom = float(log_d.max()), float(log_d.min())
     spread = top - bottom
-    m = diag.size
-    if spread > _MODAL_MAX_LOG_SPREAD or 8 * m * m > _MODAL_MAX_BASIS_BYTES:
+    if spread > _MODAL_MAX_LOG_SPREAD:
         return None, spread
     d = np.exp(log_d - 0.5 * (top + bottom))
-    # MRRR needs O(m) workspace; divide and conquer would hold another m x m
-    lam, Q = scipy.linalg.eigh_tridiagonal(
-        diag / cell, upper / cell[:-1] * d[:-1] / d[1:], lapack_driver="stemr"
-    )
-    return (lam, Q, d), spread
+    a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]
+    m = a.size
+    k = _count_above(a, b, -53 * math.log(2.0) / t_min) if t_min < np.inf else 0
+    if 8 * m * k > _MODAL_MAX_BASIS_BYTES:
+        return None, spread
+    # MRRR's subset bisection costs about 5 k / m of its all-mode dqds; either
+    # way scipy returns the vectors in an m x m array, so the k are copied out
+    Q = scipy.linalg.eigh_tridiagonal(
+        a, b, select="i" if 5 * k < m else "a", select_range=(m - k, m - 1),
+        lapack_driver="stemr",
+    )[1][:, -k:].copy() if k else np.empty((m, 0))
+    BQ = a[:, None] * Q  # row by row, each row cancels before the sums
+    BQ[:-1] += b[:, None] * Q[1:]
+    BQ[1:] += b[:, None] * Q[:-1]
+    return (np.einsum("ij,ij->j", Q, BQ) / np.einsum("ij,ij->j", Q, Q), Q, d), spread
 
 
-def _modal_solve(modes, absorbing, r0, snap_times, grid_times):
-    """r(t) = D^-1 Q e^(lam t) Q^T D r0 at ``snap_times``, and both boundary
-    traces integrated from 0 to each of ``grid_times``, mode by mode in
-    closed form: int_0^t e^(lam s) ds = expm1(lam t) / lam. Every lam is
-    negative, since mass leaves through x = 0."""
+def _modal_solve(modes, A, absorbing, r0, grid_times):
+    """r(t) = D^-1 Q e^(lam t) Q^T D r0 at ``grid_times`` (r0 at t = 0), and
+    both boundary traces integrated from 0 to each: int_0^t r ds =
+    A^-1 (r(t) - r0), one banded solve, which also gives each dropped mode
+    its whole integral -c/lam. Every lam < 0: mass leaves through x = 0."""
     lam, Q, d = modes
-    c = Q.T @ (d * r0)
-    snaps = (np.exp(np.outer(snap_times, lam)) * c) @ Q.T / d
-    # only the rows of D^-1 Q that the trace functionals read are formed
-    weights = np.stack(
-        [_left_trace(Q[:3].T / d[:3]), _right_trace(Q[-3:].T / d[-3:], absorbing)],
-        axis=1,
-    ) * c[:, None]
-    integrals = (np.expm1(np.outer(grid_times, lam)) / lam) @ weights
-    return snaps, integrals[:, 0], integrals[:, 1]
+    r = (np.exp(np.outer(grid_times, lam)) * (Q.T @ (d * r0))) @ Q.T / d
+    r[grid_times == 0] = r0
+    integrals = scipy.linalg.solve_banded((1, 1), _banded(*A, 0.0, 1.0), (r - r0).T).T
+    return r, _left_trace(integrals), _right_trace(integrals, absorbing)
 
 
 def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
@@ -535,16 +550,16 @@ def solve_interior(
     """Method-of-lines solve of the untransformed equation on the interior.
 
     The generator A is a constant tridiagonal with positive off-diagonals
-    (see ``_interior_operator``). It is diagonalized once through its
-    symmetric similar form, and each snapshot is e^(A t) r0, exact in
-    time; the boundary traces are integrated from 0 to each snapshot in
-    closed form, mode by mode. A time stepper runs instead when the modal
-    form is unsafe: when the symmetrizing scale spans more than a factor
-    exp(11), whose spread amplifies rounding (see
-    ``_MODAL_MAX_LOG_SPREAD``), or when the dense eigenbasis would exceed
-    32 MiB. It takes implicit trapezoidal steps of fixed dt, the first two
-    each split into two backward-Euler half steps so rough initial data
-    does not ring. ``method`` on the result says which ran.
+    (see ``_interior_operator``). Only its k modes alive at the first
+    positive snapshot t_min, exp(lam t_min) > 2^-53, are computed, through
+    its symmetric similar form; each snapshot is e^(A t) r0 on them, and
+    the boundary traces are integrated as A^-1 (r(t) - r0). A time stepper
+    runs instead when the modal form is unsafe: when the symmetrizing
+    scale spans more than a factor exp(11), whose spread amplifies
+    rounding (see ``_MODAL_MAX_LOG_SPREAD``), or when the m x k basis
+    would exceed 32 MiB. It takes implicit trapezoidal steps of fixed dt,
+    the first two each split into two backward-Euler half steps so rough
+    initial data does not ring. ``method`` and ``modes`` say which ran.
 
     On both paths dt = min(h, horizon/2000), shortened to divide the
     horizon, and snapshot times are snapped to multiples of dt, so output
@@ -577,16 +592,17 @@ def solve_interior(
     snap_times = snap_idx * dt
     absorbing = model.absorbs_at_1
     diag, _, upper, cell = A
-    modes, spread = _modal_basis(diag, upper, cell, s)
+    modes, spread = _modal_basis(diag, upper, cell, s, snap_times[snap_times > 0].min(initial=np.inf))
     if modes is None:
-        method, steps = "stepper", n_steps
+        method, steps, kept = "stepper", n_steps, 0
         snaps, grid_times, int0, int1 = _step_interior(
             A, absorbing, r0, dt, n_steps, snap_idx
         )
     else:
-        method, steps = "modal", 0
+        method, steps, kept = "modal", 0, modes[0].size
         grid_times = np.unique(np.append(snap_times, 0.0))
-        snaps, int0, int1 = _modal_solve(modes, absorbing, r0, snap_times, grid_times)
+        r, int0, int1 = _modal_solve(modes, A, absorbing, r0, grid_times)
+        snaps = r[np.searchsorted(grid_times, snap_times)]
 
     # the NaN-safe comparison also rejects non-finite values
     limit = 1e6 * (float(np.max(np.abs(r0))) + 1.0)
@@ -612,6 +628,7 @@ def solve_interior(
         method=method,
         dt=dt,
         steps=steps,
+        modes=kept,
         log_scale_spread=spread,
     )
 

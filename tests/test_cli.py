@@ -379,6 +379,9 @@ class TestKimuraCommand:
             # the modal solve takes no steps; dt is only its snapping grid
             steps = [ln for ln in lines if ln.startswith("diag.interior_steps")]
             assert steps == (["diag.interior_steps = 2000"] if method == "stepper" else [])
+            # the stepper keeps no modes
+            modes = [ln for ln in lines if ln.startswith("diag.interior_modes")]
+            assert len(modes) == (method == "modal")
             assert any(ln.startswith("diag.interior_log_scale_spread = ") for ln in lines)
 
     def test_first_row_is_the_data(self, tmp_path):
@@ -412,6 +415,13 @@ class TestKimuraCommand:
         spread = next(ln for ln in lines if ln.startswith("diag.interior_log_scale_spread"))
         assert float(spread.split(" = ")[1]) == pytest.approx(196.0, abs=0.1)
         assert any(ln.startswith("check: flux_vs_conservation_masses = 0.55") for ln in lines)
+
+
+@pytest.mark.parametrize("command, kept", [("kimura", 5), ("sis", 3)])
+def test_default_interior_run_keeps_the_modes_alive_at_the_first_snapshot(tmp_path, command, kept):
+    # exp(lam t) > 2^-53 at t = 1 for 5 of Kimura's 399 modes and 3 of SIS's 400
+    assert main([command, "--out", str(tmp_path)]) == 0
+    assert f"diag.interior_modes = {kept}" in _manifest_lines(tmp_path)
 
 
 class TestSisCommand:

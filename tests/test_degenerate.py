@@ -516,6 +516,27 @@ def _forced_stepper(monkeypatch):
     monkeypatch.setattr(degenerate, "_MODAL_MAX_LOG_SPREAD", -1.0)
 
 
+def _largest_eigenvalue(a, b, guess):
+    """Largest eigenvalue of the symmetric tridiagonal (a, b), by long-double
+    multisection of Sturm counts inside guess (1 -+ 1e-8); guess < 0."""
+    a, b2 = a.astype(np.longdouble), b.astype(np.longdouble) ** 2
+
+    def above(shifts):  # eigenvalues above each shift: positive LDL^T pivots
+        pivot, count = np.ones_like(shifts), np.zeros(shifts.size, dtype=int)
+        for i in range(a.size):
+            pivot = (a[i] - shifts) - (b2[i - 1] / pivot if i else 0.0)
+            count += pivot > 0
+        return count
+
+    lo, hi = np.longdouble(guess) * (1 + 1e-8), np.longdouble(guess) * (1 - 1e-8)
+    assert above(np.array([lo, hi])).tolist() == [1, 0]
+    while hi - lo > 4 * np.finfo(np.longdouble).eps * abs(hi):
+        shifts = np.linspace(lo, hi, 33)
+        j = int(np.sum(above(shifts[1:-1]) == 1))  # shifts[: j + 1] lie below it
+        lo, hi = shifts[j], shifts[j + 1]
+    return (lo + hi) / 2
+
+
 # two-law drifts beyond MODAL_MODELS, up to cell Peclet number
 # max |psi| h / 2 = 2 at n = 101, where a central flux loses the fixation law
 STEEP_MODELS = {
@@ -569,11 +590,10 @@ class TestModalInterior:
     stepper converges to it; inputs it cannot reconstruct accurately run
     the stepper."""
 
-    # n = 101, T = 1: at most 1.3e-12 (psi = 20, delta at 0.3). Over
-    # n = 101..1601, Kimura psi = 12..20.5 and SIS R0 = 10, 20 with uniform
-    # data and deltas at 0.3 and 0.7, every Kimura case stays below 1.6e-11;
-    # SIS R0 = 20 reaches 1.75e-10 at n = 1601, where the slowest
-    # eigenvalue's error grows with n
+    # n = 101, T = 1: at most 2.3e-12 (psi = 20, uniform). Over n = 101..1601,
+    # Kimura psi = 12..20.5 and SIS R0 = 10, 20 with uniform data and deltas
+    # at 0.3 and 0.7, SIS stays below 4.5e-11 and Kimura below 1.4e-10 (see
+    # _MODAL_MAX_LOG_SPREAD)
     @pytest.mark.parametrize("start", ["uniform", "delta"])
     @pytest.mark.parametrize("name", list(MODAL_MODELS))
     def test_matches_matrix_exponential(self, name, start):
@@ -667,6 +687,101 @@ class TestModalInterior:
         a, b = masses_from_conservation(sol.trajectory, r0, 0.0, 0.0, model.laws[1])
         assert a[0] == 0.0 and b[0] == 0.0
         assert a[1] == pytest.approx(0.99646, abs=1e-5)
+
+    @pytest.mark.parametrize("name", list(MODAL_MODELS))
+    def test_mode_count_matches_dense_spectrum(self, name):
+        # the inertia count against the dense eigenvalues of the same
+        # tridiagonal, at the shifts -53 ln 2 / t_min for t_min = 1e-4..10
+        (diag, _, upper, cell), s, _, _ = degenerate._interior_operator(
+            MODAL_MODELS[name](), MODAL_GRID
+        )
+        (_, _, d), _ = degenerate._modal_basis(diag, upper, cell, s, np.inf)
+        a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]
+        spectrum = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+        for t_min in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0):
+            sigma = -53 * np.log(2.0) / t_min
+            assert degenerate._count_above(a, b, sigma) == np.sum(spectrum > sigma)
+
+    # relative error of the slowest eigenvalue against long-double bisection,
+    # in the order listed: 2.0e-13, 7.2e-13, 1.3e-13 and 3.0e-11. MRRR's own
+    # eigenvalues over the full spectrum read 5.2e-12, 2.0e-12, 1.1e-12 and
+    # 1.7e-10, an absolute error that grows with ||B||, about n^2
+    @pytest.mark.parametrize(
+        "name, n, bound",
+        [("sis R0=20", 401, 1.5e-12), ("sis R0=2", 401, 1.5e-12),
+         ("psi=1-2x", 401, 1.5e-12), ("sis R0=20", 1601, 6e-11)],
+    )
+    def test_slowest_eigenvalue_matches_long_double_bisection(self, name, n, bound):
+        model = {**MODAL_MODELS, "sis R0=20": lambda: sis_model(20.0)}[name]()
+        (diag, _, upper, cell), s, _, _ = degenerate._interior_operator(model, Grid(0.0, 1.0, n))
+        (lam, _, d), _ = degenerate._modal_basis(diag, upper, cell, s, 1.0)
+        a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]  # the tridiagonal it diagonalizes
+        exact = _largest_eigenvalue(a, b, lam[-1])
+        assert abs(lam[-1] - exact) <= bound * abs(exact)
+
+    # n = 201, times 0.01, 0.1 and 1: at most 1.5e-12, except 5.9e-12 at
+    # x = 1 for psi = 20 with the delta, where the closed form itself reads
+    # 5.9e-12 against the dense matrix exponential and the banded solve 8.2e-13
+    @pytest.mark.parametrize("start", ["uniform", "delta"])
+    @pytest.mark.parametrize("name", list(MODAL_MODELS))
+    def test_trace_integrals_match_full_basis_closed_form(self, name, start):
+        # int_0^t r ds = A^-1 (r(t) - r0) on the modes kept, against every
+        # mode's closed form expm1(lam t) / lam on the full eigenbasis
+        model = MODAL_MODELS[name]()
+        r0 = _initial(start, MODAL_GRID)
+        sol = solve_interior(model, r0, 1.0, [0.01, 0.1, 1.0], MODAL_GRID)
+        assert sol.method == "modal" and 0 < sol.modes
+        (diag, _, upper, cell), s, lo, hi = degenerate._interior_operator(model, MODAL_GRID)
+        d = np.sqrt(cell * s)
+        lam, Q = scipy.linalg.eigh_tridiagonal(
+            diag / cell, upper / cell[:-1] * d[:-1] / d[1:], lapack_driver="stemr"
+        )
+        assert sol.modes < lam.size
+        c = Q.T @ (d * r0[lo : hi + 1])
+        modes = (Q / d[:, None]).T  # each row a mode of A on the unknowns
+        weights = np.expm1(np.outer(sol.traces.times, lam)) / lam * c
+        want0 = weights @ degenerate._left_trace(modes)
+        want1 = weights @ degenerate._right_trace(modes, model.absorbs_at_1)
+        assert _relative(sol.traces.integral0, want0) <= 1e-11
+        assert _relative(sol.traces.integral1, want1) <= 1e-11
+
+    def test_no_positive_snapshot_keeps_no_mode(self, monkeypatch):
+        # 1e-4 snaps to t = 0 on the dt = 0.0025 grid, so k = 0: nothing is
+        # diagonalized, every row is the data and nothing has flowed out
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", None)
+        grid = Grid(0.0, 1.0, 401)
+        r0 = _initial("delta", grid)
+        sol = solve_interior(MODAL_MODELS["psi=1-2x"](), r0, 5.0, [0.0, 1e-4], grid)
+        assert sol.method == "modal" and sol.modes == 0
+        assert np.array_equal(sol.trajectory.times, [0.0, 0.0])
+        assert np.array_equal(sol.trajectory.values, [r0, r0])
+        assert np.array_equal(sol.traces.times, [0.0])
+        assert sol.traces.integral0.tolist() == [0.0] == sol.traces.integral1.tolist()
+
+    @pytest.mark.parametrize("slack, method", [(0, "modal"), (-1, "stepper")])
+    def test_basis_budget_counts_the_modes_kept(self, slack, method, monkeypatch):
+        # the budget holds 8 m k bytes, m = 99 unknowns and k the modes kept
+        model, grid = MODAL_MODELS["psi=0"](), Grid(0.0, 1.0, 101)
+        kept = solve_interior(model, np.ones(grid.n), 1.0, [1.0], grid).modes
+        monkeypatch.setattr(degenerate, "_MODAL_MAX_BASIS_BYTES", 8 * 99 * kept + slack)
+        sol = solve_interior(model, np.ones(grid.n), 1.0, [1.0], grid)
+        assert sol.method == method and sol.modes == (kept if method == "modal" else 0)
+
+    def test_basis_over_budget_runs_stepper(self, monkeypatch):
+        # n = 8001 with its first snapshot at 1e-6: thousands of modes are
+        # alive, so the m x k basis would far exceed 32 MiB; the stepper is
+        # stopped as it starts, and no eigensolve runs
+        class StepperStarted(Exception):
+            pass
+
+        def stepper(*args):
+            raise StepperStarted
+
+        monkeypatch.setattr(degenerate, "_step_interior", stepper)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", None)
+        grid = Grid(0.0, 1.0, 8001)
+        with pytest.raises(StepperStarted):
+            solve_interior(MODAL_MODELS["psi=0"](), np.ones(grid.n), 1e-6, [1e-6], grid)
 
     def test_wide_scale_spread_runs_stepper(self):
         grid = Grid(0.0, 1.0, 401)
