@@ -414,11 +414,11 @@ def _right_trace(r, absorbing):
 # 2.0e-11 at 11.9, 2.5e-10 at 13.3, 9.5e-10 at 15.7, 6.4e-9 at 18.2, 1.5e-8
 # at 20.6, 9.9e-7 at 25.5. Inside it, over n = 101..1601, Kimura psi =
 # 12..20.5 and SIS R0 = 10, 20 (105 cases), SIS reads at most 4.5e-11 and
-# Kimura 1.4e-10 (psi = 14, n = 1601, spread 8.8; 14 cases above 1e-11):
+# Kimura 1.4e-10 (psi = 14, n = 1601, spread 8.8; 13 cases above 1e-11):
 # the Rayleigh quotients are not the eigenvalues of the nearby tridiagonal
 # whose eigenvectors MRRR returns, a mismatch the spread amplifies.
 _MODAL_MAX_LOG_SPREAD = 11.0
-_MODAL_MAX_BASIS_BYTES = 2**25  # the dense m x k basis of the modes kept
+_MODAL_MAX_BASIS_BYTES = 2**25  # stemr holds any k vectors in an m x m array (m <= 2048)
 
 
 def _count_above(a, b, sigma):
@@ -435,29 +435,23 @@ def _modal_basis(diag, upper, cell, s, t_min):
     """The modes of A alive at t_min through its symmetric similar form, if
     that is safe. A = C^-1 T S, with C the cells, S = diag(s) and T
     symmetric tridiagonal, so D = sqrt(C S) makes B = D A D^-1 symmetric.
-    The k eigenpairs of B with exp(lam t_min) > 2^-53 are counted, then
-    computed (k = 0 for t_min = inf); MRRR's eigenvalues err by O(eps ||B||)
-    ~ n^2, so each lam is the Rayleigh quotient of its vector. Returns
-    ((lam, Q, d), spread of log d), Q the m x k basis; the first item is
-    None when the spread is too wide for an accurate reconstruction or the
-    basis would exceed its memory budget."""
+    Its k eigenpairs with exp(lam t_min) > 2^-53 (none for t_min = inf) are
+    counted, then computed; each lam is the Rayleigh quotient of its vector,
+    since MRRR's eigenvalues err by O(eps ||B||) ~ n^2. Returns ((lam, Q, d),
+    spread of log d) with Q m x k, or (None, spread) when the spread is too
+    wide or the eigensolver's m x m array would exceed its budget."""
     log_d = 0.5 * np.log(cell * s)
     top, bottom = float(log_d.max()), float(log_d.min())
     spread = top - bottom
-    if spread > _MODAL_MAX_LOG_SPREAD:
+    m = diag.size
+    if spread > _MODAL_MAX_LOG_SPREAD or 8 * m * m > _MODAL_MAX_BASIS_BYTES:
         return None, spread
     d = np.exp(log_d - 0.5 * (top + bottom))
     a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]
-    m = a.size
     k = _count_above(a, b, -53 * math.log(2.0) / t_min) if t_min < np.inf else 0
-    if 8 * m * k > _MODAL_MAX_BASIS_BYTES:
-        return None, spread
-    # MRRR's subset bisection costs about 5 k / m of its all-mode dqds; either
-    # way scipy returns the vectors in an m x m array, so the k are copied out
     Q = scipy.linalg.eigh_tridiagonal(
-        a, b, select="i" if 5 * k < m else "a", select_range=(m - k, m - 1),
-        lapack_driver="stemr",
-    )[1][:, -k:].copy() if k else np.empty((m, 0))
+        a, b, select="i", select_range=(m - k, m - 1), lapack_driver="stemr"
+    )[1].copy() if k else np.empty((m, 0))
     BQ = a[:, None] * Q  # row by row, each row cancels before the sums
     BQ[:-1] += b[:, None] * Q[1:]
     BQ[1:] += b[:, None] * Q[:-1]
@@ -556,8 +550,8 @@ def solve_interior(
     the boundary traces are integrated as A^-1 (r(t) - r0). A time stepper
     runs instead when the modal form is unsafe: when the symmetrizing
     scale spans more than a factor exp(11), whose spread amplifies
-    rounding (see ``_MODAL_MAX_LOG_SPREAD``), or when the m x k basis
-    would exceed 32 MiB. It takes implicit trapezoidal steps of fixed dt,
+    rounding (see ``_MODAL_MAX_LOG_SPREAD``), or when the m x m array the
+    eigensolver fills, whatever k, would exceed 32 MiB. It takes implicit trapezoidal steps of fixed dt,
     the first two each split into two backward-Euler half steps so rough
     initial data does not ring. ``method`` and ``modes`` say which ran.
 

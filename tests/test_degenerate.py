@@ -759,17 +759,17 @@ class TestModalInterior:
         assert sol.traces.integral0.tolist() == [0.0] == sol.traces.integral1.tolist()
 
     @pytest.mark.parametrize("slack, method", [(0, "modal"), (-1, "stepper")])
-    def test_basis_budget_counts_the_modes_kept(self, slack, method, monkeypatch):
-        # the budget holds 8 m k bytes, m = 99 unknowns and k the modes kept
+    def test_basis_budget_counts_the_eigensolver_array(self, slack, method, monkeypatch):
+        # the budget holds 8 m m bytes, m = 99 unknowns: scipy's stemr wrapper
+        # fills an m x m array however few modes are kept
         model, grid = MODAL_MODELS["psi=0"](), Grid(0.0, 1.0, 101)
-        kept = solve_interior(model, np.ones(grid.n), 1.0, [1.0], grid).modes
-        monkeypatch.setattr(degenerate, "_MODAL_MAX_BASIS_BYTES", 8 * 99 * kept + slack)
+        monkeypatch.setattr(degenerate, "_MODAL_MAX_BASIS_BYTES", 8 * 99 * 99 + slack)
         sol = solve_interior(model, np.ones(grid.n), 1.0, [1.0], grid)
-        assert sol.method == method and sol.modes == (kept if method == "modal" else 0)
+        assert sol.method == method and sol.modes == (5 if method == "modal" else 0)
 
     def test_basis_over_budget_runs_stepper(self, monkeypatch):
-        # n = 8001 with its first snapshot at 1e-6: thousands of modes are
-        # alive, so the m x k basis would far exceed 32 MiB; the stepper is
+        # n = 8001 with its first snapshot at t = 1 keeps 5 modes, but the
+        # eigensolver's 7999 x 7999 array would take 512 MB; the stepper is
         # stopped as it starts, and no eigensolve runs
         class StepperStarted(Exception):
             pass
@@ -781,7 +781,7 @@ class TestModalInterior:
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", None)
         grid = Grid(0.0, 1.0, 8001)
         with pytest.raises(StepperStarted):
-            solve_interior(MODAL_MODELS["psi=0"](), np.ones(grid.n), 1e-6, [1e-6], grid)
+            solve_interior(MODAL_MODELS["psi=0"](), np.ones(grid.n), 1.0, [1.0], grid)
 
     def test_wide_scale_spread_runs_stepper(self):
         grid = Grid(0.0, 1.0, 401)
