@@ -20,7 +20,6 @@ _EXPORTS = {
         "ConsparError",
         "ConfigError",
         "CouplingError",
-        "DegeneracyError",
         "DomainBoundsError",
         "EvaluationError",
         "ExpressionError",
@@ -35,13 +34,11 @@ _EXPORTS = {
     "fields": (
         "CoefficientField",
         "constant_field",
-        "cumulative_integral",
         "exponential_weight",
         "field_from_callable",
         "field_from_expression",
         "field_from_table",
         "fixation_probability",
-        "integrating_factor",
     ),
     "sturm": (
         "BoundaryCoupling",
@@ -53,15 +50,12 @@ _EXPORTS = {
         "coupling_from_kernel",
         "eigensolve",
         "evolve",
-        "neumann_coupling",
         "positivity_check",
-        "steady_state",
         "weighted_inner",
     ),
     "conservative": (
         "ConservativeProblem",
         "MomentPrescription",
-        "build_partially_conservative",
         "build_totally_conservative",
         "certify_intrinsic_positivity",
         "conservation_residual",
@@ -69,7 +63,6 @@ _EXPORTS = {
         "prescribe_moments",
         "prescribed_moments_evolve",
         "prescribed_moments_reduce",
-        "selfadjoint_reduction",
         "time_function",
     ),
     "degenerate": (
@@ -78,7 +71,6 @@ _EXPORTS = {
         "DegenerateModel",
         "InteriorSolution",
         "decompose_measure",
-        "from_selfadjoint",
         "kimura_model",
         "masses_from_boundary_flux",
         "masses_from_conservation",
@@ -87,9 +79,6 @@ _EXPORTS = {
         "solve_regularized",
         "to_selfadjoint",
         "vanishing_limit",
-        "weak_form_residual",
-        "separable_test_function",
-        "canonical_test_directions",
     ),
     "oracle": (
         "EmpiricalMeasure",

@@ -6,15 +6,13 @@ boundary value problem whose conservation laws span the kernel of the
 operator. This module builds such problems from candidate laws: it
 assembles the operator once, rejects laws outside its kernel and keeps
 that operator with the coupling rows the laws give. It also classifies
-their positivity structure, reduces general drift-diffusion operators to
-weighted self-adjoint form, and handles prescribed moments through a
+their positivity structure and handles prescribed moments through a
 source term and the Duhamel integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +28,6 @@ from .fields import (
     CoefficientField,
     _simpson_weights,
     constant_field,
-    field_from_callable,
 )
 from .sturm import (
     DEFAULT_GRID,
@@ -41,7 +38,6 @@ from .sturm import (
     Trajectory,
     apply_operator,
     assemble,
-    conservation_row,
     coupling_from_kernel,
     orthonormalize_laws,
     sample_field,
@@ -60,37 +56,19 @@ _COMPAT_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ConservativeProblem:
-    """A conservative problem ready for :func:`conspar.sturm.eigensolve`:
+    """A totally conservative problem ready for
+    :func:`conspar.sturm.eigensolve`:
     ``eigensolve(problem.operator, problem.coupling)``.
 
     ``operator`` is the assembled operator the laws were checked against,
-    and ``coupling`` its boundary rows. ``laws`` hold the conserved
-    functionals (two for a totally conservative problem, one for a
-    partially conservative one, whose second coupling row is the user's);
-    ``law_values`` are their samples on ``operator.grid``. For partially
-    conservative problems the strong-maximum-principle hypothesis behind
-    positivity is assumed, not checked.
+    and ``coupling`` its boundary rows. ``laws`` hold the two conserved
+    functionals; ``law_values`` are their samples on ``operator.grid``.
     """
 
     operator: DiscreteOperator
     coupling: BoundaryCoupling
     laws: tuple
-    law_values: np.ndarray  # (n_laws, n)
-    kind: str  # "totally" | "partially"
-
-    @property
-    def max_principle_assumed(self) -> bool:
-        """Partially conservative problems assume a strong maximum principle."""
-        return self.kind == "partially"
-
-    @cached_property
-    def positivity(self) -> str:
-        """The positivity class of the laws, computed when first read: the
-        direction sweep of :func:`certify_intrinsic_positivity` for two
-        laws, the sign of the one law otherwise."""
-        if self.kind == "totally":
-            return _positivity(self.law_values)
-        return NONNEGATIVE if float(self.law_values[0].min()) >= -1e-12 else UNKNOWN
+    law_values: np.ndarray  # (2, n)
 
 
 def _require_law(name, op: DiscreteOperator, q, phi):
@@ -112,27 +90,6 @@ def _require_law(name, op: DiscreteOperator, q, phi):
         )
 
 
-def _assemble_conservative(op: DiscreteOperator, p, phi1, phi2) -> ConservativeProblem:
-    grid = op.grid
-    v1, v2 = sample_field(phi1, grid), sample_field(phi2, grid)
-    gram = np.array(
-        [
-            [np.dot(v1, v1), np.dot(v1, v2)],
-            [np.dot(v2, v1), np.dot(v2, v2)],
-        ]
-    )
-    if np.linalg.det(gram) <= 1e-12 * max(gram[0, 0] * gram[1, 1], 1e-300):
-        raise CouplingError("conservation laws are numerically proportional")
-    law_values = np.vstack([v1, v2])
-    return ConservativeProblem(
-        operator=op,
-        coupling=coupling_from_kernel(phi1, phi2, p, grid),
-        laws=(phi1, phi2),
-        law_values=law_values,
-        kind="totally",
-    )
-
-
 def build_totally_conservative(
     p: CoefficientField,
     q: CoefficientField,
@@ -151,32 +108,20 @@ def build_totally_conservative(
     op = assemble(p, q, weight, grid)
     for name, phi in (("phi1", phi1), ("phi2", phi2)):
         _require_law(name, op, q, phi)
-    return _assemble_conservative(op, p, phi1, phi2)
-
-
-def build_partially_conservative(
-    p: CoefficientField,
-    q: CoefficientField,
-    phi1: CoefficientField,
-    extra_bc: Sequence[float],
-    grid: Grid = DEFAULT_GRID,
-    weight: Optional[CoefficientField] = None,
-) -> ConservativeProblem:
-    """One conservation law plus a user boundary row.
-
-    The extra row may be any boundary functional independent of the law's
-    row; whether the resulting semigroup preserves positivity depends on a
-    maximum principle that is recorded as assumed.
-    """
-    weight = weight if weight is not None else constant_field(1.0)
-    op = assemble(p, q, weight, grid)
-    _require_law("phi1", op, q, phi1)
+    v1, v2 = sample_field(phi1, grid), sample_field(phi2, grid)
+    gram = np.array(
+        [
+            [np.dot(v1, v1), np.dot(v1, v2)],
+            [np.dot(v2, v1), np.dot(v2, v2)],
+        ]
+    )
+    if np.linalg.det(gram) <= 1e-12 * max(gram[0, 0] * gram[1, 1], 1e-300):
+        raise CouplingError("conservation laws are numerically proportional")
     return ConservativeProblem(
         operator=op,
-        coupling=BoundaryCoupling([conservation_row(phi1, p, grid), list(extra_bc)]),
-        laws=(phi1,),
-        law_values=sample_field(phi1, grid)[None, :],
-        kind="partially",
+        coupling=coupling_from_kernel(phi1, phi2, p, grid),
+        laws=(phi1, phi2),
+        law_values=np.vstack([v1, v2]),
     )
 
 
@@ -186,15 +131,7 @@ def certify_intrinsic_positivity(problem: ConservativeProblem) -> str:
     This is a certification heuristic over a finite direction grid, not a
     proof; "unknown" is a legitimate outcome.
     """
-    if problem.kind != "totally":
-        raise ArgumentError("positivity certification needs a totally conservative problem")
-    return _positivity(problem.law_values)
-
-
-def _positivity(law_values) -> str:
-    """The sweep behind :func:`certify_intrinsic_positivity`, on the two
-    laws' samples."""
-    v1, v2 = law_values
+    v1, v2 = problem.law_values
     margin = _POSITIVITY_MARGIN
     thetas = np.linspace(0.0, np.pi, _POSITIVITY_DIRECTIONS, endpoint=False)
     for th in thetas:
@@ -207,79 +144,6 @@ def _positivity(law_values) -> str:
     if float(v1.min()) >= -margin and float(v2.min()) >= -margin:
         return NONNEGATIVE
     return UNKNOWN
-
-
-def _adjoint_kernel_residual(a, b, c, phi, grid: Grid) -> Tuple[float, float]:
-    """Central-difference residual of (a phi)'' - (b phi)' + c phi, the
-    formal-adjoint kernel condition a plain-integral conservation law must
-    satisfy, with a discretization-aware threshold."""
-    x = grid.reference(grid.nodes)
-    h = grid.h
-    aphi = np.asarray(a(x)) * np.asarray(phi(x))
-    bphi = np.asarray(b(x)) * np.asarray(phi(x))
-    cphi = np.asarray(c(x)) * np.asarray(phi(x))
-    second = (aphi[2:] - 2 * aphi[1:-1] + aphi[:-2]) / h**2
-    first = (bphi[2:] - bphi[:-2]) / (2 * h)
-    resid = float(np.max(np.abs(second - first + cphi[1:-1])))
-    tol = 1e-6 * (
-        1.0
-        + float(np.max(np.abs(cphi)))
-        + float(np.max(np.abs(aphi))) / h**2
-        + float(np.max(np.abs(bphi))) / h
-    )
-    return resid, tol
-
-
-def selfadjoint_reduction(
-    a: CoefficientField,
-    b: CoefficientField,
-    c: CoefficientField,
-    phi1: CoefficientField,
-    phi2: CoefficientField,
-    grid: Grid = DEFAULT_GRID,
-) -> Tuple[ConservativeProblem, CoefficientField]:
-    """Rewrite M u = a u'' + b u' + c u with plain-integral laws phi_i as a
-    weighted self-adjoint problem.
-
-    With eta = exp(int b/a): p = eta, q = c eta / a, inner-product weight
-    eta / a, and the laws transform to (a/eta) phi_i. All downstream inner
-    products (conservation checks included) must use the returned weight.
-    The laws are validated in plain form against the formal adjoint (the
-    transformed laws can carry sharp layers the stencil cannot resolve);
-    requires a bounded away from zero, else the degenerate-boundary
-    solvers apply.
-    """
-    from .fields import integrating_factor
-
-    eta = integrating_factor(a, b)  # raises DegeneracyError if min a <= 0
-    for name, phi in (("phi1", phi1), ("phi2", phi2)):
-        resid, tol = _adjoint_kernel_residual(a, b, c, phi, grid)
-        if resid > tol:
-            raise InputError(
-                f"{name} is not a conservation law of the general operator: "
-                f"formal-adjoint residual {resid:.3e} exceeds {tol:.3e}"
-            )
-    q_fn = lambda x: np.asarray(c(x)) * np.asarray(eta(x)) / np.asarray(a(x))  # noqa: E731
-    w_fn = lambda x: np.asarray(eta(x)) / np.asarray(a(x))  # noqa: E731
-    q_field = field_from_callable(q_fn, "reduced_q", n=eta.xs.size)
-    w_field = field_from_callable(w_fn, "reduced_weight", n=eta.xs.size)
-
-    def transformed(phi):
-        fn = lambda x: np.asarray(a(x)) / np.asarray(eta(x)) * np.asarray(phi(x))  # noqa: E731
-
-        def deriv(x):
-            ax, ex, px = np.asarray(a(x)), np.asarray(eta(x)), np.asarray(phi(x))
-            dax = np.asarray(a.derivative(x))
-            dex = np.asarray(eta.derivative(x))
-            dpx = np.asarray(phi.derivative(x))
-            return (dax / ex - ax * dex / ex**2) * px + ax / ex * dpx
-
-        return field_from_callable(fn, "reduced_law", n=eta.xs.size, derivative=deriv)
-
-    psi1, psi2 = transformed(phi1), transformed(phi2)
-    op = assemble(eta, q_field, w_field, grid)
-    problem = _assemble_conservative(op, eta, psi1, psi2)
-    return problem, w_field
 
 
 def conservation_residual(traj: Trajectory, law, weight) -> float:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -146,25 +146,14 @@ def sis_model(R0: float) -> DegenerateModel:
     return DegenerateModel(g=g, psi=psi, absorbs_at_1=False)
 
 
-def _divisors(g_eps, p_weight):
+def to_selfadjoint(u: np.ndarray, g_eps: np.ndarray, p_weight: np.ndarray) -> np.ndarray:
+    """v = u g_eps / p; the transform taking the forward equation to
+    self-adjoint form."""
     g_eps = np.asarray(g_eps, dtype=float)
     p_weight = np.asarray(p_weight, dtype=float)
     if np.any(g_eps <= 0) or np.any(p_weight <= 0):
         raise TransformError("transform divisors must be positive")
-    return g_eps, p_weight
-
-
-def to_selfadjoint(u: np.ndarray, g_eps: np.ndarray, p_weight: np.ndarray) -> np.ndarray:
-    """v = u g_eps / p; the transform taking the forward equation to
-    self-adjoint form."""
-    g_eps, p_weight = _divisors(g_eps, p_weight)
     return np.asarray(u, dtype=float) * g_eps / p_weight
-
-
-def from_selfadjoint(v: np.ndarray, g_eps: np.ndarray, p_weight: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_selfadjoint`: u = v p / g_eps."""
-    g_eps, p_weight = _divisors(g_eps, p_weight)
-    return np.asarray(v, dtype=float) * p_weight / g_eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,16 +270,6 @@ class BoundaryMeasure:
 
     def total_mass(self) -> float:
         return self.atom0 + self.atom1 + self.interior_mass()
-
-    def moment(self, f) -> float:
-        """Pairing with a function: atoms weigh its endpoint values."""
-        fv = (
-            sample_field(f, self.grid)
-            if isinstance(f, CoefficientField)
-            else np.asarray(f, dtype=float)
-        )
-        interior = float(np.trapezoid(self.density * fv, self.grid.nodes))
-        return self.atom0 * float(fv[0]) + interior + self.atom1 * float(fv[-1])
 
 
 def decompose_measure(
@@ -810,96 +789,3 @@ def vanishing_limit(
         rungs=solutions,
     )
 
-
-# ----------------------------------------------------------------------
-# Weak formulation
-
-
-@dataclass(frozen=True)
-class SpaceTimeTestFunction:
-    """A test function alpha(x, t) with the derivatives the weak form
-    needs; every callable is vectorized in x."""
-
-    value: Callable
-    dt: Callable
-    dx: Callable
-    dxx: Callable
-
-
-def separable_test_function(
-    beta: Callable,
-    beta_prime: Callable,
-    gamma: Callable,
-    gamma_prime: Callable,
-    gamma_second: Callable,
-) -> SpaceTimeTestFunction:
-    """alpha(x, t) = beta(t) gamma(x) from scalar factors."""
-    return SpaceTimeTestFunction(
-        value=lambda x, t: beta(t) * np.asarray(gamma(x), dtype=float),
-        dt=lambda x, t: beta_prime(t) * np.asarray(gamma(x), dtype=float),
-        dx=lambda x, t: beta(t) * np.asarray(gamma_prime(x), dtype=float),
-        dxx=lambda x, t: beta(t) * np.asarray(gamma_second(x), dtype=float),
-    )
-
-
-def canonical_test_directions(model: DegenerateModel):
-    """The spatial test directions every admissible domain contains: the
-    model's conservation laws, the constant 1 and (when x = 1 absorbs) the
-    fixation moment.
-
-    Returns a list of (gamma, gamma', gamma'') callable triples; every law
-    solves gamma'' + psi gamma' = 0.
-    """
-    psi = model.psi
-
-    def direction(law):
-        return (
-            lambda x: np.asarray(law(x)),
-            lambda x: np.asarray(law.derivative(x)),
-            lambda x: -np.asarray(psi(x)) * np.asarray(law.derivative(x)),
-        )
-
-    return [direction(law) for law in model.laws]
-
-
-def weak_form_residual(
-    measures: Sequence[BoundaryMeasure],
-    alpha: SpaceTimeTestFunction,
-    model: DegenerateModel,
-) -> float:
-    """Residual of the space-time weak identity for a measure trajectory.
-
-    Computes int_0^T <u(t), dt_alpha + g dxx_alpha + g psi dx_alpha> dt
-    + <u(0), alpha(., 0)> - <u(T), alpha(., T)>, where the measure pairing
-    weighs atoms by endpoint values (the diffusion terms vanish at
-    degenerate endpoints). Small for true weak solutions.
-    """
-    for name in ("value", "dt", "dx", "dxx"):
-        if getattr(alpha, name, None) is None:
-            raise ArgumentError(f"test function lacks {name}")
-    if len(measures) < 3:
-        raise ArgumentError("need at least 3 snapshots for the time integral")
-    grid = measures[0].grid
-    nodes = grid.nodes
-    ref = grid.reference(nodes)
-    g_v = np.asarray(model.g(ref), dtype=float)
-    gpsi_v = g_v * np.asarray(model.psi(ref), dtype=float)
-    ts = np.array([m.time for m in measures])
-
-    integrand = np.empty(ts.size)
-    for i, m in enumerate(measures):
-        t = ts[i]
-        dt_a = np.asarray(alpha.dt(nodes, t), dtype=float)
-        gen = g_v * np.asarray(alpha.dxx(nodes, t), dtype=float) + gpsi_v * np.asarray(
-            alpha.dx(nodes, t), dtype=float
-        )
-        interior = float(np.trapezoid(m.density * (dt_a + gen), nodes))
-        atoms = m.atom0 * float(dt_a[0] + gen[0]) + m.atom1 * float(dt_a[-1] + gen[-1])
-        integrand[i] = interior + atoms
-
-    from scipy.integrate import simpson  # slow import, first use only
-
-    time_integral = float(simpson(integrand, x=ts))
-    first = measures[0].moment(np.asarray(alpha.value(nodes, ts[0]), dtype=float))
-    last = measures[-1].moment(np.asarray(alpha.value(nodes, ts[-1]), dtype=float))
-    return float(time_integral + first - last)

@@ -37,14 +37,6 @@ class EvaluationError(ConsparError):
         self.x = x
 
 
-class DegeneracyError(InputError):
-    """A coefficient required to be bounded away from zero vanishes.
-
-    Boundary-degenerate problems are handled by the `degenerate` module,
-    not by the uniformly parabolic machinery that raised this.
-    """
-
-
 class CouplingError(InputError):
     """Boundary coupling rows are rank deficient or otherwise unusable."""
 
@@ -72,10 +64,6 @@ class ArgumentError(InputError):
 
 class DenseSizeError(InputError):
     """A dense n x n solve would exceed its fixed memory budget."""
-
-
-class NoSteadyStateError(InputError):
-    """Steady-state projection requested but the spectrum has no kernel."""
 
 
 class NumericalError(ConsparError):

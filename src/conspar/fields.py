@@ -8,10 +8,9 @@ solvers are built here:
 * ``exponential_weight(psi)``  ->  x |-> exp(int_0^x psi)
 * ``fixation_probability(psi)``-> solution of phi'' + psi phi' = 0,
   phi(0) = 0, phi(1) = 1
-* ``integrating_factor(a, b)`` ->  x |-> exp(int_0^x b/a)
 
 Quadrature is composite Simpson refined by doubling until successive
-estimates agree to 1e-10 relative (or a node cap is reached).
+estimates agree to 1e-12 relative (or a node cap is reached).
 
 The antiderivatives behind the derived weights are interpolated by a
 not-a-knot cubic spline that does the arithmetic of scipy's
@@ -27,7 +26,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegeneracyError,
     DomainBoundsError,
     InputError,
     InternalError,
@@ -278,17 +276,6 @@ def _simpson_weights(k: int) -> np.ndarray:
     return w / 3.0
 
 
-def integrate(fn: Callable, lo: float, hi: float) -> float:
-    """Composite Simpson on [lo, hi], refined by doubling until successive
-    estimates agree to ``_QUAD_RTOL`` relative (node cap 2**20): one cell
-    of :func:`_cell_integrals`."""
-    if hi < lo:
-        return -integrate(fn, hi, lo)
-    if hi == lo:
-        return 0.0
-    return float(_cell_integrals(fn, np.array([lo, hi], dtype=float))[0])
-
-
 def _cell_integrals(fn: Callable, nodes: np.ndarray):
     """Simpson integral of ``fn`` over each cell of ``nodes``, all cells
     refined together by doubling until every cell converges to
@@ -320,25 +307,6 @@ def cumulative_trapezoid(y, x) -> np.ndarray:
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
     return out
-
-
-def _antiderivative_table(f: CoefficientField) -> np.ndarray:
-    if "antider" not in f._cache:
-        cells = _cell_integrals(f, f.xs)
-        f._cache["antider"] = np.concatenate([[0.0], np.cumsum(cells)])
-    return f._cache["antider"]
-
-
-def cumulative_integral(f: CoefficientField, x: float) -> float:
-    """int_0^x f, by composite Simpson on the field's sample grid with a
-    refined partial cell; error is O(h^4) for smooth fields."""
-    x = float(x)
-    if x < -1e-12 or x > 1 + 1e-12:
-        raise DomainBoundsError("integration endpoint outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    table = _antiderivative_table(f)
-    i = int(np.clip(np.searchsorted(f.xs, x, side="right") - 1, 0, f.xs.size - 2))
-    return float(table[i] + integrate(f, float(f.xs[i]), x))
 
 
 def _antiderivative_callable(
@@ -401,18 +369,3 @@ def fixation_probability(psi: CoefficientField) -> CoefficientField:
     deriv = lambda x: integrand(x) / z  # noqa: E731
     return field_from_callable(fn, "fixation", n=psi.xs.size, derivative=deriv)
 
-
-def integrating_factor(a: CoefficientField, b: CoefficientField) -> CoefficientField:
-    """exp(int_0^x b/a) for a coefficient ``a`` bounded away from zero."""
-    floor = 1e-12 * max(1.0, abs(a.max_sample()))
-    if a.min_sample() <= floor:
-        raise DegeneracyError(
-            "coefficient a is not bounded away from zero; use the degenerate-"
-            "boundary solvers instead"
-        )
-    nodes = a.xs if a.xs.size >= b.xs.size else b.xs
-    ratio = lambda x: np.asarray(b(x)) / np.asarray(a(x))  # noqa: E731
-    anti = _antiderivative_callable(ratio, nodes, what=f"b/a for a = {_name(a)}, b = {_name(b)}")
-    fn = lambda x: np.exp(anti(x))  # noqa: E731
-    deriv = lambda x: ratio(x) * np.exp(anti(x))  # noqa: E731
-    return field_from_callable(fn, "integrating_factor", n=nodes.size, derivative=deriv)

@@ -35,7 +35,6 @@ from .errors import (
     DenseSizeError,
     EigensolveError,
     InputError,
-    NoSteadyStateError,
 )
 from .fields import CoefficientField, _cell_integrals
 
@@ -106,10 +105,6 @@ class BoundaryCoupling:
         s = scipy.linalg.svdvals(rows)
         if s[1] <= 1e-10 * max(s[0], 1e-300):
             raise CouplingError("coupling rows are linearly dependent")
-
-
-def neumann_coupling() -> BoundaryCoupling:
-    return BoundaryCoupling([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def conservation_row(
@@ -537,16 +532,6 @@ def evolve(eig: EigenSystem, v0: np.ndarray, times: Sequence[float]) -> Trajecto
         values=values,
         truncation_error=truncation,
     )
-
-
-def steady_state(eig: EigenSystem, v0: np.ndarray) -> np.ndarray:
-    """Projection of v0 onto the zero-eigenvalue subspace (the t -> inf
-    limit of the evolution)."""
-    zm = eig.zero_multiplicity
-    if zm == 0:
-        raise NoSteadyStateError("operator has no zero eigenvalue")
-    a = eig.project(v0)
-    return eig.vectors[:, :zm] @ a[:zm]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conspar import (
+    BoundaryCoupling,
     Grid,
     assemble,
     build_totally_conservative,
@@ -52,9 +53,8 @@ def heat_coupling(grid, one, x_field):
 
 @pytest.fixture(scope="session")
 def neumann_eig(grid, one, zero):
-    from conspar import neumann_coupling
-
-    return eigensolve(assemble(one, zero, one, grid), neumann_coupling(), k=6)
+    neumann = BoundaryCoupling([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    return eigensolve(assemble(one, zero, one, grid), neumann, k=6)
 
 
 def rng(seed=0):

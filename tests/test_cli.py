@@ -105,26 +105,23 @@ def test_manifests_time_their_stages(tmp_path):
             assert sum(seconds) <= total, command
 
 
-# what ``from conspar import *`` bound when the package imported eagerly
+# what ``from conspar import *`` binds
 STAR_NAMES = """
 BoundaryCoupling BoundaryMeasure BoundaryTraces CoefficientField ConfigError
-ConservativeProblem ConsparError CouplingError DEFAULT_GRID DegeneracyError
-DegenerateModel DomainBoundsError EigenSystem EmpiricalMeasure EvaluationError
-Expression ExpressionError Grid InputError InteriorSolution MomentPrescription
-NumericalError ParameterError RegularityTierError
-SdeSpec Trajectory TransformError ValidationFailure assemble
-build_partially_conservative build_totally_conservative canonical_test_directions
-certify_intrinsic_positivity compare_measures conservation_residual conservative
-constant_field coupling_from_kernel cumulative_integral decompose_measure
-degenerate duhamel_evolve eigensolve errors evolve exponential_weight expressions
+ConservativeProblem ConsparError CouplingError DEFAULT_GRID DegenerateModel
+DomainBoundsError EigenSystem EmpiricalMeasure EvaluationError Expression
+ExpressionError Grid InputError InteriorSolution MomentPrescription
+NumericalError ParameterError RegularityTierError SdeSpec Trajectory
+TransformError ValidationFailure assemble build_totally_conservative
+certify_intrinsic_positivity compare_measures conservation_residual
+conservative constant_field coupling_from_kernel decompose_measure degenerate
+duhamel_evolve eigensolve errors evolve exponential_weight expressions
 field_from_callable field_from_expression field_from_table fields
-fixation_probability from_selfadjoint integrating_factor kimura_model kimura_sde
-masses_from_boundary_flux masses_from_conservation neumann_coupling
-oracle parse_expression positivity_check prescribe_moments
-prescribed_moments_evolve prescribed_moments_reduce selfadjoint_reduction
-separable_test_function simulate sis_model sis_sde
-solve_interior solve_regularized steady_state sturm time_function to_selfadjoint
-vanishing_limit weak_form_residual weighted_inner
+fixation_probability kimura_model kimura_sde masses_from_boundary_flux
+masses_from_conservation oracle parse_expression positivity_check
+prescribe_moments prescribed_moments_evolve prescribed_moments_reduce simulate
+sis_model sis_sde solve_interior solve_regularized sturm time_function
+to_selfadjoint vanishing_limit weighted_inner
 """.split()
 
 
@@ -475,10 +472,10 @@ class TestSpectrumCommand:
         # nothing a spectrum run writes reads the problem's positivity class
         from conspar import conservative
 
-        def refuse(law_values):
+        def refuse(problem):
             raise AssertionError("positivity swept")
 
-        monkeypatch.setattr(conservative, "_positivity", refuse)
+        monkeypatch.setattr(conservative, "certify_intrinsic_positivity", refuse)
         assert main(["spectrum", "--out", str(tmp_path / "spec"), "--n", "51", "--k", "6"]) == 0
 
     def test_variable_coefficient_laws(self, tmp_path):

@@ -8,7 +8,6 @@ from conspar import conservative
 from conspar.conservative import (
     INTRINSICALLY_POSITIVE,
     UNKNOWN,
-    build_partially_conservative,
     build_totally_conservative,
     certify_intrinsic_positivity,
     conservation_residual,
@@ -16,17 +15,15 @@ from conspar.conservative import (
     prescribe_moments,
     prescribed_moments_evolve,
     prescribed_moments_reduce,
-    selfadjoint_reduction,
     time_function,
 )
-from conspar.errors import CompatibilityError, CouplingError, DegeneracyError, InputError
+from conspar.errors import CompatibilityError, CouplingError, InputError
 from conspar.fields import (
     constant_field,
     field_from_callable,
     field_from_expression,
 )
 from conspar.sturm import (
-    apply_operator,
     assemble,
     eigensolve,
     evolve,
@@ -36,8 +33,8 @@ from conspar.sturm import (
 
 class TestBuildTotallyConservative:
     def test_heat_mass_and_first_moment_accepted(self, heat_problem):
-        assert heat_problem.kind == "totally"
-        assert heat_problem.positivity == INTRINSICALLY_POSITIVE
+        assert heat_problem.law_values.shape == (2, heat_problem.operator.grid.n)
+        assert certify_intrinsic_positivity(heat_problem) == INTRINSICALLY_POSITIVE
 
     def test_quadratic_rejected_with_residual(self, grid, one, zero):
         with pytest.raises(InputError, match="phi2"):
@@ -46,7 +43,7 @@ class TestBuildTotallyConservative:
     def test_acceptance_symmetric_under_swap(self, grid, one, zero, x_field):
         p1 = build_totally_conservative(one, zero, one, x_field, grid)
         p2 = build_totally_conservative(one, zero, x_field, one, grid)
-        assert p1.kind == p2.kind == "totally"
+        assert np.array_equal(p1.law_values, p2.law_values[::-1])
         with pytest.raises(InputError, match="phi1"):
             build_totally_conservative(one, zero, field_from_expression("x^2"), one, grid)
 
@@ -62,7 +59,7 @@ class TestBuildTotallyConservative:
         p = exponential_weight(psi)
         phi = fixation_probability(psi)
         problem = build_totally_conservative(p, zero, constant_field(1.0), phi, grid)
-        assert problem.positivity == INTRINSICALLY_POSITIVE
+        assert certify_intrinsic_positivity(problem) == INTRINSICALLY_POSITIVE
 
     def test_assembles_once(self, grid, one, zero, x_field, monkeypatch):
         # the laws are checked against the operator the eigensolve uses
@@ -86,7 +83,7 @@ class TestCertifyPositivity:
     def test_positive_combination_needed(self, grid, one, zero, x_field):
         mirrored = field_from_expression("1-x")
         problem = build_totally_conservative(one, zero, x_field, mirrored, grid)
-        assert problem.positivity == INTRINSICALLY_POSITIVE
+        assert certify_intrinsic_positivity(problem) == INTRINSICALLY_POSITIVE
 
     def test_oscillatory_kernel_unknown(self, grid, one):
         q = constant_field((2 * np.pi) ** 2)
@@ -101,7 +98,7 @@ class TestCertifyPositivity:
             derivative=lambda x: -2 * np.pi * np.sin(2 * np.pi * np.asarray(x)),
         )
         problem = build_totally_conservative(one, q, s, c, grid)
-        assert problem.positivity == UNKNOWN
+        assert certify_intrinsic_positivity(problem) == UNKNOWN
         # dense direction sampling confirms no positive combination exists
         th = np.linspace(0, np.pi, 10_000, endpoint=False)
         combos = np.cos(th)[:, None] * problem.law_values[0] + np.sin(th)[:, None] * problem.law_values[1]
@@ -115,119 +112,6 @@ class TestCertifyPositivity:
             base, law_values=np.vstack([7.0 * base.law_values[0], 0.25 * base.law_values[1]])
         )
         assert certify_intrinsic_positivity(scaled) == certify_intrinsic_positivity(base)
-
-
-class TestPartiallyConservative:
-    def test_neumann_heat(self, grid, one, zero):
-        problem = build_partially_conservative(
-            one, zero, one, [0.0, 0.0, 0.0, 1.0], grid
-        )
-        assert problem.kind == "partially"
-        assert problem.max_principle_assumed
-        eig = eigensolve(problem.operator, problem.coupling, k=4)
-        assert eig.zero_multiplicity == 1
-        from conspar.sturm import steady_state
-
-        v0 = np.ones(grid.n) + np.sin(np.pi * grid.nodes)
-        steady = steady_state(eig, v0)
-        assert steady.shape == (grid.n,)
-
-
-def _assert_same_operator(op, ref):
-    for name in ("off_diagonal", "mass", "p_end"):
-        got, want = np.asarray(getattr(op, name)), np.asarray(getattr(ref, name))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
-
-
-class TestSelfadjointReduction:
-    def test_identity_reduction(self, grid, one, zero, x_field):
-        problem, weight = selfadjoint_reduction(one, zero, zero, one, x_field, grid)
-        xs = np.linspace(0, 1, 9)
-        _assert_same_operator(problem.operator, assemble(one, zero, one, grid))
-        assert np.max(np.abs(weight(xs) - 1.0)) <= 1e-12
-
-    def test_constant_drift_closed_form(self, grid, one, zero):
-        kappa = 0.7
-        b = constant_field(kappa)
-        # plain-space laws lie in the kernel of the formal adjoint
-        growth = field_from_callable(
-            lambda x: np.exp(kappa * np.asarray(x)),
-            "e^kx",
-            derivative=lambda x: kappa * np.exp(kappa * np.asarray(x)),
-        )
-        problem, weight = selfadjoint_reduction(one, b, zero, one, growth, grid)
-        xs = np.linspace(0, 1, 9)
-        # with a = 1 both p and the weight are eta = e^{kappa x}
-        _assert_same_operator(problem.operator, assemble(growth, zero, growth, grid))
-        assert np.max(np.abs(weight(xs) - np.exp(kappa * xs))) <= 1e-8
-
-    def test_degenerate_coefficient_routed(self, grid, one, zero, x_field):
-        with pytest.raises(DegeneracyError):
-            selfadjoint_reduction(x_field, one, zero, one, x_field, grid)
-
-    def test_regularized_logistic_agrees_with_direct_transform(self, grid, zero, one):
-        # expanded coefficients of the regularized forward operator
-        from conspar.fields import exponential_weight, fixation_probability
-
-        eps = 1e-2
-        psi = constant_field(0.5)
-        p = exponential_weight(psi)
-        phi = fixation_probability(psi)
-        g = lambda x: np.asarray(x) * (1 - np.asarray(x)) + eps  # noqa: E731
-        dg = lambda x: 1 - 2 * np.asarray(x)  # noqa: E731
-        d2g = -2.0
-        a = field_from_callable(g, "g_eps", derivative=dg)
-        b = field_from_callable(
-            lambda x: 2 * dg(x) - g(x) * psi(x),
-            "b",
-            derivative=lambda x: 2 * d2g - dg(x) * psi(x),
-        )
-        c = field_from_callable(
-            lambda x: d2g - (dg(x) * psi(x) + g(x) * np.asarray(psi.derivative(x))),
-            "c",
-        )
-        problem, weight = selfadjoint_reduction(a, b, c, one, phi, grid)
-        # the reduced weight matches the direct change of variables g_eps/p
-        # up to one normalization constant (eta is anchored at x = 0)
-        xs = np.linspace(0, 1, 41)
-        direct = g(xs) / p(xs)
-        ratio = weight(xs) / direct
-        assert np.max(np.abs(ratio - ratio[0])) <= 1e-8 * abs(ratio[0])
-        # and the transformed laws match (p/g_eps) phi_i the same way
-        law0 = problem.laws[0](xs) / (p(xs) / g(xs))
-        assert np.max(np.abs(law0 - law0[0])) <= 1e-8 * abs(law0[0])
-
-    def test_reduced_operator_weighted_symmetry(self, grid, one, zero):
-        # laws must lie in the kernel of the formal adjoint: for
-        # M = D^2 + (x/2) D they are e^{x^2/4} and e^{x^2/4} int e^{-y^2/4}
-        from conspar.fields import _antiderivative_callable
-
-        b = field_from_expression("x/2")
-        gauss = lambda x: np.exp(np.asarray(x) ** 2 / 4)  # noqa: E731
-        anti = _antiderivative_callable(lambda y: np.exp(-np.asarray(y) ** 2 / 4), np.linspace(0, 1, 401))
-        law1 = field_from_callable(
-            gauss, "adj1", derivative=lambda x: np.asarray(x) / 2 * gauss(x)
-        )
-        law2 = field_from_callable(
-            lambda x: gauss(x) * anti(x),
-            "adj2",
-            derivative=lambda x: np.asarray(x) / 2 * gauss(x) * anti(x) + 1.0,
-        )
-        problem, weight = selfadjoint_reduction(one, b, zero, law1, law2, grid)
-        op = problem.operator
-        # symmetric stiffness: <L u, v> = <u, L v> in the weighted product
-        rng = np.random.default_rng(3)
-        u, v = rng.random(grid.n), rng.random(grid.n)
-        lhs = u @ (op.mass * apply_operator(op, v))
-        rhs = v @ (op.mass * apply_operator(op, u))
-        scale = np.max(np.abs(op.diagonal))
-        assert abs(lhs - rhs) <= 1e-10 * scale * np.linalg.norm(u) * np.linalg.norm(v)
-
-    def test_non_kernel_law_rejected(self, grid, one, zero, x_field):
-        # 1 is not conserved by M = D^2 + (x/2) D
-        b = field_from_expression("x/2")
-        with pytest.raises(InputError, match="phi1"):
-            selfadjoint_reduction(one, b, zero, one, x_field, grid)
 
 
 class TestConservationResidual:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conspar import fields
 from conspar.degenerate import kimura_model, sis_model, solve_regularized
 from conspar.errors import (
-    DegeneracyError,
     DomainBoundsError,
     InputError,
     ParameterError,
@@ -17,14 +16,10 @@ from conspar.errors import (
 from conspar.fields import (
     _CubicSpline,
     constant_field,
-    cumulative_integral,
     exponential_weight,
-    field_from_callable,
     field_from_expression,
     field_from_table,
     fixation_probability,
-    integrate,
-    integrating_factor,
 )
 from conspar.sturm import Grid
 
@@ -67,8 +62,8 @@ class TestCoefficientField:
             f(np.array([0.2, -0.3]))
 
     def test_zero_field_cumulative_identically_zero(self, zero):
-        for x in (0.0, 0.3, 0.7, 1.0):
-            assert cumulative_integral(zero, x) == 0.0
+        cells = fields._cell_integrals(zero, np.array([0.0, 0.3, 0.7, 1.0]))
+        assert np.all(np.cumsum(cells) == 0.0)
 
     def test_continuous_tier(self):
         assert field_from_expression("x").continuous_tier
@@ -78,17 +73,20 @@ class TestCoefficientField:
 
 
 class TestCumulativeIntegral:
+    """The cell integrals behind ``assemble`` and the derived weights."""
+
     def test_constant(self, one):
-        assert abs(cumulative_integral(one, 0.5) - 0.5) <= 1e-14
+        assert abs(fields._cell_integrals(one, np.array([0.0, 0.5]))[0] - 0.5) <= 1e-14
 
     def test_sine_against_quadrature_oracle(self):
         f = field_from_expression("sin(x)")
         # frozen from adaptive quadrature: 1 - cos(1)
-        assert abs(cumulative_integral(f, 1.0) - 0.45969769413186023) <= 1e-8
+        whole = fields._cell_integrals(f, np.array([0.0, 1.0]))[0]
+        assert abs(whole - 0.45969769413186023) <= 1e-8
 
     def test_domain_error(self, one):
         with pytest.raises(DomainBoundsError):
-            cumulative_integral(one, 1.2)
+            fields._cell_integrals(one, np.array([0.0, 1.2]))
 
     @given(
         st.sampled_from(["sin(3*x)+2", "exp(0-x)*x", "1+x^3", "cos(5*x)"]),
@@ -97,8 +95,8 @@ class TestCumulativeIntegral:
     @settings(max_examples=40, deadline=None)
     def test_additivity(self, expr, x):
         f = field_from_expression(expr)
-        whole = cumulative_integral(f, 1.0)
-        parts = cumulative_integral(f, x) + integrate(f, x, 1.0)
+        whole = fields._cell_integrals(f, np.array([0.0, 1.0]))[0]
+        parts = fields._cell_integrals(f, np.array([0.0, x, 1.0])).sum()
         assert abs(parts - whole) <= 1e-12 * max(1.0, abs(whole))
 
 
@@ -178,27 +176,6 @@ class TestDriftAntiderivative:
         monkeypatch.setattr(fields, "_antiderivative_callable", counted)
         model(field_from_expression("1-2*x") if model is kimura_model else 2.0)
         assert len(calls) == builds
-
-
-class TestIntegratingFactor:
-    def test_zero_numerator(self, one, zero):
-        eta = integrating_factor(one, zero)
-        assert np.max(np.abs(eta(np.linspace(0, 1, 9)) - 1.0)) <= 1e-14
-
-    def test_constant_ratio(self, one):
-        eta = integrating_factor(one, constant_field(0.8))
-        xs = np.linspace(0, 1, 9)
-        assert np.max(np.abs(eta(xs) - np.exp(0.8 * xs))) <= 1e-10
-
-    def test_log_antiderivative_oracle(self, one):
-        a = field_from_callable(lambda x: 1.0 + np.asarray(x), "1+x")
-        eta = integrating_factor(a, one)
-        xs = np.linspace(0, 1, 17)
-        assert np.max(np.abs(eta(xs) - (1.0 + xs))) <= 1e-8
-
-    def test_degenerate_coefficient_routed(self, one, x_field):
-        with pytest.raises(DegeneracyError):
-            integrating_factor(x_field, one)
 
 
 def _sis_F(R0, x):
