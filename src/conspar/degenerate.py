@@ -27,11 +27,11 @@ the flux p v' in v = g r / p through each face uses the regularized
 operator's harmonic mean of p, so the discrete scheme keeps both laws and
 both off-diagonals of its tridiagonal generator stay positive at every
 drift. It evolves exactly in time the modes of the generator, symmetrized
-by sqrt(cell g / p), alive at the first positive snapshot; the trace
-integrals follow from one banded solve. A Rannacher-started trapezoidal
-time stepper with one banded solve per step runs instead when that scale
-spreads too widely for an accurate reconstruction (see
-``solve_interior``).
+by sqrt(cell g / p), alive at the first positive snapshot, found by the
+regularized solves' eigensolver; the trace integrals follow from one
+banded solve. A Rannacher-started trapezoidal time stepper with one
+banded solve per step runs instead when that scale spreads too widely for
+an accurate reconstruction (see ``solve_interior``).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import scipy.linalg
 
 from .errors import (
     ArgumentError,
+    DenseSizeError,
     InputError,
     ParameterError,
     RegularityTierError,
@@ -67,6 +68,8 @@ from .sturm import (
     EigenSystem,
     Grid,
     Trajectory,
+    _count_below,
+    _smallest_eigh,
     assemble,
     conservation_row,
     count_below,
@@ -389,25 +392,13 @@ def _right_trace(r, absorbing):
 # the snapshots and trace integrals relative to a dense matrix exponential
 # (scipy expm of A t and of the Van Loan block), T = 1, snapshots 0.01, 0.1
 # and 1, uniform data and deltas at 0.3 and 0.7. Forced past the gate at
-# n = 401, Kimura psi = 20 to 50: 1.1e-11 at spread 10.95 (psi = 20),
-# 2.0e-11 at 11.9, 2.5e-10 at 13.3, 9.5e-10 at 15.7, 6.4e-9 at 18.2, 1.5e-8
-# at 20.6, 9.9e-7 at 25.5. Inside it, over n = 101..1601, Kimura psi =
-# 12..20.5 and SIS R0 = 10, 20 (105 cases), SIS reads at most 4.5e-11 and
-# Kimura 1.4e-10 (psi = 14, n = 1601, spread 8.8; 13 cases above 1e-11):
-# the Rayleigh quotients are not the eigenvalues of the nearby tridiagonal
-# whose eigenvectors MRRR returns, a mismatch the spread amplifies.
+# n = 401, Kimura psi = 20 to 50: 2.1e-11 at spread 10.95 (psi = 20),
+# 9.4e-11 at 11.9, 2.1e-10 at 13.3, 1.4e-9 at 15.7, 6.2e-9 at 18.2, 2.9e-8
+# at 20.6, 4.6e-6 at 25.5. Inside it, over n = 101..1601, Kimura psi =
+# 12..20 and 1 - 2x and SIS R0 = 10, 20 (38 cases), SIS reads at most
+# 4.1e-11 and Kimura 9.7e-11 (psi = 18, n = 401, spread 10.0, dense
+# driver; at most 6.5e-11 on shift-invert, 15 cases above 1e-11).
 _MODAL_MAX_LOG_SPREAD = 11.0
-_MODAL_MAX_BASIS_BYTES = 2**25  # stemr holds any k vectors in an m x m array (m <= 2048)
-
-
-def _count_above(a, b, sigma):
-    """Eigenvalues above sigma of the symmetric tridiagonal (a, b): the
-    positive pivots of T - sigma I = L D L^T (Sylvester's law of inertia)."""
-    count, pivot, sigma = 0, 1.0, float(sigma)
-    for ai, b2 in zip(a.tolist(), [0.0] + (b * b).tolist()):
-        pivot = (ai - sigma) - b2 / pivot or -1e-300  # a zero pivot counts as negative
-        count += pivot > 0.0
-    return count
 
 
 def _modal_basis(diag, upper, cell, s, t_min):
@@ -415,25 +406,32 @@ def _modal_basis(diag, upper, cell, s, t_min):
     that is safe. A = C^-1 T S, with C the cells, S = diag(s) and T
     symmetric tridiagonal, so D = sqrt(C S) makes B = D A D^-1 symmetric.
     Its k eigenpairs with exp(lam t_min) > 2^-53 (none for t_min = inf) are
-    counted, then computed; each lam is the Rayleigh quotient of its vector,
-    since MRRR's eigenvalues err by O(eps ||B||) ~ n^2. Returns ((lam, Q, d),
-    spread of log d) with Q m x k, or (None, spread) when the spread is too
-    wide or the eigensolver's m x m array would exceed its budget."""
+    counted, then computed as the k smallest of -B by ``eigensolve``'s
+    drivers. Either driver's eigenvalues err by O(eps ||B||) ~ n^2, so
+    each lam is recomputed from the vectors: one Rayleigh-Ritz step on a
+    shift-invert basis, the Rayleigh quotients of dense vectors. Returns
+    ((lam, Q, d), spread of log d) with Q m x k, or (None, spread) when the
+    spread is too wide or the driver's array is over its budget."""
     log_d = 0.5 * np.log(cell * s)
     top, bottom = float(log_d.max()), float(log_d.min())
     spread = top - bottom
-    m = diag.size
-    if spread > _MODAL_MAX_LOG_SPREAD or 8 * m * m > _MODAL_MAX_BASIS_BYTES:
+    if spread > _MODAL_MAX_LOG_SPREAD:
         return None, spread
     d = np.exp(log_d - 0.5 * (top + bottom))
     a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]
-    k = _count_above(a, b, -53 * math.log(2.0) / t_min) if t_min < np.inf else 0
-    Q = scipy.linalg.eigh_tridiagonal(
-        a, b, select="i", select_range=(m - k, m - 1), lapack_driver="stemr"
-    )[1].copy() if k else np.empty((m, 0))
+    k = _count_below(-a, -b, 0.0, 53 * math.log(2.0) / t_min) if t_min < np.inf else 0
+    if k == 0:
+        return (np.empty(0), np.empty((a.size, 0)), d), spread
+    try:
+        _, Q, method = _smallest_eigh(-a, -b, 0.0, k)
+    except DenseSizeError:
+        return None, spread
     BQ = a[:, None] * Q  # row by row, each row cancels before the sums
     BQ[:-1] += b[:, None] * Q[1:]
     BQ[1:] += b[:, None] * Q[:-1]
+    if method == "shift_invert":
+        lam, R = np.linalg.eigh(Q.T @ BQ)
+        return (lam, Q @ R, d), spread
     return (np.einsum("ij,ij->j", Q, BQ) / np.einsum("ij,ij->j", Q, Q), Q, d), spread
 
 
@@ -525,14 +523,16 @@ def solve_interior(
     The generator A is a constant tridiagonal with positive off-diagonals
     (see ``_interior_operator``). Only its k modes alive at the first
     positive snapshot t_min, exp(lam t_min) > 2^-53, are computed, through
-    its symmetric similar form; each snapshot is e^(A t) r0 on them, and
-    the boundary traces are integrated as A^-1 (r(t) - r0). A time stepper
-    runs instead when the modal form is unsafe: when the symmetrizing
-    scale spans more than a factor exp(11), whose spread amplifies
-    rounding (see ``_MODAL_MAX_LOG_SPREAD``), or when the m x m array the
-    eigensolver fills, whatever k, would exceed 32 MiB. It takes implicit trapezoidal steps of fixed dt,
-    the first two each split into two backward-Euler half steps so rough
-    initial data does not ring. ``method`` and ``modes`` say which ran.
+    its symmetric similar form, by ``eigensolve``'s drivers: shift-invert
+    Lanczos for few modes, dense LAPACK for many. Each snapshot is
+    e^(A t) r0 on them, and the boundary traces are integrated as
+    A^-1 (r(t) - r0). A time stepper runs instead when the modal form is
+    unsafe: when the symmetrizing scale spans more than a factor exp(11),
+    whose spread amplifies rounding (see ``_MODAL_MAX_LOG_SPREAD``), or
+    when the driver's array would exceed the eigensolver's 256 MiB budget.
+    It takes implicit trapezoidal steps of fixed dt, the first two each
+    split into two backward-Euler half steps so rough initial data does
+    not ring. ``method`` and ``modes`` say which ran.
 
     On both paths dt = min(h, horizon/2000), shortened to divide the
     horizon, and snapshot times are snapped to multiples of dt, so output

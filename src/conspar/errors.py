@@ -63,7 +63,8 @@ class ArgumentError(InputError):
 
 
 class DenseSizeError(InputError):
-    """A dense n x n solve would exceed its fixed memory budget."""
+    """An eigensolve's array (a dense n x n matrix or an n x ncv Lanczos
+    basis) would exceed its fixed memory budget."""
 
 
 class NumericalError(ConsparError):

@@ -21,7 +21,6 @@ read-only use; evolution over a list of times is a pure map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -39,8 +38,7 @@ from .errors import (
 from .fields import CoefficientField, _cell_integrals
 
 _FLUX_PIVOT_TOL = 1e-10
-_DENSE_MAX_BYTES = 2**28  # one dense n x n float64 matrix
-_DENSE_MAX_N = math.isqrt(_DENSE_MAX_BYTES // 8)  # 5792
+_DENSE_MAX_BYTES = 2**28  # one eigensolver array: dense n x n (n <= 5792), or n x ncv
 _FEW_MODES_MIN_N = 256  # below this, dense LAPACK was faster for every k
 # one-sided second-order derivative stencils at a and b, times h
 _STENCIL_A = np.array([-3.0, 4.0, -1.0]) / 2
@@ -252,13 +250,13 @@ def _flux_elimination(coupling: BoundaryCoupling, p_end) -> Optional[np.ndarray]
     return -np.linalg.solve(A2, Av)
 
 
-def _require_dense(n: int):
-    """Refuse a dense n x n solve whose matrix would exceed the budget."""
-    if n > _DENSE_MAX_N:
+def _require_budget(n: int, cols: int):
+    """Refuse a solve whose n x cols array (the dense matrix when cols = n,
+    else the Lanczos basis) would exceed the budget."""
+    if 8 * n * cols > _DENSE_MAX_BYTES:
         raise DenseSizeError(
-            f"n = {n} needs a dense {n} x {n} matrix ({8 * n * n / 2**30:.1f} GiB), "
-            f"over the {_DENSE_MAX_BYTES // 2**20} MiB budget of the dense "
-            f"eigensolver (n <= {_DENSE_MAX_N})"
+            f"n = {n} needs a {'dense' if cols == n else 'Lanczos'} {n} x {cols} array "
+            f"({8 * n * cols / 2**20:.2f} MiB), over the {_DENSE_MAX_BYTES >> 20} MiB budget"
         )
 
 
@@ -290,7 +288,7 @@ def _bordered_eigensolve(op: DiscreteOperator, coupling: BoundaryCoupling, k: in
     real eigenvalues.
     """
     n = op.grid.n
-    _require_dense(n)
+    _require_budget(n, n)
     mu = op.grid.cell_weights()
     A = np.zeros((n, n))
     B = np.zeros((n, n))
@@ -340,40 +338,41 @@ def _folded_tridiagonal(op: DiscreteOperator, W: np.ndarray, root: np.ndarray):
 def _dense_eigh(diag, off, corner, k):
     """The k smallest eigenpairs of T by LAPACK, on the dense matrix."""
     n = diag.size
-    _require_dense(n)
     T = np.zeros((n, n))
     i = np.arange(n)
     T[i, i] = diag
     T[i[:-1], i[1:]] = T[i[1:], i[:-1]] = off
-    T[0, -1] = T[-1, 0] = corner
+    T[0, -1] += corner
+    T[-1, 0] += corner
     try:
         return scipy.linalg.eigh(T, subset_by_index=[0, k - 1])
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigensolveError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _shifted_ldl(diag, off, corner, sigma):
-    """T - sigma I in sparse form, its LDL^T factors in natural order, and
-    the count of negative pivots, by Sylvester's law of inertia the number
-    of eigenvalues of T below sigma; None when a zero pivot made SuperLU reorder."""
-    import scipy.sparse  # first use only: most runs never take this path
-    import scipy.sparse.linalg
-
-    n = diag.size
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx[:-1], idx[1:], [0, n - 1]])
-    cols = np.concatenate([idx, idx[1:], idx[:-1], [n - 1, 0]])
-    shifted = scipy.sparse.csc_matrix(
-        (np.concatenate([diag - sigma, off, off, [corner, corner]]), (rows, cols)),
-        shape=(n, n),
-    )
-    lu = scipy.sparse.linalg.splu(
-        shifted,
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    return shifted, lu, int(np.sum(lu.U.diagonal() < 0)) if np.all(lu.perm_r == idx) else None
+def _count_below(diag, off, corner, sigma) -> int:
+    """Eigenvalues of T below sigma (T tridiagonal plus the corner pair, which
+    adds to the off-diagonal at n = 2): the negative pivots of T - sigma I =
+    L D L^T in natural order, the corner's fill carried down the last row.
+    A zero or non-finite pivot recounts just above sigma, then gives n."""
+    n, sigma = diag.size, float(sigma)  # Python floats: numpy scalars slow the loop
+    d, b = diag.tolist(), off.tolist()
+    for shift in (sigma, sigma + 1e-9 * max(1.0, abs(sigma))):
+        count, pivot, b2 = 0, 1.0, 0.0
+        fill, last = float(corner), d[-1] - shift  # the last row: column i, diagonal
+        for i in range(n - 1):
+            pivot = d[i] - shift - b2 / pivot
+            if not (pivot < 0.0 or pivot > 0.0):
+                break
+            count += pivot < 0.0
+            if i == n - 2:
+                fill += b[i]
+            last -= fill * fill / pivot
+            fill, b2 = -fill * b[i] / pivot, b[i] * b[i]
+        else:
+            if last < 0.0 or last > 0.0:
+                return count + (last < 0.0)
+    return n
 
 
 def _shift_invert_eigh(diag, off, corner, k):
@@ -382,23 +381,33 @@ def _shift_invert_eigh(diag, off, corner, k):
     The shift must lie below the whole spectrum, so that the k eigenvalues
     nearest to it are the k smallest, even when q > 0 makes some negative.
     It is the first of -s 4^j, j = 0, 1, ..., with s = max|T_ii| / (n - 1)^2
-    the operator's eigenvalue scale, below which :func:`_shifted_ldl`
-    counts no eigenvalue; its factors serve ARPACK. (A Gershgorin bound
-    lies about 4/h below the spectrum, and a shift that far away slows
-    Lanczos.) The start vector is fixed, so identical calls agree to the bit.
+    the operator's eigenvalue scale, below which :func:`_count_below`
+    counts no eigenvalue. (A Gershgorin bound lies about 4/h below the
+    spectrum, and a shift that far away slows Lanczos.) ARPACK solves with
+    the sparse LU factors of T - sigma I. The start vector is fixed, so
+    identical calls agree to the bit.
     """
+    import scipy.sparse  # first use only: most runs never take this path
     import scipy.sparse.linalg
 
-    scale = np.abs(diag).max() / (diag.size - 1) ** 2
+    n = diag.size
+    scale = np.abs(diag).max() / (n - 1) ** 2
     for j in range(60):
         sigma = -scale * 4.0**j
-        shifted, lu, below = _shifted_ldl(diag, off, corner, sigma)
-        if below == 0:
+        if _count_below(diag, off, corner, sigma) == 0:
             break
     else:
         raise EigensolveError("no shift below the spectrum was found")
+    idx = np.arange(n)
+    rows, cols = np.r_[idx, idx[:-1], idx[1:], 0, n - 1], np.r_[idx, idx[1:], idx[:-1], n - 1, 0]
+    shifted = scipy.sparse.csc_matrix(
+        (np.r_[diag - sigma, off, off, corner, corner], (rows, cols)), shape=(n, n)
+    )
+    lu = scipy.sparse.linalg.splu(
+        shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
     solve = scipy.sparse.linalg.LinearOperator(shifted.shape, matvec=lu.solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(diag.size)
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         # with a shift and OPinv, ARPACK applies only OPinv; A gives the shape
         lam, Y = scipy.sparse.linalg.eigsh(shifted, k=k, sigma=sigma, OPinv=solve, v0=v0)
@@ -406,6 +415,19 @@ def _shift_invert_eigh(diag, off, corner, k):
         raise EigensolveError(f"shift-invert Lanczos failed: {exc}") from exc
     order = np.argsort(lam)
     return lam[order], Y[:, order]
+
+
+def _smallest_eigh(diag, off, corner, k):
+    """The k smallest eigenpairs of T and the driver that found them: few
+    modes (n >= 256 and k <= n/8, the measured crossover) by shift-invert
+    Lanczos in an n x max(2k + 1, 20) basis (scipy's ncv), more by LAPACK on
+    the dense n x n matrix; refused when that array is over budget."""
+    n = diag.size
+    few = n >= _FEW_MODES_MIN_N and k <= n // 8
+    _require_budget(n, max(2 * k + 1, 20) if few else n)
+    if few:
+        return (*_shift_invert_eigh(diag, off, corner, k), "shift_invert")
+    return (*_dense_eigh(diag, off, corner, k), "dense")
 
 
 def eigensolve(
@@ -416,10 +438,10 @@ def eigensolve(
     The primary path folds the rows into the operator through the endpoint
     fluxes, keeping an exactly symmetric definite pencil, and returns
     eigenvectors orthonormal in the weighted inner product. The folded
-    matrix is tridiagonal apart from two corners. Few modes (n >= 256 and
-    k <= n/8, the measured crossover) come from shift-invert Lanczos on
-    its sparse form; more modes from LAPACK on the dense matrix, which is
-    refused with DenseSizeError when it would exceed 256 MiB.
+    matrix is tridiagonal apart from two corners, and
+    :func:`_smallest_eigh` picks its driver: shift-invert Lanczos on its
+    sparse form for few modes, LAPACK on the dense matrix for more, each
+    refused with DenseSizeError when its array would exceed 256 MiB.
     """
     n = op.grid.n
     k = n if k is None else int(k)
@@ -439,12 +461,7 @@ def eigensolve(
             )
         root = np.sqrt(op.mass)
         diag, off, corner = _folded_tridiagonal(op, W, root)
-        if n >= _FEW_MODES_MIN_N and k <= n // 8:
-            lam, Y = _shift_invert_eigh(diag, off, corner, k)
-            method = "shift_invert"
-        else:
-            lam, Y = _dense_eigh(diag, off, corner, k)
-            method = "dense"
+        lam, Y, method = _smallest_eigh(diag, off, corner, k)
         vec = Y / root[:, None]
         residuals = _implied_flux_residuals(coupling, op.p_end, W, vec)
 
@@ -464,16 +481,13 @@ def eigensolve(
 
 def count_below(op: DiscreteOperator, coupling: BoundaryCoupling, sigma: float) -> int:
     """Number of eigenvalues of -L under the coupling below sigma, by the
-    inertia of the folded T - sigma I. It is n when the coupling has no flux
-    form or sigma is not finite."""
+    inertia of the folded T - sigma I (:func:`_count_below`, a pivot loop
+    with no factorization kept). It is n when the coupling has no flux form
+    or sigma is not finite."""
     W = _flux_elimination(coupling, op.p_end)
     if W is None or not np.isfinite(sigma):
         return op.grid.n
-    diag, off, corner = _folded_tridiagonal(op, W, np.sqrt(op.mass))
-    below = _shifted_ldl(diag, off, corner, sigma)[2]
-    if below is None:  # a zero pivot: count just above it, towards more modes
-        below = _shifted_ldl(diag, off, corner, sigma + 1e-9 * max(1.0, abs(sigma)))[2]
-    return op.grid.n if below is None else below
+    return _count_below(*_folded_tridiagonal(op, W, np.sqrt(op.mass)), sigma)
 
 
 def _implied_flux_residuals(coupling, p_end, W, vec) -> np.ndarray:

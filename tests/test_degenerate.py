@@ -285,14 +285,18 @@ class TestCountBelow:
         assert count_below(op, coupling, np.inf) == GRID.n
 
     def test_zero_pivot_counts_just_above_it(self):
-        # sigma = T[0, 0] makes the first pivot exactly zero, so SuperLU
-        # reorders; the count is taken again just above sigma
+        # sigma = T[0, 0] makes the count's first pivot exactly zero; the
+        # count is taken again just above sigma, where that pivot is negative
         model = kimura_model(field_from_expression("1-2*x"))
         op, coupling, _, _ = degenerate.regularized_system(model, 1e-2, Grid(0.0, 1.0, 101))
         W = sturm._flux_elimination(coupling, op.p_end)
         diag, off, corner = sturm._folded_tridiagonal(op, W, np.sqrt(op.mass))
         sigma = float(diag[0])
-        assert sturm._shifted_ldl(diag, off, corner, sigma)[2] is None
+        assert diag[0] - sigma == 0.0
+        above = float(np.nextafter(sigma, np.inf))
+        assert sturm._count_below(diag, off, corner, sigma) == sturm._count_below(
+            diag, off, corner, above
+        )
         lam = eigensolve(op, coupling, 101).eigenvalues
         assert count_below(op, coupling, sigma) == np.sum(lam < sigma)
 
@@ -586,10 +590,10 @@ class TestModalInterior:
     stepper converges to it; inputs it cannot reconstruct accurately run
     the stepper."""
 
-    # n = 101, T = 1: at most 2.3e-12 (psi = 20, uniform). Over n = 101..1601,
-    # Kimura psi = 12..20.5 and SIS R0 = 10, 20 with uniform data and deltas
-    # at 0.3 and 0.7, SIS stays below 4.5e-11 and Kimura below 1.4e-10 (see
-    # _MODAL_MAX_LOG_SPREAD)
+    # n = 101, T = 1: at most 1.1e-11 (psi = 20, delta). Over n = 101..1601,
+    # Kimura psi = 12..20 and 1 - 2x and SIS R0 = 10, 20 with uniform data
+    # and deltas at 0.3 and 0.7, SIS stays below 4.1e-11 and Kimura below
+    # 9.7e-11 (see _MODAL_MAX_LOG_SPREAD)
     @pytest.mark.parametrize("start", ["uniform", "delta"])
     @pytest.mark.parametrize("name", list(MODAL_MODELS))
     def test_matches_matrix_exponential(self, name, start):
@@ -604,6 +608,23 @@ class TestModalInterior:
         for got, want in zip((sol.traces.integral0, sol.traces.integral1), integrals):
             assert got[0] == 0.0
             assert _relative(got[1:], want) <= 1e-10
+
+    # psi = 18 and 20 near the spread gate (spreads 9.9 and 10.95), on the
+    # dense driver (n = 401: more than m/8 modes alive at t = 0.01) and on
+    # shift-invert Lanczos (n = 801); the bound is the worst of the sweep
+    # in _MODAL_MAX_LOG_SPREAD before the drivers were shared, 1.37e-10
+    @pytest.mark.parametrize("psi, n", [(18.0, 401), (20.0, 401), (18.0, 801)])
+    def test_matches_matrix_exponential_at_the_gate_edge(self, psi, n):
+        model = kimura_model(constant_field(psi))
+        grid = Grid(0.0, 1.0, n)
+        r0 = np.column_stack([_initial("uniform", grid), _initial("delta", grid)])
+        sols = [solve_interior(model, r, 1.0, [0.01, 0.1, 1.0], grid) for r in r0.T]
+        snaps, integrals, lo, hi = _van_loan(model, grid, r0, sols[0].trajectory.times)
+        for j, sol in enumerate(sols):  # column j of the reference is start j
+            assert sol.method == "modal" and (sol.modes > (n - 2) // 8) == (n == 401)
+            assert _relative(sol.trajectory.values[:, lo : hi + 1], snaps[..., j]) <= 1.37e-10
+            for got, want in zip((sol.traces.integral0, sol.traces.integral1), integrals[j]):
+                assert _relative(got[1:], want) <= 1.37e-10
 
     @pytest.mark.parametrize("start", ["uniform", "delta"])
     @pytest.mark.parametrize("name", list(MODAL_MODELS))
@@ -696,12 +717,13 @@ class TestModalInterior:
         spectrum = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
         for t_min in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0):
             sigma = -53 * np.log(2.0) / t_min
-            assert degenerate._count_above(a, b, sigma) == np.sum(spectrum > sigma)
+            assert sturm._count_below(-a, -b, 0.0, -sigma) == np.sum(spectrum > sigma)
 
     # relative error of the slowest eigenvalue against long-double bisection,
-    # in the order listed: 2.0e-13, 7.2e-13, 1.3e-13 and 3.0e-11. MRRR's own
-    # eigenvalues over the full spectrum read 5.2e-12, 2.0e-12, 1.1e-12 and
-    # 1.7e-10, an absolute error that grows with ||B||, about n^2
+    # in the order listed: 2.0e-13, 6.9e-14, 5.6e-14 and 1.9e-12, all from
+    # shift-invert Lanczos with a Rayleigh-Ritz step. ARPACK's own
+    # eigenvalues read 2.2e-12 and 1.6e-10 on SIS R0 = 20, an absolute error
+    # that grows with ||B||, about n^2
     @pytest.mark.parametrize(
         "name, n, bound",
         [("sis R0=20", 401, 1.5e-12), ("sis R0=2", 401, 1.5e-12),
@@ -712,10 +734,10 @@ class TestModalInterior:
         (diag, _, upper, cell), s, _, _ = degenerate._interior_operator(model, Grid(0.0, 1.0, n))
         (lam, _, d), _ = degenerate._modal_basis(diag, upper, cell, s, 1.0)
         a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]  # the tridiagonal it diagonalizes
-        exact = _largest_eigenvalue(a, b, lam[-1])
-        assert abs(lam[-1] - exact) <= bound * abs(exact)
+        exact = _largest_eigenvalue(a, b, lam.max())
+        assert abs(lam.max() - exact) <= bound * abs(exact)
 
-    # n = 201, times 0.01, 0.1 and 1: at most 1.5e-12, except 5.9e-12 at
+    # n = 201, times 0.01, 0.1 and 1: at most 1.3e-12, except 5.9e-12 at
     # x = 1 for psi = 20 with the delta, where the closed form itself reads
     # 5.9e-12 against the dense matrix exponential and the banded solve 8.2e-13
     @pytest.mark.parametrize("start", ["uniform", "delta"])
@@ -744,7 +766,7 @@ class TestModalInterior:
     def test_no_positive_snapshot_keeps_no_mode(self, monkeypatch):
         # 1e-4 snaps to t = 0 on the dt = 0.0025 grid, so k = 0: nothing is
         # diagonalized, every row is the data and nothing has flowed out
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", None)
+        monkeypatch.setattr(degenerate, "_smallest_eigh", None)
         grid = Grid(0.0, 1.0, 401)
         r0 = _initial("delta", grid)
         sol = solve_interior(MODAL_MODELS["psi=1-2x"](), r0, 5.0, [0.0, 1e-4], grid)
@@ -754,30 +776,26 @@ class TestModalInterior:
         assert np.array_equal(sol.traces.times, [0.0])
         assert sol.traces.integral0.tolist() == [0.0] == sol.traces.integral1.tolist()
 
-    @pytest.mark.parametrize("slack, method", [(0, "modal"), (-1, "stepper")])
-    def test_basis_budget_counts_the_eigensolver_array(self, slack, method, monkeypatch):
-        # the budget holds 8 m m bytes, m = 99 unknowns: scipy's stemr wrapper
-        # fills an m x m array however few modes are kept
-        model, grid = MODAL_MODELS["psi=0"](), Grid(0.0, 1.0, 101)
-        monkeypatch.setattr(degenerate, "_MODAL_MAX_BASIS_BYTES", 8 * 99 * 99 + slack)
-        sol = solve_interior(model, np.ones(grid.n), 1.0, [1.0], grid)
-        assert sol.method == method and sol.modes == (5 if method == "modal" else 0)
-
-    def test_basis_over_budget_runs_stepper(self, monkeypatch):
-        # n = 8001 with its first snapshot at t = 1 keeps 5 modes, but the
-        # eigensolver's 7999 x 7999 array would take 512 MB; the stepper is
-        # stopped as it starts, and no eigensolve runs
-        class StepperStarted(Exception):
-            pass
-
-        def stepper(*args):
-            raise StepperStarted
-
-        monkeypatch.setattr(degenerate, "_step_interior", stepper)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", None)
+    def test_large_grid_runs_modal(self):
+        # n = 8001 with its first snapshot at t = 1 keeps 5 modes, found by
+        # shift-invert Lanczos in an m x 20 basis
         grid = Grid(0.0, 1.0, 8001)
-        with pytest.raises(StepperStarted):
-            solve_interior(MODAL_MODELS["psi=0"](), np.ones(grid.n), 1.0, [1.0], grid)
+        sol = solve_interior(MODAL_MODELS["psi=0"](), np.ones(grid.n), 1.0, [1.0], grid)
+        assert sol.method == "modal" and sol.modes == 5 and sol.steps == 0
+
+    @pytest.mark.parametrize("first, cols", [(1.0, 20), (0.01, 399)], ids=["lanczos", "dense"])
+    def test_over_budget_eigensolve_steps(self, first, cols, monkeypatch):
+        # m = 399 unknowns; the budget is one byte below the array the chosen
+        # driver fills: the m x 20 Lanczos basis for the 5 modes alive at
+        # t = 1, the dense m x m matrix for the more than m/8 alive at 0.01
+        model, grid = MODAL_MODELS["psi=0"](), Grid(0.0, 1.0, 401)
+        assert solve_interior(model, np.ones(grid.n), 1.0, [first], grid).method == "modal"
+        monkeypatch.setattr(sturm, "_DENSE_MAX_BYTES", 8 * 399 * cols - 1)
+        sol = solve_interior(model, np.ones(grid.n), 1.0, [first], grid)
+        assert sol.method == "stepper" and sol.modes == 0
+        op, coupling, _, _ = degenerate.regularized_system(model, 1e-2, grid)
+        with pytest.raises(DenseSizeError):  # the n x 20 basis, or n x n
+            eigensolve(op, coupling, 6 if cols == 20 else grid.n)
 
     def test_wide_scale_spread_runs_stepper(self):
         grid = Grid(0.0, 1.0, 401)

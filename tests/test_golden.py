@@ -64,15 +64,21 @@ PSI_TABLE = "x,value\n" + "".join(
 # trace integrals from one banded solve: kimura-plot moved by at most
 # 2.6e-14, kimura-delta by 2.1e-14, kimura-table by 3.3e-14, sis-plot by
 # 2.6e-13 (masses; densities 5.9e-14), and the validate report's atoms by
-# 7.8e-16 (its z-scores by 7.8e-14)
+# 7.8e-16 (its z-scores by 7.8e-14).
+# The same five were re-recorded when the modal solve began taking its
+# modes from the eigensolver the regularized solves use (here, below its
+# n >= 256 crossover, dense LAPACK on -B with Rayleigh quotients, in place
+# of subset MRRR): kimura-plot moved by at most 2.1e-14, kimura-delta
+# by 1.7e-14, kimura-table by 1.6e-14, sis-plot by 3.6e-14, and the
+# validate report's atoms by 1.0e-15 (its z-scores by 9.2e-14)
 SOLVER_GOLDEN = {
     "kimura-plot": (
         ["kimura", "--n", "101", "--psi", "1-2*x", "--emit_plot_data", "true"],
-        "7c6b72bb29e77314f620c7cbd1d259a2582481290d23e65b03ed6a24665de5b9",
+        "18b04f92420fa662491573c638505dfac5ed48c6004328048952eb972ff901de",
     ),
     "kimura-delta": (
         ["kimura", "--n", "101", "--u0", "delta:0.3", "--T", "20", "--times", "1,5,20"],
-        "be1d867104ce4f7484ca24c6216223eb83f74efe780b8910a617c06525d27390",
+        "e027647e958b43a9755d20443005bc6fdd80b3d33be1b742c1bb4c7f2a33f96c",
     ),
     # these two and sis-regularized were re-recorded when the regularized
     # solves began computing only the modes alive at the first positive
@@ -89,7 +95,7 @@ SOLVER_GOLDEN = {
     ),
     "kimura-table": (
         ["kimura", "--n", "101", "--psi_table", "{table}"],
-        "ef47007ab25b27c03de0ef5b9b7c394bde287ecd3c57f864db994c7b66597887",
+        "3b8fa9969cbbe318c8476c948fec120638a66a9afb3c9e3eeaf215218da56fe5",
     ),
     # symmetrizing scale spread 12.96 > 11: the time stepper runs
     "kimura-stepper": (
@@ -98,7 +104,7 @@ SOLVER_GOLDEN = {
     ),
     "sis-plot": (
         ["sis", "--n", "101", "--emit_plot_data", "true"],
-        "d33b47ee4737493a9630e66734359c0af3446988c21e5cc9380f5fbdb762a5ac",
+        "b86339d8271add87f08f16445c31a8242c63a6ffb5599a42405582ff2a4644de",
     ),
     # re-recorded when the zero-flux end x = 1 stopped giving up a half-cell
     # atom that the run then dropped: r at x = 1 moved by at most 4.1e-6
@@ -127,7 +133,7 @@ VALIDATE_RUNS = {
     "mc": ["oracle", "--x0", "0.3", "--T", "5", "--times", "1,5", "--dt", "5e-4",
            "--replicates", "2000", "--seed", "4"],
 }
-VALIDATE_DIGEST = "16d921fa40cc680334eb5478e0cd352c2d61c416044ef20d3f66f9ef0c7366ed"
+VALIDATE_DIGEST = "b8259e2a3edcd136506643f937e6b49519a6d8e8b29831bc7c01c0ea3bc3a241"
 
 # manifest lines a solver golden must also carry
 MANIFEST_LINES = {"kimura-stepper": ["diag.interior_method = stepper"]}

@@ -300,6 +300,23 @@ class TestFewModeEigensolve:
         with pytest.raises(DenseSizeError):  # the bordered path is dense too
             eigensolve(assemble(one, zero, one, g), dirichlet, k=4)
 
+    # n = 1 is the interior generator at n = 3 (one unknown); at n = 2 the
+    # corner and the off-diagonal share an entry and add up
+    @pytest.mark.parametrize("corner", [False, True], ids=["no_corner", "corner"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+    def test_inertia_count_matches_eigvalsh(self, n, corner):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+            c = float(rng.standard_normal()) if corner else 0.0
+            T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            if n > 1:
+                T[0, -1] += c
+                T[-1, 0] += c
+            spectrum = np.linalg.eigvalsh(T)
+            for sigma in 2.0 * rng.standard_normal(5):
+                assert sturm._count_below(diag, off, c, sigma) == np.sum(spectrum < sigma)
+
     def test_count_below_without_flux_form_counts_every_mode(self, one, zero, grid):
         # the bordered solve computes every eigenvalue anyway
         dirichlet = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
