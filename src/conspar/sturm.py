@@ -215,14 +215,15 @@ class EigenSystem:
     """Ordered eigenpairs of -L under the boundary coupling.
 
     Eigenvectors are columns of ``vectors``, orthonormal in the weighted
-    inner product diag(mass). ``zero_multiplicity`` counts eigenvalues
-    below 1e-8 * max(1, largest computed eigenvalue). ``method`` names the
-    solver that ran: "dense", "shift_invert" or "bordered".
+    inner product diag(mass); None when the caller asked for eigenvalues
+    only. ``zero_multiplicity`` counts eigenvalues below 1e-8 * max(1,
+    largest computed eigenvalue). ``method`` names the solver that ran:
+    "dense", "shift_invert", "band" (eigenvalues only) or "bordered".
     """
 
     grid: Grid
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    vectors: Optional[np.ndarray]
     mass: np.ndarray
     zero_multiplicity: int
     coupling: BoundaryCoupling
@@ -252,10 +253,11 @@ def _flux_elimination(coupling: BoundaryCoupling, p_end) -> Optional[np.ndarray]
 
 def _require_budget(n: int, cols: int):
     """Refuse a solve whose n x cols array (the dense matrix when cols = n,
-    else the Lanczos basis) would exceed the budget."""
+    which the band form is counted as, else the Lanczos basis) would exceed
+    the budget."""
     if 8 * n * cols > _DENSE_MAX_BYTES:
         raise DenseSizeError(
-            f"n = {n} needs a {'dense' if cols == n else 'Lanczos'} {n} x {cols} array "
+            f"n = {n} counts as a {'dense' if cols == n else 'Lanczos'} {n} x {cols} array "
             f"({8 * n * cols / 2**20:.2f} MiB), over the {_DENSE_MAX_BYTES >> 20} MiB budget"
         )
 
@@ -350,6 +352,53 @@ def _dense_eigh(diag, off, corner, k):
         raise EigensolveError(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _band_eigh(diag, off, corner, k):
+    """The k smallest eigenvalues of T and the end rows (v[0], v[-1]) of
+    their unit eigenvectors, with no n x n array.
+
+    Ordered middle-out (the end nodes last), T is a band of half-width 2
+    that LAPACK reduces for every eigenvalue (ends first lost 12.4 eps *
+    lambda_max on the smallest). Each vector is one inverse-iteration step
+    on T = T~ + corner u u^T, u = e_0 + e_{n-1}, T~ tridiagonal: one dgtsv
+    solve for a fixed-seed start and u, combined by Sherman-Morrison, and
+    retried once just above a singular shift. Vectors closer in eigenvalue
+    than the zero-multiplicity tolerance (the double zero) are orthogonalized.
+    """
+    n = diag.size
+    idx = np.arange(n)
+    pos = n - 1 - np.minimum(2 * idx, 2 * (n - 1 - idx) + 1)
+    i, j = np.r_[pos[:-1], pos[0]], np.r_[pos[1:], pos[-1]]
+    band = np.zeros((3, n))  # upper band storage: row 2 is the diagonal
+    band[2, pos] = diag
+    np.add.at(band, (2 - np.abs(i - j), np.maximum(i, j)), np.r_[off, corner])
+    lam = scipy.linalg.eig_banded(band, eigvals_only=True)[:k]
+
+    tilde = diag.copy()
+    tilde[[0, -1]] -= corner
+    tau = 1e-8 * max(1.0, lam[-1])
+    rhs = np.zeros((n, 2), order="F")
+    rhs[[0, -1], 1] = 1.0
+    rng, ends, kept = np.random.default_rng(0), np.empty((2, k)), []
+    for m, sigma in enumerate(lam):
+        rhs[:, 0] = rng.random(n) - 0.5
+        for shift in (sigma, sigma + 1e-9 * max(1.0, abs(sigma))):
+            *_, x, info = scipy.linalg.lapack.dgtsv(off, tilde - shift, off, rhs)
+            y, z = x.T
+            v = y - corner * (y[0] + y[-1]) / (1.0 + corner * (z[0] + z[-1])) * z
+            if info == 0 and np.isfinite(v @ v):
+                break
+        else:
+            raise EigensolveError(f"inverse iteration failed at eigenvalue {sigma:.6g}")
+        kept = [(mu, w) for mu, w in kept if sigma - mu < tau]
+        v /= np.sqrt(v @ v)
+        for _, w in kept:
+            v -= (w @ v) * w
+        v /= np.sqrt(v @ v)
+        kept.append((sigma, v))
+        ends[:, m] = v[0], v[-1]
+    return lam, ends
+
+
 def _count_below(diag, off, corner, sigma) -> int:
     """Eigenvalues of T below sigma (T tridiagonal plus the corner pair, which
     adds to the off-diagonal at n = 2): the negative pivots of T - sigma I =
@@ -417,21 +466,24 @@ def _shift_invert_eigh(diag, off, corner, k):
     return lam[order], Y[:, order]
 
 
-def _smallest_eigh(diag, off, corner, k):
+def _smallest_eigh(diag, off, corner, k, vectors=True):
     """The k smallest eigenpairs of T and the driver that found them: few
     modes (n >= 256 and k <= n/8, the measured crossover) by shift-invert
     Lanczos in an n x max(2k + 1, 20) basis (scipy's ncv), more by LAPACK on
-    the dense n x n matrix; refused when that array is over budget."""
+    the dense n x n matrix, or on the band form for the vectors' end rows
+    only; refused when that array (n x n for the band form) is over budget."""
     n = diag.size
     few = n >= _FEW_MODES_MIN_N and k <= n // 8
     _require_budget(n, max(2 * k + 1, 20) if few else n)
     if few:
         return (*_shift_invert_eigh(diag, off, corner, k), "shift_invert")
+    if not vectors:
+        return (*_band_eigh(diag, off, corner, k), "band")
     return (*_dense_eigh(diag, off, corner, k), "dense")
 
 
 def eigensolve(
-    op: DiscreteOperator, coupling: BoundaryCoupling, k: Optional[int] = None
+    op: DiscreteOperator, coupling: BoundaryCoupling, k: Optional[int] = None, vectors: bool = True
 ) -> EigenSystem:
     """k smallest eigenpairs of -L v = lambda v under the coupling rows.
 
@@ -441,7 +493,10 @@ def eigensolve(
     matrix is tridiagonal apart from two corners, and
     :func:`_smallest_eigh` picks its driver: shift-invert Lanczos on its
     sparse form for few modes, LAPACK on the dense matrix for more, each
-    refused with DenseSizeError when its array would exceed 256 MiB.
+    refused with DenseSizeError when its array would exceed 256 MiB. With
+    ``vectors=False`` the result carries no vectors, and more modes come
+    from the band form, which computes only the vectors' end rows that the
+    coupling-row residuals read.
     """
     n = op.grid.n
     k = n if k is None else int(k)
@@ -461,16 +516,17 @@ def eigensolve(
             )
         root = np.sqrt(op.mass)
         diag, off, corner = _folded_tridiagonal(op, W, root)
-        lam, Y, method = _smallest_eigh(diag, off, corner, k)
-        vec = Y / root[:, None]
-        residuals = _implied_flux_residuals(coupling, op.p_end, W, vec)
+        lam, Y, method = _smallest_eigh(diag, off, corner, k, vectors)
+        vec = Y / root[:, None] if vectors else None
+        ends = Y[[0, -1]] / root[[0, -1], None]
+        residuals = _implied_flux_residuals(coupling, op.p_end, W, ends)
 
     tau0 = 1e-8 * max(1.0, float(lam[-1]))
     zero_multiplicity = int(np.sum(np.abs(lam) < tau0))
     return EigenSystem(
         grid=op.grid,
         eigenvalues=np.asarray(lam, dtype=float),
-        vectors=np.asarray(vec, dtype=float),
+        vectors=np.asarray(vec, dtype=float) if vectors else None,
         mass=op.mass,
         zero_multiplicity=zero_multiplicity,
         coupling=coupling,
@@ -490,8 +546,9 @@ def count_below(op: DiscreteOperator, coupling: BoundaryCoupling, sigma: float) 
     return _count_below(*_folded_tridiagonal(op, W, np.sqrt(op.mass)), sigma)
 
 
-def _implied_flux_residuals(coupling, p_end, W, vec) -> np.ndarray:
-    """Row residuals using the scheme's own boundary-flux reconstruction.
+def _implied_flux_residuals(coupling, p_end, W, ends) -> np.ndarray:
+    """Row residuals using the scheme's own boundary-flux reconstruction;
+    ``ends`` holds each mode's (v(a), v(b)) as a column.
 
     The fluxes implied by the folded operator satisfy the rows by
     construction; the residual reports the floating-point defect. A
@@ -499,7 +556,7 @@ def _implied_flux_residuals(coupling, p_end, W, vec) -> np.ndarray:
     :func:`stencil_boundary_residuals`.
     """
     pa, pb = p_end
-    ends = vec[[0, -1]].T
+    ends = ends.T
     f = ends @ W.T
     quad = np.column_stack([ends, f[:, 0] / pa, f[:, 1] / pb])
     return _row_residuals(coupling.rows, quad)

@@ -488,7 +488,7 @@ class TestSpectrumCommand:
         assert len(checks) == 2
         assert all(ln.endswith("[pass]") for ln in checks)
 
-    @pytest.mark.parametrize("k, method", [("6", "shift_invert"), ("401", "dense")])
+    @pytest.mark.parametrize("k, method", [("6", "shift_invert"), ("401", "band")])
     def test_eigensolve_diagnostics(self, tmp_path, k, method):
         out = tmp_path / "spec"
         assert main(["spectrum", "--out", str(out), "--k", k]) == 0

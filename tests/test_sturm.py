@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conspar import sturm
 from conspar.conservative import build_totally_conservative
@@ -326,6 +329,123 @@ class TestFewModeEigensolve:
         quad = _stencil_quad(heat_eig.grid, heat_eig.vectors)
         rows = heat_eig.coupling.rows
         assert np.array_equal(_row_residuals(rows, quad), _loop_row_residuals(rows, quad))
+
+
+BAND_CASES = {
+    "heat": {},
+    "p = 1+x": dict(p="1+x", law2="log(1+x)"),
+    "p = exp(5x)": dict(p="exp(5*x)", law2="1-exp(-5*x)"),
+    "q = 1": dict(q="1", law1="cos(x)", law2="sin(x)"),
+}
+
+
+def _folded(n, case):
+    op, coup = _kernel_operator(Grid(0.0, 1.0, n), **BAND_CASES[case])
+    W = sturm._flux_elimination(coup, op.p_end)
+    return sturm._folded_tridiagonal(op, W, np.sqrt(op.mass))
+
+
+def _long_double_smallest(diag, off, corner, m):
+    """The m smallest eigenvalues of T by bisection in long double on the
+    pivot recurrence of sturm._count_below, all m at once."""
+    ld = np.longdouble
+    d, b, corner = diag.astype(ld), off.astype(ld), ld(corner)
+    bound = np.abs(d).max() + 2 * np.abs(b).max() + abs(corner)  # Gershgorin
+    lo, hi = np.full(m, -bound), np.full(m, bound)
+    want = np.arange(1, m + 1)
+    for _ in range(64):  # to 1e-19 of the bound
+        sigma = (lo + hi) / 2
+        count, pivot, b2 = np.zeros(m, dtype=int), np.ones(m, dtype=ld), ld(0)
+        fill, last = np.full(m, corner), d[-1] - sigma
+        for i in range(d.size - 1):
+            pivot = d[i] - sigma - b2 / pivot
+            pivot[pivot == 0] = -np.finfo(ld).tiny
+            count += pivot < 0
+            if i == d.size - 2:
+                fill = fill + b[i]
+            last = last - fill * fill / pivot
+            fill, b2 = -fill * b[i] / pivot, b[i] * b[i]
+        above = count + (last < 0) >= want
+        hi, lo = np.where(above, sigma, hi), np.where(above, lo, sigma)
+    return (lo + hi) / 2
+
+
+class TestBandEigensolve:
+    """The eigenvalues-only path: every eigenvalue from the band form and
+    the end rows of the eigenvectors by inverse iteration."""
+
+    # the six smallest, in eps * lambda_max: at most 1.61 when recorded,
+    # where all-mode dense LAPACK read up to 4.08
+    @pytest.mark.parametrize("n", [101, 401, 1601])
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_smallest_match_long_double_bisection(self, case, n):
+        diag, off, corner = _folded(n, case)
+        lam, _ = sturm._band_eigh(diag, off, corner, n)
+        ref = _long_double_smallest(diag, off, corner, 6)
+        err = np.abs(lam[:6] - ref.astype(float))
+        assert err.max() <= 2 * np.finfo(float).eps * lam[-1]
+
+    # when recorded: every eigenvalue within 37.2 eps * lambda_max of dense
+    # LAPACK, end pairs within 1.5e-10, the zero pair's Gram matrix within
+    # 9.1e-12
+    @pytest.mark.parametrize("n", [101, 401, 1601])
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_matches_dense_eigenpairs(self, case, n):
+        diag, off, corner = _folded(n, case)
+        lam, ends = sturm._band_eigh(diag, off, corner, n)
+        ref, vec = sturm._dense_eigh(diag, off, corner, n)
+        assert np.abs(lam - ref).max() <= 50 * np.finfo(float).eps * ref[-1]
+        dense_ends = vec[[0, -1]]
+        sign = np.sign(np.sum(ends * dense_ends, axis=0))
+        assert np.abs(ends[:, 2:] * sign[2:] - dense_ends[:, 2:]).max() <= 1e-9
+        # the zero pair has no preferred basis; its end rows' Gram matrix does
+        gram, dense_gram = ends[:, :2] @ ends[:, :2].T, dense_ends[:, :2] @ dense_ends[:, :2].T
+        assert np.abs(gram - dense_gram).max() <= 1e-9
+
+    def test_singular_pivot_retries_just_above(self):
+        diag = np.array([3.0, -1.0, 2.0, 0.5, 5.0, 1.0])
+        off = np.zeros(diag.size - 1)
+        rhs = np.ones((diag.size, 2))
+        assert scipy.linalg.lapack.dgtsv(off, diag - diag[0], off, rhs)[-1] > 0
+        lam, ends = sturm._band_eigh(diag, off, 0.0, diag.size)
+        order = np.argsort(diag)
+        assert np.array_equal(lam, diag[order])
+        unit = np.stack([order == 0, order == diag.size - 1]).astype(float)
+        assert np.abs(np.abs(ends) - unit).max() <= 1e-6
+
+    def test_singular_pivot_twice_raises(self, monkeypatch):
+        real = scipy.linalg.lapack.dgtsv
+
+        def singular(*args):
+            *out, _ = real(*args)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
+        with pytest.raises(EigensolveError):
+            sturm._band_eigh(np.arange(4.0), np.ones(3), 0.5, 4)
+
+    @pytest.mark.parametrize(
+        "n, k, method", [(101, 6, "band"), (401, 51, "band"), (401, 50, "shift_invert")]
+    )
+    def test_values_only_keeps_residuals(self, n, k, method):
+        op, coup = _kernel_operator(Grid(0.0, 1.0, n))
+        values, full = eigensolve(op, coup, k=k, vectors=False), eigensolve(op, coup, k=k)
+        assert (values.method, values.vectors) == (method, None)
+        assert values.zero_multiplicity == full.zero_multiplicity == 2
+        scale = max(1.0, float(full.eigenvalues[-1]))
+        assert np.abs(values.eigenvalues - full.eigenvalues).max() <= 1e-9 * scale
+        assert np.abs(values.bc_residuals - full.bc_residuals).max() <= 1e-12
+
+    def test_values_only_forms_no_square_array(self):
+        n = 1601
+        op, coup = _kernel_operator(Grid(0.0, 1.0, n))
+        tracemalloc.start()
+        try:
+            assert eigensolve(op, coup, vectors=False).method == "band"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 8  # an eighth of one n x n array
 
 
 class TestEvolve:
