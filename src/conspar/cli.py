@@ -235,7 +235,10 @@ def _coerce(key: str, raw, kind, problems: list):
 
 def parse_config_file(path: Path) -> dict:
     out = {}
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError([f"cannot read config file {str(path)!r}: {exc}"]) from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -379,8 +382,8 @@ def _plot_files(times, grid, rows_by_time, masses_rows) -> dict:
 
 def _field_from_config(expr: str, table_path: str = ""):
     if table_path:
-        data = np.genfromtxt(table_path, delimiter=",", names=True)
-        return field_from_table(data["x"], data["value"])
+        table = _read_csv(Path(table_path), ("x", "value"))
+        return field_from_table(table["x"], table["value"])
     return field_from_expression(expr)
 
 
@@ -388,7 +391,10 @@ def _initial_density(spec: str, grid: Grid) -> np.ndarray:
     if spec == "uniform":
         return np.ones(grid.n)
     if spec.startswith("delta:"):
-        x0 = float(spec.split(":", 1)[1])
+        try:
+            x0 = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"{spec!r}: the delta position must be a number") from None
         if not 0 < x0 < 1:
             raise InputError("delta position must lie inside (0, 1)")
         j = int(round((x0 - grid.a) / grid.h))
@@ -565,7 +571,7 @@ def _conservative_eigensystem(cfg: RunConfig, manifest: RunManifest, k=None, wei
 def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
     with manifest.stage("fields"):
         weight = field_from_expression(cfg["weight"])
-    # the output needs only each vector's end rows, for bc_residual
+    # the output is the eigenvalues alone
     _, _, eig = _conservative_eigensystem(cfg, manifest, cfg["k"], weight, vectors=False)
     manifest.check("zero_multiplicity", eig.zero_multiplicity, eig.zero_multiplicity >= 1)
     if eig.eigenvalues.size >= 3 and eig.zero_multiplicity == 2:
@@ -573,11 +579,8 @@ def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
             np.all(np.abs(eig.eigenvalues[:2]) <= 1e-8 * max(eig.eigenvalues[2], 1e-300))
         )
         manifest.check("double_zero_below_1e-8_lambda3", float(np.abs(eig.eigenvalues[:2]).max()), ok)
-    rows = [
-        (k + 1, lam, res)
-        for k, (lam, res) in enumerate(zip(eig.eigenvalues, eig.bc_residuals))
-    ]
-    return {"eigenvalues.csv": _csv(rows, header=("k", "lambda", "bc_residual"))}
+    rows = enumerate(eig.eigenvalues, start=1)
+    return {"eigenvalues.csv": _csv(rows, header=("k", "lambda"))}
 
 
 def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
@@ -666,11 +669,21 @@ def _run_oracle(cfg: RunConfig, manifest: RunManifest) -> dict:
     }
 
 
-def _read_csv(path: Path) -> dict:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.shape == ():
-        data = data.reshape(1)
-    return {name: np.atleast_1d(data[name]) for name in data.dtype.names}
+def _read_csv(path: Path, columns) -> dict:
+    """The named columns of a CSV file with a header row, as 1-D arrays;
+    InputError names the file when it does not parse, lacks a column or
+    holds a non-finite (or non-numeric) entry in one."""
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    except (ValueError, IndexError) as exc:  # ragged rows, not UTF-8, empty
+        detail = " ".join(str(exc).split())
+        raise InputError(f"{str(path)!r} is not a CSV table with a header row ({detail})") from exc
+    for name in columns:
+        if name not in (data.dtype.names or ()):
+            raise InputError(f"{str(path)!r} has no {name!r} column")
+        if not np.all(np.isfinite(data[name])):
+            raise InputError(f"{str(path)!r} has a non-finite {name!r} entry")
+    return {name: np.atleast_1d(data[name]) for name in columns}
 
 
 def _oracle_paths(outdir) -> int | None:
@@ -683,8 +696,8 @@ def _oracle_paths(outdir) -> int | None:
 
 
 def _run_validate(cfg: RunConfig, manifest: RunManifest) -> dict:
-    pde = _read_csv(Path(cfg["pde"]) / "masses.csv")
-    mc = _read_csv(Path(cfg["oracle"]) / "oracle.csv")
+    pde = _read_csv(Path(cfg["pde"]) / "masses.csv", ("t", "atom0", "atom1"))
+    mc = _read_csv(Path(cfg["oracle"]) / "oracle.csv", ("t", "mass0", "mass1"))
     n_paths = _oracle_paths(cfg["oracle"])
     manifest.assumptions.append("sde_matching")
     rows, worst = [], 0.0

@@ -219,8 +219,11 @@ class _CubicSpline:
 
 def field_from_table(xs: Sequence[float], values: Sequence[float]) -> CoefficientField:
     """Build a field from user-supplied samples, interpolated linearly so
-    rough data does not oscillate."""
-    return CoefficientField(xs=np.asarray(xs, dtype=float), values=np.asarray(values, dtype=float))
+    rough data does not oscillate; every sample must be finite."""
+    xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=float)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(values))):
+        raise InputError("table samples must be finite numbers")
+    return CoefficientField(xs=xs, values=values)
 
 
 def field_from_callable(

@@ -216,7 +216,9 @@ class EigenSystem:
 
     Eigenvectors are columns of ``vectors``, orthonormal in the weighted
     inner product diag(mass); None when the caller asked for eigenvalues
-    only. ``zero_multiplicity`` counts eigenvalues below 1e-8 * max(1,
+    only. The folded solvers satisfy the coupling rows by construction;
+    :func:`stencil_boundary_residuals` is the O(h^2) check on the vectors.
+    ``zero_multiplicity`` counts eigenvalues below 1e-8 * max(1,
     largest computed eigenvalue). ``method`` names the solver that ran:
     "dense", "shift_invert", "band" (eigenvalues only) or "bordered".
     """
@@ -227,7 +229,6 @@ class EigenSystem:
     mass: np.ndarray
     zero_multiplicity: int
     coupling: BoundaryCoupling
-    bc_residuals: np.ndarray
     method: str = "dense"
 
     def project(self, v0: np.ndarray) -> np.ndarray:
@@ -318,7 +319,7 @@ def _bordered_eigensolve(op: DiscreteOperator, coupling: BoundaryCoupling, k: in
         vec = orthonormalize_laws(vec[:, :k].T, op.weight_values, op.grid).T
     except InputError as exc:
         raise EigensolveError("degenerate eigenvector in bordered solve") from exc
-    return lam[:k], vec, _row_residuals(coupling.rows, _stencil_quad(op.grid, vec))
+    return lam[:k], vec
 
 
 def _folded_tridiagonal(op: DiscreteOperator, W: np.ndarray, root: np.ndarray):
@@ -353,16 +354,11 @@ def _dense_eigh(diag, off, corner, k):
 
 
 def _band_eigh(diag, off, corner, k):
-    """The k smallest eigenvalues of T and the end rows (v[0], v[-1]) of
-    their unit eigenvectors, with no n x n array.
+    """The k smallest eigenvalues of T, with no n x n array.
 
     Ordered middle-out (the end nodes last), T is a band of half-width 2
     that LAPACK reduces for every eigenvalue (ends first lost 12.4 eps *
-    lambda_max on the smallest). Each vector is one inverse-iteration step
-    on T = T~ + corner u u^T, u = e_0 + e_{n-1}, T~ tridiagonal: one dgtsv
-    solve for a fixed-seed start and u, combined by Sherman-Morrison, and
-    retried once just above a singular shift. Vectors closer in eigenvalue
-    than the zero-multiplicity tolerance (the double zero) are orthogonalized.
+    lambda_max on the smallest).
     """
     n = diag.size
     idx = np.arange(n)
@@ -371,32 +367,7 @@ def _band_eigh(diag, off, corner, k):
     band = np.zeros((3, n))  # upper band storage: row 2 is the diagonal
     band[2, pos] = diag
     np.add.at(band, (2 - np.abs(i - j), np.maximum(i, j)), np.r_[off, corner])
-    lam = scipy.linalg.eig_banded(band, eigvals_only=True)[:k]
-
-    tilde = diag.copy()
-    tilde[[0, -1]] -= corner
-    tau = 1e-8 * max(1.0, lam[-1])
-    rhs = np.zeros((n, 2), order="F")
-    rhs[[0, -1], 1] = 1.0
-    rng, ends, kept = np.random.default_rng(0), np.empty((2, k)), []
-    for m, sigma in enumerate(lam):
-        rhs[:, 0] = rng.random(n) - 0.5
-        for shift in (sigma, sigma + 1e-9 * max(1.0, abs(sigma))):
-            *_, x, info = scipy.linalg.lapack.dgtsv(off, tilde - shift, off, rhs)
-            y, z = x.T
-            v = y - corner * (y[0] + y[-1]) / (1.0 + corner * (z[0] + z[-1])) * z
-            if info == 0 and np.isfinite(v @ v):
-                break
-        else:
-            raise EigensolveError(f"inverse iteration failed at eigenvalue {sigma:.6g}")
-        kept = [(mu, w) for mu, w in kept if sigma - mu < tau]
-        v /= np.sqrt(v @ v)
-        for _, w in kept:
-            v -= (w @ v) * w
-        v /= np.sqrt(v @ v)
-        kept.append((sigma, v))
-        ends[:, m] = v[0], v[-1]
-    return lam, ends
+    return scipy.linalg.eig_banded(band, eigvals_only=True)[:k]
 
 
 def _count_below(diag, off, corner, sigma) -> int:
@@ -470,15 +441,15 @@ def _smallest_eigh(diag, off, corner, k, vectors=True):
     """The k smallest eigenpairs of T and the driver that found them: few
     modes (n >= 256 and k <= n/8, the measured crossover) by shift-invert
     Lanczos in an n x max(2k + 1, 20) basis (scipy's ncv), more by LAPACK on
-    the dense n x n matrix, or on the band form for the vectors' end rows
-    only; refused when that array (n x n for the band form) is over budget."""
+    the dense n x n matrix, or on the band form for eigenvalues only; refused
+    when that array (n x n for the band form) is over budget."""
     n = diag.size
     few = n >= _FEW_MODES_MIN_N and k <= n // 8
     _require_budget(n, max(2 * k + 1, 20) if few else n)
     if few:
         return (*_shift_invert_eigh(diag, off, corner, k), "shift_invert")
     if not vectors:
-        return (*_band_eigh(diag, off, corner, k), "band")
+        return _band_eigh(diag, off, corner, k), None, "band"
     return (*_dense_eigh(diag, off, corner, k), "dense")
 
 
@@ -495,8 +466,7 @@ def eigensolve(
     sparse form for few modes, LAPACK on the dense matrix for more, each
     refused with DenseSizeError when its array would exceed 256 MiB. With
     ``vectors=False`` the result carries no vectors, and more modes come
-    from the band form, which computes only the vectors' end rows that the
-    coupling-row residuals read.
+    from the band form, which computes eigenvalues only.
     """
     n = op.grid.n
     k = n if k is None else int(k)
@@ -505,7 +475,7 @@ def eigensolve(
 
     W = _flux_elimination(coupling, op.p_end)
     if W is None:
-        lam, vec, residuals = _bordered_eigensolve(op, coupling, k)
+        lam, vec = _bordered_eigensolve(op, coupling, k)
         method = "bordered"
     else:
         asym = abs(W[0, 1] + W[1, 0])
@@ -518,8 +488,6 @@ def eigensolve(
         diag, off, corner = _folded_tridiagonal(op, W, root)
         lam, Y, method = _smallest_eigh(diag, off, corner, k, vectors)
         vec = Y / root[:, None] if vectors else None
-        ends = Y[[0, -1]] / root[[0, -1], None]
-        residuals = _implied_flux_residuals(coupling, op.p_end, W, ends)
 
     tau0 = 1e-8 * max(1.0, float(lam[-1]))
     zero_multiplicity = int(np.sum(np.abs(lam) < tau0))
@@ -530,7 +498,6 @@ def eigensolve(
         mass=op.mass,
         zero_multiplicity=zero_multiplicity,
         coupling=coupling,
-        bc_residuals=residuals,
         method=method,
     )
 
@@ -544,22 +511,6 @@ def count_below(op: DiscreteOperator, coupling: BoundaryCoupling, sigma: float) 
     if W is None or not np.isfinite(sigma):
         return op.grid.n
     return _count_below(*_folded_tridiagonal(op, W, np.sqrt(op.mass)), sigma)
-
-
-def _implied_flux_residuals(coupling, p_end, W, ends) -> np.ndarray:
-    """Row residuals using the scheme's own boundary-flux reconstruction;
-    ``ends`` holds each mode's (v(a), v(b)) as a column.
-
-    The fluxes implied by the folded operator satisfy the rows by
-    construction; the residual reports the floating-point defect. A
-    stencil-based consistency check lives in
-    :func:`stencil_boundary_residuals`.
-    """
-    pa, pb = p_end
-    ends = ends.T
-    f = ends @ W.T
-    quad = np.column_stack([ends, f[:, 0] / pa, f[:, 1] / pb])
-    return _row_residuals(coupling.rows, quad)
 
 
 def stencil_boundary_residuals(eig: EigenSystem) -> np.ndarray:

@@ -195,6 +195,39 @@ class TestConfig:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert "use 0.00125 < x0 < 0.99875" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("y,value\n0,1\n1,2\n", "{path} has no 'x' column"),
+            ("x,psi\n0,1\n1,2\n", "{path} has no 'value' column"),
+            ("x,value\n0,1\n0.5,1,3\n1,2\n", "{path} is not a CSV table with a header row"),
+            ("x,value\n0,1\n0.5,abc\n1,2\n", "{path} has a non-finite 'value' entry"),
+            ("x,value\n0,1\n0.5,nan\n1,2\n", "{path} has a non-finite 'value' entry"),
+        ],
+        ids=["no x column", "no value column", "ragged row", "non-numeric value", "nan value"],
+    )
+    def test_malformed_psi_table_refused(self, table, message, tmp_path, capsys):
+        path = tmp_path / "psi.csv"
+        path.write_text(table, encoding="utf-8")
+        argv = ["kimura", "--n", "21", "--psi_table", str(path), "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message.format(path=repr(str(path))))
+
+    @pytest.mark.parametrize("command, key", [("kimura", "--u0"), ("sis", "--p0")])
+    @pytest.mark.parametrize("spec", ["delta:abc", "delta:"])
+    def test_malformed_delta_refused(self, command, key, spec, tmp_path, capsys):
+        assert main([command, "--n", "21", key, spec, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {spec!r}: the delta position must be a number\n"
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "a directory"])
+    def test_unreadable_config_file_refused(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        assert main(["kimura", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {str(path)!r}")
+
     def test_missing_out_required(self):
         with pytest.raises(ConfigError, match="out"):
             build_config("kimura", {}, {})
@@ -449,7 +482,7 @@ class TestSpectrumCommand:
         rc = main(["spectrum", "--out", str(out), "--k", "6"])
         assert rc == 0
         rows = _read(out / "eigenvalues.csv").splitlines()
-        assert rows[0] == "k,lambda,bc_residual"
+        assert rows[0] == "k,lambda"
         lams = [float(r.split(",")[1]) for r in rows[1:]]
         assert abs(lams[0]) < 1e-8 * lams[2]
         assert abs(lams[1]) < 1e-8 * lams[2]
@@ -692,6 +725,22 @@ class TestOracleAndValidate:
         assert main(argv) == 4
         z0 = float(_read(tmp_path / "rep" / "report.csv").splitlines()[1].split(",")[4])
         assert z0 == pytest.approx(20.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "run, name, old, new, problem",
+        [
+            ("pde", "masses.csv", "atom1", "renamed", "has no 'atom1' column"),
+            ("mc", "oracle.csv", "mass0", "renamed", "has no 'mass0' column"),
+            # read as nan, such an atom scores z = nan, which no se_limit rejects
+            ("pde", "masses.csv", "0.01", "abc", "has a non-finite 'atom0' entry"),
+        ],
+    )
+    def test_malformed_run_refused(self, tmp_path, capsys, run, name, old, new, problem):
+        argv = self._synthetic_runs(tmp_path, "command = oracle\nconfig.replicates = 2000\n")
+        path = tmp_path / run / name
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {str(path)!r} {problem}\n"
 
     @pytest.mark.parametrize("manifest", [None, "command = oracle\n"])
     def test_oracle_path_count_required(self, tmp_path, capsys, manifest):

@@ -140,7 +140,6 @@ class TestConservationResidual:
             heat_eig,
             eigenvalues=heat_eig.eigenvalues[1:],
             vectors=heat_eig.vectors[:, 1:],
-            bc_residuals=heat_eig.bc_residuals[1:],
         )
         t1 = evolve(truncated, v0, [1.0]).values[0]
         traj = Trajectory(

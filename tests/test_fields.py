@@ -36,6 +36,13 @@ class TestCoefficientField:
         with pytest.raises(InputError):
             field_from_table([0.0, 0.9], [1, 1])
 
+    @pytest.mark.parametrize("bad", ["xs", "values"])
+    def test_rejects_non_finite_samples(self, bad):
+        xs, vals = np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 3.0])
+        (xs if bad == "xs" else vals)[1] = np.nan
+        with pytest.raises(InputError, match="finite"):
+            field_from_table(xs, vals)
+
     def test_reproduces_samples_exactly(self):
         xs = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
         vals = np.array([1.0, -0.5, 2.0, 0.25, 3.0])
