@@ -220,7 +220,10 @@ def _coerce(key: str, raw, kind, problems: list):
     try:
         if kind is _FLOAT_LIST:
             items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-            value = [float(tok) for tok in items if str(tok).strip()]
+            if not all(str(tok).strip() for tok in items):
+                problems.append(f"{key}: empty entry in {raw!r}")
+                return None
+            value = [float(tok) for tok in items]
         else:
             value = kind(raw)
     except (TypeError, ValueError):
@@ -333,11 +336,19 @@ def _write_atomic(path: Path, text: str):
         raise
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _column(values) -> list:
+    """One CSV column as text, each value as ``_fmt`` writes it: a float
+    array in one ``repr`` pass over ``tolist()``, a list of str as it is."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.itemsize <= 8:
+        return list(map(repr, values.tolist()))
+    if isinstance(values, list) and all(isinstance(v, str) for v in values):
+        return values
+    return [_fmt(v) for v in values]
+
+
+def _csv(columns, header) -> str:
+    rows = zip(*map(_column, columns), strict=True)
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def write_outputs(outdir: Path, files: dict, manifest: RunManifest):
@@ -353,27 +364,31 @@ def write_outputs(outdir: Path, files: dict, manifest: RunManifest):
     _write_atomic(outdir / "manifest.txt", manifest.render())
 
 
-def _density_files(times, grid, rows_by_time) -> dict:
-    files = {}
-    for t, dens in zip(times, rows_by_time):
-        name = f"density_t{float(t)!r}.csv"
-        files[name] = _csv(zip(grid.nodes, dens), header=("x", "r"))
+def _density_files(times, grid, densities, masses=None) -> dict:
+    """An x,r file per snapshot, and the plot files given the columns of
+    masses.csv; the nodes and each density are formatted once for all."""
+    x, r = _column(grid.nodes), [_column(d) for d in densities]
+    files = {f"density_t{float(t)!r}.csv": _csv((x, r_t), ("x", "r")) for t, r_t in zip(times, r)}
+    if masses is not None:
+        files.update(_plot_files(times, x, r, masses))
     return files
 
 
-def _plot_files(times, grid, rows_by_time, masses_rows) -> dict:
-    long_rows = []
-    for t, dens in zip(times, rows_by_time):
-        for x, r in zip(grid.nodes, dens):
-            long_rows.append((t, x, r))
-    files = {"plotdata_density.csv": _csv(long_rows, header=("t", "x", "r"))}
-    series_rows = []
-    for row in masses_rows:
-        t = row[0]
-        for name, v in zip(("atom0", "atom1", "interior_mass", "total_mass", "phi_moment"), row[1:]):
-            series_rows.append((t, name, v))
-    files["plotdata_masses.csv"] = _csv(series_rows, header=("t", "series", "value"))
-    return files
+_SERIES = ("atom0", "atom1", "interior_mass", "total_mass", "phi_moment")
+
+
+def _plot_files(times, x, r, masses) -> dict:
+    """Long-format density and mass series, from the formatted nodes x and
+    densities r and the columns of masses.csv."""
+    t, (t_m, *values) = _column(times), map(_column, masses)
+    density = ([t_i for t_i, r_t in zip(t, r) for _ in r_t], x * len(r),
+               [v for r_t in r for v in r_t])
+    series = ([t_i for t_i in t_m for _ in _SERIES], list(_SERIES) * len(t_m),
+              [v for row in zip(*values) for v in row])
+    return {
+        "plotdata_density.csv": _csv(density, ("t", "x", "r")),
+        "plotdata_masses.csv": _csv(series, ("t", "series", "value")),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -537,16 +552,9 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
         min_atom = float(min(a.min(), b.min()))
         manifest.check("atom_admissibility", min_atom, min_atom >= -1e-8)
 
-    rows = list(zip(out_times, a, b, interior, total, phimom))
-    files = {
-        "masses.csv": _csv(
-            rows,
-            header=("t", "atom0", "atom1", "interior_mass", "total_mass", "phi_moment"),
-        )
-    }
-    files.update(_density_files(out_times, grid, dens))
-    if cfg["emit_plot_data"]:
-        files.update(_plot_files(out_times, grid, dens, rows))
+    masses = (out_times, a, b, interior, total, phimom)
+    files = {"masses.csv": _csv(masses, header=("t", *_SERIES))}
+    files.update(_density_files(out_times, grid, dens, masses if cfg["emit_plot_data"] else None))
     return files
 
 
@@ -579,8 +587,8 @@ def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
             np.all(np.abs(eig.eigenvalues[:2]) <= 1e-8 * max(eig.eigenvalues[2], 1e-300))
         )
         manifest.check("double_zero_below_1e-8_lambda3", float(np.abs(eig.eigenvalues[:2]).max()), ok)
-    rows = enumerate(eig.eigenvalues, start=1)
-    return {"eigenvalues.csv": _csv(rows, header=("k", "lambda"))}
+    k = np.arange(1, eig.eigenvalues.size + 1)
+    return {"eigenvalues.csv": _csv((k, eig.eigenvalues), header=("k", "lambda"))}
 
 
 def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
@@ -609,12 +617,8 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
     zero = float(np.max(np.abs(w_traj.values @ (mu * pres.weight * pres.phi1))))
     manifest.check("zero_moment_part", zero, zero <= 1e-6)
 
-    rows = zip(times, t1, m1, t2, m2)
-    return {
-        "moments.csv": _csv(
-            rows, header=("t", "target1", "moment1", "target2", "moment2")
-        )
-    }
+    header = ("t", "target1", "moment1", "target2", "moment2")
+    return {"moments.csv": _csv((times, t1, m1, t2, m2), header)}
 
 
 # Default oracle time steps, largest first: the default is the largest whose
@@ -651,22 +655,13 @@ def _run_oracle(cfg: RunConfig, manifest: RunManifest) -> dict:
     )
     identity = all(m.counting_identity() for m in measures)
     manifest.check("counting_identity", identity, identity)
-    rows = [
-        (
-            m.time,
-            m.mass_at_0,
-            m.mass_at_1,
-            m.interior_mass,
-            m.standard_errors["mass_at_0"],
-            m.standard_errors["mass_at_1"],
-        )
+    columns = zip(*[
+        (m.time, m.mass_at_0, m.mass_at_1, m.interior_mass,
+         m.standard_errors["mass_at_0"], m.standard_errors["mass_at_1"])
         for m in measures
-    ]
-    return {
-        "oracle.csv": _csv(
-            rows, header=("t", "mass0", "mass1", "interior", "se_mass0", "se_mass1")
-        )
-    }
+    ])
+    header = ("t", "mass0", "mass1", "interior", "se_mass0", "se_mass1")
+    return {"oracle.csv": _csv(columns, header)}
 
 
 def _read_csv(path: Path, columns) -> dict:
@@ -674,8 +669,12 @@ def _read_csv(path: Path, columns) -> dict:
     InputError names the file when it does not parse, lacks a column or
     holds a non-finite (or non-numeric) entry in one."""
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except (ValueError, IndexError) as exc:  # ragged rows, not UTF-8, empty
+        with warnings.catch_warnings():  # numpy's warning becomes the message below
+            warnings.filterwarnings("error", "genfromtxt: Empty input file", UserWarning)
+            data = np.genfromtxt(path, delimiter=",", names=True)
+    except UserWarning:
+        raise InputError(f"{str(path)!r} is empty: it has no header row") from None
+    except (ValueError, IndexError) as exc:  # ragged rows, not UTF-8
         detail = " ".join(str(exc).split())
         raise InputError(f"{str(path)!r} is not a CSV table with a header row ({detail})") from exc
     for name in columns:
@@ -718,7 +717,7 @@ def _run_validate(cfg: RunConfig, manifest: RunManifest) -> dict:
     manifest.check("max_atom_discrepancy_se", worst, worst <= cfg["se_limit"])
     header = ("t", "atom0_pde", "mass0_mc", "se_mass0", "z0",
               "atom1_pde", "mass1_mc", "se_mass1", "z1", "pass")
-    return {"report.csv": _csv(rows, header=header)}
+    return {"report.csv": _csv(zip(*rows), header=header)}
 
 
 _RUNNERS = {

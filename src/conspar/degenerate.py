@@ -361,6 +361,8 @@ def _interior_operator(model: DegenerateModel, grid: Grid):
     lower = -alpha[lo:hi]
     upper = beta[lo:hi]
     cell = grid.cell_weights()[lo : hi + 1]
+    if not np.all(np.isfinite(diag / cell)):
+        raise TimeStepError("the interior generator's rates overflow double precision")
     return (diag, lower, upper, cell), s[lo : hi + 1], lo, hi
 
 

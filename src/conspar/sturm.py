@@ -335,7 +335,10 @@ def _folded_tridiagonal(op: DiscreteOperator, W: np.ndarray, root: np.ndarray):
     c = op.off_diagonal
     off = 0.5 * (-c / root[:-1] / root[1:] + -c / root[1:] / root[:-1])
     corner = 0.5 * (W[0, 1] / root[0] / root[-1] - W[1, 0] / root[-1] / root[0])
-    return d / root / root, off, corner
+    diag = d / root / root
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off)) and np.isfinite(corner)):
+        raise EigensolveError("the folded operator overflows double precision")
+    return diag, off, corner
 
 
 def _dense_eigh(diag, off, corner, k):

@@ -1,9 +1,12 @@
+import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conspar
@@ -13,12 +16,13 @@ from conspar.cli import (
     RunConfig,
     RunManifest,
     _csv,
+    _fmt,
     build_config,
     main,
     parse_config_file,
     write_outputs,
 )
-from conspar.errors import ConfigError
+from conspar.errors import ConfigError, InputError
 
 
 def _read(path):
@@ -214,6 +218,34 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: " + message.format(path=repr(str(path))))
 
+    @pytest.mark.parametrize("table", ["", "\n\n"], ids=["no bytes", "blank lines"])
+    def test_empty_psi_table_refused(self, table, tmp_path, capsys):
+        path = tmp_path / "psi.csv"
+        path.write_text(table, encoding="utf-8")
+        argv = ["kimura", "--n", "21", "--psi_table", str(path), "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {str(path)!r} is empty: it has no header row\n"
+        )
+        with warnings.catch_warnings():  # numpy's "Empty input file" is not passed on
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="is empty"):
+                cli._read_csv(path, ("x", "value"))
+
+    @pytest.mark.parametrize(
+        "command, key, raw",
+        [
+            ("kimura", "times", "0,,1"),
+            ("kimura", "times", "0,1,"),
+            ("kimura", "times", ""),
+            ("kimura", "ladder", "0.1, ,0.01"),
+            ("oracle", "times", ",1"),
+        ],
+    )
+    def test_empty_list_entry_refused(self, command, key, raw, tmp_path, capsys):
+        assert main([command, f"--{key}", raw, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: empty entry in {raw!r}\n"
+
     @pytest.mark.parametrize("command, key", [("kimura", "--u0"), ("sis", "--p0")])
     @pytest.mark.parametrize("spec", ["delta:abc", "delta:"])
     def test_malformed_delta_refused(self, command, key, spec, tmp_path, capsys):
@@ -266,23 +298,57 @@ class TestConfig:
             assert read[command] == set(schema), command
 
 
+# values whose shortest round-trip decimals take every branch of repr
+AWKWARD_FLOATS = [0.1, 1.0 / 3.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
+                  123456789.0]
+
+
+def _csv_by_rows(columns, header):
+    """The table ``_csv`` writes, built row by row with ``_fmt``."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
 class TestWriters:
     def test_empty_rows_headers_only(self, tmp_path):
         manifest = RunManifest(command="kimura", config={})
-        write_outputs(tmp_path, {"masses.csv": _csv([], ("t", "a", "b"))}, manifest)
+        write_outputs(tmp_path, {"masses.csv": _csv([[], [], []], ("t", "a", "b"))}, manifest)
         assert _read(tmp_path / "masses.csv") == "t,a,b\n"
 
     def test_digest_recorded_for_every_file(self, tmp_path):
         manifest = RunManifest(command="kimura", config={})
-        files = {"a.csv": _csv([(1, 2.5)], ("x", "y")), "b.csv": _csv([], ("z",))}
+        files = {"a.csv": _csv([[1], [2.5]], ("x", "y")), "b.csv": _csv([[]], ("z",))}
         write_outputs(tmp_path, files, manifest)
         lines = _manifest_lines(tmp_path)
         assert sum(1 for ln in lines if ln.startswith("file: a.csv sha256=")) == 1
         assert sum(1 for ln in lines if ln.startswith("file: b.csv sha256=")) == 1
 
     def test_shortest_roundtrip_floats(self):
-        body = _csv([(0.1, 1.0 / 3.0)], ("a", "b"))
+        body = _csv([[0.1], [1.0 / 3.0]], ("a", "b"))
         assert body.splitlines()[1] == "0.1,0.3333333333333333"
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [np.array(AWKWARD_FLOATS), np.array(AWKWARD_FLOATS[::-1])],
+            [np.array(AWKWARD_FLOATS, dtype=np.float32), AWKWARD_FLOATS],
+            [np.arange(10), np.array(AWKWARD_FLOATS)],
+            [[f"s{i}" for i in range(10)], list(range(10))],
+            [[np.float64(v) for v in AWKWARD_FLOATS], [np.int32(i) for i in range(10)]],
+            [np.array([True, False] * 5), (1, 2.5, "a", None, -0.0, 7, 8, 9, 10, 11)],
+            [np.empty(0), [], ()],
+        ],
+        ids=["float64", "float32 and floats", "int", "str and int", "numpy scalars",
+             "bool and mixed", "zero rows"],
+    )
+    def test_columns_match_rows_formatted_by_fmt(self, columns):
+        header = tuple(f"c{i}" for i in range(len(columns)))
+        assert _csv(columns, header) == _csv_by_rows(columns, header)
+
+    def test_columns_of_unequal_length_refused(self):
+        with pytest.raises(ValueError):
+            _csv([np.zeros(3), np.zeros(2)], ("a", "b"))
 
 
 class TestKimuraCommand:
@@ -474,6 +540,19 @@ class TestSisCommand:
         rows = [r.split(",") for r in _read(out / "masses.csv").splitlines()[1:]]
         assert all(float(r[2]) == 0.0 for r in rows)
         assert all(abs(float(r[4]) - 1.0) <= 1e-14 for r in rows)
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ("interior", "the interior generator's rates overflow double precision"),
+            ("regularized", "the folded operator overflows double precision"),
+        ],
+    )
+    @pytest.mark.parametrize("R0", ["1e305", "1e308"])
+    def test_overflowing_R0_is_a_numerical_error(self, tmp_path, capsys, mode, message, R0):
+        argv = ["sis", "--R0", R0, "--mode", mode, "--T", "1", "--times", "0,1"]
+        assert main(argv + ["--out", str(tmp_path / "sis")]) == 3
+        assert capsys.readouterr().err == f"numerical error: {message}\n"
 
 
 class TestSpectrumCommand:

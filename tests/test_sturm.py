@@ -359,27 +359,41 @@ def _folded(n, case):
     return sturm._folded_tridiagonal(op, W, np.sqrt(op.mass))
 
 
-def _long_double_smallest(diag, off, corner, m):
-    """The m smallest eigenvalues of T by bisection in long double on the
-    pivot recurrence of sturm._count_below, all m at once."""
+def _long_double_counts(d, b, corner, sigma):
+    """The eigenvalues of T below each sigma, by the pivot recurrence of
+    sturm._count_below in long double, all sigmas at once."""
+    ld = d.dtype.type
+    count, pivot, b2 = np.zeros(sigma.size, dtype=int), np.ones(sigma.size, dtype=ld), ld(0)
+    fill, last = np.full(sigma.size, corner), d[-1] - sigma
+    for i in range(d.size - 1):
+        pivot = d[i] - sigma - b2 / pivot
+        pivot[pivot == 0] = -np.finfo(ld).tiny
+        count += pivot < 0
+        if i == d.size - 2:
+            fill = fill + b[i]
+        last = last - fill * fill / pivot
+        fill, b2 = -fill * b[i] / pivot, b[i] * b[i]
+    return count + (last < 0)
+
+
+def _long_double_smallest(diag, off, corner, m, guess):
+    """The m smallest eigenvalues of T by bisection in long double, all m at
+    once, to 2^-63 of the Gershgorin bound. Each starts 2^-44 of the bound
+    either side of its ``guess`` when the counts there bracket it, and from
+    the Gershgorin interval (64 steps, not 20) when any does not."""
     ld = np.longdouble
     d, b, corner = diag.astype(ld), off.astype(ld), ld(corner)
     bound = np.abs(d).max() + 2 * np.abs(b).max() + abs(corner)  # Gershgorin
-    lo, hi = np.full(m, -bound), np.full(m, bound)
     want = np.arange(1, m + 1)
-    for _ in range(64):  # to 1e-19 of the bound
+    half = bound * ld(2) ** -44
+    lo, hi = np.asarray(guess[:m], dtype=ld) - half, np.asarray(guess[:m], dtype=ld) + half
+    ends = _long_double_counts(d, b, corner, np.concatenate([lo, hi]))
+    steps = 20
+    if not (np.all(ends[:m] < want) and np.all(ends[m:] >= want)):
+        lo, hi, steps = np.full(m, -bound), np.full(m, bound), 64
+    for _ in range(steps):
         sigma = (lo + hi) / 2
-        count, pivot, b2 = np.zeros(m, dtype=int), np.ones(m, dtype=ld), ld(0)
-        fill, last = np.full(m, corner), d[-1] - sigma
-        for i in range(d.size - 1):
-            pivot = d[i] - sigma - b2 / pivot
-            pivot[pivot == 0] = -np.finfo(ld).tiny
-            count += pivot < 0
-            if i == d.size - 2:
-                fill = fill + b[i]
-            last = last - fill * fill / pivot
-            fill, b2 = -fill * b[i] / pivot, b[i] * b[i]
-        above = count + (last < 0) >= want
+        above = _long_double_counts(d, b, corner, sigma) >= want
         hi, lo = np.where(above, sigma, hi), np.where(above, lo, sigma)
     return (lo + hi) / 2
 
@@ -394,7 +408,7 @@ class TestBandEigensolve:
     def test_smallest_match_long_double_bisection(self, case, n):
         diag, off, corner = _folded(n, case)
         lam = sturm._band_eigh(diag, off, corner, n)
-        ref = _long_double_smallest(diag, off, corner, 6)
+        ref = _long_double_smallest(diag, off, corner, 6, lam)
         err = np.abs(lam[:6] - ref.astype(float))
         assert err.max() <= 2 * np.finfo(float).eps * lam[-1]
 
