@@ -370,20 +370,20 @@ def _density_files(times, grid, densities, masses=None) -> dict:
     x, r = _column(grid.nodes), [_column(d) for d in densities]
     files = {f"density_t{float(t)!r}.csv": _csv((x, r_t), ("x", "r")) for t, r_t in zip(times, r)}
     if masses is not None:
-        files.update(_plot_files(times, x, r, masses))
+        files.update(_plot_files(x, r, masses))
     return files
 
 
 _SERIES = ("atom0", "atom1", "interior_mass", "total_mass", "phi_moment")
 
 
-def _plot_files(times, x, r, masses) -> dict:
+def _plot_files(x, r, masses) -> dict:
     """Long-format density and mass series, from the formatted nodes x and
-    densities r and the columns of masses.csv."""
-    t, (t_m, *values) = _column(times), map(_column, masses)
+    densities r and the columns of masses.csv (times first)."""
+    t, *values = map(_column, masses)
     density = ([t_i for t_i, r_t in zip(t, r) for _ in r_t], x * len(r),
                [v for r_t in r for v in r_t])
-    series = ([t_i for t_i in t_m for _ in _SERIES], list(_SERIES) * len(t_m),
+    series = ([t_i for t_i in t for _ in _SERIES], list(_SERIES) * len(t),
               [v for row in zip(*values) for v in row])
     return {
         "plotdata_density.csv": _csv(density, ("t", "x", "r")),
