@@ -496,6 +496,8 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
             manifest.diagnostics["interior_steps"] = sol.steps
         else:
             manifest.diagnostics["interior_modes"] = sol.modes
+            if sol.eigensolve_method:
+                manifest.diagnostics["eigensolve_method"] = sol.eigensolve_method
         manifest.diagnostics["interior_log_scale_spread"] = sol.log_scale_spread
         with manifest.stage("atoms"):
             a, b = interior_atoms(manifest, model, sol, u0)
@@ -666,8 +668,8 @@ def _run_oracle(cfg: RunConfig, manifest: RunManifest) -> dict:
 
 def _read_csv(path: Path, columns) -> dict:
     """The named columns of a CSV file with a header row, as 1-D arrays;
-    InputError names the file when it does not parse, lacks a column or
-    holds a non-finite (or non-numeric) entry in one."""
+    InputError names the file when it does not parse, lacks a column, has
+    no data rows or holds a non-finite (or non-numeric) entry in one."""
     try:
         with warnings.catch_warnings():  # numpy's warning becomes the message below
             warnings.filterwarnings("error", "genfromtxt: Empty input file", UserWarning)
@@ -682,6 +684,8 @@ def _read_csv(path: Path, columns) -> dict:
             raise InputError(f"{str(path)!r} has no {name!r} column")
         if not np.all(np.isfinite(data[name])):
             raise InputError(f"{str(path)!r} has a non-finite {name!r} entry")
+    if data.size == 0:
+        raise InputError(f"{str(path)!r} has a header row but no data rows")
     return {name: np.atleast_1d(data[name]) for name in columns}
 
 

@@ -328,8 +328,9 @@ class InteriorSolution:
     integrals, with how they were computed ("modal" or "stepper"), the
     time step (the grid snapshot times are snapped to on either path), the
     steps the stepper took (0 on the modal path), the modes the modal solve
-    kept (0 on the stepper path) and the spread of the symmetrizing
-    log-scale, max - min of log sqrt(cell g / p) over the unknowns."""
+    kept (0 on the stepper path), the spread of the symmetrizing
+    log-scale, max - min of log sqrt(cell g / p) over the unknowns, and
+    the eigensolver driver the modal path ran (None when it ran none)."""
 
     trajectory: Trajectory
     traces: BoundaryTraces
@@ -338,6 +339,7 @@ class InteriorSolution:
     steps: int
     modes: int
     log_scale_spread: float
+    eigensolve_method: Optional[str] = None
 
 
 def _interior_operator(model: DegenerateModel, grid: Grid):
@@ -398,8 +400,10 @@ def _right_trace(r, absorbing):
 # 9.4e-11 at 11.9, 2.1e-10 at 13.3, 1.4e-9 at 15.7, 6.2e-9 at 18.2, 2.9e-8
 # at 20.6, 4.6e-6 at 25.5. Inside it, over n = 101..1601, Kimura psi =
 # 12..20 and 1 - 2x and SIS R0 = 10, 20 (38 cases), SIS reads at most
-# 4.1e-11 and Kimura 9.7e-11 (psi = 18, n = 401, spread 10.0, dense
-# driver; at most 6.5e-11 on shift-invert, 15 cases above 1e-11).
+# 5.0e-11 and Kimura 6.2e-11 (psi = 20, n = 401, spread 10.95, subset
+# MRRR; dense LAPACK with quotients read 9.7e-11 before). Forced on all
+# 38, subset MRRR reads 1.2e-10 without the QR step, stevd 2.5e-10 with
+# quotients in place of its own pairs, and ARPACK 6.5e-11.
 _MODAL_MAX_LOG_SPREAD = 11.0
 
 
@@ -409,32 +413,37 @@ def _modal_basis(diag, upper, cell, s, t_min):
     symmetric tridiagonal, so D = sqrt(C S) makes B = D A D^-1 symmetric.
     Its k eigenpairs with exp(lam t_min) > 2^-53 (none for t_min = inf) are
     counted, then computed as the k smallest of -B by ``eigensolve``'s
-    drivers. Either driver's eigenvalues err by O(eps ||B||) ~ n^2, so
-    each lam is recomputed from the vectors: one Rayleigh-Ritz step on a
-    shift-invert basis, the Rayleigh quotients of dense vectors. Returns
-    ((lam, Q, d), spread of log d) with Q m x k, or (None, spread) when the
-    spread is too wide or the driver's array is over its budget."""
+    drivers, each with the eigenvalue rule that measured best on it (see
+    ``_MODAL_MAX_LOG_SPREAD``): the whole spectrum's own pairs; subset MRRR
+    vectors orthonormalized by QR, then one Rayleigh-Ritz step; one
+    Rayleigh-Ritz step on a shift-invert basis. A subset driver's own
+    eigenvalues err by O(eps ||B||) ~ n^2, which the step removes. Returns
+    ((lam, Q, d), spread of log d, driver) with Q m x k, or (None, spread,
+    None) when the spread is too wide or the driver's array is over its
+    budget; the driver is None when no mode is alive."""
     log_d = 0.5 * np.log(cell * s)
     top, bottom = float(log_d.max()), float(log_d.min())
     spread = top - bottom
     if spread > _MODAL_MAX_LOG_SPREAD:
-        return None, spread
+        return None, spread, None
     d = np.exp(log_d - 0.5 * (top + bottom))
     a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]
     k = _count_below(-a, -b, 0.0, 53 * math.log(2.0) / t_min) if t_min < np.inf else 0
     if k == 0:
-        return (np.empty(0), np.empty((a.size, 0)), d), spread
+        return (np.empty(0), np.empty((a.size, 0)), d), spread, None
     try:
-        _, Q, method = _smallest_eigh(-a, -b, 0.0, k)
+        lam, Q, method = _smallest_eigh(-a, -b, 0.0, k)
     except DenseSizeError:
-        return None, spread
+        return None, spread, None
+    if method == "stevd":
+        return (-lam, Q, d), spread, method
+    if method == "stemr":
+        Q = np.linalg.qr(Q)[0]
     BQ = a[:, None] * Q  # row by row, each row cancels before the sums
     BQ[:-1] += b[:, None] * Q[1:]
     BQ[1:] += b[:, None] * Q[:-1]
-    if method == "shift_invert":
-        lam, R = np.linalg.eigh(Q.T @ BQ)
-        return (lam, Q @ R, d), spread
-    return (np.einsum("ij,ij->j", Q, BQ) / np.einsum("ij,ij->j", Q, Q), Q, d), spread
+    lam, R = np.linalg.eigh(Q.T @ BQ)
+    return (lam, Q @ R, d), spread, method
 
 
 def _modal_solve(modes, A, absorbing, r0, grid_times):
@@ -525,16 +534,18 @@ def solve_interior(
     The generator A is a constant tridiagonal with positive off-diagonals
     (see ``_interior_operator``). Only its k modes alive at the first
     positive snapshot t_min, exp(lam t_min) > 2^-53, are computed, through
-    its symmetric similar form, by ``eigensolve``'s drivers: shift-invert
-    Lanczos for few modes, dense LAPACK for many. Each snapshot is
-    e^(A t) r0 on them, and the boundary traces are integrated as
-    A^-1 (r(t) - r0). A time stepper runs instead when the modal form is
-    unsafe: when the symmetrizing scale spans more than a factor exp(11),
-    whose spread amplifies rounding (see ``_MODAL_MAX_LOG_SPREAD``), or
-    when the driver's array would exceed the eigensolver's 256 MiB budget.
-    It takes implicit trapezoidal steps of fixed dt, the first two each
-    split into two backward-Euler half steps so rough initial data does
-    not ring. ``method`` and ``modes`` say which ran.
+    its symmetric similar form, which has no corner, by ``eigensolve``'s
+    drivers: LAPACK's subset MRRR for few modes and its whole tridiagonal
+    spectrum for many, or shift-invert Lanczos once an m x m array is over
+    the 256 MiB budget (m > 5792). Each snapshot is e^(A t) r0 on them,
+    and the boundary traces are integrated as A^-1 (r(t) - r0). A time
+    stepper runs instead when the modal form is unsafe: when the
+    symmetrizing scale spans more than a factor exp(11), whose spread
+    amplifies rounding (see ``_MODAL_MAX_LOG_SPREAD``), or when the
+    driver's array would exceed the budget. It takes implicit trapezoidal
+    steps of fixed dt, the first two each split into two backward-Euler
+    half steps so rough initial data does not ring. ``method``, ``modes``
+    and ``eigensolve_method`` say which ran.
 
     On both paths dt = min(h, horizon/2000), shortened to divide the
     horizon, and snapshot times are snapped to multiples of dt, so output
@@ -567,7 +578,9 @@ def solve_interior(
     snap_times = snap_idx * dt
     absorbing = model.absorbs_at_1
     diag, _, upper, cell = A
-    modes, spread = _modal_basis(diag, upper, cell, s, snap_times[snap_times > 0].min(initial=np.inf))
+    modes, spread, driver = _modal_basis(
+        diag, upper, cell, s, snap_times[snap_times > 0].min(initial=np.inf)
+    )
     if modes is None:
         method, steps, kept = "stepper", n_steps, 0
         snaps, grid_times, int0, int1 = _step_interior(
@@ -605,6 +618,7 @@ def solve_interior(
         steps=steps,
         modes=kept,
         log_scale_spread=spread,
+        eigensolve_method=driver,
     )
 
 

@@ -40,6 +40,9 @@ from .fields import CoefficientField, _cell_integrals
 _FLUX_PIVOT_TOL = 1e-10
 _DENSE_MAX_BYTES = 2**28  # one eigensolver array: dense n x n (n <= 5792), or n x ncv
 _FEW_MODES_MIN_N = 256  # below this, dense LAPACK was faster for every k
+# corner-free: subset MRRR and the whole spectrum took equal time, the
+# subset's Rayleigh-Ritz step included, at k = 0.15-0.2 m (m = 99 to 1599)
+_SUBSET_MAX_SHARE = 6
 # one-sided second-order derivative stencils at a and b, times h
 _STENCIL_A = np.array([-3.0, 4.0, -1.0]) / 2
 _STENCIL_B = np.array([1.0, -4.0, 3.0]) / 2
@@ -220,7 +223,9 @@ class EigenSystem:
     :func:`stencil_boundary_residuals` is the O(h^2) check on the vectors.
     ``zero_multiplicity`` counts eigenvalues below 1e-8 * max(1,
     largest computed eigenvalue). ``method`` names the solver that ran:
-    "dense", "shift_invert", "band" (eigenvalues only) or "bordered".
+    "stemr" or "stevd" (LAPACK's tridiagonal drivers, for a folded operator
+    with no corner), "dense", "shift_invert", "band" (eigenvalues only) or
+    "bordered".
     """
 
     grid: Grid
@@ -440,13 +445,35 @@ def _shift_invert_eigh(diag, off, corner, k):
     return lam[order], Y[:, order]
 
 
+def _tridiagonal_eigh(diag, off, k):
+    """The k smallest eigenpairs of a corner-free T and the LAPACK driver
+    that found them, each filling an n x n array: subset MRRR ("stemr",
+    named, since scipy's "auto" takes stebz and stein for a subset) for
+    k <= n/6, else the whole spectrum by divide and conquer ("stevd"),
+    sliced to k."""
+    subset = _SUBSET_MAX_SHARE * k <= diag.size
+    driver = "stemr" if subset else "stevd"
+    try:
+        lam, vec = scipy.linalg.eigh_tridiagonal(
+            diag, off, select="i" if subset else "a", select_range=(0, k - 1),
+            lapack_driver=driver,
+        )
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise EigensolveError(f"tridiagonal eigensolver failed: {exc}") from exc
+    return lam[:k], vec[:, :k], driver
+
+
 def _smallest_eigh(diag, off, corner, k, vectors=True):
-    """The k smallest eigenpairs of T and the driver that found them: few
-    modes (n >= 256 and k <= n/8, the measured crossover) by shift-invert
-    Lanczos in an n x max(2k + 1, 20) basis (scipy's ncv), more by LAPACK on
-    the dense n x n matrix, or on the band form for eigenvalues only; refused
-    when that array (n x n for the band form) is over budget."""
+    """The k smallest eigenpairs of T and the driver that found them. With
+    no corner, vectors wanted and n x n within budget, LAPACK's tridiagonal
+    drivers (:func:`_tridiagonal_eigh`). Otherwise few modes (n >= 256 and
+    k <= n/8, the measured crossover) by shift-invert Lanczos in an
+    n x max(2k + 1, 20) basis (scipy's ncv), more by LAPACK on the dense
+    n x n matrix, or on the band form for eigenvalues only; refused when
+    that array (n x n for the band form) is over budget."""
     n = diag.size
+    if corner == 0 and vectors and 8 * n * n <= _DENSE_MAX_BYTES:
+        return _tridiagonal_eigh(diag, off, k)
     few = n >= _FEW_MODES_MIN_N and k <= n // 8
     _require_budget(n, max(2 * k + 1, 20) if few else n)
     if few:
@@ -465,11 +492,16 @@ def eigensolve(
     fluxes, keeping an exactly symmetric definite pencil, and returns
     eigenvectors orthonormal in the weighted inner product. The folded
     matrix is tridiagonal apart from two corners, and
-    :func:`_smallest_eigh` picks its driver: shift-invert Lanczos on its
-    sparse form for few modes, LAPACK on the dense matrix for more, each
-    refused with DenseSizeError when its array would exceed 256 MiB. With
-    ``vectors=False`` the result carries no vectors, and more modes come
-    from the band form, which computes eigenvalues only.
+    :func:`_smallest_eigh` picks its driver. With the corners zero (a
+    coupling whose rows do not tie the two ends, such as one law plus a
+    zero-flux row) LAPACK's tridiagonal drivers find the modes: subset MRRR
+    for few, the whole spectrum for more. With corners, shift-invert
+    Lanczos on the sparse form finds few modes and LAPACK on the dense
+    matrix more. Each is refused with DenseSizeError when its array would
+    exceed 256 MiB, and a corner-free solve over that budget takes
+    shift-invert Lanczos. With ``vectors=False`` the result carries no
+    vectors, and more modes come from the band form, which computes
+    eigenvalues only.
     """
     n = op.grid.n
     k = n if k is None else int(k)

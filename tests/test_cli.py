@@ -73,12 +73,19 @@ UNLOADED = {
 }
 
 
+# run after a command's smallest config, in the same interpreter: the
+# defaults (n = 401) keep 5 and 3 modes by subset MRRR, not ARPACK
+DEFAULT_AFTER = {"kimura": ["kimura"], "sis": ["sis"]}
+
+
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    code = "import sys; from conspar.cli import main; print(main(sys.argv[1:])); " + SCIPY_LOADED
     for command, argv in SMALLEST.items():
-        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
-        lines = _fresh(code, *argv, "--out", str(tmp_path / command)).splitlines()
-        assert lines[-2] == "0", command
+        runs = [[a.replace("{dir}", str(tmp_path)) for a in argv] + ["--out", str(tmp_path / command)]]
+        if command in DEFAULT_AFTER:
+            runs.append(DEFAULT_AFTER[command] + ["--out", str(tmp_path / f"{command}-default")])
+        code = f"import sys; from conspar.cli import main; print(*[main(a) for a in {runs!r}]); "
+        lines = _fresh(code + SCIPY_LOADED).splitlines()
+        assert lines[-2] == " ".join(["0"] * len(runs)), command
         barred = [m for m in lines[-1].split()
                   if any(m == p or m.startswith(p + ".") for p in UNLOADED[command])]
         assert barred == [], command
@@ -218,18 +225,21 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: " + message.format(path=repr(str(path))))
 
-    @pytest.mark.parametrize("table", ["", "\n\n"], ids=["no bytes", "blank lines"])
-    def test_empty_psi_table_refused(self, table, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "table, message",
+        [("", "is empty: it has no header row"), ("\n\n", "is empty: it has no header row"),
+         ("x,value\n", "has a header row but no data rows")],
+        ids=["no bytes", "blank lines", "header only"],
+    )
+    def test_empty_psi_table_refused(self, table, message, tmp_path, capsys):
         path = tmp_path / "psi.csv"
         path.write_text(table, encoding="utf-8")
         argv = ["kimura", "--n", "21", "--psi_table", str(path), "--out", str(tmp_path / "x")]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"config error: {str(path)!r} is empty: it has no header row\n"
-        )
+        assert capsys.readouterr().err == f"config error: {str(path)!r} {message}\n"
         with warnings.catch_warnings():  # numpy's "Empty input file" is not passed on
             warnings.simplefilter("error")
-            with pytest.raises(InputError, match="is empty"):
+            with pytest.raises(InputError, match=message):
                 cli._read_csv(path, ("x", "value"))
 
     @pytest.mark.parametrize(
@@ -402,7 +412,8 @@ class TestKimuraCommand:
         [
             (["kimura", "--mode", "regularized"], "shift_invert"),
             (["kimura", "--mode", "ladder", "--n", "101"], "dense"),
-            (["sis", "--mode", "regularized", "--n", "101"], "dense"),
+            # one law and a zero-flux row: the fold has no corner
+            (["sis", "--mode", "regularized", "--n", "101"], "stemr"),
         ],
     )
     def test_regularized_eigensolve_diagnostics(self, tmp_path, argv, method):
@@ -479,6 +490,23 @@ class TestKimuraCommand:
             modes = [ln for ln in lines if ln.startswith("diag.interior_modes")]
             assert len(modes) == (method == "modal")
             assert any(ln.startswith("diag.interior_log_scale_spread = ") for ln in lines)
+            drivers = [ln for ln in lines if ln.startswith("diag.eigensolve_method")]
+            assert drivers == (["diag.eigensolve_method = stemr"] if method == "modal" else [])
+
+    @pytest.mark.parametrize(
+        "horizon, driver",
+        # 5 modes alive at t = 1; all 399 at t = 1e-5, more than m/6
+        [("1", "stemr"), ("1e-5", "stevd"), (None, None)],
+        ids=["few", "all", "none alive"],
+    )
+    def test_interior_names_its_eigensolver(self, tmp_path, horizon, driver):
+        out = tmp_path / "run"
+        times = ["--times", f"0,{horizon}"] if horizon else ["--times", "0"]
+        assert main(["kimura", "--T", horizon or "1", *times, "--out", str(out)]) == 0
+        lines = _manifest_lines(out)
+        assert "diag.interior_method = modal" in lines
+        drivers = [ln for ln in lines if ln.startswith("diag.eigensolve_method")]
+        assert drivers == ([f"diag.eigensolve_method = {driver}"] if driver else [])
 
     def test_first_row_is_the_data(self, tmp_path):
         # a delta on node 1 of 401: the t = 0 row holds the data's masses,

@@ -200,14 +200,16 @@ class TestSolveRegularized:
         "make_model", [lambda: kimura_model(field_from_expression("1-2*x")), lambda: sis_model(2.0)]
     )
     def test_truncated_solve_matches_all_modes(self, make_model, eps):
-        # measured: the gap is at most 4.7e-11 of max |v| over these six
-        # cases (16 shift-invert modes against all 401 dense ones), the
+        # measured: the gap is at most 1.7e-11 of max |v| over these six
+        # cases (Kimura: 16 shift-invert modes against all 401 dense ones;
+        # SIS: 16 subset-MRRR modes against the whole stevd spectrum), the
         # eigensolvers' own accuracy; the truncation bound is below 1e-50
         model = make_model()
         u0 = np.abs(np.random.default_rng(5).normal(1.0, 0.4, GRID.n))
         times = [0.5, 1.0, 5.0]
         sol = solve_regularized(model, u0, eps, times, GRID)
-        assert sol.eig.method == "shift_invert"
+        # SIS's one law and zero-flux row leave the fold no corner
+        assert sol.eig.method == ("shift_invert" if model.absorbs_at_1 else "stemr")
         assert sol.eig.eigenvalues.size < GRID.n
         op, coupling, p, g = degenerate.regularized_system(model, eps, GRID)
         v0 = to_selfadjoint(u0, g, p)
@@ -592,8 +594,8 @@ class TestModalInterior:
 
     # n = 101, T = 1: at most 1.1e-11 (psi = 20, delta). Over n = 101..1601,
     # Kimura psi = 12..20 and 1 - 2x and SIS R0 = 10, 20 with uniform data
-    # and deltas at 0.3 and 0.7, SIS stays below 4.1e-11 and Kimura below
-    # 9.7e-11 (see _MODAL_MAX_LOG_SPREAD)
+    # and deltas at 0.3 and 0.7, SIS stays below 5.0e-11 and Kimura below
+    # 6.2e-11 (see _MODAL_MAX_LOG_SPREAD)
     @pytest.mark.parametrize("start", ["uniform", "delta"])
     @pytest.mark.parametrize("name", list(MODAL_MODELS))
     def test_matches_matrix_exponential(self, name, start):
@@ -609,10 +611,10 @@ class TestModalInterior:
             assert got[0] == 0.0
             assert _relative(got[1:], want) <= 1e-10
 
-    # psi = 18 and 20 near the spread gate (spreads 9.9 and 10.95), on the
-    # dense driver (n = 401: more than m/8 modes alive at t = 0.01) and on
-    # shift-invert Lanczos (n = 801); the bound is the worst of the sweep
-    # in _MODAL_MAX_LOG_SPREAD before the drivers were shared, 1.37e-10
+    # psi = 18 and 20 near the spread gate (spreads 9.9 and 10.95), all on
+    # subset MRRR (60 modes alive at t = 0.01, of m = 399 and 799); the
+    # bound is the worst of the sweep in _MODAL_MAX_LOG_SPREAD before the
+    # drivers were shared, 1.37e-10
     @pytest.mark.parametrize("psi, n", [(18.0, 401), (20.0, 401), (18.0, 801)])
     def test_matches_matrix_exponential_at_the_gate_edge(self, psi, n):
         model = kimura_model(constant_field(psi))
@@ -712,7 +714,7 @@ class TestModalInterior:
         (diag, _, upper, cell), s, _, _ = degenerate._interior_operator(
             MODAL_MODELS[name](), MODAL_GRID
         )
-        (_, _, d), _ = degenerate._modal_basis(diag, upper, cell, s, np.inf)
+        (_, _, d), _, _ = degenerate._modal_basis(diag, upper, cell, s, np.inf)
         a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]
         spectrum = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
         for t_min in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0):
@@ -720,10 +722,11 @@ class TestModalInterior:
             assert sturm._count_below(-a, -b, 0.0, -sigma) == np.sum(spectrum > sigma)
 
     # relative error of the slowest eigenvalue against long-double bisection,
-    # in the order listed: 2.0e-13, 6.9e-14, 5.6e-14 and 1.9e-12, all from
-    # shift-invert Lanczos with a Rayleigh-Ritz step. ARPACK's own
-    # eigenvalues read 2.2e-12 and 1.6e-10 on SIS R0 = 20, an absolute error
-    # that grows with ||B||, about n^2
+    # in the order listed: 6.4e-13, 6.9e-13, 1.1e-13 and 1.5e-11, all from
+    # subset MRRR with QR and a Rayleigh-Ritz step (shift-invert Lanczos
+    # with the step read 2.0e-13, 6.9e-14, 5.6e-14 and 1.9e-12). MRRR's own
+    # eigenvalues read 5.3e-12 and 1.0e-10 on SIS R0 = 20, ARPACK's 2.2e-12
+    # and 1.6e-10, an absolute error that grows with ||B||, about n^2
     @pytest.mark.parametrize(
         "name, n, bound",
         [("sis R0=20", 401, 1.5e-12), ("sis R0=2", 401, 1.5e-12),
@@ -732,7 +735,7 @@ class TestModalInterior:
     def test_slowest_eigenvalue_matches_long_double_bisection(self, name, n, bound):
         model = {**MODAL_MODELS, "sis R0=20": lambda: sis_model(20.0)}[name]()
         (diag, _, upper, cell), s, _, _ = degenerate._interior_operator(model, Grid(0.0, 1.0, n))
-        (lam, _, d), _ = degenerate._modal_basis(diag, upper, cell, s, 1.0)
+        (lam, _, d), _, _ = degenerate._modal_basis(diag, upper, cell, s, 1.0)
         a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]  # the tridiagonal it diagonalizes
         exact = _largest_eigenvalue(a, b, lam.max())
         assert abs(lam.max() - exact) <= bound * abs(exact)
@@ -770,7 +773,7 @@ class TestModalInterior:
         grid = Grid(0.0, 1.0, 401)
         r0 = _initial("delta", grid)
         sol = solve_interior(MODAL_MODELS["psi=1-2x"](), r0, 5.0, [0.0, 1e-4], grid)
-        assert sol.method == "modal" and sol.modes == 0
+        assert sol.method == "modal" and sol.modes == 0 and sol.eigensolve_method is None
         assert np.array_equal(sol.trajectory.times, [0.0, 0.0])
         assert np.array_equal(sol.trajectory.values, [r0, r0])
         assert np.array_equal(sol.traces.times, [0.0])
@@ -782,12 +785,14 @@ class TestModalInterior:
         grid = Grid(0.0, 1.0, 8001)
         sol = solve_interior(MODAL_MODELS["psi=0"](), np.ones(grid.n), 1.0, [1.0], grid)
         assert sol.method == "modal" and sol.modes == 5 and sol.steps == 0
+        assert sol.eigensolve_method == "shift_invert"  # m x m is over the budget
 
     @pytest.mark.parametrize("first, cols", [(1.0, 20), (0.01, 399)], ids=["lanczos", "dense"])
     def test_over_budget_eigensolve_steps(self, first, cols, monkeypatch):
-        # m = 399 unknowns; the budget is one byte below the array the chosen
-        # driver fills: the m x 20 Lanczos basis for the 5 modes alive at
-        # t = 1, the dense m x m matrix for the more than m/8 alive at 0.01
+        # m = 399 unknowns; the budget is one byte below the array the
+        # fallback driver fills once the m x m tridiagonal drivers are over
+        # it: the m x 20 Lanczos basis for the 5 modes alive at t = 1, the
+        # dense m x m matrix for the more than m/8 alive at 0.01
         model, grid = MODAL_MODELS["psi=0"](), Grid(0.0, 1.0, 401)
         assert solve_interior(model, np.ones(grid.n), 1.0, [first], grid).method == "modal"
         monkeypatch.setattr(sturm, "_DENSE_MAX_BYTES", 8 * 399 * cols - 1)

@@ -70,15 +70,22 @@ PSI_TABLE = "x,value\n" + "".join(
 # n >= 256 crossover, dense LAPACK on -B with Rayleigh quotients, in place
 # of subset MRRR): kimura-plot moved by at most 2.1e-14, kimura-delta
 # by 1.7e-14, kimura-table by 1.6e-14, sis-plot by 3.6e-14, and the
-# validate report's atoms by 1.0e-15 (its z-scores by 9.2e-14)
+# validate report's atoms by 1.0e-15 (its z-scores by 9.2e-14).
+# The same five were re-recorded when corner-free modal solves began
+# taking LAPACK's tridiagonal drivers (here subset MRRR, its vectors
+# orthonormalized by QR before the Rayleigh-Ritz step, in place of dense
+# LAPACK with Rayleigh quotients): kimura-plot moved by at most 2.7e-15,
+# kimura-delta by 1.3e-14, kimura-table by 1.6e-14, sis-plot by 6.3e-14
+# (masses 1.8e-14), and the validate report's atoms by 3.3e-16 (its
+# z-scores by 3.1e-14)
 SOLVER_GOLDEN = {
     "kimura-plot": (
         ["kimura", "--n", "101", "--psi", "1-2*x", "--emit_plot_data", "true"],
-        "18b04f92420fa662491573c638505dfac5ed48c6004328048952eb972ff901de",
+        "9b67f54ffae6c023706464ea28bcc4da3e39fb6b5148e0666d3c293e3bc900d1",
     ),
     "kimura-delta": (
         ["kimura", "--n", "101", "--u0", "delta:0.3", "--T", "20", "--times", "1,5,20"],
-        "e027647e958b43a9755d20443005bc6fdd80b3d33be1b742c1bb4c7f2a33f96c",
+        "c09c774cf320217a5c1cc099d8160f71a7a335200aa85e460d9d7cacc84008bb",
     ),
     # these two and sis-regularized were re-recorded when the regularized
     # solves began computing only the modes alive at the first positive
@@ -95,7 +102,7 @@ SOLVER_GOLDEN = {
     ),
     "kimura-table": (
         ["kimura", "--n", "101", "--psi_table", "{table}"],
-        "3b8fa9969cbbe318c8476c948fec120638a66a9afb3c9e3eeaf215218da56fe5",
+        "b9ef7024d4489b4081d7ddebb6dac87d1d52dd250f403cff7ba4f4d59a8fcf5f",
     ),
     # symmetrizing scale spread 12.96 > 11: the time stepper runs
     "kimura-stepper": (
@@ -104,14 +111,17 @@ SOLVER_GOLDEN = {
     ),
     "sis-plot": (
         ["sis", "--n", "101", "--emit_plot_data", "true"],
-        "b86339d8271add87f08f16445c31a8242c63a6ffb5599a42405582ff2a4644de",
+        "30d1bc1dd8b3d618748cdbe1564bdc2d824866c3679416de2b57ee4602cbacef",
     ),
     # re-recorded when the zero-flux end x = 1 stopped giving up a half-cell
     # atom that the run then dropped: r at x = 1 moved by at most 4.1e-6
-    # (1.0e-5 relative), interior and total mass by at most 2.0e-8
+    # (1.0e-5 relative), interior and total mass by at most 2.0e-8. Re-recorded
+    # when its fold, which has no corner, began taking subset MRRR for its
+    # 16 modes in place of dense LAPACK: densities moved by at most 2.2e-10
+    # (1.5e-11 relative), masses by at most 1.5e-11
     "sis-regularized": (
         ["sis", "--n", "101", "--mode", "regularized"],
-        "a06b7030e19079e92728fee2ed982899ffb14a08ae1116ab95ef6cfe00c736cc",
+        "eac3a916aedd9c64b49b25a7a83d872f33a14dcdc3f655771f5795500cf5fa29",
     ),
     # was spectrum-dense: re-recorded when spectrum began taking its
     # eigenvalues from the band form of the folded operator in place of
@@ -139,7 +149,7 @@ VALIDATE_RUNS = {
     "mc": ["oracle", "--x0", "0.3", "--T", "5", "--times", "1,5", "--dt", "5e-4",
            "--replicates", "2000", "--seed", "4"],
 }
-VALIDATE_DIGEST = "b8259e2a3edcd136506643f937e6b49519a6d8e8b29831bc7c01c0ea3bc3a241"
+VALIDATE_DIGEST = "cc813b399310c590effac4ef7dbea9601083ce1550282d15c50017a178214531"
 
 # manifest lines a solver golden must also carry
 MANIFEST_LINES = {"kimura-stepper": ["diag.interior_method = stepper"]}

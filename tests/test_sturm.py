@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conspar import sturm
 from conspar.conservative import build_totally_conservative
@@ -306,6 +307,32 @@ class TestFewModeEigensolve:
     def test_method_crossover(self, n, k, method):
         op, coup = _kernel_operator(Grid(0.0, 1.0, n))
         assert eigensolve(op, coup, k=k).method == method
+
+    # the heat operator's T with its corner dropped: k = 66 of 401 is the
+    # last subset (6 k <= n), n = 5793 the first over the n x n budget
+    @pytest.mark.parametrize(
+        "n, k, method",
+        [(401, 1, "stemr"), (401, 66, "stemr"), (401, 67, "stevd"), (401, 401, "stevd"),
+         (5793, 5, "shift_invert")],
+    )
+    def test_corner_free_takes_tridiagonal_drivers(self, n, k, method):
+        op, coup = _kernel_operator(Grid(0.0, 1.0, n))
+        W = sturm._flux_elimination(coup, op.p_end)
+        diag, off, corner = sturm._folded_tridiagonal(op, W, np.sqrt(op.mass))
+        assert corner != 0.0
+        lam, Y, got = sturm._smallest_eigh(diag, off, 0.0, k)
+        assert got == method and Y.shape == (n, k)
+        ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stemr")
+        assert np.abs(lam - ref[:k]).max() <= 50 * np.finfo(float).eps * ref[-1]
+        BY = diag[:, None] * Y
+        BY[:-1] += off[:, None] * Y[1:]
+        BY[1:] += off[:, None] * Y[:-1]
+        assert np.abs(BY - Y * lam).max() <= 1e-10 * ref[-1]
+        assert np.abs(Y.T @ Y - np.eye(k)).max() <= 1e-12
+        # eigenvalues alone, or a corner, keep their drivers
+        assert sturm._smallest_eigh(diag, off, 0.0, k, vectors=False)[2] in ("band", "shift_invert")
+        if n == 401:
+            assert sturm._smallest_eigh(diag, off, corner, k)[2] in ("dense", "shift_invert")
 
     def test_dense_refused_beyond_budget(self, one, zero):
         g = Grid(0.0, 1.0, 6001)
