@@ -9,11 +9,12 @@ exactly by the discrete operator. The operator carries no boundary
 conditions. They enter :func:`eigensolve` as a separate coupling, through
 the endpoint fluxes p v'(a), p v'(b): the two coupling rows are solved
 for the fluxes in terms of the endpoint values and folded into the
-boundary rows. For any mutually self-adjoint pair of rows this produces an
-exactly symmetric matrix pencil, so a standard symmetric eigensolver
-applies and the discrete spectrum is real with M-orthonormal eigenvectors.
-When the rows cannot be solved for the fluxes (for example Dirichlet-type
-rows) a bordered, non-symmetric collocation eigensolve is used instead.
+boundary rows. When they cannot be solved for both fluxes, they tie v(b)
+to v(a) or fix both (Dirichlet-type rows), and the tied or fixed end values
+are eliminated instead. For any mutually self-adjoint pair of rows this
+produces an exactly symmetric matrix pencil, so a standard symmetric
+eigensolver applies and the discrete spectrum is real with M-orthonormal
+eigenvectors.
 
 All public types are immutable after construction and safe for concurrent
 read-only use; evolution over a list of times is a pure map.
@@ -222,10 +223,12 @@ class EigenSystem:
     only. The folded solvers satisfy the coupling rows by construction;
     :func:`stencil_boundary_residuals` is the O(h^2) check on the vectors.
     ``zero_multiplicity`` counts eigenvalues below 1e-8 * max(1,
-    largest computed eigenvalue). ``method`` names the solver that ran:
-    "stemr" or "stevd" (LAPACK's tridiagonal drivers, for a folded operator
-    with no corner), "dense", "shift_invert", "band" (eigenvalues only) or
-    "bordered".
+    largest computed eigenvalue). ``dimension`` is the fold's m, the number
+    of modes the coupled problem has on the grid: n, n - 1 when the rows tie
+    v(b) to v(a), n - 2 when they fix both. ``method`` names the solver that
+    ran: "stemr" or "stevd" (LAPACK's tridiagonal drivers, for a folded
+    operator with no corner), "dense", "shift_invert" or "band" (eigenvalues
+    only).
     """
 
     grid: Grid
@@ -234,6 +237,7 @@ class EigenSystem:
     mass: np.ndarray
     zero_multiplicity: int
     coupling: BoundaryCoupling
+    dimension: int
     method: str = "dense"
 
     def project(self, v0: np.ndarray) -> np.ndarray:
@@ -245,7 +249,8 @@ def _flux_elimination(coupling: BoundaryCoupling, p_end) -> Optional[np.ndarray]
     """Solve the rows for the endpoint fluxes (f_a, f_b) = W (v_a, v_b).
 
     Returns None when the flux block is numerically singular (pivot below
-    1e-10 of the row scale), in which case the bordered path applies.
+    1e-10 of the row scale); :func:`_fold` then eliminates end values
+    instead.
     """
     rows = coupling.rows
     pa, pb = p_end
@@ -255,6 +260,65 @@ def _flux_elimination(coupling: BoundaryCoupling, p_end) -> Optional[np.ndarray]
     if abs(np.linalg.det(A2)) <= _FLUX_PIVOT_TOL * scale**2:
         return None
     return -np.linalg.solve(A2, Av)
+
+
+def _fold(op: DiscreteOperator, coupling: BoundaryCoupling):
+    """Fold the rows into -L: T = M^-1/2 K M^-1/2 on the m unknowns they
+    leave, as (diagonal, off-diagonal, corner, root of M, lift).
+
+    T is tridiagonal apart from the corner pair T[0, -1] = T[-1, 0] (which
+    adds to the off-diagonal at m = 2), each entry rounded as 0.5 (T + T^T)
+    rounds it; ``lift`` maps T's vectors over ``root`` to all n nodes. By
+    the rank of the rows' flux block: 2, the fluxes W (v_a, v_b)
+    (:func:`_flux_elimination`) fold into the end rows and m = n; 1, a
+    combination of the rows is v_e = gamma v_k, e the end with the larger
+    coefficient (|gamma| <= 1; the node order is reversed when e = a), and
+    the other row must give the boundary term f_a v_a - f_b v_b as
+    kappa v_a^2, as Abel's identity ensures for conservation rows. Node
+    n - 1 merges into node 0 with weight gamma^2, node n - 2 reaches it
+    through the corner, and m = n - 1; 0, the rows fix v_a = v_b = 0, both
+    end nodes are dropped and m = n - 2. Raises AssemblyError for rows that
+    are not mutually self-adjoint.
+    """
+    d, c, mass, lift = -op.diagonal, op.off_diagonal, op.mass, lambda y: y
+    W = _flux_elimination(coupling, op.p_end)
+    if W is not None:
+        asym = abs(W[0, 1] + W[1, 0]) / (1.0 + np.abs(W).max())
+        d[0] += W[0, 0]
+        d[-1] -= W[1, 1]
+        corners = (W[0, 1], -W[1, 0])
+    else:
+        flux, value = coupling.rows[:, 2:] / np.asarray(op.p_end), coupling.rows[:, :2]
+        if np.abs(flux).max() * (op.grid.b - op.grid.a) <= _FLUX_PIVOT_TOL * np.abs(value).max():
+            asym, d, c, mass, corners = 0.0, d[1:-1], c[1:-1], mass[1:-1], (0.0, 0.0)
+            lift = lambda y: np.pad(y, ((1, 1), (0, 0)))  # noqa: E731
+        else:
+            U = np.linalg.svd(flux)[0]  # U[:, 1] annuls the flux block
+            tie, g, r = U[:, 1] @ value, U[:, 0] @ flux, U[:, 0] @ value
+            step = -1 if abs(tie[0]) > abs(tie[1]) else 1
+            if step < 0:  # x -> a + b - x
+                tie, g, r = tie[::-1], -g[::-1], r[::-1]
+            gamma = -tie[0] / tie[1]
+            h = np.array([1.0, -gamma])  # g = s h: s (f_a - gamma f_b) = -(r_a + gamma r_b) v_a
+            s = g @ h / (h @ h)
+            asym = np.abs(g - s * h).max() / np.abs(g).max()
+            d, c, mass = d[::step], c[::step], mass[::step]
+            d = np.r_[d[0] + gamma**2 * d[-1] - (r[0] + gamma * r[1]) / s, d[1:-1]]
+            mass = np.r_[mass[0] + gamma**2 * mass[-1], mass[1:-1]]
+            c, corners = c[:-1], (-gamma * c[-1],) * 2
+            lift = lambda y: np.vstack([y, gamma * y[:1]])[::step]  # noqa: E731
+    if asym > 1e-8:
+        raise AssemblyError(
+            "coupling rows are not mutually self-adjoint; the symmetric "
+            "eigensolver does not apply"
+        )
+    root = np.sqrt(mass)
+    off = 0.5 * (-c / root[:-1] / root[1:] + -c / root[1:] / root[:-1])
+    corner = 0.5 * (corners[0] / root[0] / root[-1] + corners[1] / root[-1] / root[0])
+    diag = d / root / root
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off)) and np.isfinite(corner)):
+        raise EigensolveError("the folded operator overflows double precision")
+    return diag, off, corner, root, lift
 
 
 def _require_budget(n: int, cols: int):
@@ -287,65 +351,6 @@ def _stencil_quad(grid: Grid, vec: np.ndarray) -> np.ndarray:
     )
 
 
-def _bordered_eigensolve(op: DiscreteOperator, coupling: BoundaryCoupling, k: int):
-    """Fallback collocation eigensolve for couplings without a flux form.
-
-    Builds the square system with the two constraint rows (one-sided
-    second-order derivative stencils) in place of the boundary operator
-    rows and solves the generalized nonsymmetric problem, keeping finite
-    real eigenvalues.
-    """
-    n = op.grid.n
-    _require_budget(n, n)
-    mu = op.grid.cell_weights()
-    A = np.zeros((n, n))
-    B = np.zeros((n, n))
-    for i, row in zip((0, n - 1), coupling.rows):
-        A[i, :3] += row[2] * _STENCIL_A / op.grid.h
-        A[i, -3:] += row[3] * _STENCIL_B / op.grid.h
-        A[i, 0] += row[0]
-        A[i, -1] += row[1]
-    interior = np.arange(1, n - 1)
-    A[interior, interior - 1] = -op.off_diagonal[:-1] / mu[interior]
-    A[interior, interior] = -op.diagonal[interior] / mu[interior]
-    A[interior, interior + 1] = -op.off_diagonal[1:] / mu[interior]
-    B[interior, interior] = op.weight_values[interior]
-
-    lam, vec = scipy.linalg.eig(A, B)
-    finite = np.isfinite(lam) & (np.abs(lam.imag) <= 1e-8 * (1 + np.abs(lam.real)))
-    lam, vec = lam[finite].real, vec[:, finite].real
-    order = np.argsort(lam)
-    lam, vec = lam[order], vec[:, order]
-    if lam.size < k:
-        raise EigensolveError(
-            f"bordered eigensolve found only {lam.size} real eigenvalues, needed {k}"
-        )
-    try:  # the real parts need not be orthonormal in the weighted product
-        vec = orthonormalize_laws(vec[:, :k].T, op.weight_values, op.grid).T
-    except InputError as exc:
-        raise EigensolveError("degenerate eigenvector in bordered solve") from exc
-    return lam[:k], vec
-
-
-def _folded_tridiagonal(op: DiscreteOperator, W: np.ndarray, root: np.ndarray):
-    """T = -M^-1/2 S M^-1/2 with the flux map folded into S.
-
-    T is symmetric tridiagonal apart from the corner pair T[0, -1] =
-    T[-1, 0]. Returns (diagonal, off-diagonal, corner), each entry rounded
-    as the symmetrization 0.5 (T + T^T) of the unsymmetrized fold rounds it.
-    """
-    d = -op.diagonal
-    d[0] += W[0, 0]
-    d[-1] -= W[1, 1]
-    c = op.off_diagonal
-    off = 0.5 * (-c / root[:-1] / root[1:] + -c / root[1:] / root[:-1])
-    corner = 0.5 * (W[0, 1] / root[0] / root[-1] - W[1, 0] / root[-1] / root[0])
-    diag = d / root / root
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off)) and np.isfinite(corner)):
-        raise EigensolveError("the folded operator overflows double precision")
-    return diag, off, corner
-
-
 def _dense_eigh(diag, off, corner, k):
     """The k smallest eigenpairs of T by LAPACK, on the dense matrix."""
     n = diag.size
@@ -375,7 +380,8 @@ def _band_eigh(diag, off, corner, k):
     band = np.zeros((3, n))  # upper band storage: row 2 is the diagonal
     band[2, pos] = diag
     np.add.at(band, (2 - np.abs(i - j), np.maximum(i, j)), np.r_[off, corner])
-    return scipy.linalg.eig_banded(band, eigvals_only=True)[:k]
+    # at most n rows: with n = 1 (Dirichlet rows on 3 nodes) three read 0
+    return scipy.linalg.eig_banded(band[-n:], eigvals_only=True)[:k]
 
 
 def _count_below(diag, off, corner, sigma) -> int:
@@ -486,53 +492,46 @@ def _smallest_eigh(diag, off, corner, k, vectors=True):
 def eigensolve(
     op: DiscreteOperator, coupling: BoundaryCoupling, k: Optional[int] = None, vectors: bool = True
 ) -> EigenSystem:
-    """k smallest eigenpairs of -L v = lambda v under the coupling rows.
+    """k smallest eigenpairs of -L v = lambda v under the coupling rows, all
+    m of the fold's by default.
 
-    The primary path folds the rows into the operator through the endpoint
-    fluxes, keeping an exactly symmetric definite pencil, and returns
-    eigenvectors orthonormal in the weighted inner product. The folded
-    matrix is tridiagonal apart from two corners, and
-    :func:`_smallest_eigh` picks its driver. With the corners zero (a
+    :func:`_fold` folds the rows into the operator through the endpoint
+    fluxes, or eliminates the end values they tie or fix, keeping an
+    exactly symmetric definite pencil; the eigenvectors are orthonormal in
+    the weighted inner product on all n nodes. The folded matrix is
+    tridiagonal apart from two corners, and :func:`_smallest_eigh` picks
+    its driver. With the corners zero (a
     coupling whose rows do not tie the two ends, such as one law plus a
-    zero-flux row) LAPACK's tridiagonal drivers find the modes: subset MRRR
-    for few, the whole spectrum for more. With corners, shift-invert
-    Lanczos on the sparse form finds few modes and LAPACK on the dense
-    matrix more. Each is refused with DenseSizeError when its array would
-    exceed 256 MiB, and a corner-free solve over that budget takes
-    shift-invert Lanczos. With ``vectors=False`` the result carries no
-    vectors, and more modes come from the band form, which computes
-    eigenvalues only.
+    zero-flux row, or Dirichlet rows) LAPACK's tridiagonal drivers find
+    the modes: subset MRRR for few, the whole spectrum for more. With
+    corners, shift-invert Lanczos on the sparse form finds few modes and
+    LAPACK on the dense matrix more. Each is refused with DenseSizeError
+    when its array would exceed 256 MiB, and a corner-free solve over that
+    budget takes shift-invert Lanczos. With ``vectors=False`` the result
+    carries no vectors, and more modes come from the band form, which
+    computes eigenvalues only.
     """
-    n = op.grid.n
-    k = n if k is None else int(k)
-    if not 1 <= k <= n:
-        raise ArgumentError(f"k must be between 1 and {n}")
-
-    W = _flux_elimination(coupling, op.p_end)
-    if W is None:
-        lam, vec = _bordered_eigensolve(op, coupling, k)
-        method = "bordered"
-    else:
-        asym = abs(W[0, 1] + W[1, 0])
-        if asym > 1e-8 * (1.0 + np.abs(W).max()):
-            raise AssemblyError(
-                "coupling rows are not mutually self-adjoint; the symmetric "
-                "eigensolver does not apply"
-            )
-        root = np.sqrt(op.mass)
-        diag, off, corner = _folded_tridiagonal(op, W, root)
-        lam, Y, method = _smallest_eigh(diag, off, corner, k, vectors)
-        vec = Y / root[:, None] if vectors else None
+    diag, off, corner, root, lift = _fold(op, coupling)
+    n, m = op.grid.n, diag.size
+    k = m if k is None else int(k)
+    if not 1 <= k <= m:
+        a, b = f"v({op.grid.a:g})", f"v({op.grid.b:g})"
+        why = {n - 1: f"tie {b} to {a}", n - 2: f"fix {a} = {b} = 0"}.get(m)
+        why = f": the coupling rows {why}, so n = {n} has {m} modes" if why else ""
+        raise ArgumentError(f"k must be between 1 and {m}{why}")
+    lam, Y, method = _smallest_eigh(diag, off, corner, k, vectors)
+    vec = lift(Y / root[:, None]) if vectors else None
 
     tau0 = 1e-8 * max(1.0, float(lam[-1]))
     zero_multiplicity = int(np.sum(np.abs(lam) < tau0))
     return EigenSystem(
         grid=op.grid,
         eigenvalues=np.asarray(lam, dtype=float),
-        vectors=np.asarray(vec, dtype=float) if vectors else None,
+        vectors=vec,
         mass=op.mass,
         zero_multiplicity=zero_multiplicity,
         coupling=coupling,
+        dimension=m,
         method=method,
     )
 
@@ -540,12 +539,10 @@ def eigensolve(
 def count_below(op: DiscreteOperator, coupling: BoundaryCoupling, sigma: float) -> int:
     """Number of eigenvalues of -L under the coupling below sigma, by the
     inertia of the folded T - sigma I (:func:`_count_below`, a pivot loop
-    with no factorization kept). It is n when the coupling has no flux form
-    or sigma is not finite."""
-    W = _flux_elimination(coupling, op.p_end)
-    if W is None or not np.isfinite(sigma):
-        return op.grid.n
-    return _count_below(*_folded_tridiagonal(op, W, np.sqrt(op.mass)), sigma)
+    with no factorization kept). It is m, the fold's every mode, when sigma
+    is not finite."""
+    diag, off, corner, _, _ = _fold(op, coupling)
+    return _count_below(diag, off, corner, sigma) if np.isfinite(sigma) else diag.size
 
 
 def stencil_boundary_residuals(eig: EigenSystem) -> np.ndarray:
@@ -568,9 +565,9 @@ class Trajectory:
 def evolve(eig: EigenSystem, v0: np.ndarray, times: Sequence[float]) -> Trajectory:
     """Expand v0 on the eigenbasis and evolve each mode by exp(-lambda t).
 
-    With K < n modes, the modes left out have weighted norm at most
-    e^(-lam_K t) ||v0||_M at t >= 0, since the full basis is M-orthonormal
-    and ordered (the symmetric paths); that bound is reported per
+    With K < m modes (m the fold's dimension), the modes left out have
+    weighted norm at most e^(-lam_K t) ||v0||_M at t >= 0, since the full
+    basis is M-orthonormal and ordered; that bound is reported per
     snapshot, and is 0 when every mode is kept.
     """
     times = np.asarray(times, dtype=float)
@@ -581,7 +578,7 @@ def evolve(eig: EigenSystem, v0: np.ndarray, times: Sequence[float]) -> Trajecto
     lam = eig.eigenvalues
     decay = np.exp(-np.outer(times, lam))
     values = decay * a[None, :] @ eig.vectors.T
-    norm = np.sqrt(eig.mass @ v0**2) if lam.size < eig.grid.n else 0.0
+    norm = np.sqrt(eig.mass @ v0**2) if lam.size < eig.dimension else 0.0
     truncation = norm * decay[:, -1]
     return Trajectory(
         grid=eig.grid,

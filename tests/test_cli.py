@@ -1,13 +1,18 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conspar
 from conspar import cli
@@ -643,6 +648,70 @@ class TestSpectrumCommand:
         rc = main(["spectrum", "--out", str(out), "--n", "100001", "--k", "6"])
         assert rc in (0, 4)
         assert "diag.eigensolve_method = shift_invert" in _manifest_lines(out)
+
+
+# cos(pi x) and sin(pi x) with q = pi^2 (pi is not an expression
+# identifier): the rows tie v(1) = -v(0), and n = 401 has 400 modes
+TIED_ENDS = ["--q", "9.869604401089358", "--law1", "cos(3.141592653589793*x)",
+             "--law2", "sin(3.141592653589793*x)"]
+
+
+def _eigenvalues(outdir):
+    return np.array([float(r.split(",")[1]) for r in _read(outdir / "eigenvalues.csv").splitlines()[1:]])
+
+
+class TestTiedEnds:
+    def test_few_modes_are_symmetric_pairs(self, tmp_path):
+        # exit 4: zero_multiplicity reads 0, the lumped q's O(h^2) offset
+        # of the zero pair (-5.07e-5) against 1e-8 * lambda_6
+        few, every = tmp_path / "few", tmp_path / "every"
+        assert main(["spectrum", "--out", str(few), *TIED_ENDS]) == 4
+        assert "diag.eigensolve_method = shift_invert" in _manifest_lines(few)
+        assert main(["spectrum", "--out", str(every), "--k", "400", *TIED_ENDS]) == 4
+        failed = [ln for ln in _manifest_lines(every) if ln.endswith("[fail]")]
+        assert failed == ["check: double_zero_below_1e-8_lambda3 = "
+                          f"{_fmt(abs(_eigenvalues(every)[:2]).max())} [fail]"]
+        lam, lam_max = _eigenvalues(few), _eigenvalues(every)[-1]
+        assert np.abs(lam[0::2] - lam[1::2]).max() <= 100 * np.finfo(float).eps * lam_max
+
+    def test_k_past_the_fold_is_a_config_error(self, tmp_path, capsys):
+        assert main(["spectrum", "--out", str(tmp_path / "s"), "--k", "401", *TIED_ENDS]) == 2
+        assert "tie v(1) to v(0), so n = 401 has 400 modes" in capsys.readouterr().err
+
+    def test_moments_keep_every_mode(self, tmp_path):
+        out = tmp_path / "mom"
+        assert main(["moments", "--out", str(out), *TIED_ENDS]) == 0
+        assert "diag.eigensolve_modes = 400" in _manifest_lines(out)
+
+
+def _omega():
+    """jpi, within 1e-9 of jpi, or generic, for j = 1..3."""
+    j_pi = st.sampled_from([j * math.pi for j in (1, 2, 3)])
+    near = st.tuples(j_pi, st.floats(-1e-9, 1e-9)).map(sum)
+    return st.one_of(j_pi, near, st.floats(0.1, 12.0))
+
+
+# n <= 41 draws no jpi laws past the law check (the lumped q's kernel
+# residual is 5.1e-3 against 1.6e-3 for j = 1 at n = 41); 55, 108 and 161
+# are the first grids that accept j = 1, 2 and 3
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["spectrum", "moments"]),
+    omega=_omega(),
+    n=st.one_of(st.integers(5, 41), st.sampled_from([55, 108, 161])),
+    k=st.integers(1, 162),
+)
+def test_oscillatory_laws_keep_the_exit_code_contract(command, omega, n, k):
+    argv = [command, "--n", str(n), "--q", repr(omega * omega),
+            "--law1", f"cos({omega!r}*x)", "--law2", f"sin({omega!r}*x)"]
+    if command == "spectrum":
+        argv += ["--k", str(min(k, n))]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", tmp])
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestMomentsCommand:

@@ -291,8 +291,7 @@ class TestCountBelow:
         # count is taken again just above sigma, where that pivot is negative
         model = kimura_model(field_from_expression("1-2*x"))
         op, coupling, _, _ = degenerate.regularized_system(model, 1e-2, Grid(0.0, 1.0, 101))
-        W = sturm._flux_elimination(coupling, op.p_end)
-        diag, off, corner = sturm._folded_tridiagonal(op, W, np.sqrt(op.mass))
+        diag, off, corner = sturm._fold(op, coupling)[:3]
         sigma = float(diag[0])
         assert diag[0] - sigma == 0.0
         above = float(np.nextafter(sigma, np.inf))

@@ -11,7 +11,6 @@ from conspar.errors import (
     AssemblyError,
     CouplingError,
     DenseSizeError,
-    EigensolveError,
     InputError,
 )
 from conspar.fields import (
@@ -193,7 +192,7 @@ class TestEigensolve:
             r = (lams[201][j] - lams[401][j]) / (lams[401][j] - lams[801][j])
             assert 3.5 <= r <= 4.5
 
-    def test_bordered_fallback_dirichlet(self, one, zero):
+    def test_dirichlet_rows_drop_both_ends(self, one, zero):
         g = Grid(0.0, 1.0, 201)
         coup = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         eig = eigensolve(assemble(one, zero, one, g), coup, k=4)
@@ -201,22 +200,15 @@ class TestEigensolve:
         assert np.max(np.abs(eig.eigenvalues - expected) / expected) <= 2e-3
         assert eig.zero_multiplicity == 0
 
-    def test_bordered_vectors_weighted_orthonormal(self, one, zero):
+    def test_dirichlet_vectors_weighted_orthonormal(self, one, zero):
         g = Grid(0.0, 1.0, 201)
         coup = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         op = assemble(one, zero, one, g)
-        vec = eigensolve(op, coup, k=4).vectors
+        eig = eigensolve(op, coup, k=4)
+        vec = eig.vectors
         assert np.max(np.abs(vec.T @ (op.mass[:, None] * vec) - np.eye(4))) <= 1e-12
-
-    def test_bordered_dependent_vector_is_an_eigensolve_error(self, one, zero, monkeypatch):
-        def dependent(*args):
-            raise InputError("laws are not independent; cannot orthonormalize")
-
-        monkeypatch.setattr(sturm, "orthonormalize_laws", dependent)
-        coup = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        op = assemble(one, zero, one, Grid(0.0, 1.0, 21))
-        with pytest.raises(EigensolveError, match="bordered"):
-            eigensolve(op, coup, k=2)
+        # the end nodes were dropped: m = n - 2, and every mode is 0 there
+        assert eig.dimension == 199 and np.all(vec[[0, -1]] == 0.0)
 
     def test_orthonormalize_rejects_dependent_rows(self):
         g = Grid(0.0, 1.0, 11)
@@ -317,8 +309,7 @@ class TestFewModeEigensolve:
     )
     def test_corner_free_takes_tridiagonal_drivers(self, n, k, method):
         op, coup = _kernel_operator(Grid(0.0, 1.0, n))
-        W = sturm._flux_elimination(coup, op.p_end)
-        diag, off, corner = sturm._folded_tridiagonal(op, W, np.sqrt(op.mass))
+        diag, off, corner = sturm._fold(op, coup)[:3]
         assert corner != 0.0
         lam, Y, got = sturm._smallest_eigh(diag, off, 0.0, k)
         assert got == method and Y.shape == (n, k)
@@ -340,9 +331,10 @@ class TestFewModeEigensolve:
         with pytest.raises(DenseSizeError):
             eigensolve(op, coup)
         assert eigensolve(op, coup, k=6).method == "shift_invert"
+        # Dirichlet rows leave a corner-free fold of m = 5999, over the
+        # tridiagonal drivers' m x m budget
         dirichlet = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        with pytest.raises(DenseSizeError):  # the bordered path is dense too
-            eigensolve(assemble(one, zero, one, g), dirichlet, k=4)
+        assert eigensolve(assemble(one, zero, one, g), dirichlet, k=4).method == "shift_invert"
 
     # n = 1 is the interior generator at n = 3 (one unknown); at n = 2 the
     # corner and the off-diagonal share an entry and add up
@@ -361,15 +353,121 @@ class TestFewModeEigensolve:
             for sigma in 2.0 * rng.standard_normal(5):
                 assert sturm._count_below(diag, off, c, sigma) == np.sum(spectrum < sigma)
 
-    def test_count_below_without_flux_form_counts_every_mode(self, one, zero, grid):
-        # the bordered solve computes every eigenvalue anyway
+    def test_count_below_dirichlet_rows_counts_their_spectrum(self, one, zero, grid):
+        # pi^2, 4 pi^2 and 9 pi^2 = 88.8 lie below 100; 16 pi^2 does not
         dirichlet = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        assert count_below(assemble(one, zero, one, grid), dirichlet, 1.0) == grid.n
+        assert count_below(assemble(one, zero, one, grid), dirichlet, 100.0) == 3
 
     def test_row_residuals_match_loop(self, heat_eig):
         quad = _stencil_quad(heat_eig.grid, heat_eig.vectors)
         rows = heat_eig.coupling.rows
         assert np.array_equal(_row_residuals(rows, quad), _loop_row_residuals(rows, quad))
+
+
+# cos(pi x) and sin(pi x) with q = pi^2: sin(pi x) vanishes at both ends, so
+# the flux block has rank 1 and the rows tie v(1) to v(0), gamma = -1
+TIED_ENDS = dict(q="9.869604401089358", law1="cos(3.141592653589793*x)",
+                 law2="sin(3.141592653589793*x)")
+DIRICHLET = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+def _antiperiodic_ring(N):
+    """Eigenvalues of the fold of TIED_ENDS (p = 1, weight 1) on n = N + 1
+    nodes: node n - 1 merges into node 0, which leaves an antiperiodic ring
+    of N nodes with the lumped -pi^2 on each, every eigenvalue double."""
+    return np.sort(4.0 * N**2 * np.sin((2 * np.arange(N) + 1) * np.pi / (2 * N)) ** 2 - np.pi**2)
+
+
+class TestFoldWithoutFluxForm:
+    """Rows whose flux block is singular: they tie one end value to the
+    other (rank 1), or fix both (rank 0, Dirichlet rows)."""
+
+    # the six smallest at n = 1601, in eps * lambda_max: 1.91 dense, 1.76
+    # shift-invert and 18.0 band when recorded; the bounds are twice those
+    @pytest.mark.parametrize("driver, bound", [("dense", 4), ("shift_invert", 4), ("band", 36)])
+    def test_tied_ends_match_the_antiperiodic_ring(self, driver, bound):
+        n = 1601
+        op, coup = _kernel_operator(Grid(0.0, 1.0, n), **TIED_ENDS)
+        diag, off, corner = sturm._fold(op, coup)[:3]
+        assert diag.size == n - 1 and corner != 0.0
+        exact = _antiperiodic_ring(n - 1)
+        lam = {
+            "dense": lambda: sturm._dense_eigh(diag, off, corner, 6)[0],
+            "shift_invert": lambda: sturm._shift_invert_eigh(diag, off, corner, 6)[0],
+            "band": lambda: sturm._band_eigh(diag, off, corner, 6),
+        }[driver]()
+        assert np.abs(lam - exact[:6]).max() <= bound * np.finfo(float).eps * exact[-1]
+
+    @pytest.mark.parametrize("k, method", [(6, "shift_invert"), (None, "dense")])
+    def test_tied_vectors_orthonormal_on_every_node(self, k, method):
+        n = 401
+        op, coup = _kernel_operator(Grid(0.0, 1.0, n), **TIED_ENDS)
+        eig = eigensolve(op, coup, k=k)
+        V = eig.vectors
+        assert (eig.method, eig.dimension, V.shape) == (method, n - 1, (n, k or n - 1))
+        assert np.abs(V.T @ (op.mass[:, None] * V) - np.eye(V.shape[1])).max() <= 1e-12
+        # one end value is gamma times the other in every mode, to the
+        # rounding of one product; gamma = -1 up to the laws' endpoint slopes
+        ratio = V[-1] / V[0]
+        assert np.abs(ratio + 1.0).max() <= 1e-9
+        assert np.ptp(ratio) <= 4 * np.finfo(float).eps
+        # each pair double: 49.8 eps * lambda_max on shift-invert when
+        # recorded, 49.1 dense
+        lam = eig.eigenvalues
+        lam_max = _antiperiodic_ring(n - 1)[-1]
+        assert np.abs(lam[0:6:2] - lam[1:6:2]).max() <= 100 * np.finfo(float).eps * lam_max
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "dirichlet"])
+    def test_every_mode_kept_has_no_truncation(self, tied, one, zero):
+        g = Grid(0.0, 1.0, 101)
+        if tied:
+            op, coup = _kernel_operator(g, **TIED_ENDS)
+        else:
+            op, coup = assemble(one, zero, one, g), DIRICHLET
+        eig = eigensolve(op, coup)
+        assert eig.eigenvalues.size == eig.dimension == count_below(op, coup, np.inf) < g.n
+        v0 = eig.vectors @ np.linspace(1.0, 2.0, eig.dimension)
+        traj = evolve(eig, v0, [0.0, 1e-3])
+        assert traj.truncation_error.tolist() == [0.0, 0.0]
+        assert np.abs(traj.values[0] - v0).max() <= 1e-12 * np.abs(v0).max()
+
+    @pytest.mark.parametrize("vectors", [True, False], ids=["stevd", "band"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_dirichlet_smallest_grids(self, n, vectors, one, zero):
+        # n - 2 unknowns, down to one: the eigenvalues (4/h^2) sin^2(j pi h/2)
+        h = 1.0 / (n - 1)
+        op = assemble(one, zero, one, Grid(0.0, 1.0, n))
+        lam = eigensolve(op, DIRICHLET, vectors=vectors).eigenvalues
+        exact = 4 / h**2 * np.sin(np.arange(1, n - 1) * np.pi * h / 2) ** 2
+        assert np.abs(lam - exact).max() <= 1e-13 * exact[-1]
+
+    def test_either_end_is_eliminated(self, one, zero):
+        # v(0) = v(1)/2 eliminates v(0): the node order is reversed, and the
+        # spectrum is that of the mirror image, v(1) = v(0)/2
+        op = assemble(one, zero, one, Grid(0.0, 1.0, 101))
+        tie_a = BoundaryCoupling([[1.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.5, -1.0]])
+        tie_b = BoundaryCoupling([[-0.5, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -0.5]])
+        a, b = eigensolve(op, tie_a), eigensolve(op, tie_b)
+        assert a.dimension == b.dimension == 100
+        assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-12 * b.eigenvalues[-1]
+        eps = np.finfo(float).eps
+        assert np.abs(a.vectors[0] - 0.5 * a.vectors[-1]).max() <= eps * np.abs(a.vectors).max()
+        assert np.abs(b.vectors[-1] - 0.5 * b.vectors[0]).max() <= eps * np.abs(b.vectors).max()
+
+    def test_tied_rows_not_self_adjoint_rejected(self, grid, one, zero):
+        # v(0) = v(1)/2 with v'(0) + v'(1) = 0: the flux row is not parallel
+        # to (1/2, -1), so the boundary term is not a multiple of v(1)^2
+        coup = BoundaryCoupling([[1.0, -0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        with pytest.raises(AssemblyError):
+            eigensolve(assemble(one, zero, one, grid), coup)
+
+    def test_k_past_the_fold_names_the_mode_count(self, grid):
+        op, coup = _kernel_operator(grid, **TIED_ENDS)
+        with pytest.raises(ArgumentError, match="tie v\\(1\\) to v\\(0\\), so n = 401 has 400 modes"):
+            eigensolve(op, coup, k=401)
+        op = assemble(constant_field(1.0), constant_field(0.0), constant_field(1.0), grid)
+        with pytest.raises(ArgumentError, match="fix v\\(0\\) = v\\(1\\) = 0, so n = 401 has 399"):
+            eigensolve(op, DIRICHLET, k=400)
 
 
 BAND_CASES = {
@@ -382,8 +480,7 @@ BAND_CASES = {
 
 def _folded(n, case):
     op, coup = _kernel_operator(Grid(0.0, 1.0, n), **BAND_CASES[case])
-    W = sturm._flux_elimination(coup, op.p_end)
-    return sturm._folded_tridiagonal(op, W, np.sqrt(op.mass))
+    return sturm._fold(op, coup)[:3]
 
 
 def _long_double_counts(d, b, corner, sigma):
