@@ -243,7 +243,8 @@ def _mode_convolution(lam: np.ndarray, source: Callable, t: float) -> Tuple[np.n
     ``source(s)`` returns the modal source g(s) at the nodes ``s`` as a
     (len(s), modes) array; each doubling evaluates it at the new nodes
     only. Returns the integrals and the doubling level reached, log2 of
-    the number of panels (0 when there is nothing to integrate).
+    the number of panels (0 when there is nothing to integrate). A
+    non-finite estimate raises QuadratureError naming its mode.
     """
     if t == 0.0 or lam.size == 0:
         return np.zeros_like(lam), 0
@@ -255,6 +256,9 @@ def _mode_convolution(lam: np.ndarray, source: Callable, t: float) -> Tuple[np.n
         with np.errstate(under="ignore"):
             kern = np.exp(-np.outer(t - s, lam))
         est = ((_simpson_weights(k) * (t / k))[:, None] * kern * g).sum(axis=0)
+        if not np.all(np.isfinite(est)):
+            bad = lam[~np.isfinite(est)][0]
+            raise QuadratureError(f"the mode at lambda = {bad:.6g} overflows by t = {t:g}")
         if prev is not None and float(np.max(np.abs(est - prev))) <= _DUHAMEL_RTOL * max(
             1.0, float(np.max(np.abs(est)))
         ):

@@ -22,23 +22,22 @@ off the integrals of the interior boundary traces (requires continuous
 psi); half-cell excess extraction is available as a secondary
 diagnostic.
 
-The strong interior solution is the eps = 0 member of the same family:
-the flux p v' in v = g r / p through each face uses the regularized
-operator's harmonic mean of p, so the discrete scheme keeps both laws and
-both off-diagonals of its tridiagonal generator stay positive at every
-drift. It evolves exactly in time the modes of the generator, symmetrized
-by sqrt(cell g / p), alive at the first positive snapshot, found by the
-regularized solves' eigensolver; the trace integrals follow from one
-banded solve. A Rannacher-started trapezoidal time stepper with one
-banded solve per step runs instead when that scale spreads too widely for
-an accurate reconstruction (see ``solve_interior``).
+The strong interior solution is the eps = 0 member of the same family,
+solved on the same path: the regularized stiffness in v = g r / p, mass
+cell p / g (0 at an absorbing end, which carries no unknown) and rows
+v = 0 at each absorbing end, so the scheme keeps both laws. The modes
+alive at the first positive snapshot are counted by ``count_below``,
+found by ``eigensolve`` and evolved exactly in time by ``evolve``; the
+trace integrals follow from one banded solve. A Rannacher-started
+trapezoidal time stepper runs instead when the scale sqrt(cell g / p)
+spreads too widely for an accurate reconstruction (see ``solve_interior``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,8 +67,6 @@ from .sturm import (
     EigenSystem,
     Grid,
     Trajectory,
-    _count_below,
-    _smallest_eigh,
     assemble,
     conservation_row,
     count_below,
@@ -328,9 +325,9 @@ class InteriorSolution:
     integrals, with how they were computed ("modal" or "stepper"), the
     time step (the grid snapshot times are snapped to on either path), the
     steps the stepper took (0 on the modal path), the modes the modal solve
-    kept (0 on the stepper path), the spread of the symmetrizing
-    log-scale, max - min of log sqrt(cell g / p) over the unknowns, and
-    the eigensolver driver the modal path ran (None when it ran none)."""
+    kept (0 on the stepper path), the spread of the symmetrizing log-scale,
+    max - min of log sqrt(cell g / p) over the unknowns, and the modal
+    eigensolve's ``EigenSystem.method`` (None when it ran none)."""
 
     trajectory: Trajectory
     traces: BoundaryTraces
@@ -342,30 +339,40 @@ class InteriorSolution:
     eigensolve_method: Optional[str] = None
 
 
-def _interior_operator(model: DegenerateModel, grid: Grid):
-    """Tridiagonal generator of dr/dt = (flux differences) on the unknown
-    nodes, and s = g/p there. The flux through face i+1/2 is
-    K_i (v_{i+1} - v_i) in v = s r, with K_i = 1 / int 1/p over the cell:
-    the regularized operator's harmonic-mean off-diagonal at eps = 0, exact
-    for a flux p v' constant on the cell. An absorbing end carries no
-    unknown (s vanishes there); under one law the last unknown sits on
-    x = 1 in a half cell whose outer face carries zero flux."""
-    K = assemble(model.p, constant_field(0.0), constant_field(1.0), grid).off_diagonal
+def _interior_system(model: DegenerateModel, grid: Grid):
+    """The interior in v = s r, s = g/p, on the unknown nodes lo..hi: the
+    regularized stiffness, whose face flux K_i (v_{i+1} - v_i) has
+    K_i = 1 / int 1/p over the cell, and the mass cell / s. An absorbing
+    end carries no unknown: its mass is 0 and its row fixes v = 0. Under
+    one law the last unknown sits on x = 1, whose row is v'(1) = 0.
+    Returns the operator, the coupling, s and lo, hi."""
+    op = assemble(model.p, constant_field(0.0), constant_field(1.0), grid)
     s = sample_field(model.g, grid) / sample_field(model.p, grid)
+    lo, hi = 1, (grid.n - 2 if model.absorbs_at_1 else grid.n - 1)
+    cell = grid.cell_weights()
+    mass = np.zeros(grid.n)
+    mass[lo : hi + 1] = cell[lo : hi + 1] / s[lo : hi + 1]
+    last = [0.0, 1.0, 0.0, 0.0] if model.absorbs_at_1 else [0.0, 0.0, 0.0, 1.0]
+    coupling = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], last])
+    return replace(op, mass=mass, weight_values=mass / cell), coupling, s, lo, hi
+
+
+def _interior_generator(op: DiscreteOperator, s: np.ndarray, lo: int, hi: int):
+    """Generator A of dr/dt = A r on the unknowns, as the bands (diagonal,
+    lower, upper) of cell A and the cells: d r_i/dt = (F_{i+1/2} -
+    F_{i-1/2}) / cell_i with F_{i+1/2} = K_i (s_{i+1} r_{i+1} - s_i r_i),
+    K the operator's off-diagonal, and no flux past x = 1 under one law."""
+    K = op.off_diagonal
     # flux through face i+1/2 written as alpha_i r_i + beta_i r_{i+1}
     alpha = -K * s[:-1]
     beta = K * s[1:]
-
-    lo, hi = 1, (grid.n - 2 if model.absorbs_at_1 else grid.n - 1)  # unknowns
-    # d r_i/dt = (F_{i+1/2} - F_{i-1/2}) / cell_i. Terms in r at an absorbing
-    # end drop out; the appended 0 is the zero flux past x = 1 under one law
     diag = np.append(alpha, 0.0)[lo : hi + 1] - beta[lo - 1 : hi]
     lower = -alpha[lo:hi]
     upper = beta[lo:hi]
-    cell = grid.cell_weights()[lo : hi + 1]
+    cell = op.grid.cell_weights()[lo : hi + 1]
     if not np.all(np.isfinite(diag / cell)):
         raise TimeStepError("the interior generator's rates overflow double precision")
-    return (diag, lower, upper, cell), s[lo : hi + 1], lo, hi
+    return diag, lower, upper, cell
 
 
 def _banded(diag, lower, upper, scale, shift, factor):
@@ -391,71 +398,18 @@ def _right_trace(r, absorbing):
     return r[..., -1]
 
 
-# The modal path reconstructs r = D^-1 Q (...) from D r, so an error in the
-# kept pairs is amplified by up to exp(spread of log d). Largest error of
-# the snapshots and trace integrals relative to a dense matrix exponential
-# (scipy expm of A t and of the Van Loan block), T = 1, snapshots 0.01, 0.1
-# and 1, uniform data and deltas at 0.3 and 0.7. Forced past the gate at
-# n = 401, Kimura psi = 20 to 50: 2.1e-11 at spread 10.95 (psi = 20),
-# 9.4e-11 at 11.9, 2.1e-10 at 13.3, 1.4e-9 at 15.7, 6.2e-9 at 18.2, 2.9e-8
-# at 20.6, 4.6e-6 at 25.5. Inside it, over n = 101..1601, Kimura psi =
-# 12..20 and 1 - 2x and SIS R0 = 10, 20 (38 cases), SIS reads at most
-# 5.0e-11 and Kimura 6.2e-11 (psi = 20, n = 401, spread 10.95, subset
-# MRRR; dense LAPACK with quotients read 9.7e-11 before). Forced on all
-# 38, subset MRRR reads 1.2e-10 without the QR step, stevd 2.5e-10 with
-# quotients in place of its own pairs, and ARPACK 6.5e-11.
+# The modal path reads r = v / s off M-orthonormal modes of the fold, so an
+# error in the kept pairs is amplified by up to exp(spread of log d),
+# d = sqrt(cell s). Largest error of the snapshots and trace integrals
+# relative to a dense matrix exponential (scipy expm of A t and of the Van
+# Loan block), T = 1, snapshots 0.01, 0.1 and 1, uniform data and deltas at
+# 0.3 and 0.7. Forced past the gate at n = 401, Kimura psi = 22 to 50:
+# 8.8e-11 at spread 11.9, 5.1e-10 at 13.3, 1.7e-9 at 15.7, 8.1e-9 at 18.2,
+# 8.6e-8 at 20.6, 1.7e-5 at 25.5. Inside it, over n = 101..1601, Kimura
+# psi = 12..20 and 1 - 2x and SIS R0 = 10, 20 (38 cases), Kimura reads at
+# most 6.6e-11 (psi = 20, n = 401, spread 10.95, subset MRRR), SIS 4.5e-11
+# and the whole-spectrum cases (n = 101, 201) 4.0e-12.
 _MODAL_MAX_LOG_SPREAD = 11.0
-
-
-def _modal_basis(diag, upper, cell, s, t_min):
-    """The modes of A alive at t_min through its symmetric similar form, if
-    that is safe. A = C^-1 T S, with C the cells, S = diag(s) and T
-    symmetric tridiagonal, so D = sqrt(C S) makes B = D A D^-1 symmetric.
-    Its k eigenpairs with exp(lam t_min) > 2^-53 (none for t_min = inf) are
-    counted, then computed as the k smallest of -B by ``eigensolve``'s
-    drivers, each with the eigenvalue rule that measured best on it (see
-    ``_MODAL_MAX_LOG_SPREAD``): the whole spectrum's own pairs; subset MRRR
-    vectors orthonormalized by QR, then one Rayleigh-Ritz step; one
-    Rayleigh-Ritz step on a shift-invert basis. A subset driver's own
-    eigenvalues err by O(eps ||B||) ~ n^2, which the step removes. Returns
-    ((lam, Q, d), spread of log d, driver) with Q m x k, or (None, spread,
-    None) when the spread is too wide or the driver's array is over its
-    budget; the driver is None when no mode is alive."""
-    log_d = 0.5 * np.log(cell * s)
-    top, bottom = float(log_d.max()), float(log_d.min())
-    spread = top - bottom
-    if spread > _MODAL_MAX_LOG_SPREAD:
-        return None, spread, None
-    d = np.exp(log_d - 0.5 * (top + bottom))
-    a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]
-    k = _count_below(-a, -b, 0.0, 53 * math.log(2.0) / t_min) if t_min < np.inf else 0
-    if k == 0:
-        return (np.empty(0), np.empty((a.size, 0)), d), spread, None
-    try:
-        lam, Q, method = _smallest_eigh(-a, -b, 0.0, k)
-    except DenseSizeError:
-        return None, spread, None
-    if method == "stevd":
-        return (-lam, Q, d), spread, method
-    if method == "stemr":
-        Q = np.linalg.qr(Q)[0]
-    BQ = a[:, None] * Q  # row by row, each row cancels before the sums
-    BQ[:-1] += b[:, None] * Q[1:]
-    BQ[1:] += b[:, None] * Q[:-1]
-    lam, R = np.linalg.eigh(Q.T @ BQ)
-    return (lam, Q @ R, d), spread, method
-
-
-def _modal_solve(modes, A, absorbing, r0, grid_times):
-    """r(t) = D^-1 Q e^(lam t) Q^T D r0 at ``grid_times`` (r0 at t = 0), and
-    both boundary traces integrated from 0 to each: int_0^t r ds =
-    A^-1 (r(t) - r0), one banded solve, which also gives each dropped mode
-    its whole integral -c/lam. Every lam < 0: mass leaves through x = 0."""
-    lam, Q, d = modes
-    r = (np.exp(np.outer(grid_times, lam)) * (Q.T @ (d * r0))) @ Q.T / d
-    r[grid_times == 0] = r0
-    integrals = scipy.linalg.solve_banded((1, 1), _banded(*A, 0.0, 1.0), (r - r0).T).T
-    return r, _left_trace(integrals), _right_trace(integrals, absorbing)
 
 
 def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
@@ -531,28 +485,31 @@ def solve_interior(
 ) -> InteriorSolution:
     """Method-of-lines solve of the untransformed equation on the interior.
 
-    The generator A is a constant tridiagonal with positive off-diagonals
-    (see ``_interior_operator``). Only its k modes alive at the first
-    positive snapshot t_min, exp(lam t_min) > 2^-53, are computed, through
-    its symmetric similar form, which has no corner, by ``eigensolve``'s
-    drivers: LAPACK's subset MRRR for few modes and its whole tridiagonal
-    spectrum for many, or shift-invert Lanczos once an m x m array is over
-    the 256 MiB budget (m > 5792). Each snapshot is e^(A t) r0 on them,
-    and the boundary traces are integrated as A^-1 (r(t) - r0). A time
-    stepper runs instead when the modal form is unsafe: when the
-    symmetrizing scale spans more than a factor exp(11), whose spread
+    The interior is a ``DiscreteOperator`` and ``BoundaryCoupling`` in
+    v = g r / p (see ``_interior_system``), the regularized problem at
+    eps = 0. Only its k modes alive at the first positive snapshot t_min,
+    exp(-lam t_min) > 2^-53, are computed: ``count_below`` gives k and
+    ``eigensolve`` the modes, on its drivers and their pair rules, and
+    ``evolve`` each snapshot, read as r = v p / g on the unknowns. The fold
+    drops the absorbing ends and leaves no corner, so LAPACK's subset MRRR
+    finds few modes and its whole tridiagonal spectrum many, or
+    shift-invert Lanczos once an m x m array is over the 256 MiB budget
+    (m > 5792). The boundary traces are integrated as A^-1 (r(t) - r0),
+    with A the generator of r (see ``_interior_generator``). A time
+    stepper runs instead when the modal form is unsafe: when the scale
+    sqrt(cell g / p) spans more than a factor exp(11), whose spread
     amplifies rounding (see ``_MODAL_MAX_LOG_SPREAD``), or when the
     driver's array would exceed the budget. It takes implicit trapezoidal
-    steps of fixed dt, the first two each split into two backward-Euler
-    half steps so rough initial data does not ring. ``method``, ``modes``
-    and ``eigensolve_method`` say which ran.
+    steps of fixed dt on A, the first two each split into two
+    backward-Euler half steps so rough initial data does not ring.
+    ``method``, ``modes`` and ``eigensolve_method`` say which ran.
 
     On both paths dt = min(h, horizon/2000), shortened to divide the
     horizon, and snapshot times are snapped to multiples of dt, so output
     times do not depend on which path ran. Snapshots at t = 0 are the data
     itself.
 
-    Absorbing endpoints need no boundary rows; under one law a zero-flux
+    Absorbing endpoints carry no unknown; under one law a zero-flux
     closure at x = 1 realizes the Robin condition there. Snapshots at
     t > 0 carry quadratically extrapolated boundary traces in the
     endpoint slots.
@@ -572,24 +529,37 @@ def solve_interior(
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     dt = horizon / n_steps
 
-    A, s, lo, hi = _interior_operator(model, grid)
+    op, coupling, s, lo, hi = _interior_system(model, grid)
+    A = _interior_generator(op, s, lo, hi)
     r0 = r_initial[lo : hi + 1].copy()
     snap_idx = np.rint(times / dt).astype(int)
     snap_times = snap_idx * dt
     absorbing = model.absorbs_at_1
-    diag, _, upper, cell = A
-    modes, spread, driver = _modal_basis(
-        diag, upper, cell, s, snap_times[snap_times > 0].min(initial=np.inf)
-    )
-    if modes is None:
-        method, steps, kept = "stepper", n_steps, 0
-        snaps, grid_times, int0, int1 = _step_interior(
-            A, absorbing, r0, dt, n_steps, snap_idx
-        )
+    log_d = 0.5 * np.log(A[3] * s[lo : hi + 1])
+    spread = float(log_d.max() - log_d.min())
+    t_min = snap_times[snap_times > 0].min(initial=np.inf)
+    method, eig = "stepper", None
+    if spread <= _MODAL_MAX_LOG_SPREAD:
+        k = count_below(op, coupling, 53 * math.log(2.0) / t_min) if t_min < np.inf else 0
+        try:
+            eig = eigensolve(op, coupling, k) if k else None
+            method = "modal"
+        except DenseSizeError:
+            pass
+    if method == "stepper":
+        snaps, grid_times, int0, int1 = _step_interior(A, absorbing, r0, dt, n_steps, snap_idx)
     else:
-        method, steps, kept = "modal", 0, modes[0].size
+        # r = v / s on the modes kept, 0 at t > 0 when none is alive
         grid_times = np.unique(np.append(snap_times, 0.0))
-        r, int0, int1 = _modal_solve(modes, A, absorbing, r0, grid_times)
+        r = np.zeros((grid_times.size, r0.size))
+        if eig is not None:
+            v0 = np.where(op.mass > 0, s * r_initial, 0.0)
+            r = evolve(eig, v0, grid_times).values[:, lo : hi + 1] / s[lo : hi + 1]
+        r[grid_times == 0] = r0
+        # int_0^t r ds = A^-1 (r(t) - r0), which also gives each dropped
+        # mode its whole integral; every mode decays: mass leaves through x = 0
+        integrals = scipy.linalg.solve_banded((1, 1), _banded(*A, 0.0, 1.0), (r - r0).T).T
+        int0, int1 = _left_trace(integrals), _right_trace(integrals, absorbing)
         snaps = r[np.searchsorted(grid_times, snap_times)]
 
     # the NaN-safe comparison also rejects non-finite values
@@ -615,10 +585,10 @@ def solve_interior(
         traces=traces,
         method=method,
         dt=dt,
-        steps=steps,
-        modes=kept,
+        steps=n_steps if method == "stepper" else 0,
+        modes=0 if eig is None else eig.eigenvalues.size,
         log_scale_spread=spread,
-        eigensolve_method=driver,
+        eigensolve_method=None if eig is None else eig.method,
     )
 
 

@@ -153,7 +153,8 @@ class DiscreteOperator:
     and q terms; its boundary rows carry only the one-sided cell flux and
     are completed by the coupling constraints inside :func:`eigensolve`.
     ``mass`` is the diagonal of the weighted inner product (weight times
-    trapezoid cell).
+    trapezoid cell). A zero mass marks an end node with no unknown (an
+    absorbing end of a degenerate interior); the coupling must fix it.
     """
 
     grid: Grid
@@ -469,6 +470,18 @@ def _tridiagonal_eigh(diag, off, k):
     return lam[:k], vec[:, :k], driver
 
 
+def _rayleigh_ritz(diag, off, corner, Y):
+    """The eigenpairs of Y^T T Y, ascending, lifted by Y (orthonormal
+    columns); T Y is formed row by row, so each row cancels before the sums."""
+    TY = diag[:, None] * Y
+    TY[:-1] += off[:, None] * Y[1:]
+    TY[1:] += off[:, None] * Y[:-1]
+    TY[0] += corner * Y[-1]
+    TY[-1] += corner * Y[0]
+    lam, R = scipy.linalg.eigh(Y.T @ TY, driver="evd")
+    return lam, Y @ R
+
+
 def _smallest_eigh(diag, off, corner, k, vectors=True):
     """The k smallest eigenpairs of T and the driver that found them. With
     no corner, vectors wanted and n x n within budget, LAPACK's tridiagonal
@@ -476,14 +489,24 @@ def _smallest_eigh(diag, off, corner, k, vectors=True):
     k <= n/8, the measured crossover) by shift-invert Lanczos in an
     n x max(2k + 1, 20) basis (scipy's ncv), more by LAPACK on the dense
     n x n matrix, or on the band form for eigenvalues only; refused when
-    that array (n x n for the band form) is over budget."""
+    that array (n x n for the band form) is over budget.
+
+    Each driver keeps the pair rule that measured best on it on the
+    degenerate interior's 38-case sweep. A subset driver's eigenvalues err
+    by O(eps ||T||) ~ n^2, which one Rayleigh-Ritz step removes: subset
+    MRRR vectors take QR and then the step, a shift-invert basis the step
+    alone; "stevd" and "dense" keep their own pairs."""
     n = diag.size
     if corner == 0 and vectors and 8 * n * n <= _DENSE_MAX_BYTES:
-        return _tridiagonal_eigh(diag, off, k)
+        lam, Y, driver = _tridiagonal_eigh(diag, off, k)
+        if driver == "stevd":
+            return lam, Y, driver
+        return (*_rayleigh_ritz(diag, off, corner, np.linalg.qr(Y)[0]), driver)
     few = n >= _FEW_MODES_MIN_N and k <= n // 8
     _require_budget(n, max(2 * k + 1, 20) if few else n)
     if few:
-        return (*_shift_invert_eigh(diag, off, corner, k), "shift_invert")
+        Y = _shift_invert_eigh(diag, off, corner, k)[1]
+        return (*_rayleigh_ritz(diag, off, corner, Y), "shift_invert")
     if not vectors:
         return _band_eigh(diag, off, corner, k), None, "band"
     return (*_dense_eigh(diag, off, corner, k), "dense")

@@ -714,6 +714,45 @@ def test_oscillatory_laws_keep_the_exit_code_contract(command, omega, n, k):
     assert "Traceback" not in err.getvalue()
 
 
+def _drift():
+    """psi as a constant in [-60, 60], as a + b x, or as c sin(w x)."""
+    coef = st.floats(-60.0, 60.0)
+    return st.one_of(
+        coef.map(repr),
+        st.tuples(coef, coef).map(lambda ab: f"{ab[0]!r}+({ab[1]!r})*x"),
+        st.tuples(coef, st.floats(0.1, 20.0)).map(lambda cw: f"{cw[0]!r}*sin({cw[1]!r}*x)"),
+    )
+
+
+# kimura's modal interior is the fold with both ends fixed, sis's the fold
+# with one end fixed and no corner; steep drifts and large R0 take the
+# stepper. Each command gets its own draws: one shared run drew kimura 5
+# times in 60
+@pytest.mark.parametrize("command", ["kimura", "sis"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    psi=_drift(),
+    log_r0=st.floats(-3.0, 308.0),
+    delta=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    n=st.integers(5, 41),
+    T=st.floats(1e-4, 1.0),
+)
+def test_interior_solves_keep_the_exit_code_contract(command, psi, log_r0, delta, n, T):
+    # a delta lands on an interior node: x0 in [h, 1 - h]
+    start = "uniform" if delta is None else f"delta:{(1 + delta * (n - 3)) / (n - 1)!r}"
+    argv = [command, "--n", str(n), "--T", repr(T), "--times", f"0,{T / 2!r},{T!r}"]
+    if command == "kimura":
+        argv += ["--psi", psi, "--u0", start]
+    else:
+        argv += ["--R0", repr(10.0**log_r0), "--p0", start]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", tmp])
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 class TestMomentsCommand:
     def test_dense_refused_at_large_n(self, tmp_path, capsys):
         started = time.perf_counter()
@@ -733,6 +772,17 @@ class TestMomentsCommand:
         assert diag["eigensolve_modes"] == "401"
         assert float(diag["duhamel_kernel_leakage"]) <= 1e-10
         assert int(diag["duhamel_levels"]) >= 1
+
+    def test_overflowing_mode_names_its_lambda(self, tmp_path, capsys):
+        # omega near 2 pi makes the flux block nearly singular and leaves a
+        # mode at lambda = -2349, whose e^(-lambda t) overflows before t = 1
+        omega = "6.551387065849718"
+        argv = ["moments", "--n", "161", "--q", "42.92067248658297",
+                "--law1", f"cos({omega}*x)", "--law2", f"sin({omega}*x)"]
+        assert main(argv + ["--out", str(tmp_path / "mom")]) == 3
+        err = capsys.readouterr().err
+        assert "the mode at lambda = -2349.15 overflows by t = 0.4" in err
+        assert "did not converge" not in err
 
     def test_sinusoidal_target(self, tmp_path):
         out = tmp_path / "mom"

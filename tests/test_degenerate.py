@@ -488,9 +488,16 @@ def _relative(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _interior(model, grid):
+    """The interior operator, coupling, s = g/p, unknowns' range and r-variable
+    generator bands."""
+    op, coupling, s, lo, hi = degenerate._interior_system(model, grid)
+    return op, coupling, s, lo, hi, degenerate._interior_generator(op, s, lo, hi)
+
+
 def _dense_generator(model, grid):
     """The interior generator A as a dense matrix, with its unknowns' range."""
-    (diag, lower, upper, cell), _, lo, hi = degenerate._interior_operator(model, grid)
+    *_, lo, hi, (diag, lower, upper, cell) = _interior(model, grid)
     return (np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)) / cell[:, None], lo, hi
 
 
@@ -570,7 +577,7 @@ def test_interior_generator_loses_mass_only_at_absorbing_faces(name):
     law_tol = 1e-10 if name == "psi=table" else 1e-14
     for n in (101, 201, 401) if name in STEEP_MODELS else (MODAL_GRID.n,):
         grid = Grid(0.0, 1.0, n)
-        (diag, lower, upper, _), _, lo, hi = degenerate._interior_operator(model, grid)
+        *_, lo, hi, (diag, lower, upper, _) = _interior(model, grid)
         sums = _column_sums(np.ones(diag.size), diag, lower, upper)
         leaks = np.abs(sums) > 1e-12 * np.abs(diag).max()
         expected = np.zeros(diag.size, dtype=bool)
@@ -591,10 +598,10 @@ class TestModalInterior:
     stepper converges to it; inputs it cannot reconstruct accurately run
     the stepper."""
 
-    # n = 101, T = 1: at most 1.1e-11 (psi = 20, delta). Over n = 101..1601,
+    # n = 101, T = 1: at most 1.5e-12 (psi = 20, delta). Over n = 101..1601,
     # Kimura psi = 12..20 and 1 - 2x and SIS R0 = 10, 20 with uniform data
-    # and deltas at 0.3 and 0.7, SIS stays below 5.0e-11 and Kimura below
-    # 6.2e-11 (see _MODAL_MAX_LOG_SPREAD)
+    # and deltas at 0.3 and 0.7, SIS stays below 4.6e-11 and Kimura below
+    # 6.6e-11 (see _MODAL_MAX_LOG_SPREAD)
     @pytest.mark.parametrize("start", ["uniform", "delta"])
     @pytest.mark.parametrize("name", list(MODAL_MODELS))
     def test_matches_matrix_exponential(self, name, start):
@@ -611,9 +618,9 @@ class TestModalInterior:
             assert _relative(got[1:], want) <= 1e-10
 
     # psi = 18 and 20 near the spread gate (spreads 9.9 and 10.95), all on
-    # subset MRRR (60 modes alive at t = 0.01, of m = 399 and 799); the
-    # bound is the worst of the sweep in _MODAL_MAX_LOG_SPREAD before the
-    # drivers were shared, 1.37e-10
+    # subset MRRR (60 modes alive at t = 0.01, of m = 399 and 799), read at
+    # most 4.4e-11, 6.6e-11 and 3.5e-11; the bound is the worst of the sweep
+    # in _MODAL_MAX_LOG_SPREAD before the drivers were shared, 1.37e-10
     @pytest.mark.parametrize("psi, n", [(18.0, 401), (20.0, 401), (18.0, 801)])
     def test_matches_matrix_exponential_at_the_gate_edge(self, psi, n):
         model = kimura_model(constant_field(psi))
@@ -708,40 +715,46 @@ class TestModalInterior:
 
     @pytest.mark.parametrize("name", list(MODAL_MODELS))
     def test_mode_count_matches_dense_spectrum(self, name):
-        # the inertia count against the dense eigenvalues of the same
-        # tridiagonal, at the shifts -53 ln 2 / t_min for t_min = 1e-4..10
-        (diag, _, upper, cell), s, _, _ = degenerate._interior_operator(
-            MODAL_MODELS[name](), MODAL_GRID
-        )
-        (_, _, d), _, _ = degenerate._modal_basis(diag, upper, cell, s, np.inf)
-        a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]
-        spectrum = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+        # the inertia count against the dense eigenvalues of the same folded
+        # tridiagonal, at the shifts 53 ln 2 / t_min for t_min = 1e-4..10
+        op, coupling, *_ = _interior(MODAL_MODELS[name](), MODAL_GRID)
+        diag, off = sturm._fold(op, coupling)[:2]
+        spectrum = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         for t_min in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0):
-            sigma = -53 * np.log(2.0) / t_min
-            assert sturm._count_below(-a, -b, 0.0, -sigma) == np.sum(spectrum > sigma)
+            sigma = 53 * np.log(2.0) / t_min
+            assert count_below(op, coupling, sigma) == np.sum(spectrum < sigma)
 
     # relative error of the slowest eigenvalue against long-double bisection,
-    # in the order listed: 6.4e-13, 6.9e-13, 1.1e-13 and 1.5e-11, all from
-    # subset MRRR with QR and a Rayleigh-Ritz step (shift-invert Lanczos
-    # with the step read 2.0e-13, 6.9e-14, 5.6e-14 and 1.9e-12). MRRR's own
-    # eigenvalues read 5.3e-12 and 1.0e-10 on SIS R0 = 20, ARPACK's 2.2e-12
-    # and 1.6e-10, an absolute error that grows with ||B||, about n^2
-    @pytest.mark.parametrize(
-        "name, n, bound",
-        [("sis R0=20", 401, 1.5e-12), ("sis R0=2", 401, 1.5e-12),
-         ("psi=1-2x", 401, 1.5e-12), ("sis R0=20", 1601, 6e-11)],
-    )
-    def test_slowest_eigenvalue_matches_long_double_bisection(self, name, n, bound):
-        model = {**MODAL_MODELS, "sis R0=20": lambda: sis_model(20.0)}[name]()
-        (diag, _, upper, cell), s, _, _ = degenerate._interior_operator(model, Grid(0.0, 1.0, n))
-        (lam, _, d), _, _ = degenerate._modal_basis(diag, upper, cell, s, 1.0)
-        a, b = diag / cell, upper / cell[:-1] * d[:-1] / d[1:]  # the tridiagonal it diagonalizes
-        exact = _largest_eigenvalue(a, b, lam.max())
-        assert abs(lam.max() - exact) <= bound * abs(exact)
+    # in the order listed: 2.9e-13, 2.1e-13, 1.6e-13 and 1.1e-11 for the
+    # modes alive at t = 1, all from subset MRRR with QR and a Rayleigh-Ritz
+    # step. MRRR's own eigenvalues read 5.9e-13 and 3.6e-11 on SIS R0 = 20,
+    # ARPACK's 1.6e-12 and 1.6e-10, an absolute error that grows with ||T||,
+    # about n^2. With every mode alive, stevd keeps its own pairs, which read
+    # 3.9e-12 and 1.9e-11 on SIS R0 = 20; the bounds are twice those (the
+    # stevd FOUND in CHANGES.md stays open)
+    SLOWEST = [
+        ("sis R0=20", 401, 1.0, 1.5e-12), ("sis R0=2", 401, 1.0, 1.5e-12),
+        ("psi=1-2x", 401, 1.0, 1.5e-12), ("sis R0=20", 1601, 1.0, 6e-11),
+        ("sis R0=20", 401, None, 7.8e-12), ("sis R0=20", 1601, None, 3.8e-11),
+    ]
 
-    # n = 201, times 0.01, 0.1 and 1: at most 1.3e-12, except 5.9e-12 at
-    # x = 1 for psi = 20 with the delta, where the closed form itself reads
-    # 5.9e-12 against the dense matrix exponential and the banded solve 8.2e-13
+    @pytest.mark.parametrize(
+        "name, n, t_min, bound", SLOWEST,
+        ids=[f"{name}-{n}-{'every-' * (t is None)}{bound}" for name, n, t, bound in SLOWEST],
+    )
+    def test_slowest_eigenvalue_matches_long_double_bisection(self, name, n, t_min, bound):
+        model = {**MODAL_MODELS, "sis R0=20": lambda: sis_model(20.0)}[name]()
+        op, coupling, *_ = _interior(model, Grid(0.0, 1.0, n))
+        k = count_below(op, coupling, 53 * np.log(2.0) / t_min) if t_min else None
+        eig = eigensolve(op, coupling, k)
+        assert eig.method == ("stemr" if t_min else "stevd")
+        diag, off = sturm._fold(op, coupling)[:2]  # the tridiagonal it diagonalizes
+        lam = eig.eigenvalues[0]
+        exact = -_largest_eigenvalue(-diag, -off, -lam)
+        assert abs(lam - exact) <= bound * abs(exact)
+
+    # n = 201, times 0.01, 0.1 and 1: at most 3.0e-12 (SIS R0 = 2 with the
+    # delta, at x = 1) against every mode of the whole-spectrum eigensolve
     @pytest.mark.parametrize("start", ["uniform", "delta"])
     @pytest.mark.parametrize("name", list(MODAL_MODELS))
     def test_trace_integrals_match_full_basis_closed_form(self, name, start):
@@ -751,14 +764,14 @@ class TestModalInterior:
         r0 = _initial(start, MODAL_GRID)
         sol = solve_interior(model, r0, 1.0, [0.01, 0.1, 1.0], MODAL_GRID)
         assert sol.method == "modal" and 0 < sol.modes
-        (diag, _, upper, cell), s, lo, hi = degenerate._interior_operator(model, MODAL_GRID)
-        d = np.sqrt(cell * s)
-        lam, Q = scipy.linalg.eigh_tridiagonal(
-            diag / cell, upper / cell[:-1] * d[:-1] / d[1:], lapack_driver="stemr"
-        )
-        assert sol.modes < lam.size
-        c = Q.T @ (d * r0[lo : hi + 1])
-        modes = (Q / d[:, None]).T  # each row a mode of A on the unknowns
+        op, coupling, s, lo, hi, _ = _interior(model, MODAL_GRID)
+        full = eigensolve(op, coupling)  # every mode, v = s r
+        assert sol.modes < full.eigenvalues.size
+        v0 = np.zeros(MODAL_GRID.n)
+        v0[lo : hi + 1] = s[lo : hi + 1] * r0[lo : hi + 1]
+        c = full.project(v0)
+        modes = (full.vectors[lo : hi + 1] / s[lo : hi + 1, None]).T  # each row a mode of A
+        lam = -full.eigenvalues
         weights = np.expm1(np.outer(sol.traces.times, lam)) / lam * c
         want0 = weights @ degenerate._left_trace(modes)
         want1 = weights @ degenerate._right_trace(modes, model.absorbs_at_1)
@@ -768,7 +781,7 @@ class TestModalInterior:
     def test_no_positive_snapshot_keeps_no_mode(self, monkeypatch):
         # 1e-4 snaps to t = 0 on the dt = 0.0025 grid, so k = 0: nothing is
         # diagonalized, every row is the data and nothing has flowed out
-        monkeypatch.setattr(degenerate, "_smallest_eigh", None)
+        monkeypatch.setattr(degenerate, "eigensolve", None)
         grid = Grid(0.0, 1.0, 401)
         r0 = _initial("delta", grid)
         sol = solve_interior(MODAL_MODELS["psi=1-2x"](), r0, 5.0, [0.0, 1e-4], grid)

@@ -77,15 +77,22 @@ PSI_TABLE = "x,value\n" + "".join(
 # LAPACK with Rayleigh quotients): kimura-plot moved by at most 2.7e-15,
 # kimura-delta by 1.3e-14, kimura-table by 1.6e-14, sis-plot by 6.3e-14
 # (masses 1.8e-14), and the validate report's atoms by 3.3e-16 (its
-# z-scores by 3.1e-14)
+# z-scores by 3.1e-14).
+# The same five were re-recorded when the interior began taking its modes
+# through count_below, eigensolve and evolve on the fold of the eps = 0
+# operator (mass cell p / g, the absorbing ends dropped), in place of its
+# own symmetrized generator: kimura-plot moved by at most 1.3e-14
+# (masses 1.1e-14), kimura-delta by 1.1e-14, kimura-table by 8.2e-15,
+# sis-plot by 1.6e-13 (masses 2.3e-14), and the validate report's atoms
+# by 1.0e-15 (its z-scores by 9.2e-14)
 SOLVER_GOLDEN = {
     "kimura-plot": (
         ["kimura", "--n", "101", "--psi", "1-2*x", "--emit_plot_data", "true"],
-        "9b67f54ffae6c023706464ea28bcc4da3e39fb6b5148e0666d3c293e3bc900d1",
+        "2a35bfa6e63dd9cdeab1bd93a5a27ce525be93d64307b0af04067e57bcc5db5e",
     ),
     "kimura-delta": (
         ["kimura", "--n", "101", "--u0", "delta:0.3", "--T", "20", "--times", "1,5,20"],
-        "c09c774cf320217a5c1cc099d8160f71a7a335200aa85e460d9d7cacc84008bb",
+        "a1799e93a66c94b4261a7c22c7688c50f201af7a23f73b0eb56d5cf5fbabcfe9",
     ),
     # these two and sis-regularized were re-recorded when the regularized
     # solves began computing only the modes alive at the first positive
@@ -102,7 +109,7 @@ SOLVER_GOLDEN = {
     ),
     "kimura-table": (
         ["kimura", "--n", "101", "--psi_table", "{table}"],
-        "b9ef7024d4489b4081d7ddebb6dac87d1d52dd250f403cff7ba4f4d59a8fcf5f",
+        "82ecfc8edb215b76a0722198c063995237e85b51fc38c1d09356bd365ed0b9d4",
     ),
     # symmetrizing scale spread 12.96 > 11: the time stepper runs
     "kimura-stepper": (
@@ -111,31 +118,36 @@ SOLVER_GOLDEN = {
     ),
     "sis-plot": (
         ["sis", "--n", "101", "--emit_plot_data", "true"],
-        "30d1bc1dd8b3d618748cdbe1564bdc2d824866c3679416de2b57ee4602cbacef",
+        "529231885aacda3def738849644c44d15179cfa52dc5d8b29c33a01fc7567947",
     ),
     # re-recorded when the zero-flux end x = 1 stopped giving up a half-cell
     # atom that the run then dropped: r at x = 1 moved by at most 4.1e-6
     # (1.0e-5 relative), interior and total mass by at most 2.0e-8. Re-recorded
     # when its fold, which has no corner, began taking subset MRRR for its
     # 16 modes in place of dense LAPACK: densities moved by at most 2.2e-10
-    # (1.5e-11 relative), masses by at most 1.5e-11
+    # (1.5e-11 relative), masses by at most 1.5e-11. Re-recorded when subset
+    # MRRR's pairs began taking the QR and Rayleigh-Ritz step in
+    # eigensolve: densities moved by at most 1.5e-12 (1.0e-13 relative),
+    # masses by at most 1.2e-13
     "sis-regularized": (
         ["sis", "--n", "101", "--mode", "regularized"],
-        "eac3a916aedd9c64b49b25a7a83d872f33a14dcdc3f655771f5795500cf5fa29",
+        "cf80cbf4225bff929b55471c3a6fe3b21aac3871b7e86c249f6c578fef88f7fc",
     ),
     # was spectrum-dense: re-recorded when spectrum began taking its
     # eigenvalues from the band form of the folded operator in place of
     # dense LAPACK: lambda moved by at most 1.1e-11 (the zero pair by
     # 7.7e-12). Both spectrum digests were re-recorded when eigenvalues.csv
     # dropped its bc_residual column, which was zero by construction; the
-    # k and lambda columns are byte-identical
+    # k and lambda columns are byte-identical. spectrum-shift-invert was
+    # re-recorded when shift-invert bases began taking one Rayleigh-Ritz
+    # step in eigensolve: lambda moved by at most 1.1e-12 (4.4e-15 relative)
     "spectrum-band": (
         ["spectrum", "--n", "101", "--k", "6"],
         "9965f8008627afbe71809137077ddab2d4ff98a2cc591fcda6cddcf6c074dfc2",
     ),
     "spectrum-shift-invert": (
         ["spectrum", "--n", "301", "--k", "6"],
-        "f0e8ecfd16fbc01950c4c2707bafd49c2182903a878ea2410d2ea8487e056b6d",
+        "8ca7eab33f063a23e6a7e8087a874bd81e6b9f5b61e73717c599fb4fbfb6b5d5",
     ),
     "moments-sin": (
         ["moments", "--n", "101", "--F1", "1+sin(t)"],
@@ -149,7 +161,7 @@ VALIDATE_RUNS = {
     "mc": ["oracle", "--x0", "0.3", "--T", "5", "--times", "1,5", "--dt", "5e-4",
            "--replicates", "2000", "--seed", "4"],
 }
-VALIDATE_DIGEST = "cc813b399310c590effac4ef7dbea9601083ce1550282d15c50017a178214531"
+VALIDATE_DIGEST = "58075d752c8a8348badd24d371a685e916f666d02e81624a3cf938d068e35c01"
 
 # manifest lines a solver golden must also carry
 MANIFEST_LINES = {"kimura-stepper": ["diag.interior_method = stepper"]}
