@@ -55,7 +55,7 @@ _SOLVERS = {
     "sis": _DEGENERATE_SOLVERS,
     "spectrum": {"sturm": "Grid eigensolve", "conservative": "build_totally_conservative"},
     "moments": {
-        "sturm": "Grid eigensolve",
+        "sturm": "Grid eigensolve_alive",
         "conservative": "build_totally_conservative prescribe_moments "
         "prescribed_moments_evolve time_function",
     },
@@ -560,18 +560,16 @@ def _run_degenerate(cfg: RunConfig, manifest: RunManifest) -> dict:
     return files
 
 
-def _conservative_eigensystem(cfg: RunConfig, manifest: RunManifest, k=None, weight=None,
-                              vectors=True):
+def _conservative_eigensystem(cfg: RunConfig, manifest: RunManifest, solve, weight=None):
     """The totally conservative problem of the config's p, q and laws, and
-    its k smallest eigenpairs (all by default; eigenvalues only when not
-    ``vectors``)."""
+    the eigensystem ``solve(operator, coupling)`` finds for it."""
     with manifest.stage("fields"):
         grid = Grid(0.0, 1.0, cfg["n"])
         p, q, law1, law2 = (field_from_expression(cfg[key]) for key in ("p", "q", "law1", "law2"))
     with manifest.stage("assemble"):
         problem = build_totally_conservative(p, q, law1, law2, grid, weight=weight)
     with manifest.stage("eigensolve"):
-        eig = eigensolve(problem.operator, problem.coupling, k=k, vectors=vectors)
+        eig = solve(problem.operator, problem.coupling)
     manifest.diagnostics.update(
         eigensolve_method=eig.method, eigensolve_modes=eig.eigenvalues.size
     )
@@ -582,7 +580,9 @@ def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
     with manifest.stage("fields"):
         weight = field_from_expression(cfg["weight"])
     # the output is the eigenvalues alone
-    _, _, eig = _conservative_eigensystem(cfg, manifest, cfg["k"], weight, vectors=False)
+    _, _, eig = _conservative_eigensystem(
+        cfg, manifest, partial(eigensolve, k=cfg["k"], vectors=False), weight
+    )
     manifest.check("zero_multiplicity", eig.zero_multiplicity, eig.zero_multiplicity >= 1)
     if eig.eigenvalues.size >= 3 and eig.zero_multiplicity == 2:
         ok = bool(
@@ -594,7 +594,15 @@ def _run_spectrum(cfg: RunConfig, manifest: RunManifest) -> dict:
 
 
 def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
-    grid, problem, eig = _conservative_eigensystem(cfg, manifest)
+    """Prescribed moments F1(t), F2(t) on the modes alive at the first
+    positive snapshot (``eigensolve_alive``: 16 at the defaults, by
+    shift-invert Lanczos from n = 256 on), with the bound on the modes left
+    out written as ``diag.eigen_truncation_remainder``."""
+    times = cfg["times"]
+    times = np.linspace(0.0, cfg["T"], 26) if times is None else np.asarray(times)
+    grid, problem, eig = _conservative_eigensystem(
+        cfg, manifest, partial(eigensolve_alive, times=times)
+    )
 
     def tf(expr_text):
         expr = parse_expression(expr_text, variable="t")
@@ -604,10 +612,10 @@ def _run_moments(cfg: RunConfig, manifest: RunManifest) -> dict:
         F1, F2 = tf(cfg["F1"]), tf(cfg["F2"])
         pres = prescribe_moments(problem, F1, F2)
         v0 = F1.value(0.0) * pres.phi1 + F2.value(0.0) * pres.phi2
-        times = cfg["times"]
-        times = np.linspace(0.0, cfg["T"], 26) if times is None else np.asarray(times)
         v_traj, w_traj = prescribed_moments_evolve(eig, v0, pres, times)
-    manifest.diagnostics.update(v_traj.diagnostics)
+    manifest.diagnostics.update(
+        v_traj.diagnostics, eigen_truncation_remainder=float(v_traj.truncation_error.max())
+    )
 
     mu = grid.cell_weights()
     m1 = v_traj.values @ (mu * pres.weight * pres.phi1)
@@ -760,11 +768,11 @@ def run(config: RunConfig) -> RunManifest:
 
 
 # What each command that can reach a dense eigensolve may change when it is
-# refused: a regularized solve goes dense only when an early first positive
-# snapshot keeps many modes alive
+# refused: a moments or regularized solve goes dense only when an early
+# first positive snapshot keeps many modes alive
 _DENSE_ADVICE = {
     "spectrum": "ask for fewer modes (--k <= n/8) or use a smaller --n",
-    "moments": "use a smaller --n",
+    "moments": "use a smaller --n or a later first positive time in --times",
     "kimura": "use a smaller --n or a later first positive time in --times",
     "sis": "use a smaller --n or a later first positive time in --times",
 }

@@ -330,44 +330,65 @@ def prescribed_moments_evolve(
     the accuracy :func:`duhamel_evolve` uses. ``diagnostics`` on
     both trajectories holds ``duhamel_kernel_leakage``, max |R| on the
     non-zero modes, and ``duhamel_levels``, the deepest doubling reached.
+
+    ``eig`` may hold only the K smallest of the fold's m modes (see
+    :func:`conspar.sturm.eigensolve_alive`). Each modal evolution is then
+    exact on the modes kept, and ``truncation_error`` on both trajectories
+    bounds the weighted norm of what the modes left out carry:
+    e^{-lam_K t} ||P w0||_M plus the quadrature of
+    e^{-lam_K (t-s)} sum_i |F_i'(s)| ||P phi_i||_M, one more column of the
+    same quadrature, where P removes the span of the modes kept. It is 0
+    when every mode is kept. Rows at t = 0 are the data itself.
     """
     w0, _ = prescribed_moments_reduce(v0, pres)
     times = _check_times(times)
     F = (pres.F1, pres.F2)
     phi = np.stack([pres.phi1, pres.phi2])
     R = eig.vectors.T @ (eig.mass[:, None] * phi.T)
+    a = eig.project(w0)
     lam = eig.eigenvalues
     zm = eig.zero_multiplicity
+    # ||P w0||_M and ||P phi_i||_M: what the modes kept leave of each
+    parts = np.column_stack([w0, phi.T])
+    rest = parts - eig.vectors @ np.column_stack([a, R]) if lam.size < eig.dimension else 0 * parts
+    left_out = np.sqrt(eig.mass @ rest**2)
 
     def values(s):
         return np.array([[f.value(float(si)) for f in F] for si in s])
 
     def source(s):
         slopes = np.array([[f.derivative(float(si)) for f in F] for si in s])
-        return np.hstack([values(s) @ R[:zm].T * lam[:zm], slopes @ R[zm:].T])
+        return np.hstack([
+            values(s) @ R[:zm].T * lam[:zm], slopes @ R[zm:].T, np.abs(slopes) @ left_out[1:, None]
+        ])
 
-    a = eig.project(w0)
     F0 = values([0.0])[0]
     coef = np.empty((times.size, lam.size))
     lift = np.empty((times.size, eig.grid.n))
+    truncation = np.empty(times.size)
     levels = 0
     for i, t in enumerate(times):
         Ft = values([t])[0]
         with np.errstate(under="ignore"):
             decay = np.exp(-lam * t)
-        conv, level = _mode_convolution(lam, source, float(t))
+        conv, level = _mode_convolution(np.r_[lam, lam[-1]], source, float(t))
+        truncation[i] = decay[-1] * left_out[0] + conv[-1]
+        conv = conv[:-1]
         conv[:zm] = R[:zm] @ Ft - decay[:zm] * (R[:zm] @ F0) - conv[:zm]
         coef[i] = a * decay + conv
         lift[i] = Ft @ phi
         levels = max(levels, level)
 
     v_values = coef @ eig.vectors.T + (F0 @ phi)[None, :]
+    at_zero = times == 0
+    v_values[at_zero] = v0
+    truncation[at_zero] = 0.0
     diagnostics = {
         "duhamel_kernel_leakage": float(np.max(np.abs(R[zm:]), initial=0.0)),
         "duhamel_levels": levels,
     }
-    v_traj = Trajectory(grid=eig.grid, times=times, values=v_values, diagnostics=diagnostics)
-    w_traj = Trajectory(
-        grid=eig.grid, times=times, values=v_values - lift, diagnostics=dict(diagnostics)
-    )
+    v_traj = Trajectory(grid=eig.grid, times=times, values=v_values,
+                        truncation_error=truncation, diagnostics=diagnostics)
+    w_traj = Trajectory(grid=eig.grid, times=times, values=v_values - lift,
+                        truncation_error=truncation.copy(), diagnostics=dict(diagnostics))
     return v_traj, w_traj

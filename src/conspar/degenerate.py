@@ -26,8 +26,8 @@ The strong interior solution is the eps = 0 member of the same family,
 solved on the same path: the regularized stiffness in v = g r / p, mass
 cell p / g (0 at an absorbing end, which carries no unknown) and rows
 v = 0 at each absorbing end, so the scheme keeps both laws. The modes
-alive at the first positive snapshot are counted by ``count_below``,
-found by ``eigensolve`` and evolved exactly in time by ``evolve``; the
+alive at the first positive snapshot are counted and found on one fold
+by ``eigensolve_alive`` and evolved exactly in time by ``evolve``; the
 trace integrals follow from one banded solve. A Rannacher-started
 trapezoidal time stepper runs instead when the scale sqrt(cell g / p)
 spreads too widely for an accurate reconstruction (see ``solve_interior``).
@@ -35,7 +35,6 @@ spreads too widely for an accurate reconstruction (see ``solve_interior``).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
@@ -69,8 +68,7 @@ from .sturm import (
     Trajectory,
     assemble,
     conservation_row,
-    count_below,
-    eigensolve,
+    eigensolve_alive,
     evolve,
     sample_field,
 )
@@ -191,9 +189,6 @@ def regularized_system(
     return op, BoundaryCoupling(rows), sample_field(p, grid), sample_field(g, grid) + eps
 
 
-_FIRST_MODES = 16  # 4-7 modes carry anything above 1e-16 at t = 1 (n = 401)
-
-
 def solve_regularized(
     model: DegenerateModel,
     u_initial: np.ndarray,
@@ -209,13 +204,12 @@ def solve_regularized(
     transformed back; every law's moment is conserved along the way.
 
     Only the modes alive at the first positive snapshot t_min are
-    computed, in one eigensolve: k is one more than the number of
-    eigenvalues below 53 ln 2 / t_min (counted by ``count_below``), so
-    exp(-lambda_k t_min) <= 2^-53, and never fewer than min(n, 16). The
-    basis is M-orthonormal and ordered, so at every t >= t_min the dropped
-    modes have weighted norm at most exp(-lambda_k t) ||v0||_M, the bound
-    that ``v_trajectory.truncation_error`` reports. Snapshots at t = 0 are
-    the data itself, with no truncation.
+    computed, by ``eigensolve_alive``'s rule on one fold: every eigenvalue
+    below 53 ln 2 / t_min and the next one, at least 16 and at most the
+    fold's m. At every t >= t_min the dropped modes then have weighted norm
+    at most exp(-lambda_k t) ||v0||_M, the bound that
+    ``v_trajectory.truncation_error`` reports. Snapshots at t = 0 are the
+    data itself, with no truncation.
     """
     u_initial = np.asarray(u_initial, dtype=float)
     if u_initial.shape != (grid.n,):
@@ -225,9 +219,7 @@ def solve_regularized(
         raise ArgumentError("snapshot times must be nonnegative")
     op, coupling, p_vals, g_vals = regularized_system(model, eps, grid)
     v0 = to_selfadjoint(u_initial, g_vals, p_vals)
-    later = times[times > 0]  # keep every mode below 53 ln 2 / t_min, and the next one
-    alive = count_below(op, coupling, 53 * math.log(2.0) / float(later.min())) if later.size else 0
-    eig = eigensolve(op, coupling, min(grid.n, max(_FIRST_MODES, alive + 1)))
+    eig = eigensolve_alive(op, coupling, times)
     evolved = evolve(eig, v0, times)
     at_zero = times == 0
     v_values = evolved.values
@@ -488,9 +480,10 @@ def solve_interior(
     The interior is a ``DiscreteOperator`` and ``BoundaryCoupling`` in
     v = g r / p (see ``_interior_system``), the regularized problem at
     eps = 0. Only its k modes alive at the first positive snapshot t_min,
-    exp(-lam t_min) > 2^-53, are computed: ``count_below`` gives k and
-    ``eigensolve`` the modes, on its drivers and their pair rules, and
-    ``evolve`` each snapshot, read as r = v p / g on the unknowns. The fold
+    exp(-lam t_min) > 2^-53, are computed, counted and found on one fold by
+    ``eigensolve_alive`` (with no spare mode and no floor on k), on
+    ``eigensolve``'s drivers and their pair rules, and ``evolve`` gives
+    each snapshot, read as r = v p / g on the unknowns. The fold
     drops the absorbing ends and leaves no corner, so LAPACK's subset MRRR
     finds few modes and its whole tridiagonal spectrum many, or
     shift-invert Lanczos once an m x m array is over the 256 MiB budget
@@ -537,12 +530,10 @@ def solve_interior(
     absorbing = model.absorbs_at_1
     log_d = 0.5 * np.log(A[3] * s[lo : hi + 1])
     spread = float(log_d.max() - log_d.min())
-    t_min = snap_times[snap_times > 0].min(initial=np.inf)
     method, eig = "stepper", None
     if spread <= _MODAL_MAX_LOG_SPREAD:
-        k = count_below(op, coupling, 53 * math.log(2.0) / t_min) if t_min < np.inf else 0
         try:
-            eig = eigensolve(op, coupling, k) if k else None
+            eig = eigensolve_alive(op, coupling, snap_times, least=0, spare=0)
             method = "modal"
         except DenseSizeError:
             pass

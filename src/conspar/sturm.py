@@ -22,6 +22,7 @@ read-only use; evolution over a list of times is a pure map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,6 +45,8 @@ _FEW_MODES_MIN_N = 256  # below this, dense LAPACK was faster for every k
 # corner-free: subset MRRR and the whole spectrum took equal time, the
 # subset's Rayleigh-Ritz step included, at k = 0.15-0.2 m (m = 99 to 1599)
 _SUBSET_MAX_SHARE = 6
+_LEAST_MODES = 16  # 4-7 modes carry anything above 1e-16 at t = 1 (n = 401)
+_ALIVE_EXPONENT = 53 * math.log(2.0)  # exp(-lambda t) > 2^-53: the mode is alive at t
 # one-sided second-order derivative stencils at a and b, times h
 _STENCIL_A = np.array([-3.0, 4.0, -1.0]) / 2
 _STENCIL_B = np.array([1.0, -4.0, 3.0]) / 2
@@ -223,13 +226,14 @@ class EigenSystem:
     inner product diag(mass); None when the caller asked for eigenvalues
     only. The folded solvers satisfy the coupling rows by construction;
     :func:`stencil_boundary_residuals` is the O(h^2) check on the vectors.
-    ``zero_multiplicity`` counts eigenvalues below 1e-8 * max(1,
-    largest computed eigenvalue). ``dimension`` is the fold's m, the number
-    of modes the coupled problem has on the grid: n, n - 1 when the rows tie
-    v(b) to v(a), n - 2 when they fix both. ``method`` names the solver that
-    ran: "stemr" or "stevd" (LAPACK's tridiagonal drivers, for a folded
-    operator with no corner), "dense", "shift_invert" or "band" (eigenvalues
-    only).
+    ``zero_multiplicity`` counts eigenvalues below a threshold: from
+    :func:`eigensolve`, 1e-8 * max(1, largest computed eigenvalue); from
+    :func:`eigensolve_alive`, one that depends on neither k nor n (see
+    there). ``dimension`` is the fold's m, the number of modes the coupled
+    problem has on the grid: n, n - 1 when the rows tie v(b) to v(a),
+    n - 2 when they fix both. ``method`` names the solver that ran: "stemr"
+    or "stevd" (LAPACK's tridiagonal drivers, for a folded operator with no
+    corner), "dense", "shift_invert" or "band" (eigenvalues only).
     """
 
     grid: Grid
@@ -389,8 +393,11 @@ def _count_below(diag, off, corner, sigma) -> int:
     """Eigenvalues of T below sigma (T tridiagonal plus the corner pair, which
     adds to the off-diagonal at n = 2): the negative pivots of T - sigma I =
     L D L^T in natural order, the corner's fill carried down the last row.
-    A zero or non-finite pivot recounts just above sigma, then gives n."""
+    A zero or non-finite pivot recounts just above sigma, then gives n, as
+    does a sigma that is not finite."""
     n, sigma = diag.size, float(sigma)  # Python floats: numpy scalars slow the loop
+    if not math.isfinite(sigma):
+        return n
     d, b = diag.tolist(), off.tolist()
     for shift in (sigma, sigma + 1e-9 * max(1.0, abs(sigma))):
         count, pivot, b2 = 0, 1.0, 0.0
@@ -534,9 +541,60 @@ def eigensolve(
     carries no vectors, and more modes come from the band form, which
     computes eigenvalues only.
     """
-    diag, off, corner, root, lift = _fold(op, coupling)
+    folded = _fold(op, coupling)
+    return _eigensystem(op, coupling, folded, folded[0].size if k is None else int(k), vectors)
+
+
+def eigensolve_alive(
+    op: DiscreteOperator,
+    coupling: BoundaryCoupling,
+    times: Sequence[float],
+    least: int = _LEAST_MODES,
+    spare: int = 1,
+) -> Optional[EigenSystem]:
+    """The modes still alive at t_min, the first positive snapshot of
+    ``times``, from one fold that both counts and solves them.
+
+    A mode is alive while exp(-lambda t_min) > 2^-53, that is below
+    53 ln 2 / t_min; the inertia of the folded T counts them
+    (:func:`_count_below`), every mode when that bound overflows and none
+    when no snapshot is positive. k is that count plus
+    ``spare``, at least ``least`` and at most the fold's m, and
+    :func:`eigensolve`'s drivers find the k smallest. With the default
+    spare mode exp(-lambda_k t_min) <= 2^-53, and since the basis is
+    M-orthonormal and ordered, the modes left out of data v0 have weighted
+    norm at most exp(-lambda_k t) ||v0||_M at every t >= t_min, the bound
+    :func:`evolve` reports. None when k is 0.
+
+    Since k follows t_min, ``zero_multiplicity`` counts eigenvalues below
+    1e-4 pi^2 max(p / w) / (b - a)^2, a fixed share of the continuous
+    problem's eigenvalue scale, with p / w read from the fold as
+    h^2 |T[i, i+1]| (sqrt 2 times p / w next to an end node's half cell).
+    For p = w = 1 it is 9.9e-4, or 1.4e-3 with a half cell: above the
+    lumped q's O(h^2) offset of a curved law's zero pair (-5.07e-5 for
+    cos(pi x) and sin(pi x) at n = 401) with 16 modes as with all, and far
+    below the heat problem's lambda_3 = 4 pi^2 at any n.
+    """
+    folded = _fold(op, coupling)
+    diag, off, corner = folded[:3]
+    times = np.asarray(times, dtype=float)
+    alive = 0
+    if np.any(times > 0):
+        # a Python float: a subnormal t_min gives inf, not a numpy warning
+        alive = _count_below(diag, off, corner, _ALIVE_EXPONENT / float(times[times > 0].min()))
+    k = min(diag.size, max(least, alive + spare))
+    if not k:
+        return None
+    scale = (math.pi * op.grid.h / (op.grid.b - op.grid.a)) ** 2 * np.abs(off).max(initial=0.0)
+    return _eigensystem(op, coupling, folded, k, zero_below=1e-4 * scale)
+
+
+def _eigensystem(op, coupling, folded, k, vectors=True, zero_below=None) -> EigenSystem:
+    """The k smallest eigenpairs of a folded operator, lifted to all n
+    nodes, with the eigenvalues below ``zero_below`` (by default 1e-8 *
+    max(1, lambda_k)) counted as zero."""
+    diag, off, corner, root, lift = folded
     n, m = op.grid.n, diag.size
-    k = m if k is None else int(k)
     if not 1 <= k <= m:
         a, b = f"v({op.grid.a:g})", f"v({op.grid.b:g})"
         why = {n - 1: f"tie {b} to {a}", n - 2: f"fix {a} = {b} = 0"}.get(m)
@@ -545,7 +603,7 @@ def eigensolve(
     lam, Y, method = _smallest_eigh(diag, off, corner, k, vectors)
     vec = lift(Y / root[:, None]) if vectors else None
 
-    tau0 = 1e-8 * max(1.0, float(lam[-1]))
+    tau0 = 1e-8 * max(1.0, float(lam[-1])) if zero_below is None else zero_below
     zero_multiplicity = int(np.sum(np.abs(lam) < tau0))
     return EigenSystem(
         grid=op.grid,
@@ -564,8 +622,7 @@ def count_below(op: DiscreteOperator, coupling: BoundaryCoupling, sigma: float) 
     inertia of the folded T - sigma I (:func:`_count_below`, a pivot loop
     with no factorization kept). It is m, the fold's every mode, when sigma
     is not finite."""
-    diag, off, corner, _, _ = _fold(op, coupling)
-    return _count_below(diag, off, corner, sigma) if np.isfinite(sigma) else diag.size
+    return _count_below(*_fold(op, coupling)[:3], sigma)
 
 
 def stencil_boundary_residuals(eig: EigenSystem) -> np.ndarray:

@@ -589,6 +589,15 @@ class TestSisCommand:
 
 
 class TestSpectrumCommand:
+    def test_few_modes_keep_the_zero_pair_at_large_n(self, tmp_path):
+        # the zero threshold scales with lambda_6, not with the fold's
+        # largest eigenvalue (6.4e9 at n = 40001)
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--out", str(out), "--n", "40001", "--k", "6"]) == 0
+        checks = _checks(out)
+        assert checks["zero_multiplicity"] == ("2", "pass")
+        assert checks["double_zero_below_1e-8_lambda3"][1] == "pass"
+
     def test_heat_laws(self, tmp_path):
         out = tmp_path / "spec"
         rc = main(["spectrum", "--out", str(out), "--k", "6"])
@@ -679,9 +688,22 @@ class TestTiedEnds:
         assert "tie v(1) to v(0), so n = 401 has 400 modes" in capsys.readouterr().err
 
     def test_moments_keep_every_mode(self, tmp_path):
+        # the default keeps the 16 modes alive at t = 0.2; alive at 1e-9,
+        # every one of the fold's 400 is kept
+        few, every = tmp_path / "few", tmp_path / "every"
+        assert main(["moments", "--out", str(few), *TIED_ENDS]) == 0
+        assert "diag.eigensolve_modes = 16" in _manifest_lines(few)
+        argv = ["moments", "--out", str(every), "--T", "1", "--times", "0,1e-9,1", *TIED_ENDS]
+        assert main(argv) == 0
+        assert "diag.eigensolve_modes = 400" in _manifest_lines(every)
+
+    def test_moments_keep_at_most_the_folds_modes(self, tmp_path):
+        # k is capped at the fold's m = 54, not at n = 55
         out = tmp_path / "mom"
-        assert main(["moments", "--out", str(out), *TIED_ENDS]) == 0
-        assert "diag.eigensolve_modes = 400" in _manifest_lines(out)
+        argv = ["moments", "--out", str(out), "--n", "55", *TIED_ENDS,
+                "--T", "1", "--times", "0,1e-9,1"]
+        assert main(argv) == 0
+        assert "diag.eigensolve_modes = 54" in _manifest_lines(out)
 
 
 def _omega():
@@ -753,25 +775,79 @@ def test_interior_solves_keep_the_exit_code_contract(command, psi, log_r0, delta
     assert "Traceback" not in err.getvalue()
 
 
+# the first positive snapshot sets how many modes moments keeps: 16 or
+# more when t_min = T, all of them once 53 ln 2 / t_min overflows
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.integers(5, 41), st.just(55)),
+    T=st.floats(1e-4, 10.0),
+    log_share=st.floats(-330.0, 0.0),
+    with_zero=st.booleans(),
+    F1=st.sampled_from(["1", "1+sin(t)"]),
+)
+def test_moments_keep_the_exit_code_contract(n, T, log_share, with_zero, F1):
+    t_min = max(5e-324, T * 10.0**log_share)
+    argv = ["moments", "--n", str(n), "--T", repr(T), "--F1", F1,
+            "--times", ("0," if with_zero else "") + f"{t_min!r},{T!r}"]
+    if n == 55:  # the first grid whose law check accepts the tied-ends laws
+        argv += TIED_ENDS
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", tmp])
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def _diagnostics(outdir):
+    """The manifest's diag.<name> = value lines, by name."""
+    return dict(ln[len("diag."):].split(" = ") for ln in _manifest_lines(outdir)
+                if ln.startswith("diag."))
+
+
+def _checks(outdir):
+    """The manifest's check: <name> = value [pass|fail] lines, by name, as
+    (value, status)."""
+    lines = [ln[len("check: "):] for ln in _manifest_lines(outdir) if ln.startswith("check: ")]
+    return {name: tuple(rest.rstrip("]").split(" [")) for name, rest in
+            (ln.split(" = ", 1) for ln in lines)}
+
+
 class TestMomentsCommand:
     def test_dense_refused_at_large_n(self, tmp_path, capsys):
+        # every mode is alive at t = 1e-12, so the one solve asks for all n
         started = time.perf_counter()
-        rc = main(["moments", "--out", str(tmp_path / "big"), "--n", "100001"])
+        rc = main(["moments", "--out", str(tmp_path / "big"), "--n", "100001",
+                   "--T", "1e-12", "--times", "0,1e-12"])
         assert rc == 2
         assert time.perf_counter() - started < 10.0
         assert "dense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [6001, 100001])
+    def test_runs_beyond_the_dense_cap(self, tmp_path, n):
+        # 16 modes by shift-invert Lanczos; all n would be refused
+        out = tmp_path / "big"
+        assert main(["moments", "--out", str(out), "--n", str(n)]) == 0
+        assert {name: status for name, (_, status) in _checks(out).items()} == {
+            "moment_tracking_error": "pass", "zero_moment_part": "pass"}
+        assert _diagnostics(out)["eigensolve_method"] == "shift_invert"
+
     def test_duhamel_diagnostics(self, tmp_path):
         out = tmp_path / "mom"
         assert main(["moments", "--out", str(out), "--F1", "1+sin(t)"]) == 0
-        diag = dict(
-            ln[len("diag."):].split(" = ") for ln in _manifest_lines(out)
-            if ln.startswith("diag.")
-        )
-        assert diag["eigensolve_method"] == "dense"
-        assert diag["eigensolve_modes"] == "401"
+        diag = _diagnostics(out)
+        assert diag["eigensolve_method"] == "shift_invert"
+        assert diag["eigensolve_modes"] == "16"
         assert float(diag["duhamel_kernel_leakage"]) <= 1e-10
         assert int(diag["duhamel_levels"]) >= 1
+
+    def test_modes_kept_track_the_targets(self, tmp_path):
+        # 2.8e-11 on the 16 modes kept (all 401 read 2.0e-10); the bound on
+        # the modes left out reads 3.1e-16
+        out = tmp_path / "mom"
+        assert main(["moments", "--out", str(out), "--F1", "1+sin(t)"]) == 0
+        assert float(_checks(out)["moment_tracking_error"][0]) <= 6e-11
+        assert float(_diagnostics(out)["eigen_truncation_remainder"]) <= 1e-12
 
     def test_overflowing_mode_names_its_lambda(self, tmp_path, capsys):
         # omega near 2 pi makes the flux block nearly singular and leaves a
@@ -800,7 +876,9 @@ class TestDenseCap:
         "argv, advice",
         [
             (["spectrum", "--n", "6001", "--k", "751"], "fewer modes (--k <= n/8)"),
-            (["moments", "--n", "6001"], "use a smaller --n"),
+            # t_min = 1e-6 keeps 1930 modes alive, past n/8: dense
+            (["moments", "--n", "6001", "--T", "1e-6", "--times", "0,1e-6"],
+             "use a smaller --n or a later first positive time in --times"),
             # t_min = 1e-6 keeps every mode alive, so the one solve asks for all n
             (["kimura", "--mode", "regularized", "--n", "5793", "--T", "1", "--times", "1e-6"],
              "a later first positive time in --times"),

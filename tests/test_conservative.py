@@ -273,6 +273,39 @@ class TestPrescribedMoments:
             @ (eig.mass[:, None] * np.stack([pres.phi1, pres.phi2], axis=1))
         )))
 
+    @pytest.mark.parametrize("laws", [("0", "1", "x"), ("1", "cos(x)", "sin(x)")])
+    @pytest.mark.parametrize("K", [4, 8, 16])
+    def test_truncation_error_bounds_the_modes_left_out(self, grid, one, laws, K):
+        # the K smallest modes of the full eigensystem against all of them,
+        # with data off the laws' span, so both parts of the bound count.
+        # eps allows for the two runs' own rounding on data of norm ~1 (no
+        # gap exceeded its bound here; the closest, K = 16 at t = 0.1 on the
+        # heat laws, read 2.5e-16 against 3.8e-16)
+        q, law1, law2 = (field_from_expression(e) for e in laws)
+        problem = build_totally_conservative(one, q, law1, law2, grid)
+        full = eigensolve(problem.operator, problem.coupling)
+        few = replace(full, eigenvalues=full.eigenvalues[:K], vectors=full.vectors[:, :K])
+        F1 = time_function(lambda t: 1.0 + math.sin(t))
+        F2 = time_function(lambda t: 0.5 * t)
+        pres = prescribe_moments(problem, F1, F2)
+        noise = np.random.default_rng(3).random(grid.n)
+        noise -= (
+            weighted_inner(noise, pres.phi1, pres.weight, grid) * pres.phi1
+            + weighted_inner(noise, pres.phi2, pres.weight, grid) * pres.phi2
+        )
+        v0 = F1.value(0.0) * pres.phi1 + noise
+        times = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 5.0])
+        kept, kept_w = prescribed_moments_evolve(few, v0, pres, times)
+        every, _ = prescribed_moments_evolve(full, v0, pres, times)
+        gap = np.sqrt(((kept.values - every.values) ** 2) @ full.mass)
+        assert np.all(gap[1:] <= kept.truncation_error[1:] + np.finfo(float).eps)
+        assert kept.truncation_error[1] > 0.1  # the data's dropped modes at t = 1e-4
+        assert np.array_equal(kept_w.truncation_error, kept.truncation_error)
+        assert np.all(every.truncation_error == 0.0)
+        for traj in (kept, every):
+            assert np.array_equal(traj.values[0], v0)
+            assert traj.truncation_error[0] == 0.0
+
     def test_numeric_derivative_fallback(self):
         f = time_function(lambda t: math.sin(3 * t))
         assert abs(f.derivative(0.4) - 3 * math.cos(1.2)) <= 1e-6

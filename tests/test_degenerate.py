@@ -56,12 +56,13 @@ def neutral_interior(neutral):
 def asked(monkeypatch):
     """The k of every eigensolve a degenerate solve asks for, in order."""
     ks = []
+    solve = sturm._eigensystem  # every eigensolve's k, after its one fold
 
-    def counted(op, coupling, k):
+    def counted(op, coupling, folded, k, **options):
         ks.append(k)
-        return eigensolve(op, coupling, k)
+        return solve(op, coupling, folded, k, **options)
 
-    monkeypatch.setattr(degenerate, "eigensolve", counted)
+    monkeypatch.setattr(sturm, "_eigensystem", counted)
     return ks
 
 
@@ -781,7 +782,7 @@ class TestModalInterior:
     def test_no_positive_snapshot_keeps_no_mode(self, monkeypatch):
         # 1e-4 snaps to t = 0 on the dt = 0.0025 grid, so k = 0: nothing is
         # diagonalized, every row is the data and nothing has flowed out
-        monkeypatch.setattr(degenerate, "eigensolve", None)
+        monkeypatch.setattr(sturm, "_eigensystem", None)
         grid = Grid(0.0, 1.0, 401)
         r0 = _initial("delta", grid)
         sol = solve_interior(MODAL_MODELS["psi=1-2x"](), r0, 5.0, [0.0, 1e-4], grid)

@@ -285,6 +285,27 @@ class TestFewModeEigensolve:
         gram = few.vectors.T @ (few.mass[:, None] * few.vectors)
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
 
+    @pytest.mark.parametrize("case", ["heat", "q = 1", "q = pi^2"])
+    def test_alive_zero_multiplicity_does_not_depend_on_k(self, grid, case):
+        # the curved laws' zero pairs sit at their O(h^2) offsets (down to
+        # -5.07e-5 for q = pi^2), above 1e-8 * lambda_16 but below the
+        # alive rule's threshold, whether 16, 45 or all the modes are kept
+        laws = {**FEW_MODE_CASES, "q = pi^2": dict(
+            q="9.869604401089358", law1="cos(3.141592653589793*x)",
+            law2="sin(3.141592653589793*x)")}[case]
+        op, coup = _kernel_operator(grid, **laws)
+        eigs = [sturm.eigensolve_alive(op, coup, times) for times in ([0, 0.2], [0.002], [0, 1e-9])]
+        assert [eig.eigenvalues.size for eig in eigs] == [16, 45, eigs[-1].dimension]
+        assert {eig.zero_multiplicity for eig in eigs} == {2}
+
+    def test_alive_zero_multiplicity_does_not_grow_with_n(self):
+        # at n = 100001 the fold's largest eigenvalue is 4e10, and 1e-8 of it
+        # would pass lambda_3 = 4 pi^2 = 39.5: the zero pair stays a pair
+        op, coup = _kernel_operator(Grid(0.0, 1.0, 100001))
+        eig = sturm.eigensolve_alive(op, coup, [0.0, 0.2])
+        assert (eig.eigenvalues.size, eig.zero_multiplicity) == (16, 2)
+        assert eig.eigenvalues[2] == pytest.approx(4 * np.pi**2, rel=1e-6)
+
     def test_repeat_calls_identical(self, grid):
         op, coup = _kernel_operator(grid)
         a, b = eigensolve(op, coup, k=6), eigensolve(op, coup, k=6)
