@@ -303,6 +303,8 @@ def _validate_semantics(command: str, cfg: dict, problems: list):
         bins = cfg.get("bins")
         if bins is not None and bins < 1:
             problems.append("bins: must be at least 1")
+        elif bins is not None and bins > 100_001:  # the edges alone are 8 bytes a bin
+            problems.append("bins: must be at most 100001")
     if command == "validate":
         for key in ("pde", "oracle"):
             path = cfg.get(key)

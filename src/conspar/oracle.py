@@ -13,8 +13,12 @@ counter-based ``Philox(seed, b)`` stream: at every step, one normal per
 live path of the block, in path order. All blocks step together in one
 array of live paths, grouped by block; an absorbed path leaves the array.
 One helper thread draws each block's next chunk of normals ahead while the
-current chunk is used; it makes every draw, in the order they are queued,
-so each stream is drawn in order.
+current chunk is used, in the order the draws are queued. When the
+stepping thread needs a chunk the helper has not finished, it first makes
+itself every other block's queued draw that the helper has not started,
+then waits. A block never has two draws outstanding on different threads,
+and the stepping thread never takes the awaited block's own draws, so
+each stream is drawn in order.
 Because each block's draws depend only on its own paths, the counts are
 bit-identical however the blocks are laid out or scheduled, and so is
 ``oracle.csv``. Atoms are compared with absorbed fractions by one rule,
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -36,10 +40,10 @@ from .expressions import Expression
 from .fields import CoefficientField, cumulative_trapezoid, field_from_callable
 
 BLOCK_SIZE = 4096
-_NORMAL_CHUNK = 2**14  # most normals one block holds: current chunk plus next
+_NORMAL_CHUNK = 2**15  # most normals one block holds: current chunk plus next
 # chunks shrink as blocks are added, so that all blocks together hold
 # about this many normals beyond one step's need
-_NORMAL_BUDGET = 2**18
+_NORMAL_BUDGET = 2**19
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +251,13 @@ class _BlockNormals:
     Block b draws from its own stream only, ``live[b]`` normals per step,
     in chunks that are sliced step by step; a chunked draw yields the same
     numbers as one draw per step. While a block uses its current chunk,
-    its next one is drawn ahead. Every draw runs on the single worker of
-    ``pool``, first in first out, so each stream is drawn in order, and
-    this thread never touches ``rngs``. ``wait_s`` sums the time spent
-    waiting for draws.
+    its next one is drawn ahead on the single worker of ``pool``, first in
+    first out. A chunk that is needed before the worker has finished it is
+    waited for, but first this thread cancels every other block's draw the
+    worker has not started and makes it here. Each block has at most one
+    draw queued besides the awaited block's, and that block's draws stay
+    with the worker, so each stream is drawn in order. ``wait_s`` sums the
+    time spent blocked on the worker, not the draws made here.
     """
 
     def __init__(self, rngs: list, pool: ThreadPoolExecutor):
@@ -277,8 +284,18 @@ class _BlockNormals:
         ready = self.ahead[b]
         rest = self.pool.submit(draw, need - self.chunk) if need > self.chunk else None
         self.ahead[b] = self.pool.submit(draw, self.chunk)
+        if rest is not None or not ready.done():
+            self._take_queued(b)
         buf = self._result(ready)
         return buf if rest is None else np.concatenate([buf, self._result(rest)])
+
+    def _take_queued(self, b: int):
+        """Make here every other block's queued draw that the worker has
+        not started; a cancelled draw never runs there."""
+        for c, ahead in enumerate(self.ahead):
+            if c != b and ahead.cancel():
+                self.ahead[c] = taken = Future()
+                taken.set_result(self.rngs[c].standard_normal(self.chunk))
 
     def fill(self, out: np.ndarray, live: list):
         """Write into ``out``, one entry per live path, the next ``live[b]``
@@ -367,7 +384,17 @@ def simulate(
             stacklevel=2,
         )
 
-    snap_steps = np.rint(snapshot_times / dt).astype(np.int64)
+    with np.errstate(over="ignore"):
+        steps = np.rint(snapshot_times / dt)
+    # an infinite step count would cast to INT64_MIN and skip every step
+    too_many = ~(np.abs(steps) < 2.0**63)
+    if np.any(too_many):
+        i = int(np.argmax(too_many))
+        raise ArgumentError(
+            f"dt = {dt} is too small for the snapshot at t = {snapshot_times[i]}: "
+            f"its {steps[i]:.3g} steps do not fit a 64-bit step count"
+        )
+    snap_steps = steps.astype(np.int64)
     n_blocks = (spec.replicates + block_size - 1) // block_size
     sizes = [min(block_size, spec.replicates - b * block_size) for b in range(n_blocks)]
     rngs = [_philox(spec.seed, b) for b in range(n_blocks)]

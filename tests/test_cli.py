@@ -176,6 +176,16 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "bins: must be at least 1" in err and "x0:" in err
 
+    def test_oracle_bins_at_most_the_cap(self, tmp_path, capsys):
+        # refused before the bin edges are built; one bin more than the cap
+        # would run in a moment here if it were not
+        argv = ["oracle", "--replicates", "1", "--T", "0.001", "--times", "0.001"]
+        assert main(argv + ["--bins", "100002", "--out", str(tmp_path / "over")]) == 2
+        assert "bins: must be at most 100001" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the bin-resolution warning
+            assert main(argv + ["--bins", "100001", "--out", str(tmp_path / "cap")]) == 0
+
     @pytest.mark.parametrize(
         "argv, key",
         [
@@ -794,6 +804,51 @@ def test_moments_keep_the_exit_code_contract(n, T, log_share, with_zero, F1):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", tmp])
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def _unit_interval_point():
+    """x0 in (0, 1), within 1e-300 of either end at the extremes; 1 - 1e-300
+    rounds to 1, which the config check refuses."""
+    near_end = st.floats(-300.0, -1.0).map(lambda u: 10.0**u)
+    return st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        near_end,
+        near_end.map(lambda d: 1.0 - d),
+    )
+
+
+# dt keeps T / dt <= 1000, or is below T 2^-63, where the step count no
+# longer fits 64 bits and is refused; a dt in between could step for hours
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    model=st.sampled_from(["kimura", "sis"]),
+    psi=st.one_of(
+        st.floats(-60.0, 60.0).map(repr),
+        st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0))
+        .map(lambda ab: f"{ab[0]!r}+({ab[1]!r})*x"),
+    ),
+    log_r0=st.floats(-3.0, 308.0),
+    x0=_unit_interval_point(),
+    bins=st.one_of(st.integers(1, 100_002), st.sampled_from([100_001, 100_002])),
+    replicates=st.integers(1, 64),
+    log_T=st.floats(-300.0, -2.0),
+    log_dt_share=st.one_of(st.none(), st.floats(-3.0, 2.0), st.floats(-330.0, -19.0)),
+)
+def test_oracle_keeps_the_exit_code_contract(model, psi, log_r0, x0, bins, replicates,
+                                             log_T, log_dt_share):
+    T = 10.0**log_T
+    argv = ["oracle", "--model", model, "--x0", repr(x0), "--bins", str(bins),
+            "--replicates", str(replicates), "--T", repr(T), "--times", f"0,{T!r}"]
+    argv += ["--psi", psi] if model == "kimura" else ["--R0", repr(10.0**log_r0)]
+    if log_dt_share is not None:  # else the default dt, at most T / 1e-4 steps
+        argv += ["--dt", repr(max(5e-324, T * 10.0**log_dt_share))]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the bin-resolution warning
         rc = main(argv + ["--out", tmp])
     assert rc in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -1,5 +1,7 @@
 import sys
 import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -153,6 +155,13 @@ class TestSimulate:
         spec = kimura_sde(constant_field(0.0), 0.3, replicates=10)
         with pytest.raises(ArgumentError):
             simulate(spec, [2.0, 1.0])
+
+    @pytest.mark.parametrize("dt, times", [(1e-320, [1.0]), (5e-324, [0.0, 1.0])])
+    def test_step_count_past_int64_rejected(self, dt, times):
+        # 1 / dt overflows to inf, which casts to INT64_MIN: no step would run
+        spec = kimura_sde(constant_field(0.0), 0.3, dt=dt, horizon=1.0, replicates=1)
+        with pytest.raises(ArgumentError, match=r"dt = .* t = 1\.0"):
+            simulate(spec, times)
 
     @pytest.mark.parametrize("bins", [0, -3])
     def test_fewer_than_one_bin_rejected(self, bins):
@@ -313,6 +322,35 @@ class TestKernelIdentity:
             got = simulate(spec, [0.05, 0.2], bins=10, block_size=5)
         finally:
             sys.setswitchinterval(interval)
+        want = _reference_simulate(spec, [0.05, 0.2], 10, 5)
+        assert [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in got] == want
+
+    def test_stepping_thread_takes_queued_chunks(self, monkeypatch):
+        # 13 blocks of 5 paths, 8 normals a chunk: a block needs a new chunk
+        # every step or two; the helper's draws are slowed, so the stepping
+        # thread finds its chunk unfinished and draws the other blocks'
+        # queued ones itself
+        monkeypatch.setattr(oracle, "_NORMAL_CHUNK", 16)
+        stepping = threading.get_ident()
+        drawers = Counter()
+        philox = oracle._philox
+
+        class CountedStream:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                drawer = threading.get_ident()
+                drawers[drawer] += 1
+                if drawer != stepping:
+                    time.sleep(1e-4)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(oracle, "_philox", lambda seed, key: CountedStream(philox(seed, key)))
+        spec = kimura_sde(field_from_expression("1-2*x"), 0.3, dt=1e-3, horizon=0.2,
+                          replicates=61, seed=4)
+        got = simulate(spec, [0.05, 0.2], bins=10, block_size=5)
+        assert len(drawers) == 2 and drawers[stepping] > 0
         want = _reference_simulate(spec, [0.05, 0.2], 10, 5)
         assert [(m.counts.tolist(), m.count_at_0, m.count_at_1) for m in got] == want
 
