@@ -281,6 +281,8 @@ def _validate_semantics(command: str, cfg: dict, problems: list):
     times = cfg.get("times")
     if times is not None and np.any(np.diff(times) < 0):
         problems.append("times: must be sorted ascending")
+    if times is not None and any(t < 0 for t in times):
+        problems.append("times: must be nonnegative")
     n = cfg.get("n")
     if n is not None and not 5 <= n <= 100_001:
         problems.append("n: must be between 5 and 100001")

@@ -209,6 +209,8 @@ def _check_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ArgumentError("times must be a non-empty list")
+    if np.any(times < 0):
+        raise ArgumentError("snapshot times must be nonnegative")
     return times
 
 

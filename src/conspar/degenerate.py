@@ -28,9 +28,10 @@ cell p / g (0 at an absorbing end, which carries no unknown) and rows
 v = 0 at each absorbing end, so the scheme keeps both laws. The modes
 alive at the first positive snapshot are counted and found on one fold
 by ``eigensolve_alive`` and evolved exactly in time by ``evolve``; the
-trace integrals follow from one banded solve. A Rannacher-started
-trapezoidal time stepper runs instead when the scale sqrt(cell g / p)
-spreads too widely for an accurate reconstruction (see ``solve_interior``).
+trace integrals follow from one banded solve on the same stiffness K. A
+Rannacher-started trapezoidal time stepper on the same M dv/dt = K v runs
+instead when the scale sqrt(cell g / p) spreads too widely for an
+accurate reconstruction (see ``solve_interior``).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import scipy.linalg
 
 from .errors import (
     ArgumentError,
+    AssemblyError,
     DenseSizeError,
     InputError,
     ParameterError,
@@ -102,6 +104,8 @@ class DegenerateModel:
             raise InputError("an absorbing end at x = 1 needs g(1) = 0")
         if not self.absorbs_at_1 and g1 <= 0:
             raise InputError("a zero-flux end at x = 1 needs g(1) > 0")
+        if not np.all(self.g.values[1:-1] > 0):
+            raise InputError("degeneracy field g must be positive inside (0, 1)")
         laws = (constant_field(1.0),)
         if self.absorbs_at_1:
             laws += (fixation_probability(self.psi),)
@@ -170,23 +174,23 @@ def regularized_system(
     model: DegenerateModel, eps: float, grid: Grid = DEFAULT_GRID
 ) -> Tuple[DiscreteOperator, BoundaryCoupling, np.ndarray, np.ndarray]:
     """Assemble the eps-regularized self-adjoint problem: g becomes
-    g_eps = g + eps, with the weight exp(int psi)/g_eps. Returns the
-    operator, the coupling rows of the model's laws (plus a zero-flux row
-    at x = 1 under one law), and the grid values of exp(int psi) and
-    g_eps."""
+    g_eps = g + eps, with the weight exp(int psi)/g_eps: the interior's
+    stiffness, and the weight's node values times the cells as the mass.
+    Returns the operator, the coupling rows of the model's laws (plus a
+    zero-flux row at x = 1 under one law), and the grid values of
+    exp(int psi) and g_eps."""
     if not 0 < eps < np.inf:
         raise ParameterError("eps must be a positive real number")
-    g, p = model.g, model.p
-    weight = field_from_callable(
-        lambda x: np.asarray(p(x)) / (np.asarray(g(x)) + eps),
-        "regularized_weight",
-        n=max(p.xs.size, g.xs.size),
-    )
-    rows = [conservation_row(law, p, grid) for law in model.laws]
+    p_vals, g_vals = sample_field(model.p, grid), sample_field(model.g, grid) + eps
+    weight = p_vals / g_vals
+    if np.any(weight <= 0):
+        raise AssemblyError("weight must be positive at every grid node")
+    rows = [conservation_row(law, model.p, grid) for law in model.laws]
     if not model.absorbs_at_1:
         rows.append([0.0, 0.0, 0.0, 1.0])  # zero flux through x = 1
-    op = assemble(p, constant_field(0.0), weight, grid)
-    return op, BoundaryCoupling(rows), sample_field(p, grid), sample_field(g, grid) + eps
+    op = assemble(model.p, constant_field(0.0), constant_field(1.0), grid)
+    op = replace(op, mass=weight * grid.cell_weights(), weight_values=weight)
+    return op, BoundaryCoupling(rows), p_vals, g_vals
 
 
 def solve_regularized(
@@ -332,11 +336,11 @@ class InteriorSolution:
 
 
 def _interior_system(model: DegenerateModel, grid: Grid):
-    """The interior in v = s r, s = g/p, on the unknown nodes lo..hi: the
-    regularized stiffness, whose face flux K_i (v_{i+1} - v_i) has
-    K_i = 1 / int 1/p over the cell, and the mass cell / s. An absorbing
-    end carries no unknown: its mass is 0 and its row fixes v = 0. Under
-    one law the last unknown sits on x = 1, whose row is v'(1) = 0.
+    """The interior M dv/dt = K v in v = s r, s = g/p, on the unknown nodes
+    lo..hi: the regularized stiffness K, whose face flux K_i (v_{i+1} - v_i)
+    has K_i = 1 / int 1/p over the cell, and the mass M = cell / s. An
+    absorbing end carries no unknown: its mass is 0 and its row fixes v = 0.
+    Under one law the last unknown sits on x = 1, whose row is v'(1) = 0.
     Returns the operator, the coupling, s and lo, hi."""
     op = assemble(model.p, constant_field(0.0), constant_field(1.0), grid)
     s = sample_field(model.g, grid) / sample_field(model.p, grid)
@@ -347,34 +351,6 @@ def _interior_system(model: DegenerateModel, grid: Grid):
     last = [0.0, 1.0, 0.0, 0.0] if model.absorbs_at_1 else [0.0, 0.0, 0.0, 1.0]
     coupling = BoundaryCoupling([[1.0, 0.0, 0.0, 0.0], last])
     return replace(op, mass=mass, weight_values=mass / cell), coupling, s, lo, hi
-
-
-def _interior_generator(op: DiscreteOperator, s: np.ndarray, lo: int, hi: int):
-    """Generator A of dr/dt = A r on the unknowns, as the bands (diagonal,
-    lower, upper) of cell A and the cells: d r_i/dt = (F_{i+1/2} -
-    F_{i-1/2}) / cell_i with F_{i+1/2} = K_i (s_{i+1} r_{i+1} - s_i r_i),
-    K the operator's off-diagonal, and no flux past x = 1 under one law."""
-    K = op.off_diagonal
-    # flux through face i+1/2 written as alpha_i r_i + beta_i r_{i+1}
-    alpha = -K * s[:-1]
-    beta = K * s[1:]
-    diag = np.append(alpha, 0.0)[lo : hi + 1] - beta[lo - 1 : hi]
-    lower = -alpha[lo:hi]
-    upper = beta[lo:hi]
-    cell = op.grid.cell_weights()[lo : hi + 1]
-    if not np.all(np.isfinite(diag / cell)):
-        raise TimeStepError("the interior generator's rates overflow double precision")
-    return diag, lower, upper, cell
-
-
-def _banded(diag, lower, upper, scale, shift, factor):
-    """Banded storage of shift*I + factor*A, rows scaled by 1/cell."""
-    m = diag.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = factor * upper / scale[:-1]
-    ab[1, :] = shift + factor * diag / scale
-    ab[2, :-1] = factor * lower / scale[1:]
-    return ab
 
 
 # Boundary-trace functionals on the unknowns (node axis last): the
@@ -393,44 +369,41 @@ def _right_trace(r, absorbing):
 # The modal path reads r = v / s off M-orthonormal modes of the fold, so an
 # error in the kept pairs is amplified by up to exp(spread of log d),
 # d = sqrt(cell s). Largest error of the snapshots and trace integrals
-# relative to a dense matrix exponential (scipy expm of A t and of the Van
-# Loan block), T = 1, snapshots 0.01, 0.1 and 1, uniform data and deltas at
-# 0.3 and 0.7. Forced past the gate at n = 401, Kimura psi = 22 to 50:
-# 8.8e-11 at spread 11.9, 5.1e-10 at 13.3, 1.7e-9 at 15.7, 8.1e-9 at 18.2,
-# 8.6e-8 at 20.6, 1.7e-5 at 25.5. Inside it, over n = 101..1601, Kimura
-# psi = 12..20 and 1 - 2x and SIS R0 = 10, 20 (38 cases), Kimura reads at
-# most 6.6e-11 (psi = 20, n = 401, spread 10.95, subset MRRR), SIS 4.5e-11
-# and the whole-spectrum cases (n = 101, 201) 4.0e-12.
+# relative to a dense matrix exponential (scipy expm of the generator of r,
+# C^-1 K S, times t, and of the Van Loan block), T = 1, snapshots 0.01,
+# 0.1 and 1, uniform data and deltas at 0.3 and 0.7. Forced past the gate
+# at n = 401, Kimura psi = 22 to 50: 8.8e-11 at spread 11.9, 5.1e-10 at
+# 13.3, 1.7e-9 at 15.7, 8.1e-9 at 18.2, 8.6e-8 at 20.6, 1.7e-5 at 25.5.
+# Inside it, over n = 101..1601, Kimura psi = 12..20 and 1 - 2x and SIS
+# R0 = 10, 20 (38 cases), Kimura reads at most 6.6e-11 (psi = 20, n = 401,
+# spread 10.95, subset MRRR), SIS 4.5e-11 and the whole-spectrum cases
+# (n = 101, 201) 4.0e-12.
 _MODAL_MAX_LOG_SPREAD = 11.0
 
 
-def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
-    """Time stepper: one banded solve per step.
+def _step_interior(K, mass, s, absorbing, r0, dt, n_steps, snap_idx):
+    """Time stepper on M dv/dt = K v, v = s r, K = (diagonal, off-diagonal).
 
-    Implicit trapezoidal steps; the first two steps are each split into
-    two backward-Euler half steps so rough initial data does not ring
-    (Rannacher start). Returns the snapshots at ``snap_idx`` and both
-    trace integrals at every step, integrated as the scheme removes the
-    outflow: each half step by (dt/2) times the trace it ends with, the
-    trapezoid steps by the trapezoid rule.
+    Implicit trapezoidal steps (M - dt/2 K) v' = (M + dt/2 K) v; the first
+    two steps are each split into two backward-Euler half steps
+    (M - dt/2 K) v' = M v so rough initial data does not ring (Rannacher
+    start). M > 0 and -K is positive definite (x = 0 absorbs), so
+    M - dt/2 K is factored once, by banded Cholesky. Returns the snapshots
+    of r at ``snap_idx`` and both trace integrals at every step, integrated
+    as the scheme removes the outflow: each half step by (dt/2) times the
+    trace it ends with, the trapezoid steps by the trapezoid rule.
     """
-    diag, lower, upper, cell = A
-    r = r0.copy()
-
-    def matvec(vec, factor):
-        out = vec + factor * (diag / cell) * vec
-        out[:-1] += factor * (upper / cell[:-1]) * vec[1:]
-        out[1:] += factor * (lower / cell[1:]) * vec[:-1]
-        return out
-
-    # (I - dt/2 A): the implicit side of the trapezoid step, and also the
-    # matrix of one backward-Euler half step
-    implicit = _banded(diag, lower, upper, cell, 1.0, -dt / 2)
-
+    diag, off = K
+    # M - dt/2 K in upper banded storage: the implicit side of the
+    # trapezoid step, and also the matrix of one backward-Euler half step
+    implicit = [np.r_[0.0, -dt / 2 * off], mass - dt / 2 * diag]
+    factor = (scipy.linalg.cholesky_banded(implicit), False)
+    explicit_diag, explicit_off = mass + dt / 2 * diag, dt / 2 * off
+    r, v = r0.copy(), s * r0
     traces = np.empty((2, n_steps + 1))
     traces[:, 0] = _left_trace(r), _right_trace(r, absorbing)
 
-    snap_set = {int(s) for s in snap_idx}
+    snap_set = {int(i) for i in snap_idx}
     snapshots = {}
     if 0 in snap_set:
         snapshots[0] = r.copy()
@@ -442,11 +415,15 @@ def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
         if step <= rannacher_steps:
             # two backward-Euler half steps per dt (damps rough data)
             for _ in range(2):
-                r = scipy.linalg.solve_banded((1, 1), implicit, r)
+                v = scipy.linalg.cho_solve_banded(factor, mass * v, check_finite=False)
+                r = v / s
                 half.append((_left_trace(r), _right_trace(r, absorbing)))
         else:
-            rhs = matvec(r, dt / 2)
-            r = scipy.linalg.solve_banded((1, 1), implicit, rhs)
+            rhs = explicit_diag * v
+            rhs[:-1] += explicit_off * v[1:]
+            rhs[1:] += explicit_off * v[:-1]
+            v = scipy.linalg.cho_solve_banded(factor, rhs, check_finite=False)
+            r = v / s
         if step % 200 == 0 or step == n_steps:
             if not np.all(np.isfinite(r)) or float(np.max(np.abs(r))) > 1e6 * norm0:
                 raise TimeStepError(f"interior stepper blew up at step {step}")
@@ -462,7 +439,7 @@ def _step_interior(A, absorbing, r0, dt, n_steps, snap_idx):
         rest = cumulative_trapezoid(trace[k:], times[k:])[1:]
         return np.concatenate([[0.0], start, start[-1] + rest])
 
-    snaps = np.array([snapshots[int(s)] for s in snap_idx])
+    snaps = np.array([snapshots[int(i)] for i in snap_idx])
     half = np.array(half).T
     return snaps, times, integral(traces[0], half[0]), integral(traces[1], half[1])
 
@@ -487,13 +464,13 @@ def solve_interior(
     drops the absorbing ends and leaves no corner, so LAPACK's subset MRRR
     finds few modes and its whole tridiagonal spectrum many, or
     shift-invert Lanczos once an m x m array is over the 256 MiB budget
-    (m > 5792). The boundary traces are integrated as A^-1 (r(t) - r0),
-    with A the generator of r (see ``_interior_generator``). A time
+    (m > 5792). As C dr/dt = K S r, with C the cells and S = diag(g/p),
+    the trace integrals are S^-1 K^-1 C (r(t) - r0), one solve on -K. A time
     stepper runs instead when the modal form is unsafe: when the scale
     sqrt(cell g / p) spans more than a factor exp(11), whose spread
     amplifies rounding (see ``_MODAL_MAX_LOG_SPREAD``), or when the
     driver's array would exceed the budget. It takes implicit trapezoidal
-    steps of fixed dt on A, the first two each split into two
+    steps of fixed dt on M dv/dt = K v, the first two each split into two
     backward-Euler half steps so rough initial data does not ring.
     ``method``, ``modes`` and ``eigensolve_method`` say which ran.
 
@@ -523,12 +500,17 @@ def solve_interior(
     dt = horizon / n_steps
 
     op, coupling, s, lo, hi = _interior_system(model, grid)
-    A = _interior_generator(op, s, lo, hi)
+    # K and M on the unknowns, which the fold, the stepper and the trace
+    # integrals all read; K s / cell is the diagonal of the generator of r
+    K, mass = (op.diagonal[lo : hi + 1], op.off_diagonal[lo:hi]), op.mass[lo : hi + 1]
+    s, cell = s[lo : hi + 1], grid.cell_weights()[lo : hi + 1]
+    if not np.all(np.isfinite(K[0] * s / cell)):
+        raise TimeStepError("the interior generator's rates overflow double precision")
     r0 = r_initial[lo : hi + 1].copy()
     snap_idx = np.rint(times / dt).astype(int)
     snap_times = snap_idx * dt
     absorbing = model.absorbs_at_1
-    log_d = 0.5 * np.log(A[3] * s[lo : hi + 1])
+    log_d = 0.5 * np.log(cell * s)
     spread = float(log_d.max() - log_d.min())
     method, eig = "stepper", None
     if spread <= _MODAL_MAX_LOG_SPREAD:
@@ -538,18 +520,22 @@ def solve_interior(
         except DenseSizeError:
             pass
     if method == "stepper":
-        snaps, grid_times, int0, int1 = _step_interior(A, absorbing, r0, dt, n_steps, snap_idx)
+        snaps, grid_times, int0, int1 = _step_interior(
+            K, mass, s, absorbing, r0, dt, n_steps, snap_idx
+        )
     else:
         # r = v / s on the modes kept, 0 at t > 0 when none is alive
         grid_times = np.unique(np.append(snap_times, 0.0))
         r = np.zeros((grid_times.size, r0.size))
         if eig is not None:
-            v0 = np.where(op.mass > 0, s * r_initial, 0.0)
-            r = evolve(eig, v0, grid_times).values[:, lo : hi + 1] / s[lo : hi + 1]
+            v0 = np.pad(s * r0, (lo, grid.n - 1 - hi))
+            r = evolve(eig, v0, grid_times).values[:, lo : hi + 1] / s
         r[grid_times == 0] = r0
-        # int_0^t r ds = A^-1 (r(t) - r0), which also gives each dropped
-        # mode its whole integral; every mode decays: mass leaves through x = 0
-        integrals = scipy.linalg.solve_banded((1, 1), _banded(*A, 0.0, 1.0), (r - r0).T).T
+        # cell dr/dt = K s r, so int_0^t r ds = S^-1 K^-1 C (r(t) - r0),
+        # which also gives each dropped mode its whole integral; -K is
+        # positive definite, since mass leaves through x = 0
+        negative_K = [np.r_[0.0, -K[1]], -K[0]]
+        integrals = -scipy.linalg.solveh_banded(negative_K, (cell * (r - r0)).T).T / s
         int0, int1 = _left_trace(integrals), _right_trace(integrals, absorbing)
         snaps = r[np.searchsorted(grid_times, snap_times)]
 

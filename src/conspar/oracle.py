@@ -369,6 +369,8 @@ def simulate(
         raise ArgumentError("need at least one snapshot time")
     if np.any(np.diff(snapshot_times) < 0):
         raise ArgumentError("snapshot times must be sorted")
+    if np.any(snapshot_times < 0):
+        raise ArgumentError("snapshot times must be nonnegative")
     if float(snapshot_times[-1]) > spec.horizon + 1e-12:
         raise ArgumentError("snapshot beyond the simulation horizon")
     if bins < 1:

@@ -186,6 +186,17 @@ class TestConfig:
             warnings.simplefilter("ignore")  # the bin-resolution warning
             assert main(argv + ["--bins", "100001", "--out", str(tmp_path / "cap")]) == 0
 
+    @pytest.mark.parametrize("command", ["kimura", "sis", "moments", "oracle"])
+    @pytest.mark.parametrize("times", ["-1,1", "-1e-300,1"])
+    def test_negative_snapshot_time_refused(self, command, times, tmp_path, capsys):
+        # oracle wrote a t = -1 row of the data, and moments overflowed at
+        # -1 and exited 0 at -1e-300; every command now refuses both
+        argv = [command, "--T", "1", "--times", times, "--out", str(tmp_path / "x")]
+        argv += ["--n", "5"] if command != "oracle" else ["--replicates", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: times: must be nonnegative\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "argv, key",
         [
@@ -807,6 +818,50 @@ def test_moments_keep_the_exit_code_contract(n, T, log_share, with_zero, F1):
         rc = main(argv + ["--out", tmp])
     assert rc in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _strength():
+    """A regularization strength 10^u, u in [-324, 308], floored at 5e-324."""
+    return st.floats(-324.0, 308.0).map(lambda u: max(5e-324, 10.0**u))
+
+
+# eps and the ladder's rungs span every magnitude a double holds; sis has
+# no ladder, so its ladder draws must be config errors
+@pytest.mark.parametrize("command", ["kimura", "sis"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(["regularized", "ladder"]),
+    eps=_strength(),
+    ladder=st.lists(_strength(), min_size=3, max_size=5, unique=True)
+    .map(lambda rungs: sorted(rungs, reverse=True)),
+    psi=st.one_of(
+        st.floats(-60.0, 60.0).map(repr),
+        st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0))
+        .map(lambda ab: f"{ab[0]!r}+({ab[1]!r})*x"),
+    ),
+    log_r0=st.floats(-3.0, 308.0),
+    n=st.integers(5, 41),
+    log_T=st.floats(-300.0, 1.0),
+    with_zero=st.booleans(),
+)
+def test_regularized_solves_keep_the_exit_code_contract(command, mode, eps, ladder, psi,
+                                                        log_r0, n, log_T, with_zero):
+    T = 10.0**log_T
+    argv = [command, "--mode", mode, "--n", str(n), "--T", repr(T),
+            "--times", ("0," if with_zero else "") + repr(T)]
+    if mode == "regularized":
+        argv += ["--eps", repr(eps)]
+    elif command == "kimura":
+        argv += ["--ladder", ",".join(map(repr, ladder))]
+    argv += ["--psi", psi] if command == "kimura" else ["--R0", repr(10.0**log_r0)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", tmp])
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if command == "sis" and mode == "ladder":
+        assert rc == 2, err.getvalue()
 
 
 def _unit_interval_point():

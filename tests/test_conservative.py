@@ -17,7 +17,7 @@ from conspar.conservative import (
     prescribed_moments_reduce,
     time_function,
 )
-from conspar.errors import CompatibilityError, CouplingError, InputError
+from conspar.errors import ArgumentError, CompatibilityError, CouplingError, InputError
 from conspar.fields import (
     constant_field,
     field_from_callable,
@@ -248,6 +248,16 @@ class TestPrescribedMoments:
         )
         want = np.array([F1.value(float(t)) for t in times])
         assert np.max(np.abs(got - want)) <= 1e-6
+
+    @pytest.mark.parametrize("times", [[-1.0, 1.0], [-1e-300, 1.0]])
+    def test_negative_snapshot_rejected(self, heat_problem, heat_eig, grid, times):
+        # exp(lambda) of a mode at -1 overflows; at -1e-300 the data came back
+        pres = self._pres(heat_problem)
+        v0 = 1.0 * pres.phi1
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            prescribed_moments_evolve(heat_eig, v0, pres, times)
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            duhamel_evolve(heat_eig, v0, lambda t: np.zeros(grid.n), times)
 
     @pytest.mark.parametrize("laws", [("0", "1", "x"), ("1", "cos(x)", "sin(x)")])
     def test_kernel_closed_form_matches_general_duhamel(self, grid, one, laws):

@@ -117,6 +117,19 @@ class TestModels:
                 g=field_from_expression(g), psi=constant_field(0.0), absorbs_at_1=absorbs_at_1
             )
 
+    @pytest.mark.parametrize(
+        "g, absorbs_at_1",
+        [("x*(1-x)*(x-0.5)", True), ("x*(1-x)*(x-0.5)^2", True), ("x*(x-0.5)", False)],
+        ids=["negative-two-laws", "zero-at-0.5", "negative-one-law"],
+    )
+    def test_degeneracy_must_be_positive_inside(self, g, absorbs_at_1):
+        # the interior's mass cell p / g must be positive on every unknown;
+        # such a g once reached the stepper, which blew up at step 200
+        with pytest.raises(InputError, match="degeneracy field g must be positive inside"):
+            DegenerateModel(
+                g=field_from_expression(g), psi=constant_field(0.0), absorbs_at_1=absorbs_at_1
+            )
+
 
 class TestTransforms:
     def test_zero_maps_to_zero(self):
@@ -490,10 +503,17 @@ def _relative(a, b):
 
 
 def _interior(model, grid):
-    """The interior operator, coupling, s = g/p, unknowns' range and r-variable
-    generator bands."""
+    """The interior operator, coupling, s = g/p, unknowns' range and the
+    r-variable generator bands (diagonal, lower, upper) of cell A, with the
+    cells, built here in flux form as the reference the solver's K and M are
+    checked against: d r_i/dt = (F_{i+1/2} - F_{i-1/2}) / cell_i with
+    F_{i+1/2} = K_i (s_{i+1} r_{i+1} - s_i r_i), K_i the operator's
+    off-diagonal, and no flux past x = 1 under one law."""
     op, coupling, s, lo, hi = degenerate._interior_system(model, grid)
-    return op, coupling, s, lo, hi, degenerate._interior_generator(op, s, lo, hi)
+    alpha, beta = -op.off_diagonal * s[:-1], op.off_diagonal * s[1:]
+    diag = np.append(alpha, 0.0)[lo : hi + 1] - beta[lo - 1 : hi]
+    bands = diag, -alpha[lo:hi], beta[lo:hi], grid.cell_weights()[lo : hi + 1]
+    return op, coupling, s, lo, hi, bands
 
 
 def _dense_generator(model, grid):
@@ -659,15 +679,29 @@ class TestModalInterior:
             orders = np.log2(np.array(errors[:-1]) / errors[1:])
             assert np.all((orders > 1.85) & (orders < 2.15))
 
-    @pytest.mark.parametrize("steps", [1, 2, 3, 300])
-    def test_rannacher_start(self, steps, monkeypatch):
+    # SIS R0 = 2 keeps its original ids; Kimura psi = 40, 80 and 200 are
+    # where the stepper runs by default (spreads 20.2, 39.7 and 99.0 at
+    # n = 201), at dt = 1e-4. The trace integrals read at most 2.2e-13
+    # (SIS, 300 steps) and 2.4e-14 (Kimura) against this dense reference,
+    # which has rounding of its own: a long-double run of the same scheme
+    # puts the stepper's SIS integrals within 9.3e-15
+    RANNACHER = [
+        pytest.param(MODAL_MODELS["sis R0=2"], 0.01, s, id=str(s)) for s in (1, 2, 3, 300)
+    ] + [
+        pytest.param(
+            lambda psi=psi: kimura_model(constant_field(psi)), 1e-4, s, id=f"psi={psi:g}-{s}"
+        )
+        for psi in (40.0, 80.0, 200.0) for s in (1, 2, 3, 300)
+    ]
+
+    @pytest.mark.parametrize("make_model, dt, steps", RANNACHER)
+    def test_rannacher_start(self, make_model, dt, steps, monkeypatch):
         # steps 1 and 2 are each two backward-Euler half steps, each
         # integrated by (dt/2) times the trace it ends with; later steps
         # are trapezoid steps under the trapezoid rule
         _forced_stepper(monkeypatch)
-        model = sis_model(2.0)
+        model = make_model()
         r0 = _initial("delta", MODAL_GRID)
-        dt = 0.01
         sol = solve_interior(model, r0, dt * steps, [0.0, dt * steps], MODAL_GRID, dt=dt)
         assert sol.method == "stepper" and sol.steps == steps
         assert np.array_equal(sol.trajectory.values[0], r0)
@@ -677,8 +711,10 @@ class TestModalInterior:
         half_step = np.linalg.inv(eye - dt / 2 * A)
         trapezoid = half_step @ (eye + dt / 2 * A)
 
-        def traces(v):  # extrapolated at x = 0; the last unknown sits on x = 1
-            return np.array([3 * v[0] - 3 * v[1] + v[2], v[-1]])
+        def traces(v):  # extrapolated at an absorbing end; under one law the
+            # last unknown sits on x = 1
+            right = 3 * v[-1] - 3 * v[-2] + v[-3] if model.absorbs_at_1 else v[-1]
+            return np.array([3 * v[0] - 3 * v[1] + v[2], right])
 
         r = r0[lo : hi + 1]
         expected = [np.zeros(2)]

@@ -111,14 +111,23 @@ SOLVER_GOLDEN = {
         ["kimura", "--n", "101", "--psi_table", "{table}"],
         "82ecfc8edb215b76a0722198c063995237e85b51fc38c1d09356bd365ed0b9d4",
     ),
-    # symmetrizing scale spread 12.96 > 11: the time stepper runs
+    # symmetrizing scale spread 12.96 > 11: the time stepper runs.
+    # Re-recorded when the stepper began stepping v = g r / p on the
+    # interior's assembled K and M, (M - dt/2 K) factored once by banded
+    # Cholesky, in place of r on the generator's bands with a banded LU per
+    # step: densities moved by at most 1.2e-13 (2.7e-14 relative), masses
+    # by at most 9.8e-15
     "kimura-stepper": (
         ["kimura", "--n", "201", "--psi", "25", "--T", "0.5", "--times", "0,0.1,0.5"],
-        "92a402a6a79cb46b1dc74184f42379cef22724a03692b8ca28cf0eda719f4ff4",
+        "0362da5ac3e09c5f6014a21dbec547b2aed6ec4fe59f29db6318096cee606b3e",
     ),
+    # re-recorded when the modal trace integrals became S^-1 K^-1 C
+    # (r(t) - r0), one banded Cholesky solve on the assembled -K, in place
+    # of a banded LU solve on the generator's bands: the flux-form atom and
+    # the totals moved by at most 1.9e-14; the densities are byte-identical
     "sis-plot": (
         ["sis", "--n", "101", "--emit_plot_data", "true"],
-        "529231885aacda3def738849644c44d15179cfa52dc5d8b29c33a01fc7567947",
+        "26144ccc781dcb3cc230a5cb143e3c3c02f3e74009898028eea734d400eb008a",
     ),
     # re-recorded when the zero-flux end x = 1 stopped giving up a half-cell
     # atom that the run then dropped: r at x = 1 moved by at most 4.1e-6

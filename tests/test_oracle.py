@@ -156,6 +156,13 @@ class TestSimulate:
         with pytest.raises(ArgumentError):
             simulate(spec, [2.0, 1.0])
 
+    @pytest.mark.parametrize("times", [[-1.0, 1.0], [-1e-300, 1.0]])
+    def test_negative_snapshot_rejected(self, times):
+        # a negative time used to snap to step 0 and write a row of the data
+        spec = kimura_sde(constant_field(0.0), 0.3, horizon=1.0, replicates=10)
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            simulate(spec, times)
+
     @pytest.mark.parametrize("dt, times", [(1e-320, [1.0]), (5e-324, [0.0, 1.0])])
     def test_step_count_past_int64_rejected(self, dt, times):
         # 1 / dt overflows to inf, which casts to INT64_MIN: no step would run
